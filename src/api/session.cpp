@@ -92,6 +92,7 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
                                     const EvalRequest& request) const {
   if (request.shots < 0)
     throw std::invalid_argument("EvalRequest: shots must be >= 0");
+  schedule.check();
   const detail::ReentrancyGuard::Scope scope(guard_,
                                              "ProblemSession::evaluate");
   static const obs::Counter evaluates =
@@ -120,11 +121,8 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
     // Chaining p one-layer simulate_qaoa_from calls performs exactly the
     // arithmetic of the single p-layer call (the state is moved through),
     // so timed and untimed evaluations stay bit-identical. The one-layer
-    // slices always match pairwise, so the whole-schedule length check
-    // must happen here (the untimed path gets it from the simulator).
-    if (schedule.gammas.size() != schedule.betas.size())
-      throw std::invalid_argument(
-          "simulate_qaoa: gammas/betas length mismatch");
+    // slices always match pairwise; schedule.check() above already
+    // rejected a whole schedule whose lengths differ.
     const std::span<const double> gammas(schedule.gammas);
     const std::span<const double> betas(schedule.betas);
     layer_ns.reserve(gammas.size());
@@ -173,6 +171,7 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
 
 std::vector<EvalResult> ProblemSession::evaluate_batch(
     std::span<const QaoaParams> schedules, const EvalRequest& request) const {
+  for (const QaoaParams& s : schedules) s.check();
   const detail::ReentrancyGuard::Scope scope(
       guard_, "ProblemSession::evaluate_batch");
   BatchOptions opts = batch_options_for(request, spec_.sample_seed);
@@ -204,6 +203,7 @@ std::vector<EvalResult> ProblemSession::evaluate_batch(
 
 std::vector<double> ProblemSession::expectations(
     std::span<const QaoaParams> schedules) const {
+  for (const QaoaParams& s : schedules) s.check();
   const detail::ReentrancyGuard::Scope scope(
       guard_, "ProblemSession::expectations");
   return evaluator_.expectations(schedules);
@@ -219,6 +219,7 @@ EvalResult ProblemSession::optimize(const OptimizerSpec& optimizer) const {
   if (start.p() != optimizer.p)
     throw std::invalid_argument(
         "ProblemSession::optimize: initial schedule depth does not match p");
+  start.check();
   QaoaBatchObjective objective(*sim_, optimizer.p);
   const auto population =
       [&objective](const std::vector<std::vector<double>>& points) {
@@ -242,6 +243,7 @@ EvalResult ProblemSession::optimize(const OptimizerSpec& optimizer) const {
 }
 
 StateVector ProblemSession::simulate(const QaoaParams& schedule) const {
+  schedule.check();
   const detail::ReentrancyGuard::Scope scope(guard_,
                                              "ProblemSession::simulate");
   return sim_->simulate_qaoa(schedule.gammas, schedule.betas);

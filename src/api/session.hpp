@@ -188,6 +188,10 @@ class ProblemSession {
   /// Evaluate one schedule. Evolves the reused scratch state (zero
   /// steady-state statevector allocations) and scores exactly as a
   /// freshly built simulator would -- bit-identical outputs.
+  ///
+  /// Every schedule-taking method here (and optimize's initial point)
+  /// runs QaoaParams::check() first: ragged or non-finite schedules throw
+  /// std::invalid_argument naming the layer before any state is touched.
   EvalResult evaluate(const QaoaParams& schedule,
                       const EvalRequest& request = {}) const;
 

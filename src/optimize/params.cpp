@@ -1,6 +1,9 @@
 #include "optimize/params.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace qokit {
 namespace {
@@ -24,6 +27,21 @@ std::vector<double> interp_one(const std::vector<double>& v) {
 }
 
 }  // namespace
+
+void QaoaParams::check() const {
+  if (gammas.size() != betas.size())
+    throw std::invalid_argument(
+        "QaoaParams: " + std::to_string(gammas.size()) + " gammas but " +
+        std::to_string(betas.size()) + " betas");
+  for (std::size_t l = 0; l < gammas.size(); ++l)
+    for (const auto& [name, angle] :
+         {std::pair{"gamma", gammas[l]}, std::pair{"beta", betas[l]}})
+      if (!std::isfinite(angle))
+        throw std::invalid_argument(
+            std::string("QaoaParams: ") + name + " at layer " +
+            std::to_string(l) + " is not finite (" + std::to_string(angle) +
+            ")");
+}
 
 std::vector<double> QaoaParams::flatten() const {
   std::vector<double> x;

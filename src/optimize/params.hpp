@@ -19,6 +19,12 @@ struct QaoaParams {
 
   int p() const { return static_cast<int>(gammas.size()); }
 
+  /// Trust-boundary check for a schedule about to be simulated: as many
+  /// betas as gammas, and every angle finite. Throws std::invalid_argument
+  /// naming the first offending layer (0-based). Unchecked, a NaN or
+  /// infinite angle runs every layer and yields a NaN expectation.
+  void check() const;
+
   /// Pack as the single vector consumed by optimizers: gammas then betas.
   std::vector<double> flatten() const;
 

@@ -13,6 +13,11 @@
 //     absolute pairs land in the same 2-pair vector groups and no pair
 //     falls to a (differently rounded) scalar tail in one decomposition
 //     but not the other.
+//  3. Two-level RX kernels (phase_rx, rx2_tile, rx2_rows) get whole
+//     2^(q+2)-amplitude tile blocks or whole row runs — exactly the runs
+//     the two single-level rx_pairs calls would see — and each family
+//     repeats rx_pairs' per-op arithmetic and its vector/scalar-tail split
+//     per level in registers.
 //
 // Given those, per-amplitude results depend only on (input values, qubit,
 // dispatch level) — not on traversal order — and each pass applies its
@@ -139,18 +144,24 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
               const std::uint64_t base =
                   static_cast<std::uint64_t>(u) * tile;
               int q = p.q_begin;
+              const bool rx = p.butterfly == PassButterfly::Rx;
               if (p.pre == PassPhase::Diagonal) {
-                if (!ctx.codes && p.butterfly == PassButterfly::Rx &&
-                    q == 0 && p.q_end > 0) {
-                  // The fused family kernel: phase + the qubit-0 butterfly
-                  // in one read/write of the tile.
+                if (!ctx.codes && rx && q == 0 && p.q_end >= 2) {
+                  // The fused family kernel: phase + the qubit-0 and
+                  // qubit-1 butterflies in one read/write of the tile.
                   k.phase_rx(amp + base, ctx.costs + base, tile, gamma, c,
                              s);
-                  q = 1;
+                  q = 2;
                 } else {
                   phase_unit(k, amp, ctx, base, tile, gamma);
                 }
               }
+              // RX levels in adjacent pairs, one read/write of the tile per
+              // pair (q + 2 <= q_end <= log2(tile) keeps rx2_tile's blocks
+              // whole); an odd level left over goes alone.
+              if (rx)
+                for (; q + 1 < p.q_end; q += 2)
+                  k.rx2_tile(amp + base, q, tile, c, s);
               for (; q < p.q_end; ++q)
                 butterfly_tile(k, amp, base, tile, q, p.butterfly, c, s);
               if (p.post == PassPhase::Popcount)
@@ -182,7 +193,19 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
         // All g butterflies on the cache-resident 2^g-row working set;
         // partners for qubit q = a + j are rows r and r | 2^j, both inside
         // the set, so ascending-q order sees exactly the unfused dataflow.
-        for (int q = a; q < b; ++q) {
+        // RX levels go in adjacent pairs: rows r, r | 2^j, r | 2^(j+1) and
+        // r | 3 * 2^j sit 2^q amplitudes apart, one rx2_rows call per
+        // quadruple; an odd level left over goes alone.
+        int q = a;
+        if (p.butterfly == PassButterfly::Rx)
+          for (; q + 1 < b; q += 2) {
+            const std::uint64_t rbits = 3ull << (q - a);
+            for (std::uint64_t r = 0; r < rows; ++r) {
+              if (r & rbits) continue;
+              k.rx2_rows(amp + blk + r * row + col, 1ull << q, chunk, c, s);
+            }
+          }
+        for (; q < b; ++q) {
           const std::uint64_t rbit = 1ull << (q - a);
           for (std::uint64_t r = 0; r < rows; ++r) {
             if (r & rbit) continue;

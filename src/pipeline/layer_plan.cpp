@@ -27,10 +27,10 @@ int clamped_tile(const PipelineOptions& opts) {
   return std::clamp(opts.geometry.tile_log2, 2, 30);
 }
 
-LayerPass make_tile_pass(int q_end, PassButterfly butterfly, PassPhase pre,
-                         const PipelineOptions& opts) {
+LayerPass make_tile_pass(int q_begin, int q_end, PassButterfly butterfly,
+                         PassPhase pre, const PipelineOptions& opts) {
   return LayerPass{.strided = false,
-                   .q_begin = 0,
+                   .q_begin = q_begin,
                    .q_end = q_end,
                    .butterfly = butterfly,
                    .pre = pre,
@@ -82,7 +82,7 @@ LayerPlan LayerPlan::build(int num_qubits, MixerType mixer,
   const int m = std::min(num_qubits, clamped_tile(opts));
 
   const auto add_tile = [&](PassButterfly butterfly, PassPhase pre) {
-    plan.passes_.push_back(make_tile_pass(m, butterfly, pre, opts));
+    plan.passes_.push_back(make_tile_pass(0, m, butterfly, pre, opts));
   };
   const auto add_groups = [&](PassButterfly butterfly) {
     for (int q0 = m; q0 < num_qubits; q0 += g)
@@ -117,13 +117,15 @@ LayerPlan LayerPlan::build_rx_sweep(int num_qubits, int q_begin, int q_end,
   plan.opts_ = opts;
   const int g = std::max(1, opts.geometry.group_qubits);
   int q0 = q_begin;
-  if (q0 == 0 && q0 < q_end) {
-    // Qubit 0 (and everything with in-tile stride) goes through a
-    // contiguous tile pass; only the higher qubits need row gathering.
-    plan.passes_.push_back(
-        make_tile_pass(std::min(q_end, clamped_tile(opts)),
-                       PassButterfly::Rx, PassPhase::None, opts));
-    q0 = plan.passes_.back().q_end;
+  const int tile_end = std::min(q_end, clamped_tile(opts));
+  if (q0 < tile_end) {
+    // Qubits with in-tile stride go through a contiguous tile pass; only
+    // the higher qubits need row gathering. A strided pass from qubit 1
+    // would gather 2-amplitude chunks, cutting the higher qubits' runs
+    // below the f32 vector width where the unfused sweep keeps them whole.
+    plan.passes_.push_back(make_tile_pass(q0, tile_end, PassButterfly::Rx,
+                                          PassPhase::None, opts));
+    q0 = tile_end;
   }
   for (; q0 < q_end; q0 += g)
     plan.passes_.push_back(make_strided_pass(q0, std::min(q0 + g, q_end),

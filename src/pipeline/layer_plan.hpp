@@ -101,9 +101,9 @@ class LayerPlan {
                          MixerBackend backend, const PipelineOptions& opts);
 
   /// Plan a butterfly-only RX sweep over qubits [q_begin, q_end) of an
-  /// n-qubit array: a contiguous tile pass while strides fit a tile
-  /// (only when q_begin == 0), then strided groups — the same clamp and
-  /// alignment rules as build(), kept in one place. The distributed
+  /// n-qubit array: a contiguous tile pass for the qubits whose stride
+  /// fits a tile, then strided groups — the same clamp and alignment
+  /// rules as build(), kept in one place. The distributed
   /// simulator builds this once for the post-alltoall global-qubit mix.
   /// Always active (mode/mixer gating belongs to the caller's main plan).
   static LayerPlan build_rx_sweep(int num_qubits, int q_begin, int q_end,

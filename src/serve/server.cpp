@@ -181,6 +181,8 @@ Response ScheduleServer::handle(Request& request,
   try {
     if (request.terms.num_qubits() < 1)
       throw std::invalid_argument("serve: request carries no problem terms");
+    // Before the checkout, so a bad schedule never pays a miss's precompute.
+    for (const QaoaParams& s : request.schedules) s.check();
     SessionLease lease = cache_.checkout(request.terms, request.spec);
     response.cache_hit = lease.hit();
     span.attr("cache_hit", static_cast<std::int64_t>(lease.hit() ? 1 : 0));

@@ -2,8 +2,9 @@
 //
 // Every elementwise pass in Algorithm 3 funnels through this layer: the
 // diagonal phase multiply (double-cost, u16-table, and popcount-table
-// variants), the fused single-qubit mixer butterflies (rx, hadamard), and
-// the expectation / norm / ground-overlap reductions. Each kernel exists in
+// variants), the single-qubit mixer butterflies (rx, hadamard) plus the
+// two-level RX butterflies the layer pipeline fuses them into, and the
+// expectation / norm / ground-overlap reductions. Each kernel exists in
 // a scalar family (kernels_scalar.cpp, portable C++) and an AVX2+FMA family
 // (kernels_avx2.cpp, compiled only under QOKIT_SIMD on x86-64); dispatch is
 // chosen once per process via CPUID (common/cpu_features.hpp).
@@ -108,10 +109,11 @@ namespace detail {
 
 /// One kernel family at amplitude scalar T: block-range entry points the
 /// dispatcher drives. Elementwise/reduction kernels receive already-offset
-/// pointers and a count; butterfly kernels receive the full array plus a
-/// pair-index range [kb, ke) (pair k touches amplitudes
-/// insert_zero_bit(k, qubit) and its partner at stride 2^qubit). Angles,
-/// costs, and reduction results are double for every T.
+/// pointers and a count; single-level butterfly kernels receive the full
+/// array plus a pair-index range [kb, ke) (pair k touches amplitudes
+/// insert_zero_bit(k, qubit) and its partner at stride 2^qubit), the
+/// two-level RX kernels an already-offset tile or row. Angles, costs, and
+/// reduction results are double for every T.
 template <class T>
 struct KernelsT {
   using C = std::complex<T>;
@@ -121,13 +123,27 @@ struct KernelsT {
                       std::uint64_t count);
   void (*phase_popcount)(C* amp, std::uint64_t index_base,
                          std::uint64_t count, const C* table);
-  /// Fused diagonal phase + qubit-0 RX over `count` (even) amplitudes —
-  /// the per-amplitude operations of phase followed by rx_pairs(qubit=0),
-  /// bit for bit, in one pass over the range.
+  /// Fused diagonal phase + qubit-0 RX + qubit-1 RX over `count` (a
+  /// multiple of 4) amplitudes — the per-amplitude operations of phase,
+  /// rx_pairs(qubit=0) and rx_pairs(qubit=1) over the same range, bit for
+  /// bit, with one load and one store per amplitude.
   void (*phase_rx)(C* amp, const double* costs, std::uint64_t count,
                    double gamma, double c, double s);
   void (*rx_pairs)(C* x, int qubit, std::uint64_t kb, std::uint64_t ke,
                    double c, double s);
+  /// Two RX levels, qubit q then qubit q + 1, over the contiguous tile
+  /// x[0, count) (count a multiple of 2^(q+2)): bit for bit the two
+  /// rx_pairs calls covering the tile, with one load and one store per
+  /// amplitude.
+  void (*rx2_tile)(C* x, int q, std::uint64_t count, double c, double s);
+  /// Two RX levels over four row streams of `run` amplitudes starting at
+  /// x, x + stride, x + 2 stride and x + 3 stride (stride a power of two
+  /// >= 2, run <= stride): rows (0, 1) and (2, 3) pair on the lower
+  /// level, then rows (0, 2) and (1, 3) on the upper one. Bit for bit the
+  /// four rx_pairs calls that each cover one row pair as a single run of
+  /// `run` pairs.
+  void (*rx2_rows)(C* x, std::uint64_t stride, std::uint64_t run, double c,
+                   double s);
   void (*hadamard_pairs)(C* x, int qubit, std::uint64_t kb,
                          std::uint64_t ke);
   double (*expectation)(const C* amp, const double* costs,

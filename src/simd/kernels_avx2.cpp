@@ -106,8 +106,61 @@ inline __m256d cmul_bcast(__m256d a, __m256d f_re, __m256d f_im) {
   return _mm256_fmaddsub_pd(a, f_re, _mm256_mul_pd(a_sw, f_im));
 }
 
-/// Sign mask flipping the odd (imaginary-slot) lanes.
-inline __m256d neg_odd() { return _mm256_setr_pd(0.0, -0.0, 0.0, -0.0); }
+// ------------------------------------------------------ RX butterflies
+// e^{-i beta X} on a pair: y0 = c x0 - i s x1, y1 = -i s x0 + c x1. In
+// interleaved lanes -i s x1 = [s im1, -s re1]: the partner with re and im
+// swapped, times the pre-signed multiplier [s, -s, s, -s]. Folding the
+// sign into the multiplier instead of xor-ing it onto the partner is
+// exact, since (-x)*s and x*(-s) round identically.
+
+/// The pre-signed multiplier [s, -s, s, -s].
+inline __m256d presigned(double s) { return _mm256_setr_pd(s, -s, s, -s); }
+
+/// One RX output register, c*a + vsp*partner_sw in one FMA rounding, where
+/// partner_sw holds each lane's partner complex as [im, re].
+inline __m256d rx_out(__m256d vc, __m256d vsp, __m256d a,
+                      __m256d partner_sw) {
+  return _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vsp, partner_sw));
+}
+
+/// Qubit-0 RX on one register [x0, x1]: the partners are each other, so
+/// partner_sw is the full lane reversal.
+inline __m256d rx_q0(__m256d a, __m256d vc, __m256d vsp) {
+  return rx_out(vc, vsp, a, _mm256_permute4x64_pd(a, 0x1B));
+}
+
+/// RX between two registers whose complexes pair lane for lane.
+inline void rx_rows(__m256d& a, __m256d& b, __m256d vc, __m256d vsp) {
+  const __m256d na = rx_out(vc, vsp, a, _mm256_permute_pd(b, 0x5));
+  b = rx_out(vc, vsp, b, _mm256_permute_pd(a, 0x5));
+  a = na;
+}
+
+/// Vector part of the four-row two-level butterfly: rows at p, p + w,
+/// p + 2w, p + 3w (w in doubles), levels (0,1)(2,3) then (0,2)(1,3), two
+/// complexes per row per step. Returns the amplitudes done (run rounded
+/// down to even, rx_pairs' vector grouping of each row run).
+inline std::uint64_t rx2_rows_vec(double* p, std::uint64_t w,
+                                  std::uint64_t run, __m256d vc,
+                                  __m256d vsp) {
+  std::uint64_t j = 0;
+  for (; j + 2 <= run; j += 2) {
+    double* r = p + 2 * j;
+    __m256d a0 = _mm256_loadu_pd(r);
+    __m256d a1 = _mm256_loadu_pd(r + w);
+    __m256d a2 = _mm256_loadu_pd(r + 2 * w);
+    __m256d a3 = _mm256_loadu_pd(r + 3 * w);
+    rx_rows(a0, a1, vc, vsp);
+    rx_rows(a2, a3, vc, vsp);
+    rx_rows(a0, a2, vc, vsp);
+    rx_rows(a1, a3, vc, vsp);
+    _mm256_storeu_pd(r, a0);
+    _mm256_storeu_pd(r + w, a1);
+    _mm256_storeu_pd(r + 2 * w, a2);
+    _mm256_storeu_pd(r + 3 * w, a3);
+  }
+  return j;
+}
 
 // Tail/fallback elements run the *scalar family's* function (compiled
 // without FMA contraction in its own TU), so they match the scalar dispatch
@@ -151,23 +204,22 @@ void phase_avx2(cdouble* amp, const double* costs, std::uint64_t count,
 
 void phase_rx_avx2(cdouble* amp, const double* costs, std::uint64_t count,
                    double gamma, double c, double s) {
-  // Fused phase + qubit-0 RX. The phase half is phase_avx2's body
-  // verbatim (including the huge-angle scalar fallback, taken for the
-  // same absolute groups of 4 since both drivers issue 4-aligned ranges);
-  // the butterfly half is rx_pairs_avx2's qubit-0 update applied to the
-  // phased registers — identical values whether kept in register or
-  // stored and reloaded, so the pair of unfused kernels is reproduced bit
-  // for bit with one memory round trip instead of two.
+  // Fused phase + qubit-0 RX + qubit-1 RX. The phase half is phase_avx2's
+  // body verbatim (including the huge-angle scalar fallback, taken for
+  // the same absolute groups of 4 since both drivers issue 4-aligned
+  // ranges); the butterflies are rx_pairs_avx2's qubit-0 update inside
+  // each phased register and its qubit-1 update across the two — identical
+  // values whether kept in register or stored and reloaded, so the three
+  // unfused kernels are reproduced bit for bit with one memory round trip
+  // instead of three.
   double* d = reinterpret_cast<double*>(amp);
   const __m256d vng = _mm256_set1_pd(-gamma);
   const __m256d vhuge = _mm256_set1_pd(kHugeAngle);
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
   const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vs = _mm256_set1_pd(s);
-  const __m256d nodd = neg_odd();
-  std::uint64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
+  const __m256d vsp = presigned(s);
+  for (std::uint64_t i = 0; i < count; i += 4) {
     __m256d p01, p23;
     const __m256d ang = _mm256_mul_pd(vng, _mm256_loadu_pd(costs + i));
     if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_and_pd(ang, abs_mask), vhuge,
@@ -185,24 +237,11 @@ void phase_rx_avx2(cdouble* amp, const double* costs, std::uint64_t count,
       p01 = cmul_bcast(_mm256_loadu_pd(d + 2 * i), f01_re, f01_im);
       p23 = cmul_bcast(_mm256_loadu_pd(d + 2 * i + 4), f23_re, f23_im);
     }
-    const __m256d m01 =
-        _mm256_xor_pd(_mm256_permute4x64_pd(p01, 0x1B), nodd);
-    _mm256_storeu_pd(d + 2 * i,
-                     _mm256_fmadd_pd(vc, p01, _mm256_mul_pd(vs, m01)));
-    const __m256d m23 =
-        _mm256_xor_pd(_mm256_permute4x64_pd(p23, 0x1B), nodd);
-    _mm256_storeu_pd(d + 2 * i + 4,
-                     _mm256_fmadd_pd(vc, p23, _mm256_mul_pd(vs, m23)));
-  }
-  if (i < count) {
-    // count % 4 == 2: one pair left. Scalar-family phase (the unfused
-    // kernel's own tail policy), then the in-register qubit-0 butterfly
-    // rx_pairs_avx2 applies to every pair.
-    phase_scalar_tail(amp + i, costs + i, count - i, gamma);
-    const __m256d a = _mm256_loadu_pd(d + 2 * i);
-    const __m256d m = _mm256_xor_pd(_mm256_permute4x64_pd(a, 0x1B), nodd);
-    _mm256_storeu_pd(d + 2 * i,
-                     _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, m)));
+    p01 = rx_q0(p01, vc, vsp);
+    p23 = rx_q0(p23, vc, vsp);
+    rx_rows(p01, p23, vc, vsp);
+    _mm256_storeu_pd(d + 2 * i, p01);
+    _mm256_storeu_pd(d + 2 * i + 4, p23);
   }
 }
 
@@ -243,19 +282,12 @@ void phase_popcount_avx2(cdouble* amp, std::uint64_t index_base,
 void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
                    double c, double s) {
   const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vs = _mm256_set1_pd(s);
-  const __m256d nodd = neg_odd();
+  const __m256d vsp = presigned(s);
   double* d = reinterpret_cast<double*>(x);
   if (qubit == 0) {
-    // Pair (x0, x1) is one register: [r0, i0, r1, i1]. The cross-partner
-    // operand [i1, -r1, i0, -r0] is a full-register lane reversal + sign.
-    for (std::uint64_t k = kb; k < ke; ++k) {
-      const __m256d a = _mm256_loadu_pd(d + 4 * k);
-      const __m256d m =
-          _mm256_xor_pd(_mm256_permute4x64_pd(a, 0x1B), nodd);
-      _mm256_storeu_pd(d + 4 * k,
-                       _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, m)));
-    }
+    // Pair (x0, x1) is one register: [r0, i0, r1, i1].
+    for (std::uint64_t k = kb; k < ke; ++k)
+      _mm256_storeu_pd(d + 4 * k, rx_q0(_mm256_loadu_pd(d + 4 * k), vc, vsp));
     return;
   }
   // qubit >= 1: pairs form two contiguous streams of `stride` amplitudes.
@@ -268,20 +300,51 @@ void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
     double* p1 = p0 + 2 * stride;
     std::uint64_t j = 0;
     for (; j + 2 <= run; j += 2) {
-      const __m256d a = _mm256_loadu_pd(p0 + 2 * j);
-      const __m256d b = _mm256_loadu_pd(p1 + 2 * j);
-      const __m256d mb = _mm256_xor_pd(_mm256_permute_pd(b, 0x5), nodd);
-      const __m256d ma = _mm256_xor_pd(_mm256_permute_pd(a, 0x5), nodd);
-      _mm256_storeu_pd(p0 + 2 * j,
-                       _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, mb)));
-      _mm256_storeu_pd(p1 + 2 * j,
-                       _mm256_fmadd_pd(vc, b, _mm256_mul_pd(vs, ma)));
+      __m256d a = _mm256_loadu_pd(p0 + 2 * j);
+      __m256d b = _mm256_loadu_pd(p1 + 2 * j);
+      rx_rows(a, b, vc, vsp);
+      _mm256_storeu_pd(p0 + 2 * j, a);
+      _mm256_storeu_pd(p1 + 2 * j, b);
     }
     // Odd-pair remainder: delegate to the scalar family (same tail policy
     // as the phase kernel — a local loop here would FMA-contract).
     if (j < run) detail::scalar_kernels.rx_pairs(x, qubit, k + j, k + run, c, s);
     k += run;
   }
+}
+
+void rx2_rows_avx2(cdouble* x, std::uint64_t stride, std::uint64_t run,
+                   double c, double s) {
+  const std::uint64_t j =
+      rx2_rows_vec(reinterpret_cast<double*>(x), 2 * stride, run,
+                   _mm256_set1_pd(c), presigned(s));
+  // An odd run's last amplitude takes rx_pairs' scalar remainder on both
+  // levels (both row pairs share the run), so it goes to the scalar
+  // family whole.
+  if (j < run) detail::scalar_kernels.rx2_rows(x + j, stride, run - j, c, s);
+}
+
+void rx2_tile_avx2(cdouble* x, int q, std::uint64_t count, double c,
+                   double s) {
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vsp = presigned(s);
+  double* d = reinterpret_cast<double*>(x);
+  if (q == 0) {
+    // [x0, x1] and [x2, x3]: qubit 0 inside each register, then qubit 1
+    // across the two — rx_pairs_avx2's qubit-0 and qubit-1 updates.
+    for (std::uint64_t i = 0; i < count; i += 4) {
+      __m256d a = rx_q0(_mm256_loadu_pd(d + 2 * i), vc, vsp);
+      __m256d b = rx_q0(_mm256_loadu_pd(d + 2 * i + 4), vc, vsp);
+      rx_rows(a, b, vc, vsp);
+      _mm256_storeu_pd(d + 2 * i, a);
+      _mm256_storeu_pd(d + 2 * i + 4, b);
+    }
+    return;
+  }
+  // Each 2^(q+2) block is four rows of 2^q (even) amplitudes: all vector.
+  const std::uint64_t stride = 1ull << q;
+  for (std::uint64_t b = 0; b < count; b += 4 * stride)
+    rx2_rows_vec(d + 2 * b, 2 * stride, stride, vc, vsp);
 }
 
 void hadamard_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb,
@@ -416,9 +479,78 @@ double overlap_avx2(const cdouble* amp, const double* costs, double threshold,
 // containment contract). Tails and odd remainders delegate to the scalar
 // f32 family, mirroring the f64 policy.
 
-/// Sign mask flipping the odd (imaginary-slot) float lanes.
-inline __m256 neg_odd_ps() {
-  return _mm256_setr_ps(0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f);
+/// The pre-signed multiplier [s, -s, ...] at float width (s narrowed
+/// once, as the scalar family narrows it).
+inline __m256 presigned_ps(double s) {
+  const float f = static_cast<float>(s);
+  return _mm256_setr_ps(f, -f, f, -f, f, -f, f, -f);
+}
+
+/// rx_out at float width: c*a + vsp*partner_sw in one FMA rounding.
+inline __m256 rx_out_ps(__m256 vc, __m256 vsp, __m256 a, __m256 partner_sw) {
+  return _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vsp, partner_sw));
+}
+
+/// Hides a value from the optimizer. GCC's default -ffp-contract=fast
+/// fuses a multiply into a following add even across intrinsics; a
+/// product routed through here stays separately rounded.
+inline __m256 opaque_ps(__m256 v) {
+  __asm__("" : "+x"(v));
+  return v;
+}
+
+/// rx_out with the scalar family's rounding (both products rounded, then
+/// added): rx_pairs_avx2_f32 runs every qubit-1 pair through its scalar
+/// tail, since a qubit-1 run is two complexes, half a register.
+inline __m256 rx_out_scalar_ps(__m256 vc, __m256 vsp, __m256 a,
+                               __m256 partner_sw) {
+  return _mm256_add_ps(opaque_ps(_mm256_mul_ps(vc, a)),
+                       opaque_ps(_mm256_mul_ps(vsp, partner_sw)));
+}
+
+/// Qubit-0 RX on one register [x0, x1 | x2, x3]: each pair is one 128-bit
+/// lane and its partner_sw the within-lane reversal.
+inline __m256 rx_q0_ps(__m256 a, __m256 vc, __m256 vsp) {
+  return rx_out_ps(vc, vsp, a, _mm256_permute_ps(a, 0x1B));
+}
+
+/// Qubit-1 RX on one register [x0, x1 | x2, x3]: each partner sits in the
+/// other 128-bit lane. Scalar-family rounding (see rx_out_scalar_ps).
+inline __m256 rx_q1_ps(__m256 a, __m256 vc, __m256 vsp) {
+  const __m256 partner = _mm256_permute2f128_ps(a, a, 0x01);
+  return rx_out_scalar_ps(vc, vsp, a, _mm256_permute_ps(partner, 0xB1));
+}
+
+/// RX between two registers whose complexes pair lane for lane.
+inline void rx_rows_ps(__m256& a, __m256& b, __m256 vc, __m256 vsp) {
+  const __m256 na = rx_out_ps(vc, vsp, a, _mm256_permute_ps(b, 0xB1));
+  b = rx_out_ps(vc, vsp, b, _mm256_permute_ps(a, 0xB1));
+  a = na;
+}
+
+/// rx2_rows_vec at float width: four complexes per row per step. Returns
+/// the amplitudes done (run rounded down to a multiple of 4, rx_pairs'
+/// vector grouping of each row run).
+inline std::uint64_t rx2_rows_vec_ps(float* p, std::uint64_t w,
+                                     std::uint64_t run, __m256 vc,
+                                     __m256 vsp) {
+  std::uint64_t j = 0;
+  for (; j + 4 <= run; j += 4) {
+    float* r = p + 2 * j;
+    __m256 a0 = _mm256_loadu_ps(r);
+    __m256 a1 = _mm256_loadu_ps(r + w);
+    __m256 a2 = _mm256_loadu_ps(r + 2 * w);
+    __m256 a3 = _mm256_loadu_ps(r + 3 * w);
+    rx_rows_ps(a0, a1, vc, vsp);
+    rx_rows_ps(a2, a3, vc, vsp);
+    rx_rows_ps(a0, a2, vc, vsp);
+    rx_rows_ps(a1, a3, vc, vsp);
+    _mm256_storeu_ps(r, a0);
+    _mm256_storeu_ps(r + w, a1);
+    _mm256_storeu_ps(r + 2 * w, a2);
+    _mm256_storeu_ps(r + 3 * w, a3);
+  }
+  return j;
 }
 
 /// (a * f) for interleaved a and per-complex broadcast halves
@@ -467,19 +599,17 @@ void phase_avx2_f32(cfloat* amp, const double* costs, std::uint64_t count,
 
 void phase_rx_avx2_f32(cfloat* amp, const double* costs, std::uint64_t count,
                        double gamma, double c, double s) {
-  // Fused phase + qubit-0 RX, two pairs per register. The cross-partner
-  // operand [i1, -r1, i0, -r0] is a within-lane reversal + sign, so the
-  // butterfly never crosses the 128-bit boundary.
+  // Fused phase + qubit-0 RX + qubit-1 RX, four complexes per register:
+  // qubit 0 pairs within each 128-bit lane (rx_pairs_avx2_f32's vector
+  // update), qubit 1 across the lanes with the scalar tail's rounding.
   float* d = reinterpret_cast<float*>(amp);
   const __m256d vng = _mm256_set1_pd(-gamma);
   const __m256d vhuge = _mm256_set1_pd(kHugeAngle);
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
-  const __m256 vs = _mm256_set1_ps(static_cast<float>(s));
-  const __m256 nodd = neg_odd_ps();
-  std::uint64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
+  const __m256 vsp = presigned_ps(s);
+  for (std::uint64_t i = 0; i < count; i += 4) {
     __m256 p;
     const __m256d ang = _mm256_mul_pd(vng, _mm256_loadu_pd(costs + i));
     if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_and_pd(ang, abs_mask), vhuge,
@@ -492,14 +622,8 @@ void phase_rx_avx2_f32(cfloat* amp, const double* costs, std::uint64_t count,
       p = cmul_bcast_ps(_mm256_loadu_ps(d + 2 * i), spread4_ps(vcos),
                         spread4_ps(vsin));
     }
-    const __m256 m = _mm256_xor_ps(_mm256_permute_ps(p, 0x1B), nodd);
-    _mm256_storeu_ps(d + 2 * i,
-                     _mm256_fmadd_ps(vc, p, _mm256_mul_ps(vs, m)));
+    _mm256_storeu_ps(d + 2 * i, rx_q1_ps(rx_q0_ps(p, vc, vsp), vc, vsp));
   }
-  // count % 4 == 2: one pair left; the scalar family fuses it whole.
-  if (i < count)
-    detail::scalar_kernels_f32.phase_rx(amp + i, costs + i, count - i, gamma,
-                                        c, s);
 }
 
 /// Four complex64 factors gathered into [re0,im0,...,re3,im3].
@@ -549,19 +673,14 @@ void phase_popcount_avx2_f32(cfloat* amp, std::uint64_t index_base,
 void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
                        std::uint64_t ke, double c, double s) {
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
-  const __m256 vs = _mm256_set1_ps(static_cast<float>(s));
-  const __m256 nodd = neg_odd_ps();
+  const __m256 vsp = presigned_ps(s);
   float* d = reinterpret_cast<float*>(x);
   if (qubit == 0) {
-    // Two pairs per register; each pair is one 128-bit lane [r0,i0,r1,i1]
-    // whose cross-partner operand is a within-lane reversal + sign.
+    // Two pairs per register; each pair is one 128-bit lane [r0,i0,r1,i1].
     std::uint64_t k = kb;
-    for (; k + 2 <= ke; k += 2) {
-      const __m256 a = _mm256_loadu_ps(d + 4 * k);
-      const __m256 m = _mm256_xor_ps(_mm256_permute_ps(a, 0x1B), nodd);
+    for (; k + 2 <= ke; k += 2)
       _mm256_storeu_ps(d + 4 * k,
-                       _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vs, m)));
-    }
+                       rx_q0_ps(_mm256_loadu_ps(d + 4 * k), vc, vsp));
     if (k < ke) detail::scalar_kernels_f32.rx_pairs(x, qubit, k, ke, c, s);
     return;
   }
@@ -575,19 +694,59 @@ void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
     float* p1 = p0 + 2 * stride;
     std::uint64_t j = 0;
     for (; j + 4 <= run; j += 4) {
-      const __m256 a = _mm256_loadu_ps(p0 + 2 * j);
-      const __m256 b = _mm256_loadu_ps(p1 + 2 * j);
-      const __m256 mb = _mm256_xor_ps(_mm256_permute_ps(b, 0xB1), nodd);
-      const __m256 ma = _mm256_xor_ps(_mm256_permute_ps(a, 0xB1), nodd);
-      _mm256_storeu_ps(p0 + 2 * j,
-                       _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vs, mb)));
-      _mm256_storeu_ps(p1 + 2 * j,
-                       _mm256_fmadd_ps(vc, b, _mm256_mul_ps(vs, ma)));
+      __m256 a = _mm256_loadu_ps(p0 + 2 * j);
+      __m256 b = _mm256_loadu_ps(p1 + 2 * j);
+      rx_rows_ps(a, b, vc, vsp);
+      _mm256_storeu_ps(p0 + 2 * j, a);
+      _mm256_storeu_ps(p1 + 2 * j, b);
     }
     if (j < run)
       detail::scalar_kernels_f32.rx_pairs(x, qubit, k + j, k + run, c, s);
     k += run;
   }
+}
+
+void rx2_rows_avx2_f32(cfloat* x, std::uint64_t stride, std::uint64_t run,
+                       double c, double s) {
+  const std::uint64_t j = rx2_rows_vec_ps(
+      reinterpret_cast<float*>(x), 2 * stride, run,
+      _mm256_set1_ps(static_cast<float>(c)), presigned_ps(s));
+  // The run's last run % 4 amplitudes take rx_pairs' scalar remainder on
+  // both levels (both row pairs share the run): scalar family, whole.
+  if (j < run)
+    detail::scalar_kernels_f32.rx2_rows(x + j, stride, run - j, c, s);
+}
+
+void rx2_tile_avx2_f32(cfloat* x, int q, std::uint64_t count, double c,
+                       double s) {
+  const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
+  const __m256 vsp = presigned_ps(s);
+  float* d = reinterpret_cast<float*>(x);
+  if (q == 0) {
+    // [x0, x1 | x2, x3]: qubit 0 within the lanes, qubit 1 across them.
+    for (std::uint64_t i = 0; i < count; i += 4)
+      _mm256_storeu_ps(
+          d + 2 * i,
+          rx_q1_ps(rx_q0_ps(_mm256_loadu_ps(d + 2 * i), vc, vsp), vc, vsp));
+    return;
+  }
+  if (q == 1) {
+    // [x0..x3] and [x4..x7]: qubit 1 across each register's lanes (the
+    // scalar tail's rounding), then qubit 2 lane for lane across the two
+    // — a qubit-2 run is four complexes, one full vector step.
+    for (std::uint64_t i = 0; i < count; i += 8) {
+      __m256 a = rx_q1_ps(_mm256_loadu_ps(d + 2 * i), vc, vsp);
+      __m256 b = rx_q1_ps(_mm256_loadu_ps(d + 2 * i + 8), vc, vsp);
+      rx_rows_ps(a, b, vc, vsp);
+      _mm256_storeu_ps(d + 2 * i, a);
+      _mm256_storeu_ps(d + 2 * i + 8, b);
+    }
+    return;
+  }
+  // q >= 2: four rows of 2^q (a multiple of 4) amplitudes per block.
+  const std::uint64_t stride = 1ull << q;
+  for (std::uint64_t b = 0; b < count; b += 4 * stride)
+    rx2_rows_vec_ps(d + 2 * b, 2 * stride, stride, vc, vsp);
 }
 
 void hadamard_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
@@ -722,6 +881,8 @@ const Kernels avx2_kernels = {
     .phase_popcount = phase_popcount_avx2,
     .phase_rx = phase_rx_avx2,
     .rx_pairs = rx_pairs_avx2,
+    .rx2_tile = rx2_tile_avx2,
+    .rx2_rows = rx2_rows_avx2,
     .hadamard_pairs = hadamard_pairs_avx2,
     .expectation = expectation_avx2,
     .expectation_u16 = expectation_u16_avx2,
@@ -735,6 +896,8 @@ const KernelsF32 avx2_kernels_f32 = {
     .phase_popcount = phase_popcount_avx2_f32,
     .phase_rx = phase_rx_avx2_f32,
     .rx_pairs = rx_pairs_avx2_f32,
+    .rx2_tile = rx2_tile_avx2_f32,
+    .rx2_rows = rx2_rows_avx2_f32,
     .hadamard_pairs = hadamard_pairs_avx2_f32,
     .expectation = expectation_avx2_f32,
     .expectation_u16 = expectation_u16_avx2_f32,

@@ -10,6 +10,7 @@
 // butterfly coefficients c/s narrow once before the loop, and every
 // reduction accumulates in double — only the amplitude arithmetic itself
 // runs at T.
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <type_traits>
@@ -44,50 +45,79 @@ void phase_popcount_scalar(std::complex<T>* amp, std::uint64_t index_base,
     amp[i] *= table[popcount(index_base + i)];
 }
 
+/// One RX pair in real arithmetic on the interleaved re/im slots a[0..1]
+/// and b[0..1] — e^{-i beta X}: y0 = c x0 - i s x1, y1 = -i s x0 + c x1.
+template <class T>
+inline void rx_pair(T* a, T* b, T tc, T ts) {
+  const T x0re = a[0], x0im = a[1];
+  const T x1re = b[0], x1im = b[1];
+  a[0] = tc * x0re + ts * x1im;
+  a[1] = tc * x0im - ts * x1re;
+  b[0] = tc * x1re + ts * x0im;
+  b[1] = tc * x1im - ts * x0re;
+}
+
+/// Two RX levels on four amplitudes held in registers: pairs (0, 1) and
+/// (2, 3) first, then (0, 2) and (1, 3) — rx_pair's statements in the
+/// order the two unfused sweeps apply them.
+template <class T>
+inline void rx2_quad(T* p0, T* p1, T* p2, T* p3, T tc, T ts) {
+  T* const rows[4] = {p0, p1, p2, p3};
+  T v[8];
+  for (int r = 0; r < 4; ++r) std::copy_n(rows[r], 2, v + 2 * r);
+  rx_pair(v, v + 2, tc, ts);
+  rx_pair(v + 4, v + 6, tc, ts);
+  rx_pair(v, v + 4, tc, ts);
+  rx_pair(v + 2, v + 6, tc, ts);
+  for (int r = 0; r < 4; ++r) std::copy_n(v + 2 * r, 2, rows[r]);
+}
+
 template <class T>
 void phase_rx_scalar(std::complex<T>* amp, const double* costs,
                      std::uint64_t count, double gamma, double c, double s) {
-  // Per adjacent pair: the exact statements of phase_scalar on both
-  // amplitudes, then the exact qubit-0 update of rx_pairs_scalar — same
-  // per-op rounding (this TU has no FMA contraction to drift), one pass.
+  // Per group of four: phase_scalar, then the qubit-0 and qubit-1 updates
+  // of rx_pairs_scalar — same per-op rounding (this TU has no FMA
+  // contraction to drift), one pass.
   T* d = reinterpret_cast<T*>(amp);
   const T tc = static_cast<T>(c);
   const T ts = static_cast<T>(s);
-  for (std::uint64_t k = 0; 2 * k < count; ++k) {
-    for (std::uint64_t i = 2 * k; i < 2 * k + 2; ++i) {
-      const double ang = -gamma * costs[i];
-      amp[i] *= std::complex<T>(static_cast<T>(std::cos(ang)),
-                                static_cast<T>(std::sin(ang)));
-    }
-    const std::uint64_t i0 = 4 * k;
-    const T x0re = d[i0], x0im = d[i0 + 1];
-    const T x1re = d[i0 + 2], x1im = d[i0 + 3];
-    d[i0] = tc * x0re + ts * x1im;
-    d[i0 + 1] = tc * x0im - ts * x1re;
-    d[i0 + 2] = tc * x1re + ts * x0im;
-    d[i0 + 3] = tc * x1im - ts * x0re;
+  for (std::uint64_t i = 0; i < count; i += 4) {
+    phase_scalar(amp + i, costs + i, 4, gamma);
+    rx2_quad(d + 2 * i, d + 2 * i + 2, d + 2 * i + 4, d + 2 * i + 6, tc, ts);
   }
 }
 
 template <class T>
 void rx_pairs_scalar(std::complex<T>* x, int qubit, std::uint64_t kb,
                      std::uint64_t ke, double c, double s) {
-  // e^{-i beta X}: y0 = c x0 - i s x1, y1 = -i s x0 + c x1. In real
-  // arithmetic on re/im parts this is four FMAs per pair.
   T* d = reinterpret_cast<T*>(x);
   const T tc = static_cast<T>(c);
   const T ts = static_cast<T>(s);
   const std::uint64_t stride = 1ull << qubit;
   for (std::uint64_t k = kb; k < ke; ++k) {
     const std::uint64_t i0 = insert_zero_bit(k, qubit) << 1;
-    const std::uint64_t i1 = i0 + (stride << 1);
-    const T x0re = d[i0], x0im = d[i0 + 1];
-    const T x1re = d[i1], x1im = d[i1 + 1];
-    d[i0] = tc * x0re + ts * x1im;
-    d[i0 + 1] = tc * x0im - ts * x1re;
-    d[i1] = tc * x1re + ts * x0im;
-    d[i1 + 1] = tc * x1im - ts * x0re;
+    rx_pair(d + i0, d + i0 + (stride << 1), tc, ts);
   }
+}
+
+template <class T>
+void rx2_rows_scalar(std::complex<T>* x, std::uint64_t stride,
+                     std::uint64_t run, double c, double s) {
+  T* d = reinterpret_cast<T*>(x);
+  const T tc = static_cast<T>(c);
+  const T ts = static_cast<T>(s);
+  const std::uint64_t w = 2 * stride;  // row distance in reals
+  for (std::uint64_t j = 0; j < 2 * run; j += 2)
+    rx2_quad(d + j, d + w + j, d + 2 * w + j, d + 3 * w + j, tc, ts);
+}
+
+template <class T>
+void rx2_tile_scalar(std::complex<T>* x, int q, std::uint64_t count,
+                     double c, double s) {
+  // Each 2^(q+2) block is four rows of 2^q amplitudes.
+  const std::uint64_t stride = 1ull << q;
+  for (std::uint64_t b = 0; b < count; b += 4 * stride)
+    rx2_rows_scalar(x + b, stride, stride, c, s);
 }
 
 template <class T>
@@ -162,6 +192,8 @@ const Kernels scalar_kernels = {
     .phase_popcount = phase_popcount_scalar<double>,
     .phase_rx = phase_rx_scalar<double>,
     .rx_pairs = rx_pairs_scalar<double>,
+    .rx2_tile = rx2_tile_scalar<double>,
+    .rx2_rows = rx2_rows_scalar<double>,
     .hadamard_pairs = hadamard_pairs_scalar<double>,
     .expectation = expectation_scalar<double>,
     .expectation_u16 = expectation_u16_scalar<double>,
@@ -175,6 +207,8 @@ const KernelsF32 scalar_kernels_f32 = {
     .phase_popcount = phase_popcount_scalar<float>,
     .phase_rx = phase_rx_scalar<float>,
     .rx_pairs = rx_pairs_scalar<float>,
+    .rx2_tile = rx2_tile_scalar<float>,
+    .rx2_rows = rx2_rows_scalar<float>,
     .hadamard_pairs = hadamard_pairs_scalar<float>,
     .expectation = expectation_scalar<float>,
     .expectation_u16 = expectation_u16_scalar<float>,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "api/qokit.hpp"
@@ -89,16 +90,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineCrossValidationTest,
 
 // ------------------------------------------------------------ edge cases
 
+/// SK couplings, or a single-qubit field at n = 1 (SK needs two spins).
+TermList tiling_problem(int n) {
+  if (n >= 2) return sk_terms(n, 11);
+  TermList t(1, {});
+  t.add(0.7, {0});
+  return t;
+}
+
+/// Bitwise equality of two evolved states at either precision.
+bool same_bits(const StateVector& a, const StateVector& b) {
+  if (a.precision() != b.precision() || a.size() != b.size()) return false;
+  return a.precision() == Precision::F32
+             ? std::memcmp(a.data_f32(), b.data_f32(),
+                           a.size() * sizeof(cfloat)) == 0
+             : std::memcmp(a.data(), b.data(), a.size() * sizeof(cdouble)) ==
+                   0;
+}
+
 /// Build fused/unfused FurQaoaSimulator pairs with custom tiling and
 /// assert bitwise identity of the evolved state.
 void expect_tiling_identical(int n, int tile_log2, int group_qubits,
                              int chunk_log2, bool use_u16,
-                             MixerBackend backend, Exec exec) {
-  const TermList terms = sk_terms(n, 11);
+                             MixerBackend backend, Exec exec,
+                             Precision prec = Precision::F64) {
+  const TermList terms = tiling_problem(n);
   FurConfig fused;
   fused.exec = exec;
   fused.use_u16 = use_u16;
   fused.backend = backend;
+  fused.prec = prec;
   fused.pipeline = {.mode = pipeline::PipelineMode::On,
                     .geometry = {tile_log2, group_qubits, chunk_log2}};
   FurConfig oracle = fused;
@@ -108,12 +129,36 @@ void expect_tiling_identical(int n, int tile_log2, int group_qubits,
   ASSERT_TRUE(a.layer_plan().active());
   ASSERT_FALSE(b.layer_plan().active());
   const QaoaParams sched = test_schedule();
-  EXPECT_EQ(a.simulate_qaoa(sched.gammas, sched.betas)
-                .max_abs_diff(b.simulate_qaoa(sched.gammas, sched.betas)),
-            0.0)
+  EXPECT_TRUE(same_bits(a.simulate_qaoa(sched.gammas, sched.betas),
+                        b.simulate_qaoa(sched.gammas, sched.betas)))
       << "n=" << n << " t=" << tile_log2 << " g=" << group_qubits
       << " c=" << chunk_log2 << " u16=" << use_u16
-      << " fwht=" << (backend == MixerBackend::Fwht);
+      << " fwht=" << (backend == MixerBackend::Fwht)
+      << " f32=" << (prec == Precision::F32)
+      << " level=" << simd_level_name(active_simd_level());
+}
+
+/// The same for the distributed simulator, whose post-alltoall sweep plan
+/// starts at local qubit n - 2 log2(ranks).
+void expect_dist_tiling_identical(int n, int ranks,
+                                  const pipeline::Geometry& geometry,
+                                  Precision prec) {
+  const TermList terms = sk_terms(n, 11);
+  DistConfig fused{.ranks = ranks,
+                   .pipeline = {.mode = pipeline::PipelineMode::On,
+                                .geometry = geometry},
+                   .prec = prec};
+  DistConfig oracle = fused;
+  oracle.pipeline.mode = pipeline::PipelineMode::Off;
+  const DistributedFurSimulator a(terms, fused);
+  const DistributedFurSimulator b(terms, oracle);
+  const QaoaParams sched = test_schedule();
+  EXPECT_TRUE(same_bits(a.simulate_qaoa(sched.gammas, sched.betas),
+                        b.simulate_qaoa(sched.gammas, sched.betas)))
+      << "dist n=" << n << " ranks=" << ranks << " t=" << geometry.tile_log2
+      << " g=" << geometry.group_qubits << " c=" << geometry.chunk_log2
+      << " f32=" << (prec == Precision::F32)
+      << " level=" << simd_level_name(active_simd_level());
 }
 
 TEST(PipelineTiling, TileBoundaryEdgeCases) {
@@ -137,7 +182,35 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
                               exec);  // two-transform route, tiled
       expect_tiling_identical(10, 5, 2, 4, true, MixerBackend::Fwht,
                               exec);  // chunk == row stride
+      // Shapes the RX level pairing creates: adjacent levels share one
+      // round trip and an odd level left over runs alone.
+      for (const Precision prec : {Precision::F64, Precision::F32})
+        for (const bool u16 : {false, true}) {
+          const auto check = [&](int n, int t, int g, int c) {
+            expect_tiling_identical(n, t, g, c, u16, MixerBackend::Fused,
+                                    exec, prec);
+          };
+          check(9, 5, 2, 2);   // odd in-tile count: {0,1} {2,3}, 4 alone
+          check(10, 4, 1, 2);  // strided groups of 1: every level alone
+          check(10, 4, 3, 2);  // groups of 3: a pair, then one alone
+          check(9, 4, 5, 2);   // one group of 5: two pairs, one alone
+          check(10, 4, 2, 1);  // chunk of 2 requested: clamped to 4
+          check(10, 4, 2, 2);  // chunk of 4: one f32 register per row
+          check(10, 4, 3, 4);  // chunk of 16
+          check(1, 4, 2, 2);   // n = 1: phase and qubit 0 only
+          check(2, 4, 2, 2);   // n = 2: one pair of levels, whole state
+        }
     }
+    // The rows a strided pass gathers are 2 amplitudes long only in the
+    // dist sweep that starts at local qubit 1 (n = 2 log2(ranks) + 1).
+    for (const Precision prec : {Precision::F64, Precision::F32})
+      for (const pipeline::Geometry geometry :
+           {pipeline::Geometry::defaults(), pipeline::Geometry{4, 2, 2},
+            pipeline::Geometry{2, 1, 1}}) {
+        expect_dist_tiling_identical(5, 4, geometry, prec);
+        expect_dist_tiling_identical(7, 8, geometry, prec);
+        expect_dist_tiling_identical(3, 2, geometry, prec);
+      }
   }
 }
 

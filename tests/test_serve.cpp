@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -546,6 +548,38 @@ TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
       server.submit_blocking(make_request(8, 1, random_schedules(1, 1, 4)));
   EXPECT_EQ(ok.status, Status::Ok);
   ASSERT_EQ(ok.expectations.size(), 1u);
+}
+
+TEST(ScheduleServer, NonFiniteAnglesAreBadRequestsBeforeTheCache) {
+  ServerConfig config;
+  config.workers = 1;
+  config.listen_path = "qokit_serve_nonfinite.sock";
+  ScheduleServer server(config);
+  std::vector<QaoaParams> schedules = random_schedules(2, 2, 31);
+  schedules[1].gammas[1] = std::nan("");
+  // In process: BadRequest naming the layer, rejected before the session
+  // cache checkout, so no precompute was paid.
+  const Response r = server.submit_blocking(make_request(8, 5, schedules));
+  EXPECT_EQ(r.status, Status::BadRequest);
+  EXPECT_NE(r.error.find("gamma at layer 1"), std::string::npos) << r.error;
+  EXPECT_EQ(server.cache_stats().misses, 0u);
+  {
+    // Over the wire: the same answer, and the connection stays open.
+    Client client(config.listen_path);
+    schedules[1].gammas[1] = 0.3;
+    schedules[0].betas[0] = -std::numeric_limits<double>::infinity();
+    const Response wire = client.call(make_request(8, 5, schedules));
+    EXPECT_EQ(wire.status, Status::BadRequest);
+    EXPECT_NE(wire.error.find("beta at layer 0"), std::string::npos)
+        << wire.error;
+    EXPECT_EQ(server.cache_stats().misses, 0u);
+    schedules[0].betas[0] = 0.2;
+    const Response ok = client.call(make_request(8, 5, schedules));
+    EXPECT_EQ(ok.status, Status::Ok);
+    EXPECT_EQ(ok.expectations.size(), 2u);
+  }
+  EXPECT_EQ(server.cache_stats().misses, 1u);
+  server.shutdown();
 }
 
 TEST(ScheduleServer, MalformedSocketBytesGetErrorReplyAndClose) {

@@ -7,7 +7,11 @@
 // every backend, including dist:K.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/qokit.hpp"
 
@@ -380,6 +384,50 @@ TEST(ProblemSession, OptimizeMatchesLegacyOneLineOptimizer) {
   mismatched.p = 3;
   mismatched.initial = linear_ramp(2);
   EXPECT_THROW((void)session.optimize(mismatched), std::invalid_argument);
+}
+
+TEST(ProblemSession, NonFiniteOrRaggedSchedulesAreRejectedNamingTheLayer) {
+  // QaoaParams::check() runs before any state is touched; unchecked, a NaN
+  // gamma or an infinite beta would run the whole schedule to a NaN.
+  const api::ProblemSession session = api::ProblemSession::labs(8);
+  const QaoaParams good = random_schedules(1, 3, 29).front();
+  const double before = *session.evaluate(good).expectation;
+  const auto expect_rejected = [](const auto& call, const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted a schedule with " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf}) {
+    QaoaParams gamma_bad = good;
+    gamma_bad.gammas[1] = bad;
+    QaoaParams beta_bad = good;
+    beta_bad.betas[2] = bad;
+    for (const auto& [sched, what] :
+         {std::pair{gamma_bad, "gamma at layer 1"},
+          std::pair{beta_bad, "beta at layer 2"}}) {
+      const std::vector<QaoaParams> batch = {good, sched};
+      expect_rejected([&] { (void)session.evaluate(sched); }, what);
+      expect_rejected([&] { (void)session.evaluate_batch(batch); }, what);
+      expect_rejected([&] { (void)session.expectations(batch); }, what);
+      expect_rejected([&] { (void)session.simulate(sched); }, what);
+      expect_rejected([&] { (void)session.sample(sched, 4); }, what);
+      api::OptimizerSpec optimizer;
+      optimizer.p = 3;
+      optimizer.initial = sched;
+      expect_rejected([&] { (void)session.optimize(optimizer); }, what);
+    }
+  }
+  QaoaParams ragged = good;
+  ragged.betas.pop_back();
+  expect_rejected([&] { (void)session.evaluate(ragged); },
+                  "3 gammas but 2 betas");
+  // Nothing ran: the session still evaluates bit-identically.
+  EXPECT_EQ(*session.evaluate(good).expectation, before);
 }
 
 TEST(ProblemSession, GatesimBackendAgreesWithFastSimulators) {

@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -212,6 +215,157 @@ TEST(SimdButterflies, FwhtMixerMatchesScalar) {
     apply_mixer_x_fwht(b, 0.77, exec);
     expect_states_close(a, b, 1e-11, "fwht-mixer");
   }
+}
+
+// ------------------------------------------ two-level RX kernel parity
+// The layer pipeline advances adjacent RX levels in one round trip
+// (rx2_tile, rx2_rows) and fuses the phase with qubits 0 and 1 (phase_rx).
+// Each family must reproduce its own single-level kernels BIT FOR BIT,
+// including the levels the f32 AVX2 family hands to its scalar tail: a
+// qubit-1 run is two complexes, half of its four-complex register.
+
+template <class T>
+using FamilyList =
+    std::vector<std::pair<const char*, const simd::detail::KernelsT<T>*>>;
+
+/// Every kernel family at amplitude scalar T this build and host can run.
+template <class T>
+FamilyList<T> families() {
+  FamilyList<T> out;
+  if constexpr (std::is_same_v<T, double>)
+    out.emplace_back("scalar f64", &simd::detail::scalar_kernels);
+  else
+    out.emplace_back("scalar f32", &simd::detail::scalar_kernels_f32);
+#if QOKIT_SIMD_X86
+  if (detect_simd_level() == SimdLevel::Avx2) {
+    if constexpr (std::is_same_v<T, double>)
+      out.emplace_back("avx2 f64", &simd::detail::avx2_kernels);
+    else
+      out.emplace_back("avx2 f32", &simd::detail::avx2_kernels_f32);
+  }
+#endif
+  return out;
+}
+
+template <class T>
+std::vector<std::complex<T>> random_amps(std::uint64_t count,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<T>> v(count);
+  for (auto& a : v)
+    a = {static_cast<T>(rng.uniform(-1.0, 1.0)),
+         static_cast<T>(rng.uniform(-1.0, 1.0))};
+  return v;
+}
+
+/// Bitwise equality, reporting the first differing amplitude.
+template <class T>
+::testing::AssertionResult same_bits(const std::vector<std::complex<T>>& a,
+                                     const std::vector<std::complex<T>>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::memcmp(&a[i], &b[i], sizeof(a[i])) != 0)
+      return ::testing::AssertionFailure()
+             << "first difference at amplitude " << i << ": " << a[i]
+             << " vs " << b[i];
+  return ::testing::AssertionSuccess();
+}
+
+// A zero sine pins the sign handling of the pre-signed multiplier.
+constexpr double kRx2Betas[] = {0.42, -1.1, 0.0};
+
+template <class T>
+void check_rx2_tile() {
+  // Tiles of 2^w amplitudes, w from q + 2 (one block) to the default
+  // 2^16 tile, placed at base = count so the pair indices are non-zero.
+  for (const auto& [name, k] : families<T>())
+    for (const double beta : kRx2Betas)
+      for (int q = 0; q <= 14; ++q)
+        for (int w = q + 2; w <= std::max(q + 2, 16); ++w) {
+          const std::uint64_t count = std::uint64_t{1} << w;
+          auto ref = random_amps<T>(2 * count, 71 + q + w);
+          auto got = ref;
+          const double c = std::cos(beta), s = std::sin(beta);
+          k->rx_pairs(ref.data(), q, count / 2, count, c, s);
+          k->rx_pairs(ref.data(), q + 1, count / 2, count, c, s);
+          k->rx2_tile(got.data() + count, q, count, c, s);
+          EXPECT_TRUE(same_bits(ref, got))
+              << name << " q=" << q << " count=" << count
+              << " beta=" << beta;
+        }
+}
+
+TEST(SimdRx2, TileFormEqualsTwoRxPairsBitForBit) {
+  check_rx2_tile<double>();
+  check_rx2_tile<float>();
+}
+
+template <class T>
+void check_rx2_rows() {
+  // Four rows 2^q apart; runs are every chunk length a strided pass can
+  // gather (2 .. 2^q amplitudes), at the first and the last column. The
+  // lowest row qubit is >= 1: the tile pass always owns qubit 0.
+  for (const auto& [name, k] : families<T>())
+    for (const double beta : kRx2Betas)
+      for (int q = 1; q <= 14; ++q) {
+        const std::uint64_t stride = std::uint64_t{1} << q;
+        const auto init = random_amps<T>(4 * stride, 79 + q);
+        for (int w = 1; w <= q; ++w) {
+          const std::uint64_t run = std::uint64_t{1} << w;
+          for (const std::uint64_t col : {std::uint64_t{0}, stride - run}) {
+            auto ref = init;
+            auto got = init;
+            const double c = std::cos(beta), s = std::sin(beta);
+            for (const std::uint64_t r : {col, col + 2 * stride}) {
+              const std::uint64_t kb = remove_bit(r, q);
+              k->rx_pairs(ref.data(), q, kb, kb + run, c, s);
+            }
+            for (const std::uint64_t r : {col, col + stride}) {
+              const std::uint64_t kb = remove_bit(r, q + 1);
+              k->rx_pairs(ref.data(), q + 1, kb, kb + run, c, s);
+            }
+            k->rx2_rows(got.data() + col, stride, run, c, s);
+            EXPECT_TRUE(same_bits(ref, got))
+                << name << " q=" << q << " run=" << run << " col=" << col
+                << " beta=" << beta;
+          }
+        }
+      }
+}
+
+TEST(SimdRx2, RowFormEqualsFourRxPairsBitForBit) {
+  check_rx2_rows<double>();
+  check_rx2_rows<float>();
+}
+
+template <class T>
+void check_phase_rx() {
+  // Every tile size the executor fuses (4 .. 2^16), at base = count.
+  // Every 7th cost is huge enough to take the AVX2 libm fallback group.
+  const double gamma = 0.37;
+  for (const auto& [name, k] : families<T>())
+    for (const double beta : kRx2Betas)
+      for (int w = 2; w <= 16; ++w) {
+        const std::uint64_t count = std::uint64_t{1} << w;
+        Rng rng(83 + w);
+        std::vector<double> costs(2 * count);
+        for (std::uint64_t i = 0; i < costs.size(); ++i)
+          costs[i] = i % 7 == 3 ? 1e10 : rng.uniform(-60.0, 60.0);
+        auto ref = random_amps<T>(2 * count, 89 + w);
+        auto got = ref;
+        const double c = std::cos(beta), s = std::sin(beta);
+        k->phase(ref.data() + count, costs.data() + count, count, gamma);
+        k->rx_pairs(ref.data(), 0, count / 2, count, c, s);
+        k->rx_pairs(ref.data(), 1, count / 2, count, c, s);
+        k->phase_rx(got.data() + count, costs.data() + count, count, gamma,
+                    c, s);
+        EXPECT_TRUE(same_bits(ref, got))
+            << name << " count=" << count << " beta=" << beta;
+      }
+}
+
+TEST(SimdRx2, PhaseRxEqualsPhaseThenTwoRxPairsBitForBit) {
+  check_phase_rx<double>();
+  check_phase_rx<float>();
 }
 
 TEST(SimdReductions, MatchScalar) {
