@@ -46,7 +46,7 @@ int main() {
               again.timings->simulate_ns / 1e6,
               *again.expectation == *r.expectation ? "yes" : "no");
 
-  // With QOKIT_OBS=1 in the environment (or an obs=on spec), write the
+  // With QOKIT_OBS=1 in the environment (or obs::set_enabled), write the
   // metrics snapshot (JSON + Prometheus exposition) and the
   // chrome://tracing trace next to the binary. A no-op when off.
   if (obs::dump())

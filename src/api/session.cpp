@@ -27,13 +27,6 @@ std::uint64_t elapsed_ns(steady::time_point since) {
 std::unique_ptr<QaoaFastSimulatorBase> build_timed(
     const TermList& terms, const SimulatorSpec& spec,
     std::uint64_t* precompute_ns) {
-  if (spec.simd != SimdChoice::Auto)
-    force_simd_level(spec.simd == SimdChoice::Scalar ? SimdLevel::Scalar
-                                                     : SimdLevel::Avx2);
-  // Like simd=, the obs token is process-global and sticky: on turns
-  // instrumentation on for everyone; the default never turns it off (the
-  // environment's choice survives a plain-spec session).
-  if (spec.obs) obs::set_enabled(true);
   const steady::time_point start = steady::now();
   std::unique_ptr<QaoaFastSimulatorBase> sim = make_simulator(terms, spec);
   *precompute_ns = elapsed_ns(start);

@@ -168,8 +168,7 @@ struct OptimizerSpec {
 class ProblemSession {
  public:
   /// Precomputes the diagonal for `terms` under `spec` (the one expensive
-  /// step; see precompute_ns()). A non-Auto spec.simd is applied
-  /// process-globally via force_simd_level, mirroring QOKIT_SIMD=scalar.
+  /// step; see precompute_ns()).
   explicit ProblemSession(const TermList& terms, SimulatorSpec spec = {});
 
   // Problem-family builders (the session-shaped counterparts of the
@@ -241,7 +240,7 @@ class ProblemSession {
   /// gauge, and histogram, merged across threads. Metrics are
   /// process-global, not per-session -- this is a convenience handle on
   /// qokit::obs::snapshot(). Empty values unless observability is on
-  /// (QOKIT_OBS=1 or a spec with obs=on).
+  /// (QOKIT_OBS=1 or obs::set_enabled(true)).
   obs::Snapshot metrics() const { return obs::snapshot(); }
 
  private:

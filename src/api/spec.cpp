@@ -1,17 +1,19 @@
 #include "api/spec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/aligned.hpp"
+#include "common/machine_probe.hpp"
 #include "diagonal/ops.hpp"
 #include "dist/dist_fur.hpp"
 #include "gatesim/execute.hpp"
 #include "gatesim/simulator.hpp"
 #include "obs/obs.hpp"
-#include "tune/profile.hpp"
 
 namespace qokit {
 namespace {
@@ -61,14 +63,6 @@ std::string_view mixer_token(MixerType mixer) {
     case MixerType::X: return "x";
     case MixerType::XYRing: return "xyring";
     default: return "xycomplete";
-  }
-}
-
-std::string_view simd_token(SimdChoice simd) {
-  switch (simd) {
-    case SimdChoice::Auto: return "auto";
-    case SimdChoice::Scalar: return "scalar";
-    default: return "avx2";
   }
 }
 
@@ -139,37 +133,16 @@ bool apply_option(std::string_view token, std::string_view name,
     ok = parse_strategy(value, &spec->alltoall);
   } else if (key == "weight") {
     ok = parse_int_option(value, name, &spec->initial_weight);
-  } else if (key == "simd") {
-    if (value == "auto") spec->simd = SimdChoice::Auto, ok = true;
-    else if (value == "scalar") spec->simd = SimdChoice::Scalar, ok = true;
-    else if (value == "avx2") spec->simd = SimdChoice::Avx2, ok = true;
   } else if (key == "seed") {
     ok = parse_int_option(value, name, &spec->sample_seed);
   } else if (key == "pipeline") {
     if (value == "auto") spec->pipeline = pipeline::PipelineMode::Auto, ok = true;
     else if (value == "on") spec->pipeline = pipeline::PipelineMode::On, ok = true;
     else if (value == "off") spec->pipeline = pipeline::PipelineMode::Off, ok = true;
-  } else if (key == "obs") {
-    if (value == "on") spec->obs = true, ok = true;
-    else if (value == "off") spec->obs = false, ok = true;
   } else if (key == "prec") {
     if (value == "auto") spec->prec = Prec::Auto, ok = true;
     else if (value == "f32") spec->prec = Prec::F32, ok = true;
     else if (value == "f64") spec->prec = Prec::F64, ok = true;
-  } else if (key == "tune") {
-    // Any value that is not a recognized mode is a profile file path
-    // ("off" is an alias for "static", mirroring QOKIT_TUNE=off).
-    if (value == "auto") {
-      spec->tune = TuneChoice::Auto, spec->tune_path.clear(), ok = true;
-    } else if (value == "static" || value == "off") {
-      spec->tune = TuneChoice::Static, spec->tune_path.clear(), ok = true;
-    } else if (value == "search") {
-      spec->tune = TuneChoice::Search, spec->tune_path.clear(), ok = true;
-    } else if (!value.empty()) {
-      spec->tune = TuneChoice::Path;
-      spec->tune_path = std::string(value);
-      ok = true;
-    }
   }
   if (!ok) bad_token(token, name);
   return true;
@@ -256,18 +229,10 @@ std::string SimulatorSpec::to_string() const {
     out += exec == Exec::Serial ? ":exec=serial" : ":exec=parallel";
   if (initial_weight >= 0)
     out += ":weight=" + std::to_string(initial_weight);
-  if (simd != SimdChoice::Auto) {
-    out += ":simd=";
-    out += simd_token(simd);
-  }
   if (pipeline != pipeline::PipelineMode::Auto)
     out += pipeline == pipeline::PipelineMode::On ? ":pipeline=on"
                                                   : ":pipeline=off";
   if (sample_seed != 1) out += ":seed=" + std::to_string(sample_seed);
-  if (obs) out += ":obs=on";
-  if (tune == TuneChoice::Static) out += ":tune=static";
-  else if (tune == TuneChoice::Search) out += ":tune=search";
-  else if (tune == TuneChoice::Path) out += ":tune=" + tune_path;
   if (prec != Prec::Auto)
     out += prec == Prec::F32 ? ":prec=f32" : ":prec=f64";
   return out;
@@ -353,16 +318,24 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
 
 }  // namespace
 
-namespace {
-
-tune::TuneMode tune_mode_of(TuneChoice choice) {
-  switch (choice) {
-    case TuneChoice::Static: return tune::TuneMode::Static;
-    case TuneChoice::Search: return tune::TuneMode::Search;
-    case TuneChoice::Path: return tune::TuneMode::Path;
-    default: return tune::TuneMode::Auto;
-  }
+// The gauges keep their historical qokit_tune_ names so existing
+// dashboards still read them.
+pipeline::Geometry apply_machine(const MachineTopology& topo) {
+  const pipeline::Geometry g =
+      pipeline::Geometry::for_caches(topo.l1d_bytes, topo.l2_bytes);
+  const int threads = std::max(1, topo.physical_cores);
+#if defined(_OPENMP)
+  if (std::getenv("OMP_NUM_THREADS") == nullptr) omp_set_num_threads(threads);
+#endif
+  if (topo.numa_nodes > 1) set_first_touch_enabled(true);
+  obs::gauge("qokit_tune_tile_log2").set(g.tile_log2);
+  obs::gauge("qokit_tune_group_qubits").set(g.group_qubits);
+  obs::gauge("qokit_tune_chunk_log2").set(g.chunk_log2);
+  obs::gauge("qokit_tune_threads").set(threads);
+  return g;
 }
+
+namespace {
 
 /// True when the combination a spec resolves to can evolve f32 amplitudes:
 /// the fur/dist X-mixer paths. Gatesim and the xy mixers stay f64-only.
@@ -400,13 +373,7 @@ void record_precision(Precision prec) {
 
 std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     const TermList& terms, const SimulatorSpec& spec) {
-  // One resolution per simulator: the profile's Geometry is injected into
-  // the pipeline options below; its process-global side effects (thread
-  // count, first-touch, obs gauges) are applied inside resolve_profile
-  // (cached, so repeat construction is cheap). Every profile is
-  // bit-identical to tune=static by the Geometry contract.
-  const tune::TuneProfile tuned =
-      tune::resolve_profile(tune_mode_of(spec.tune), spec.tune_path);
+  static const pipeline::Geometry geometry = apply_machine(probe_machine());
   const Precision prec = resolve_precision(spec);
   if (prec == Precision::F32 && !supports_f32(spec))
     throw std::invalid_argument(
@@ -440,7 +407,7 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
           DistConfig{.ranks = spec.ranks,
                      .strategy = spec.alltoall,
                      .pipeline = {.mode = spec.pipeline,
-                                  .geometry = tuned.geometry},
+                                  .geometry = geometry},
                      .prec = prec});
     case Backend::Gatesim:
       return std::make_unique<GateSimAdapter>(terms, spec);
@@ -450,7 +417,7 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
       cfg.mixer = spec.mixer;
       cfg.initial_weight = spec.initial_weight;
       cfg.pipeline.mode = spec.pipeline;
-      cfg.pipeline.geometry = tuned.geometry;
+      cfg.pipeline.geometry = geometry;
       cfg.prec = prec;
       if (spec.backend == Backend::U16) cfg.use_u16 = true;
       if (spec.backend == Backend::Fwht) {

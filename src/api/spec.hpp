@@ -15,7 +15,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/cpu_features.hpp"
 #include "dist/alltoall.hpp"
 #include "fur/mixers.hpp"
 #include "fur/simulator.hpp"
@@ -38,14 +37,6 @@ enum class Backend {
 /// Canonical backend token ("auto", "serial", ..., "dist").
 std::string_view to_string(Backend backend);
 
-/// Which SIMD kernel family a session should pin (process-global; see
-/// SimulatorSpec::simd).
-enum class SimdChoice {
-  Auto,    ///< whatever active_simd_level() resolves (CPUID + env)
-  Scalar,  ///< force the portable scalar family
-  Avx2,    ///< request AVX2 (clamped to scalar when unavailable)
-};
-
 /// Amplitude precision a spec requests. Auto defers to the QOKIT_PREC
 /// environment variable ("f32" selects float amplitudes when the resolved
 /// backend supports them; anything else means f64) and otherwise means
@@ -58,17 +49,11 @@ enum class Prec {
   F64,   ///< double amplitudes (the pre-existing behavior)
 };
 
-/// How a spec engages the machine-adaptive subsystem (src/tune/). Every
-/// choice is bit-identical to every other — tuning changes traversal
-/// order and placement, never arithmetic.
-enum class TuneChoice {
-  Auto,    ///< follow QOKIT_TUNE / QOKIT_TUNE_PATH; default = heuristic
-  Static,  ///< pin the pre-tune defaults ("static"/"off"; the CI oracle)
-  Search,  ///< force the one-shot empirical micro-search
-  Path,    ///< load the profile file named by SimulatorSpec::tune_path
-};
-
-/// Typed construction-time configuration for every simulator backend.
+/// Typed construction-time configuration for every simulator backend. A
+/// spec configures the one simulator built from it and nothing else:
+/// process-wide settings have one switch each -- the kernel family
+/// QOKIT_SIMD / force_simd_level, instrumentation QOKIT_OBS /
+/// obs::set_enabled.
 ///
 /// String grammar (SimulatorSpec::parse):
 ///
@@ -80,11 +65,8 @@ enum class TuneChoice {
 ///            | "ranks="    <int>                (dist only)
 ///            | "alltoall=" ("staged" | "pairwise" | "direct")
 ///            | "weight="   <int>                (Dicke weight, xy mixers)
-///            | "simd="     ("auto" | "scalar" | "avx2")
 ///            | "seed="     <uint64>             (sampling seed)
 ///            | "pipeline=" ("auto" | "on" | "off")
-///            | "obs="      ("on" | "off")
-///            | "tune="     ("auto" | "static" | "off" | "search" | <path>)
 ///            | "prec="     ("auto" | "f32" | "f64")
 ///
 /// Any other token throws std::invalid_argument naming the offending
@@ -101,38 +83,12 @@ struct SimulatorSpec {
   int ranks = 2;  ///< virtual rank count (Backend::Dist only)
   AlltoallStrategy alltoall = AlltoallStrategy::Staged;  ///< Dist only
   int initial_weight = -1;  ///< Dicke weight for xy mixers; -1 = n/2
-  /// SIMD kernel-family override. Applied by ProblemSession at
-  /// construction via force_simd_level -- PROCESS-GLOBAL and sticky,
-  /// mirroring the QOKIT_SIMD environment override: it pins the dispatch
-  /// level for every simulator in the process from that point on (Auto
-  /// never un-pins), so use it to pin a whole run (e.g. reproducibility),
-  /// not to mix kernel families between live sessions. make_simulator
-  /// ignores it.
-  SimdChoice simd = SimdChoice::Auto;
   std::uint64_t sample_seed = 1;  ///< base seed for drawn bitstrings
   /// Cache-blocked fused layer execution (src/pipeline/). Auto follows
   /// QOKIT_PIPELINE (on unless the env says off); Off pins the unfused
   /// oracle path, bit-identical by contract. Ignored by Backend::Gatesim
   /// (gate-at-a-time evolution has no layer plan).
   pipeline::PipelineMode pipeline = pipeline::PipelineMode::Auto;
-  /// Runtime observability (src/obs/). obs=on turns the process-global
-  /// instrumentation flag on when the session is built (same switch as the
-  /// QOKIT_OBS environment variable); the default leaves whatever the
-  /// environment chose untouched. Like simd=, this is process-global and
-  /// sticky -- obs=on is never un-set by a later default-spec session.
-  bool obs = false;
-  /// Machine-adaptive execution (src/tune/). make_simulator resolves the
-  /// effective TuneProfile (spec value first, then QOKIT_TUNE /
-  /// QOKIT_TUNE_PATH for Auto) and injects its pipeline Geometry into the
-  /// simulator; thread-count and NUMA side effects are process-global,
-  /// applied at resolution. "tune=off" parses as Static (and canonicalizes
-  /// to "tune=static"); any other unrecognized value is taken as a profile
-  /// file path (tune_path). Bit-identical across all choices by contract.
-  TuneChoice tune = TuneChoice::Auto;
-  /// Profile file for TuneChoice::Path (empty otherwise). Paths containing
-  /// ':' are not representable in the string grammar; build the spec
-  /// directly for those.
-  std::string tune_path;
   /// Amplitude scalar width (see enum Prec). Auto = QOKIT_PREC env, else
   /// f64; to_string() elides Auto so default spellings are unchanged.
   Prec prec = Prec::Auto;
@@ -154,7 +110,23 @@ struct SimulatorSpec {
 /// / choose_simulator_distributed and the session API. Throws
 /// std::invalid_argument on semantically invalid combinations (fwht or
 /// dist with a non-X mixer).
+///
+/// The first call probes the machine (probe_machine) and applies the
+/// result once per process: every simulator gets the pipeline geometry
+/// Geometry::for_caches(L1d, L2); OpenMP runs one thread per physical
+/// core unless OMP_NUM_THREADS is set; NUMA first-touch placement turns
+/// on when there is more than one node. None of these changes a result
+/// bit.
 std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     const TermList& terms, const SimulatorSpec& spec);
+
+struct MachineTopology;  // common/machine_probe.hpp
+
+/// The rules make_simulator's first call runs on probe_machine(): set the
+/// thread count and first-touch switch above for `topo` process-wide,
+/// publish the qokit_tune_* gauges, and return Geometry::for_caches of its
+/// caches. Separate from the probe so the rules can be checked against a
+/// pinned topology.
+pipeline::Geometry apply_machine(const MachineTopology& topo);
 
 }  // namespace qokit

@@ -21,9 +21,9 @@ namespace detail {
 inline std::atomic<std::uint64_t> aligned_alloc_count{0};
 
 /// NUMA first-touch switch (see set_first_touch_enabled). Process-global
-/// and sticky: the tune subsystem turns it on once when a profile selects
-/// NumaPolicy::FirstTouch, and it stays on — page placement is a one-way
-/// optimization, and flapping it per-simulator would scatter pages.
+/// and sticky: make_simulator turns it on once when the machine probe
+/// finds more than one NUMA node, and it stays on — page placement is a
+/// one-way optimization, and flapping it per-simulator would scatter pages.
 inline std::atomic<bool> first_touch_enabled{false};
 
 /// Allocations at least this large get the parallel first-touch pass.

@@ -1,8 +1,6 @@
-#include "tune/machine_probe.hpp"
+#include "common/machine_probe.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -16,9 +14,7 @@
 #define QOKIT_HAVE_SYSCONF 1
 #endif
 
-#include "common/cpu_features.hpp"
-
-namespace qokit::tune {
+namespace qokit {
 
 namespace {
 
@@ -91,15 +87,12 @@ void probe_caches(const std::string& cpu0, MachineTopology& topo) {
       topo.l1d_bytes = size;
     else if (level == 2)
       topo.l2_bytes = size;
-    else if (level == 3)
-      topo.l3_bytes = size;
-    const std::uint64_t line =
-        parse_size(slurp(base + "coherency_line_size"));
-    if (line >= 16 && line <= 1024) topo.cache_line_bytes = line;
   }
 }
 
-void probe_cores(const std::string& cpu_root, MachineTopology& topo) {
+/// Fills physical_cores from the per-cpu topology files; returns the
+/// number of logical CPUs found (0 when the tree has none).
+int probe_cores(const std::string& cpu_root, MachineTopology& topo) {
   std::set<std::pair<int, int>> cores;
   int logical = 0;
   for (int cpu = 0; cpu < 4096; ++cpu) {
@@ -111,10 +104,8 @@ void probe_cores(const std::string& cpu_root, MachineTopology& topo) {
     cores.emplace(parse_int_or(slurp(base + "physical_package_id"), 0),
                   parse_int_or(core_raw, cpu));
   }
-  if (logical > 0) {
-    topo.logical_cpus = logical;
-    topo.physical_cores = static_cast<int>(cores.size());
-  }
+  if (logical > 0) topo.physical_cores = static_cast<int>(cores.size());
+  return logical;
 }
 
 void probe_numa(const std::string& node_root, MachineTopology& topo) {
@@ -124,20 +115,6 @@ void probe_numa(const std::string& node_root, MachineTopology& topo) {
     ++nodes;
   }
   if (nodes > 0) topo.numa_nodes = nodes;
-}
-
-void probe_cpu_model(const std::string& cpuinfo_path,
-                     MachineTopology& topo) {
-  std::ifstream in(cpuinfo_path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    const std::string model = trimmed(line.substr(colon + 1));
-    if (!model.empty()) topo.cpu_model = model;
-    return;
-  }
 }
 
 }  // namespace
@@ -150,47 +127,35 @@ MachineTopology probe_machine(const std::string& fs_root) {
 
   const std::string cpu_root = root + "/sys/devices/system/cpu";
   probe_caches(cpu_root + "/cpu0", topo);
-  probe_cores(cpu_root, topo);
+  const int logical_cpus = probe_cores(cpu_root, topo);
   probe_numa(root + "/sys/devices/system/node", topo);
-  probe_cpu_model(root + "/proc/cpuinfo", topo);
 
+  // Fallbacks consult the host, so they run on the real root only (the
+  // injected-root test trees must see exactly what they describe).
+  if (!root.empty()) return topo;
 #ifdef QOKIT_HAVE_SYSCONF
   // sysconf fallback for containers that hide sysfs cache dirs. Only
-  // fills fields the sysfs scan left at defaults on the real root (the
-  // injected-root test trees must see exactly what they describe).
-  if (root.empty()) {
+  // fills fields the sysfs scan left at defaults.
 #ifdef _SC_LEVEL1_DCACHE_SIZE
-    if (topo.l1d_bytes == MachineTopology{}.l1d_bytes) {
-      const long l1 = ::sysconf(_SC_LEVEL1_DCACHE_SIZE);
-      if (l1 > 0) topo.l1d_bytes = static_cast<std::uint64_t>(l1);
-    }
+  if (topo.l1d_bytes == MachineTopology{}.l1d_bytes) {
+    const long l1 = ::sysconf(_SC_LEVEL1_DCACHE_SIZE);
+    if (l1 > 0) topo.l1d_bytes = static_cast<std::uint64_t>(l1);
+  }
 #endif
 #ifdef _SC_LEVEL2_CACHE_SIZE
-    if (topo.l2_bytes == MachineTopology{}.l2_bytes) {
-      const long l2 = ::sysconf(_SC_LEVEL2_CACHE_SIZE);
-      if (l2 > 0) topo.l2_bytes = static_cast<std::uint64_t>(l2);
-    }
-#endif
-#ifdef _SC_LEVEL3_CACHE_SIZE
-    if (topo.l3_bytes == 0) {
-      const long l3 = ::sysconf(_SC_LEVEL3_CACHE_SIZE);
-      if (l3 > 0) topo.l3_bytes = static_cast<std::uint64_t>(l3);
-    }
-#endif
+  if (topo.l2_bytes == MachineTopology{}.l2_bytes) {
+    const long l2 = ::sysconf(_SC_LEVEL2_CACHE_SIZE);
+    if (l2 > 0) topo.l2_bytes = static_cast<std::uint64_t>(l2);
   }
+#endif
 #endif  // QOKIT_HAVE_SYSCONF
-
-  if (root.empty()) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (topo.logical_cpus <= 1 && hw > 0) {
-      topo.logical_cpus = static_cast<int>(hw);
-      // Without per-cpu topology files assume no SMT rather than halve:
-      // overcommitting threads costs more than undercounting cores saves.
-      topo.physical_cores = static_cast<int>(hw);
-    }
-    topo.simd_level = simd_level_name(active_simd_level());
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (logical_cpus <= 1 && hw > 0) {
+    // Without per-cpu topology files assume no SMT rather than halve:
+    // overcommitting threads costs more than undercounting cores saves.
+    topo.physical_cores = static_cast<int>(hw);
   }
   return topo;
 }
 
-}  // namespace qokit::tune
+}  // namespace qokit

@@ -21,8 +21,8 @@
 //    the guard object — opening a span allocates nothing; closing one
 //    appends to a bounded per-thread event buffer.
 //  - Everything is gated on one process-global flag: off by default, on
-//    when the environment says QOKIT_OBS=1 (or on/true) or a
-//    SimulatorSpec carries obs=on. When off, every instrumentation site
+//    when the environment says QOKIT_OBS=1 (or on/true) or a caller
+//    invokes obs::set_enabled(true). When off, every instrumentation site
 //    reduces to a relaxed atomic load and a predictable branch — no
 //    allocation, no shard, no mutation (pinned by
 //    tests/test_observability.cpp).
@@ -46,8 +46,7 @@ namespace qokit::obs {
 namespace detail {
 /// Tri-state enable flag: -1 until the QOKIT_OBS environment variable has
 /// been consulted, then 0 (off) or 1 (on). set_enabled() writes it
-/// directly, so a SimulatorSpec obs=on token overrides a silent
-/// environment.
+/// directly, so a program can override a silent environment.
 extern std::atomic<int> g_enabled;
 bool enabled_slow() noexcept;
 void counter_add(int cell, std::uint64_t delta) noexcept;
@@ -71,8 +70,8 @@ inline bool enabled() noexcept {
   return detail::enabled_slow();
 }
 
-/// Turn instrumentation on or off for the whole process (the
-/// SimulatorSpec obs=on token and tests go through this).
+/// Turn instrumentation on or off for the whole process: the one
+/// programmatic switch next to the QOKIT_OBS environment variable.
 void set_enabled(bool on) noexcept;
 
 /// Monotonically increasing named count (events, bytes, calls). Handles

@@ -43,7 +43,7 @@ enum class PipelineMode { Auto, On, Off };
 
 /// Construction-time tiling knobs, carried by FurConfig / DistConfig and
 /// (mode only) by SimulatorSpec. The geometry defaults are safe for any n
-/// (src/tune/ swaps in machine-derived values through make_simulator);
+/// (make_simulator swaps in Geometry::for_caches of the probed machine);
 /// tests shrink them to exercise tile-boundary edge cases on small states.
 struct PipelineOptions {
   PipelineMode mode = PipelineMode::Auto;

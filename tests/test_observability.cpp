@@ -213,22 +213,6 @@ class ObsTest : public ::testing::Test {
   bool was_enabled_ = false;
 };
 
-TEST_F(ObsTest, SpecObsTokenParsesAndEnables) {
-  EXPECT_TRUE(SimulatorSpec::parse("auto:obs=on").obs);
-  EXPECT_FALSE(SimulatorSpec::parse("auto:obs=off").obs);
-  EXPECT_FALSE(SimulatorSpec::parse("auto").obs);
-  EXPECT_EQ(SimulatorSpec::parse("auto:obs=on").to_string(), "auto:obs=on");
-  EXPECT_THROW(SimulatorSpec::parse("auto:obs=maybe"),
-               std::invalid_argument);
-
-  obs::set_enabled(false);
-  const api::ProblemSession s = labs_session("auto:obs=on");
-  EXPECT_TRUE(obs::enabled());
-  // The default spec never turns an enabled process back off.
-  const api::ProblemSession plain = labs_session("auto");
-  EXPECT_TRUE(obs::enabled());
-}
-
 TEST_F(ObsTest, DisabledIsFreeAfterWarmup) {
   // Warm pass with observability on: registers every metric on these code
   // paths and creates the thread shards, the only obs-internal heap

@@ -399,13 +399,17 @@ TEST(PipelineFusedExpectation, UntimedSessionMatchesTheTwoPassOracle) {
   // least one kReduceBlock). The untimed evaluate() takes the fused
   // simulate+reduce route; the timed one keeps the explicit two-pass
   // split so layer timings stay pure simulation. Expectation AND the
-  // post-evolution reductions (overlap here) must agree bitwise.
+  // post-evolution reductions (overlap here) must agree bitwise. Every
+  // spec pins pipeline=on: the fused reduction needs an active plan,
+  // whatever QOKIT_PIPELINE says.
   const QaoaParams sched = test_schedule();
   SimdLevelGuard guard;
   for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
     force_simd_level(level);
     for (const char* name :
-         {"auto", "serial", "threaded", "u16", "fwht", "u16:exec=serial"}) {
+         {"auto:pipeline=on", "serial:pipeline=on", "threaded:pipeline=on",
+          "u16:pipeline=on", "fwht:pipeline=on",
+          "u16:exec=serial:pipeline=on"}) {
       const TermList terms = sk_terms(11, 9);
       const api::ProblemSession session(terms, SimulatorSpec::parse(name));
       const auto* fur =

@@ -50,28 +50,22 @@ TEST(SimulatorSpec, RoundTripsOverTheFullGrid) {
         for (const Exec exec : {Exec::Serial, Exec::Parallel})
           for (const int ranks : {2, 8})
             for (const int weight : {-1, 3})
-              for (const SimdChoice simd :
-                   {SimdChoice::Auto, SimdChoice::Scalar})
-                for (const pipeline::PipelineMode pipe :
-                     {pipeline::PipelineMode::Auto,
-                      pipeline::PipelineMode::On,
-                      pipeline::PipelineMode::Off})
-                  for (const std::uint64_t seed : {1ull, 42ull})
-                    for (const bool obs : {false, true}) {
-                      SimulatorSpec spec;
-                      spec.backend = backend;
-                      spec.mixer = mixer;
-                      spec.exec = exec;
-                      spec.ranks = ranks;
-                      spec.alltoall = strategy;
-                      spec.initial_weight = weight;
-                      spec.simd = simd;
-                      spec.pipeline = pipe;
-                      spec.sample_seed = seed;
-                      spec.obs = obs;
-                      const std::string name = spec.to_string();
-                      EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
-                    }
+              for (const pipeline::PipelineMode pipe :
+                   {pipeline::PipelineMode::Auto, pipeline::PipelineMode::On,
+                    pipeline::PipelineMode::Off})
+                for (const std::uint64_t seed : {1ull, 42ull}) {
+                  SimulatorSpec spec;
+                  spec.backend = backend;
+                  spec.mixer = mixer;
+                  spec.exec = exec;
+                  spec.ranks = ranks;
+                  spec.alltoall = strategy;
+                  spec.initial_weight = weight;
+                  spec.pipeline = pipe;
+                  spec.sample_seed = seed;
+                  const std::string name = spec.to_string();
+                  EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
+                }
 }
 
 TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
@@ -93,10 +87,9 @@ TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
   EXPECT_EQ(seeded.sample_seed, 9u);
 
   const SimulatorSpec mixed =
-      SimulatorSpec::parse("serial:mixer=xyring:weight=3:simd=scalar");
+      SimulatorSpec::parse("serial:mixer=xyring:weight=3");
   EXPECT_EQ(mixed.mixer, MixerType::XYRing);
   EXPECT_EQ(mixed.initial_weight, 3);
-  EXPECT_EQ(mixed.simd, SimdChoice::Scalar);
 
   const SimulatorSpec dist_opts =
       SimulatorSpec::parse("dist:4:pairwise:seed=7");
@@ -118,7 +111,15 @@ TEST(SimulatorSpec, RejectsUnknownTokensNamingThem) {
         Case{"auto:exec=turbo", "exec=turbo"},
         Case{"auto:seed=x", "seed=x"},
         Case{"dist:4:pairwise:junk=1", "junk=1"},
-        Case{"auto:simd=sse", "simd=sse"}, Case{"dist:two", "two"}}) {
+        Case{"auto:simd=sse", "simd=sse"}, Case{"dist:two", "two"},
+        // Process-wide settings are not spec options: the kernel family
+        // is QOKIT_SIMD / force_simd_level, instrumentation QOKIT_OBS /
+        // obs::set_enabled, and the pipeline geometry comes from the
+        // machine probe.
+        Case{"auto:tune=static", "tune=static"},
+        Case{"auto:tune=/dev/zero", "tune=/dev/zero"},
+        Case{"auto:simd=scalar", "simd=scalar"},
+        Case{"auto:obs=on", "obs=on"}}) {
     try {
       (void)SimulatorSpec::parse(c.name);
       FAIL() << "parse accepted '" << c.name << "'";

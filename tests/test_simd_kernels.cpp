@@ -149,8 +149,10 @@ TEST(SimdPhase, PopcountTableMatchesScalar) {
   if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
   SimdLevelGuard guard;
   const int n = 11;
-  aligned_vector<cdouble> table(static_cast<std::size_t>(n) + 1);
-  for (int w = 0; w <= n; ++w) {
+  // One entry per popcount a 64-bit global index can have: with the
+  // nonzero base the indices reach past 2^n, and so past popcount n.
+  aligned_vector<cdouble> table(65);
+  for (int w = 0; w <= 64; ++w) {
     const double ang = 0.3 * w - 0.7;
     table[w] = cdouble(std::cos(ang), std::sin(ang));
   }

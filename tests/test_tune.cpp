@@ -1,13 +1,14 @@
-// Machine-adaptive execution (src/tune/) acceptance tests: the sysfs
-// topology probe against injected fake trees, the closed-form heuristic's
-// determinism, profile JSON persistence (round-trip, atomicity fallback,
-// and every pinned degradation diagnostic), resolve_profile's environment
-// handling, the spec grammar, and — the load-bearing contract — that every
-// tuned configuration (fixture profile, micro-search, first-touch) is
-// *bit-identical* to the static oracle (`tune=static` / `QOKIT_TUNE=off`)
-// across backends: tuning reorders traversal, never arithmetic.
+// Machine-derived execution settings: the sysfs topology probe against
+// injected fake trees, the closed-form cache rule
+// (pipeline::Geometry::for_caches) at pinned topologies, the thread,
+// first-touch and gauge rules apply_machine sets for pinned topologies,
+// that make_simulator hands every simulator the geometry derived from the
+// probed machine, and that NUMA first-touch placement moves pages, never
+// bits. That any Geometry is bit-identical to any other is pinned by
+// test_pipeline.cpp's tiling matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -15,20 +16,20 @@
 
 #include "api/qokit.hpp"
 #include "common/aligned.hpp"
-#include "tune/machine_probe.hpp"
-#include "tune/profile.hpp"
+#include "common/machine_probe.hpp"
+#include "obs/obs.hpp"
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 namespace qokit {
 namespace {
 
 namespace fs = std::filesystem;
-using tune::MachineTopology;
-using tune::NumaPolicy;
-using tune::ProfileSource;
-using tune::TuneMode;
-using tune::TuneProfile;
+using pipeline::Geometry;
 
-/// Scratch directory for this binary's fake trees and profile files.
+/// Scratch directory for this binary's fake trees.
 /// ctest parallelism is across binaries, so a fixed name is race-free.
 fs::path scratch_dir() {
   const fs::path dir = fs::temp_directory_path() / "qokit_test_tune";
@@ -42,76 +43,11 @@ void write_file(const fs::path& path, const std::string& content) {
   out << content;
 }
 
-/// Save/restore one environment variable across a test (the
-/// test_pipeline.cpp idiom, RAII'd because several tests need two vars).
-struct EnvVarGuard {
-  explicit EnvVarGuard(std::string name) : name_(std::move(name)) {
-    const char* v = std::getenv(name_.c_str());
-    had_ = v != nullptr;
-    if (v) saved_ = v;
-  }
-  ~EnvVarGuard() {
-    if (had_)
-      setenv(name_.c_str(), saved_.c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_;
-  bool had_ = false;
-  std::string saved_;
-};
-
-/// Deterministic random problem per seed (the cross-validation idiom).
-TermList random_problem(std::uint64_t seed, int* n_out) {
-  Rng rng(seed * 7919);
-  const int n = 8 + static_cast<int>(rng.uniform_int(4));  // 8..11
-  *n_out = n;
-  switch (seed % 3) {
-    case 0:
-      return maxcut_terms(Graph::random_regular(n - (n % 2), 3, seed));
-    case 1:
-      return labs_terms(n);
-    default:
-      return sk_terms(n, seed);
-  }
-}
-
 QaoaParams test_schedule() {
   QaoaParams s;
   s.gammas = {0.31, -0.47, 0.83};
   s.betas = {0.78, 0.15, -0.52};
   return s;
-}
-
-/// `backend:tune=<suffix>` vs `backend:tune=static`: evolved state and
-/// expectation must agree bitwise.
-void expect_tuned_matches_static(const TermList& terms,
-                                 const std::string& backend,
-                                 const std::string& tune_suffix) {
-  const auto tuned =
-      make_simulator(terms, SimulatorSpec::parse(backend + ":tune=" +
-                                                 tune_suffix));
-  const auto oracle =
-      make_simulator(terms, SimulatorSpec::parse(backend + ":tune=static"));
-  const QaoaParams sched = test_schedule();
-  const StateVector a = tuned->simulate_qaoa(sched.gammas, sched.betas);
-  const StateVector b = oracle->simulate_qaoa(sched.gammas, sched.betas);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0) << backend << " tune=" << tune_suffix;
-  EXPECT_EQ(tuned->get_expectation(a), oracle->get_expectation(b))
-      << backend << " tune=" << tune_suffix;
-}
-
-MachineTopology topo_with(std::uint64_t l1d, std::uint64_t l2,
-                          int cores = 4, int nodes = 1) {
-  MachineTopology t;
-  t.l1d_bytes = l1d;
-  t.l2_bytes = l2;
-  t.physical_cores = cores;
-  t.logical_cpus = cores;
-  t.numa_nodes = nodes;
-  return t;
 }
 
 // ------------------------------------------------------- topology probe
@@ -123,7 +59,6 @@ TEST(MachineProbe, ReadsAnInjectedSysfsTree) {
   write_file(cpu / "cpu0/cache/index0/type", "Data\n");
   write_file(cpu / "cpu0/cache/index0/level", "1\n");
   write_file(cpu / "cpu0/cache/index0/size", "48K\n");
-  write_file(cpu / "cpu0/cache/index0/coherency_line_size", "64\n");
   write_file(cpu / "cpu0/cache/index1/type", "Instruction\n");
   write_file(cpu / "cpu0/cache/index1/level", "1\n");
   write_file(cpu / "cpu0/cache/index1/size", "32K\n");
@@ -140,21 +75,15 @@ TEST(MachineProbe, ReadsAnInjectedSysfsTree) {
   }
   fs::create_directories(root / "sys/devices/system/node/node0");
   fs::create_directories(root / "sys/devices/system/node/node1");
-  write_file(root / "proc/cpuinfo",
-             "processor\t: 0\nmodel name\t: Fake CPU 9000 @ 3.0GHz\n");
 
-  const MachineTopology topo = tune::probe_machine(root.string());
+  // Injected roots never consult the host (sysconf and
+  // hardware_concurrency are real-machine-only): the fake tree sees
+  // exactly what it describes. The instruction cache and L3 are skipped.
+  const MachineTopology topo = probe_machine(root.string());
   EXPECT_EQ(topo.l1d_bytes, 48u * 1024);
   EXPECT_EQ(topo.l2_bytes, 1024u * 1024);
-  EXPECT_EQ(topo.l3_bytes, 32u * 1024 * 1024);
-  EXPECT_EQ(topo.cache_line_bytes, 64u);
-  EXPECT_EQ(topo.logical_cpus, 8);
   EXPECT_EQ(topo.physical_cores, 4);
   EXPECT_EQ(topo.numa_nodes, 2);
-  EXPECT_EQ(topo.cpu_model, "Fake CPU 9000 @ 3.0GHz");
-  // Injected roots never consult the host (sysconf / SIMD detection are
-  // real-machine-only): the fake tree sees exactly what it describes.
-  EXPECT_EQ(topo.simd_level, "scalar");
 }
 
 TEST(MachineProbe, MissingTreeKeepsConservativeDefaults) {
@@ -162,271 +91,130 @@ TEST(MachineProbe, MissingTreeKeepsConservativeDefaults) {
   fs::remove_all(root);
   fs::create_directories(root);
   const MachineTopology defaults;
-  EXPECT_EQ(tune::probe_machine(root.string()), defaults);
+  EXPECT_EQ(probe_machine(root.string()), defaults);
+  // Total probe failure runs the static geometry.
+  EXPECT_EQ(Geometry::for_caches(defaults.l1d_bytes, defaults.l2_bytes),
+            Geometry::defaults());
 }
 
 TEST(MachineProbe, RealMachineProbeIsSane) {
-  const MachineTopology topo = tune::probe_machine();
+  const MachineTopology topo = probe_machine();
   EXPECT_GE(topo.l1d_bytes, 1024u);
   EXPECT_GE(topo.l2_bytes, topo.l1d_bytes);
   EXPECT_GE(topo.physical_cores, 1);
-  EXPECT_GE(topo.logical_cpus, topo.physical_cores);
   EXPECT_GE(topo.numa_nodes, 1);
-  EXPECT_FALSE(topo.cpu_model.empty());
-  EXPECT_FALSE(topo.simd_level.empty());
 }
 
-// --------------------------------------------------- heuristic profile
+// --------------------------------------------------------- cache rule
 
-TEST(HeuristicProfile, ReproducesTheHandTunedDefaultsOnTheReferenceClass) {
+TEST(GeometryForCaches, ReproducesTheHandTunedDefaultsOnTheReferenceClass) {
   // The 32 KiB-L1d / 2 MiB-L2 machine class the static constants were
   // tuned for must map back onto exactly those constants.
-  const TuneProfile p = tune::heuristic_profile(topo_with(32 << 10, 2 << 20));
-  EXPECT_EQ(p.geometry, pipeline::Geometry::defaults());
-  EXPECT_EQ(p.source, ProfileSource::Heuristic);
-  EXPECT_EQ(p.threads, 4);
-  EXPECT_EQ(p.numa, NumaPolicy::None);
+  static_assert(Geometry::for_caches(32 << 10, 2 << 20) ==
+                Geometry::defaults());
+  EXPECT_EQ(Geometry::for_caches(32 << 10, 2 << 20), (Geometry{16, 6, 10}));
 }
 
-TEST(HeuristicProfile, ScalesWithTheCacheHierarchyAndIsDeterministic) {
-  {
-    // Big server part: 48 KiB L1d, 8 MiB L2 → wider tiles, full groups.
-    const TuneProfile p =
-        tune::heuristic_profile(topo_with(48 << 10, 8 << 20, 32, 2));
-    EXPECT_EQ(p.geometry, (pipeline::Geometry{18, 8, 10}));
-    EXPECT_EQ(p.threads, 32);
-    EXPECT_EQ(p.numa, NumaPolicy::FirstTouch);
-  }
-  {
-    // Small embedded part: 16 KiB L1d, 256 KiB L2 → clamped low end.
-    const TuneProfile p =
-        tune::heuristic_profile(topo_with(16 << 10, 256 << 10, 2));
-    EXPECT_EQ(p.geometry, (pipeline::Geometry{13, 4, 9}));
-    EXPECT_EQ(p.numa, NumaPolicy::None);
-  }
-  // Pure function: same topology in, same profile out.
-  const MachineTopology topo = topo_with(48 << 10, 8 << 20, 32, 2);
-  EXPECT_EQ(tune::heuristic_profile(topo), tune::heuristic_profile(topo));
+TEST(GeometryForCaches, ScalesWithTheCacheHierarchyAndIsDeterministic) {
+  // Big server part: 48 KiB L1d, 8 MiB L2 → wider tiles, full groups.
+  EXPECT_EQ(Geometry::for_caches(48 << 10, 8 << 20), (Geometry{18, 8, 10}));
+  // Small embedded part: 16 KiB L1d, 256 KiB L2 → clamped low end.
+  EXPECT_EQ(Geometry::for_caches(16 << 10, 256 << 10), (Geometry{13, 4, 9}));
+  // Degenerate caches land on the clamps, never on a zero or negative knob.
+  EXPECT_EQ(Geometry::for_caches(0, 0), (Geometry{12, 2, 8}));
+  // Pure function: same caches in, same geometry out.
+  EXPECT_EQ(Geometry::for_caches(48 << 10, 8 << 20),
+            Geometry::for_caches(48 << 10, 8 << 20));
 }
 
-TEST(HeuristicProfile, CarriesTheProbedStalenessKeys) {
-  MachineTopology topo = topo_with(32 << 10, 2 << 20);
-  topo.cpu_model = "Fake CPU 9000";
-  topo.simd_level = "avx2";
-  const TuneProfile p = tune::heuristic_profile(topo);
-  EXPECT_EQ(p.cpu_model, "Fake CPU 9000");
-  EXPECT_EQ(p.simd_level, "avx2");
+// ---------------------------------------------------- applied settings
+
+TEST(MachineSettings, ApplyMachineSetsThreadsFirstTouchAndGauges) {
+  // Process-wide state this test changes; restored at the end.
+  const int saved_threads = max_threads();
+  const bool saved_touch = first_touch_enabled();
+  const bool saved_obs = obs::enabled();
+  obs::set_enabled(true);
+  // One thread per physical core, unless the user chose a count.
+  const bool user_threads = std::getenv("OMP_NUM_THREADS") != nullptr;
+
+  // Two-socket server: wider tiles, 32 threads, first-touch on.
+  set_first_touch_enabled(false);
+  MachineTopology server;
+  server.l1d_bytes = 48 << 10;
+  server.l2_bytes = 8 << 20;
+  server.physical_cores = 32;
+  server.numa_nodes = 2;
+  EXPECT_EQ(apply_machine(server), (Geometry{18, 8, 10}));
+  EXPECT_TRUE(first_touch_enabled());
+#if defined(_OPENMP)
+  EXPECT_EQ(max_threads(), user_threads ? saved_threads : 32);
+#endif
+  EXPECT_EQ(obs::gauge("qokit_tune_tile_log2").value(), 18.0);
+  EXPECT_EQ(obs::gauge("qokit_tune_group_qubits").value(), 8.0);
+  EXPECT_EQ(obs::gauge("qokit_tune_chunk_log2").value(), 10.0);
+  EXPECT_EQ(obs::gauge("qokit_tune_threads").value(), 32.0);
+
+  // Single-node workstation of the reference cache class: the static
+  // geometry, 4 threads, first-touch stays off.
+  set_first_touch_enabled(false);
+  MachineTopology workstation;
+  workstation.l1d_bytes = 32 << 10;
+  workstation.l2_bytes = 2 << 20;
+  workstation.physical_cores = 4;
+  workstation.numa_nodes = 1;
+  EXPECT_EQ(apply_machine(workstation), Geometry::defaults());
+  EXPECT_FALSE(first_touch_enabled());
+#if defined(_OPENMP)
+  EXPECT_EQ(max_threads(), user_threads ? saved_threads : 4);
+#endif
+  EXPECT_EQ(obs::gauge("qokit_tune_threads").value(), 4.0);
+
+#if defined(_OPENMP)
+  omp_set_num_threads(saved_threads);
+#endif
+  set_first_touch_enabled(saved_touch);
+  obs::set_enabled(saved_obs);
 }
 
-// --------------------------------------------------- profile persistence
+// ------------------------------------------------- make_simulator wiring
 
-TEST(ProfileIo, RoundTripsThroughDiskAndBecomesAFileProfile) {
-  const std::string path = (scratch_dir() / "roundtrip.json").string();
-  TuneProfile p;
-  p.geometry = {14, 4, 9};
-  p.threads = 3;
-  p.numa = NumaPolicy::FirstTouch;
-  p.source = ProfileSource::Search;
-  p.cpu_model = "any";
-  p.simd_level = "any";
-  std::string error;
-  ASSERT_TRUE(tune::save_profile(path, p, &error)) << error;
-
-  TuneProfile loaded;
-  std::string diagnostic;
-  const MachineTopology topo;  // "any" keys match every machine
-  ASSERT_TRUE(tune::load_profile(path, topo, &loaded, &diagnostic))
-      << diagnostic;
-  EXPECT_EQ(loaded.geometry, p.geometry);
-  EXPECT_EQ(loaded.threads, p.threads);
-  EXPECT_EQ(loaded.numa, p.numa);
-  EXPECT_EQ(loaded.source, ProfileSource::File);  // provenance: from disk
-}
-
-TEST(ProfileIo, SaveReportsAnUnwritableDirectory) {
-  std::string error;
-  EXPECT_FALSE(tune::save_profile(
-      (scratch_dir() / "no_such_subdir" / "p.json").string(), TuneProfile{},
-      &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(ProfileIo, EveryDegradationDiagnosticIsPinned) {
-  const MachineTopology topo;
-  TuneProfile out;
-  std::string diag;
-
-  // Missing file.
-  EXPECT_FALSE(tune::load_profile(
-      (scratch_dir() / "never_written.json").string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("missing profile", 0), 0u) << diag;
-
-  // Empty file.
-  const fs::path empty = scratch_dir() / "empty.json";
-  write_file(empty, "");
-  EXPECT_FALSE(tune::load_profile(empty.string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("corrupt profile", 0), 0u) << diag;
-
-  // Wrong schema version.
-  const fs::path wrong = scratch_dir() / "wrong_schema.json";
-  write_file(wrong, "{\n  \"schema\": \"qokit-tune-v0\"\n}\n");
-  EXPECT_FALSE(tune::load_profile(wrong.string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("wrong schema", 0), 0u) << diag;
-
-  // Out-of-range numeric field (tile_log2 = 99).
-  const fs::path corrupt = scratch_dir() / "corrupt.json";
-  write_file(corrupt,
-             "{\n"
-             "  \"schema\": \"qokit-tune-v1\",\n"
-             "  \"cpu_model\": \"any\",\n"
-             "  \"simd_level\": \"any\",\n"
-             "  \"tile_log2\": 99,\n"
-             "  \"group_qubits\": 6,\n"
-             "  \"chunk_log2\": 10,\n"
-             "  \"threads\": 0\n"
-             "}\n");
-  EXPECT_FALSE(tune::load_profile(corrupt.string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("corrupt profile", 0), 0u) << diag;
-
-  // Written on a different machine (staleness keys mismatch).
-  const std::string stale = (scratch_dir() / "stale.json").string();
-  TuneProfile other;
-  other.cpu_model = "Some Other CPU";
-  other.simd_level = "avx512";
-  ASSERT_TRUE(tune::save_profile(stale, other));
-  EXPECT_FALSE(tune::load_profile(stale, topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("stale profile", 0), 0u) << diag;
-}
-
-// ------------------------------------------------------ resolve_profile
-
-TEST(ResolveProfile, EnvOffPinsTheStaticOracle) {
-  const EnvVarGuard tune_guard("QOKIT_TUNE");
-  const EnvVarGuard path_guard("QOKIT_TUNE_PATH");
-  ASSERT_EQ(unsetenv("QOKIT_TUNE_PATH"), 0);
-  for (const char* off : {"off", "OFF", "static", "0", "false"}) {
-    ASSERT_EQ(setenv("QOKIT_TUNE", off, 1), 0);
-    EXPECT_EQ(tune::resolve_profile(TuneMode::Auto), tune::static_profile())
-        << off;
-  }
-}
-
-TEST(ResolveProfile, AutoWithoutEnvResolvesTheHeuristic) {
-  const EnvVarGuard tune_guard("QOKIT_TUNE");
-  const EnvVarGuard path_guard("QOKIT_TUNE_PATH");
-  ASSERT_EQ(unsetenv("QOKIT_TUNE"), 0);
-  ASSERT_EQ(unsetenv("QOKIT_TUNE_PATH"), 0);
-  const TuneProfile p = tune::resolve_profile(TuneMode::Auto);
-  EXPECT_EQ(p.source, ProfileSource::Heuristic);
-  EXPECT_EQ(p.geometry,
-            tune::heuristic_profile(tune::probe_machine()).geometry);
-  EXPECT_TRUE(tune::last_resolve_diagnostic().empty())
-      << tune::last_resolve_diagnostic();
-}
-
-TEST(ResolveProfile, EnvPathLoadsTheFileProfile) {
-  const EnvVarGuard tune_guard("QOKIT_TUNE");
-  const EnvVarGuard path_guard("QOKIT_TUNE_PATH");
-  ASSERT_EQ(unsetenv("QOKIT_TUNE"), 0);
-  const std::string path = (scratch_dir() / "env_fixture.json").string();
-  TuneProfile fixture;
-  fixture.geometry = {13, 4, 9};
-  ASSERT_TRUE(tune::save_profile(path, fixture));
-  ASSERT_EQ(setenv("QOKIT_TUNE_PATH", path.c_str(), 1), 0);
-  const TuneProfile p = tune::resolve_profile(TuneMode::Auto);
-  EXPECT_EQ(p.source, ProfileSource::File);
-  EXPECT_EQ(p.geometry, fixture.geometry);
-}
-
-TEST(ResolveProfile, UnusablePathDegradesToTheHeuristicWithADiagnostic) {
-  const std::string missing =
-      (scratch_dir() / "resolve_missing.json").string();
-  const TuneProfile p = tune::resolve_profile(TuneMode::Path, missing);
-  EXPECT_EQ(p.source, ProfileSource::Heuristic);  // kept serving
-  EXPECT_EQ(tune::last_resolve_diagnostic().rfind("missing profile", 0), 0u)
-      << tune::last_resolve_diagnostic();
-}
-
-// ----------------------------------------------------- spec plumbing
-
-TEST(TuneSpec, GrammarRoundTripsAndRejectsBadValues) {
-  EXPECT_EQ(SimulatorSpec::parse("auto").tune, TuneChoice::Auto);
-  EXPECT_EQ(SimulatorSpec::parse("auto:tune=auto").tune, TuneChoice::Auto);
-  EXPECT_EQ(SimulatorSpec::parse("auto:tune=static").tune,
-            TuneChoice::Static);
-  EXPECT_EQ(SimulatorSpec::parse("auto:tune=search").tune,
-            TuneChoice::Search);
-  // "off" is an alias for static and canonicalizes to it.
-  const SimulatorSpec off = SimulatorSpec::parse("auto:tune=off");
-  EXPECT_EQ(off.tune, TuneChoice::Static);
-  EXPECT_EQ(off.to_string(), "auto:tune=static");
-  // Any other value is a profile path, and round-trips.
-  const SimulatorSpec with_path =
-      SimulatorSpec::parse("u16:tune=/tmp/prof.json");
-  EXPECT_EQ(with_path.tune, TuneChoice::Path);
-  EXPECT_EQ(with_path.tune_path, "/tmp/prof.json");
-  EXPECT_EQ(SimulatorSpec::parse(with_path.to_string()), with_path);
-  EXPECT_THROW(SimulatorSpec::parse("auto:tune="), std::invalid_argument);
-}
-
-TEST(TuneSpec, FixtureProfileGeometryReachesTheSimulatorConfig) {
-  const std::string path = (scratch_dir() / "spec_fixture.json").string();
-  TuneProfile fixture;
-  fixture.geometry = {12, 3, 8};
-  ASSERT_TRUE(tune::save_profile(path, fixture));
+TEST(MachineSettings, EverySimulatorRunsTheProbedGeometry) {
+  // Where the probed caches map onto Geometry::defaults() this cannot tell
+  // the probe from the defaults; the test above pins apply_machine's
+  // non-default outputs.
+  const MachineTopology topo = probe_machine();
+  const Geometry probed = Geometry::for_caches(topo.l1d_bytes, topo.l2_bytes);
   const TermList terms = sk_terms(8, 7);
-  const auto sim =
-      make_simulator(terms, SimulatorSpec::parse("auto:tune=" + path));
-  const auto* fur = dynamic_cast<const FurQaoaSimulator*>(sim.get());
-  ASSERT_NE(fur, nullptr);
-  EXPECT_EQ(fur->config().pipeline.geometry, (pipeline::Geometry{12, 3, 8}));
-  // tune=static pins the pre-tune constants.
-  const auto pinned =
-      make_simulator(terms, SimulatorSpec::parse("auto:tune=static"));
-  const auto* pinned_fur =
-      dynamic_cast<const FurQaoaSimulator*>(pinned.get());
-  ASSERT_NE(pinned_fur, nullptr);
-  EXPECT_EQ(pinned_fur->config().pipeline.geometry,
-            pipeline::Geometry::defaults());
-}
-
-// --------------------------------------------------- the identity oracle
-
-TEST(TuneIdentity, FixtureProfileIsBitIdenticalToStaticOnEveryBackend) {
-  const std::string path = (scratch_dir() / "identity_fixture.json").string();
-  TuneProfile fixture;
-  fixture.geometry = {12, 3, 8};  // deliberately unlike the defaults
-  ASSERT_TRUE(tune::save_profile(path, fixture));
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    int n = 0;
-    const TermList terms = random_problem(seed, &n);
-    for (const char* backend :
-         {"serial", "threaded", "auto:exec=serial", "u16", "fwht",
-          "u16:exec=serial", "dist:2"})
-      expect_tuned_matches_static(terms, backend, path);
+  for (const char* name : {"auto", "serial", "u16", "fwht"}) {
+    const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
+    const auto* fur = dynamic_cast<const FurQaoaSimulator*>(sim.get());
+    ASSERT_NE(fur, nullptr) << name;
+    EXPECT_EQ(fur->config().pipeline.geometry, probed) << name;
   }
+  const auto dist = make_simulator(terms, SimulatorSpec::parse("dist:2"));
+  const auto* dfur = dynamic_cast<const DistributedFurSimulator*>(dist.get());
+  ASSERT_NE(dfur, nullptr);
+  EXPECT_EQ(dfur->config().pipeline.geometry, probed);
+#if defined(_OPENMP)
+  // One thread per physical core, unless the user chose a count.
+  if (std::getenv("OMP_NUM_THREADS") == nullptr) {
+    EXPECT_EQ(max_threads(), std::max(1, topo.physical_cores));
+  }
+#endif
 }
 
-TEST(TuneIdentity, MicroSearchIsBitIdenticalToStatic) {
-  int n = 0;
-  const TermList terms = random_problem(4, &n);
-  for (const char* backend : {"auto", "u16", "fwht"})
-    expect_tuned_matches_static(terms, backend, "search");
-}
-
-TEST(TuneIdentity, FirstTouchPlacementIsBitIdentical) {
+TEST(MachineSettings, FirstTouchPlacementIsBitIdentical) {
   // n = 16 → a 1 MiB statevector, exactly the first-touch threshold: the
   // parallel page-touch runs, and must only move pages, never bits.
   const TermList terms = sk_terms(16, 3);
   const QaoaParams sched = test_schedule();
   const bool saved = first_touch_enabled();
   set_first_touch_enabled(false);
-  const auto plain =
-      make_simulator(terms, SimulatorSpec::parse("auto:tune=static"));
+  const auto plain = make_simulator(terms, SimulatorSpec::parse("auto"));
   const StateVector base = plain->simulate_qaoa(sched.gammas, sched.betas);
   set_first_touch_enabled(true);
-  const auto touched =
-      make_simulator(terms, SimulatorSpec::parse("auto:tune=static"));
+  const auto touched = make_simulator(terms, SimulatorSpec::parse("auto"));
   const StateVector after =
       touched->simulate_qaoa(sched.gammas, sched.betas);
   set_first_touch_enabled(saved);

@@ -54,9 +54,10 @@ float-accum
 pipeline-geometry
     No bare geometry literals (tile_log2/group_qubits/chunk_log2 assigned
     a numeric constant) in src/pipeline/ outside geometry.hpp. The tiling
-    knobs live in pipeline::Geometry with exactly one defaults site so
-    the machine-adaptive profile (src/tune/) has exactly one injection
-    point; a scattered literal re-creates the pre-tune constant drift.
+    knobs live in pipeline::Geometry, whose defaults() and cache-derived
+    for_caches() are the only sites that spell them out, so the geometry
+    make_simulator derives from the probed caches is the one every plan
+    runs; a scattered literal would silently override it.
     Tests and benches may pin literals freely -- the rule scopes to
     src/pipeline/ only.
 
@@ -154,7 +155,7 @@ GEOMETRY_LITERAL_RE = re.compile(
     r"\b(tile_log2|group_qubits|chunk_log2)\s*=\s*[+-]?\d"
 )
 GEOMETRY_DIR = "src/pipeline/"
-GEOMETRY_EXEMPT = "src/pipeline/geometry.hpp"  # THE defaults site
+GEOMETRY_EXEMPT = "src/pipeline/geometry.hpp"  # defaults() + for_caches()
 
 # ----------------------------------------------------------- simd-flags
 ISA_FLAG_RE = re.compile(r"-m(avx2|avx512[a-z0-9]*|fma)\b|-march=")
@@ -384,10 +385,10 @@ def scan_source(rel: str, text: str) -> List[Finding]:
                     idx,
                     "pipeline-geometry",
                     f"bare geometry literal ('{m.group(0).strip()}') in "
-                    "src/pipeline/; the tiling knobs have exactly one "
-                    "defaults site (pipeline::Geometry::defaults in "
-                    "geometry.hpp) so the tune profile stays the single "
-                    "injection point",
+                    "src/pipeline/; the tiling knobs are spelled out only "
+                    "in geometry.hpp (pipeline::Geometry::defaults and "
+                    "for_caches) so the cache-derived geometry is the one "
+                    "every plan runs",
                 )
 
     # simd-flags: intrinsic headers / target attributes outside src/simd/
