@@ -2,13 +2,14 @@
 // loop, ns/layer at n = 20, 22, 24, serial and parallel, emitting
 // BENCH_pipeline.json.
 //
-// Times simulate_qaoa_from on the same FurQaoaSimulator configuration with
-// the pipeline forced On and Off (everything else identical, including the
-// SIMD dispatch level), so the ratio isolates the traversal change: the
-// unfused loop streams the state n + 1 times per layer, the plan
-// 1 + ceil((n - t)/g) times. Acceptance target: >= 1.3x fewer ns/layer at
-// n = 24. Results are cross-checked bitwise before timing — a mismatch
-// exits nonzero, so the bench doubles as a large-n identity smoke.
+// Times one FurQaoaSimulator's fused simulate_qaoa_from against the
+// unfused oracle loop of tests/support/unfused_oracle.hpp over the same
+// simulator (same kernels, same SIMD dispatch level), so the ratio
+// isolates the traversal change: the unfused loop streams the state n + 1
+// times per layer, the plan 1 + ceil((n - t)/g) times. Acceptance target:
+// >= 1.3x fewer ns/layer at n = 24. Results are cross-checked bitwise
+// before timing — a mismatch exits 2, so the bench doubles as a large-n
+// identity smoke.
 //
 // Smoke mode (QOKIT_BENCH_SMOKE=1 or --smoke): n = 16 only, 1 rep — used
 // by CI (and `ctest -C bench -L bench-smoke`) to keep the JSON generation
@@ -29,6 +30,7 @@
 #include "diagonal/cost_diagonal.hpp"
 #include "fur/simulator.hpp"
 #include "statevector/state.hpp"
+#include "support/unfused_oracle.hpp"
 
 namespace {
 
@@ -85,20 +87,14 @@ int main(int argc, char** argv) {
     }
 
     for (const Exec exec : {Exec::Serial, Exec::Parallel}) {
-      FurConfig fused_cfg;
-      fused_cfg.exec = exec;
-      fused_cfg.pipeline.mode = pipeline::PipelineMode::On;
-      FurConfig unfused_cfg;
-      unfused_cfg.exec = exec;
-      unfused_cfg.pipeline.mode = pipeline::PipelineMode::Off;
-      const FurQaoaSimulator fused(diag, fused_cfg);
-      const FurQaoaSimulator unfused(diag, unfused_cfg);
+      const FurQaoaSimulator fused(diag, FurConfig{.exec = exec});
 
       // Identity gate before timing: the fused evolution must match the
       // unfused oracle bit for bit.
       {
         const StateVector a = fused.simulate_qaoa(gammas, betas);
-        const StateVector b = unfused.simulate_qaoa(gammas, betas);
+        const StateVector b =
+            testing::unfused_simulate(fused, gammas, betas);
         if (a.max_abs_diff(b) != 0.0) {
           std::fprintf(stderr, "FUSED != UNFUSED at n=%d exec=%d\n", n,
                        static_cast<int>(exec));
@@ -107,12 +103,13 @@ int main(int argc, char** argv) {
       }
 
       StateVector state = fused.initial_state();
-      const auto run = [&](const FurQaoaSimulator& sim) {
-        state = sim.simulate_qaoa_from(std::move(state), gammas, betas);
-      };
-      const double unfused_s =
-          time_best(reps, [&] { run(unfused); }) / layers;
-      const double fused_s = time_best(reps, [&] { run(fused); }) / layers;
+      const double unfused_s = time_best(reps, [&] {
+        state = testing::unfused_evolve(fused, std::move(state), gammas,
+                                        betas);
+      }) / layers;
+      const double fused_s = time_best(reps, [&] {
+        state = fused.simulate_qaoa_from(std::move(state), gammas, betas);
+      }) / layers;
 
       const char* exec_name = exec == Exec::Serial ? "serial" : "parallel";
       results.push_back({n, exec_name, unfused_s * 1e9, fused_s * 1e9,

@@ -1,14 +1,11 @@
 #include "api/spec.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
-#include "common/aligned.hpp"
-#include "common/machine_probe.hpp"
 #include "diagonal/ops.hpp"
 #include "dist/dist_fur.hpp"
 #include "gatesim/execute.hpp"
@@ -135,10 +132,6 @@ bool apply_option(std::string_view token, std::string_view name,
     ok = parse_int_option(value, name, &spec->initial_weight);
   } else if (key == "seed") {
     ok = parse_int_option(value, name, &spec->sample_seed);
-  } else if (key == "pipeline") {
-    if (value == "auto") spec->pipeline = pipeline::PipelineMode::Auto, ok = true;
-    else if (value == "on") spec->pipeline = pipeline::PipelineMode::On, ok = true;
-    else if (value == "off") spec->pipeline = pipeline::PipelineMode::Off, ok = true;
   } else if (key == "prec") {
     if (value == "auto") spec->prec = Prec::Auto, ok = true;
     else if (value == "f32") spec->prec = Prec::F32, ok = true;
@@ -229,9 +222,6 @@ std::string SimulatorSpec::to_string() const {
     out += exec == Exec::Serial ? ":exec=serial" : ":exec=parallel";
   if (initial_weight >= 0)
     out += ":weight=" + std::to_string(initial_weight);
-  if (pipeline != pipeline::PipelineMode::Auto)
-    out += pipeline == pipeline::PipelineMode::On ? ":pipeline=on"
-                                                  : ":pipeline=off";
   if (sample_seed != 1) out += ":seed=" + std::to_string(sample_seed);
   if (prec != Prec::Auto)
     out += prec == Prec::F32 ? ":prec=f32" : ":prec=f64";
@@ -318,23 +308,6 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
 
 }  // namespace
 
-// The gauges keep their historical qokit_tune_ names so existing
-// dashboards still read them.
-pipeline::Geometry apply_machine(const MachineTopology& topo) {
-  const pipeline::Geometry g =
-      pipeline::Geometry::for_caches(topo.l1d_bytes, topo.l2_bytes);
-  const int threads = std::max(1, topo.physical_cores);
-#if defined(_OPENMP)
-  if (std::getenv("OMP_NUM_THREADS") == nullptr) omp_set_num_threads(threads);
-#endif
-  if (topo.numa_nodes > 1) set_first_touch_enabled(true);
-  obs::gauge("qokit_tune_tile_log2").set(g.tile_log2);
-  obs::gauge("qokit_tune_group_qubits").set(g.group_qubits);
-  obs::gauge("qokit_tune_chunk_log2").set(g.chunk_log2);
-  obs::gauge("qokit_tune_threads").set(threads);
-  return g;
-}
-
 namespace {
 
 /// True when the combination a spec resolves to can evolve f32 amplitudes:
@@ -373,7 +346,6 @@ void record_precision(Precision prec) {
 
 std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     const TermList& terms, const SimulatorSpec& spec) {
-  static const pipeline::Geometry geometry = apply_machine(probe_machine());
   const Precision prec = resolve_precision(spec);
   if (prec == Precision::F32 && !supports_f32(spec))
     throw std::invalid_argument(
@@ -404,11 +376,8 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
             "-qubit problem");
       return std::make_unique<DistributedFurSimulator>(
           terms,
-          DistConfig{.ranks = spec.ranks,
-                     .strategy = spec.alltoall,
-                     .pipeline = {.mode = spec.pipeline,
-                                  .geometry = geometry},
-                     .prec = prec});
+          DistConfig{
+              .ranks = spec.ranks, .strategy = spec.alltoall, .prec = prec});
     case Backend::Gatesim:
       return std::make_unique<GateSimAdapter>(terms, spec);
     default: {
@@ -416,8 +385,6 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
       cfg.exec = spec.exec;
       cfg.mixer = spec.mixer;
       cfg.initial_weight = spec.initial_weight;
-      cfg.pipeline.mode = spec.pipeline;
-      cfg.pipeline.geometry = geometry;
       cfg.prec = prec;
       if (spec.backend == Backend::U16) cfg.use_u16 = true;
       if (spec.backend == Backend::Fwht) {

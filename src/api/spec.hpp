@@ -18,7 +18,6 @@
 #include "dist/alltoall.hpp"
 #include "fur/mixers.hpp"
 #include "fur/simulator.hpp"
-#include "pipeline/layer_plan.hpp"
 #include "terms/term.hpp"
 
 namespace qokit {
@@ -53,7 +52,8 @@ enum class Prec {
 /// spec configures the one simulator built from it and nothing else:
 /// process-wide settings have one switch each -- the kernel family
 /// QOKIT_SIMD / force_simd_level, instrumentation QOKIT_OBS /
-/// obs::set_enabled.
+/// obs::set_enabled. X-mixer layers always run the fused pipeline, so no
+/// option selects it.
 ///
 /// String grammar (SimulatorSpec::parse):
 ///
@@ -66,7 +66,6 @@ enum class Prec {
 ///            | "alltoall=" ("staged" | "pairwise" | "direct")
 ///            | "weight="   <int>                (Dicke weight, xy mixers)
 ///            | "seed="     <uint64>             (sampling seed)
-///            | "pipeline=" ("auto" | "on" | "off")
 ///            | "prec="     ("auto" | "f32" | "f64")
 ///
 /// Any other token throws std::invalid_argument naming the offending
@@ -84,11 +83,6 @@ struct SimulatorSpec {
   AlltoallStrategy alltoall = AlltoallStrategy::Staged;  ///< Dist only
   int initial_weight = -1;  ///< Dicke weight for xy mixers; -1 = n/2
   std::uint64_t sample_seed = 1;  ///< base seed for drawn bitstrings
-  /// Cache-blocked fused layer execution (src/pipeline/). Auto follows
-  /// QOKIT_PIPELINE (on unless the env says off); Off pins the unfused
-  /// oracle path, bit-identical by contract. Ignored by Backend::Gatesim
-  /// (gate-at-a-time evolution has no layer plan).
-  pipeline::PipelineMode pipeline = pipeline::PipelineMode::Auto;
   /// Amplitude scalar width (see enum Prec). Auto = QOKIT_PREC env, else
   /// f64; to_string() elides Auto so default spellings are unchanged.
   Prec prec = Prec::Auto;
@@ -111,22 +105,11 @@ struct SimulatorSpec {
 /// std::invalid_argument on semantically invalid combinations (fwht or
 /// dist with a non-X mixer).
 ///
-/// The first call probes the machine (probe_machine) and applies the
-/// result once per process: every simulator gets the pipeline geometry
-/// Geometry::for_caches(L1d, L2); OpenMP runs one thread per physical
-/// core unless OMP_NUM_THREADS is set; NUMA first-touch placement turns
-/// on when there is more than one node. None of these changes a result
-/// bit.
+/// Every fur and dist simulator it builds runs the fixed pipeline
+/// geometry, pipeline::Geometry::defaults(). It changes no process-wide
+/// setting: with OMP_NUM_THREADS unset, OpenMP's own default picks the
+/// thread count.
 std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     const TermList& terms, const SimulatorSpec& spec);
-
-struct MachineTopology;  // common/machine_probe.hpp
-
-/// The rules make_simulator's first call runs on probe_machine(): set the
-/// thread count and first-touch switch above for `topo` process-wide,
-/// publish the qokit_tune_* gauges, and return Geometry::for_caches of its
-/// caches. Separate from the probe so the rules can be checked against a
-/// pinned topology.
-pipeline::Geometry apply_machine(const MachineTopology& topo);
 
 }  // namespace qokit

@@ -109,9 +109,9 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
   const int nl = n - log2_ranks_;
   local_plan_ = pipeline::LayerPlan::build(nl, MixerType::X,
                                            MixerBackend::Fused,
-                                           cfg_.pipeline);
+                                           cfg_.geometry);
   global_sweep_plan_ = pipeline::LayerPlan::build_rx_sweep(
-      nl, nl - log2_ranks_, nl, cfg_.pipeline);
+      nl, nl - log2_ranks_, nl, cfg_.geometry);
 }
 
 StateVector DistributedFurSimulator::initial_state() const {
@@ -121,47 +121,34 @@ StateVector DistributedFurSimulator::initial_state() const {
 namespace {
 
 /// One rank team's full schedule over the sharded amplitude array, at
-/// either precision. Mirrors FurQaoaSimulator::simulate_qaoa_from's fused/
-/// unfused split, per-rank and with Exec::Serial throughout (the K rank
-/// threads are the parallelism).
+/// either precision: Algorithm 4 with the rank-local phase + low-qubit
+/// mixing run as tiled passes over the slice, and, after the alltoall
+/// reorder, the swapped-in global qubits mixed by the same strided
+/// tiling. Exec::Serial throughout (the K rank threads are the
+/// parallelism).
 template <class T>
 void dist_schedule(const VirtualRankWorld& world,
                    const pipeline::LayerPlan& local_plan,
                    const pipeline::LayerPlan& global_sweep_plan,
                    std::complex<T>* data, std::uint64_t local,
-                   const double* costs, int n, int g,
+                   const double* costs, int g,
                    std::span<const double> gammas,
                    std::span<const double> betas) {
   world.run([&](Communicator& comm) {
     const std::uint64_t base = static_cast<std::uint64_t>(comm.rank()) * local;
     std::complex<T>* slice = data + base;
-    const double* diag_slice = costs + base;
-    if (local_plan.active()) {
-      // Fused Algorithm 4: the rank-local phase + low-qubit mixing run as
-      // tiled passes over the slice, and after the alltoall reorder the
-      // swapped-in global qubits get the same strided tiling.
-      const pipeline::PhaseCtxT<T> ctx{.costs = diag_slice};
-      const std::uint64_t block = local >> g;
-      for (std::size_t l = 0; l < gammas.size(); ++l) {
-        pipeline::run_layer(local_plan, slice, local, ctx, gammas[l],
-                            betas[l], Exec::Serial);
-        if (g > 0) {
-          comm.alltoall(slice, block);
-          pipeline::run_sweep(global_sweep_plan, slice, local,
-                              std::cos(betas[l]), std::sin(betas[l]),
-                              Exec::Serial);
-          comm.alltoall(slice, block);
-        }
-      }
-      return;
-    }
-    // Algorithm 4, unfused (the pipeline's oracle): per layer one local
-    // phase multiply against the cached slice and one distributed mixer
-    // (local qubits in place, global ones through the alltoall
-    // reordering).
+    const pipeline::PhaseCtxT<T> ctx{.costs = costs + base};
+    const std::uint64_t block = local >> g;
     for (std::size_t l = 0; l < gammas.size(); ++l) {
-      apply_phase_slice(slice, diag_slice, local, gammas[l], Exec::Serial);
-      dist::apply_mixer_x(comm, slice, local, n, betas[l]);
+      pipeline::run_layer(local_plan, slice, local, ctx, gammas[l], betas[l],
+                          Exec::Serial);
+      if (g > 0) {
+        comm.alltoall(slice, block);
+        pipeline::run_sweep(global_sweep_plan, slice, local,
+                            std::cos(betas[l]), std::sin(betas[l]),
+                            Exec::Serial);
+        comm.alltoall(slice, block);
+      }
     }
   });
 }
@@ -181,14 +168,13 @@ StateVector DistributedFurSimulator::simulate_qaoa_from(
   span.attr("ranks", cfg_.ranks);
   const std::uint64_t local = state.size() >> log2_ranks_;
   const double* costs = diag_.data();
-  const int n = num_qubits();
   const int g = log2_ranks_;
   if (state.precision() == Precision::F32)
     dist_schedule(world_, local_plan_, global_sweep_plan_, state.data_f32(),
-                  local, costs, n, g, gammas, betas);
+                  local, costs, g, gammas, betas);
   else
     dist_schedule(world_, local_plan_, global_sweep_plan_, state.data(),
-                  local, costs, n, g, gammas, betas);
+                  local, costs, g, gammas, betas);
   // The slices live in one contiguous buffer and the exchange is undone
   // every layer, so the "gather" is free.
   return state;

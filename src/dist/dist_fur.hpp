@@ -54,10 +54,10 @@ double expectation_slice(Communicator& comm, const cfloat* local,
 struct DistConfig {
   int ranks = 2;  ///< virtual rank count K; must be a power of two
   AlltoallStrategy strategy = AlltoallStrategy::Staged;
-  /// Fused layer execution on the rank-local slices (phase fused into the
-  /// first local mixer sweep, tiled butterflies between the alltoall
-  /// reorders); bit-identical to the unfused per-rank loop.
-  pipeline::PipelineOptions pipeline{};
+  /// Tiling of the fused layer execution on the rank-local slices (phase
+  /// fused into the first local mixer sweep, tiled butterflies between
+  /// the alltoall reorders). Any value gives the same bits.
+  pipeline::Geometry geometry = pipeline::Geometry::defaults();
   /// Amplitude scalar width for the sharded state. F32 halves both the
   /// per-rank slice memory and every alltoall's exchanged bytes; the
   /// diagonal and the allreduce stay double.
@@ -104,7 +104,7 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
   int global_qubits() const { return log2_ranks_; }
 
   /// The fused plan each rank runs on its local slice (built once, for
-  /// the local qubit count); inactive when the pipeline is disabled.
+  /// the local qubit count).
   const pipeline::LayerPlan& layer_plan() const { return local_plan_; }
 
  private:

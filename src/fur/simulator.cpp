@@ -102,7 +102,7 @@ FurQaoaSimulator::FurQaoaSimulator(const TermList& terms, FurConfig cfg)
     : cfg_(cfg),
       diag_(CostDiagonal::precompute(terms, cfg.exec, cfg.precompute)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
-                                       cfg.backend, cfg.pipeline)) {
+                                       cfg.backend, cfg.geometry)) {
   check_prec_mixer(cfg_);
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
 }
@@ -111,7 +111,7 @@ FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
     : cfg_(cfg),
       diag_(std::move(costs)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
-                                       cfg.backend, cfg.pipeline)) {
+                                       cfg.backend, cfg.geometry)) {
   check_prec_mixer(cfg_);
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
 }
@@ -139,7 +139,7 @@ StateVector FurQaoaSimulator::simulate_qaoa_from(
     // Fused layer pipeline: the phase multiply rides the first mixer
     // sweep and butterflies run in cache-blocked tiles, cutting full
     // sweeps per layer from n + 1 to plan_.full_sweeps() — bit-identical
-    // to the unfused loop below (the traversal changes, the per-amplitude
+    // to the unfused loop (the traversal changes, the per-amplitude
     // arithmetic does not). Dispatch on the state's own precision so a
     // caller-provided f64 state through an f32 simulator still evolves
     // correctly (and vice versa).
@@ -151,9 +151,9 @@ StateVector FurQaoaSimulator::simulate_qaoa_from(
                      diag16_, gammas, betas, cfg_.exec);
     return state;
   }
-  // Algorithm 3, unfused (the pipeline's correctness oracle): per layer,
-  // one elementwise phase multiply from the cached diagonal and one
-  // in-place mixer transform. Nothing scales with |T|.
+  // Algorithm 3, unfused, for the xy mixers (ordered two-qubit products
+  // that no tile can fuse): per layer, one elementwise phase multiply
+  // from the cached diagonal and one in-place mixer transform.
   for (std::size_t l = 0; l < gammas.size(); ++l) {
     if (cfg_.use_u16)
       apply_phase(state, diag16_, gammas[l], cfg_.exec);
@@ -173,7 +173,7 @@ double FurQaoaSimulator::simulate_qaoa_expectation(
     throw std::invalid_argument("simulate_qaoa: state size mismatch");
   if (gammas.empty() || !plan_.active() ||
       !pipeline::can_fuse_expectation(plan_, state.size())) {
-    // Two-pass oracle: unfused backends, tiny states, empty schedules.
+    // Two-pass path: xy mixers, tiny states, empty schedules.
     state = simulate_qaoa_from(std::move(state), gammas, betas);
     return get_expectation(state);
   }

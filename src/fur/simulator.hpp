@@ -30,10 +30,10 @@ struct FurConfig {
   bool use_u16 = false;             ///< store/apply the uint16 diagonal
   int initial_weight = -1;          ///< Dicke weight for xy mixers; -1 = n/2
   PrecomputeStrategy precompute = PrecomputeStrategy::ElementMajor;
-  /// Cache-blocked fused layer execution (src/pipeline/): on by default
-  /// for X-mixer layers, bit-identical to the unfused loop, which remains
-  /// selectable as the oracle via mode = Off or QOKIT_PIPELINE=off.
-  pipeline::PipelineOptions pipeline{};
+  /// Tiling of the fused layer pipeline (src/pipeline/) that runs every
+  /// X-mixer layer. Any value gives the same bits; tests shrink it to
+  /// reach tile-boundary shapes on small states.
+  pipeline::Geometry geometry = pipeline::Geometry::defaults();
   /// Amplitude scalar width. F32 halves state memory and DRAM traffic per
   /// sweep; the diagonal, all angles, and every reduction stay double (see
   /// DESIGN.md "Mixed precision"). X mixer only — the ctor rejects F32
@@ -155,9 +155,9 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
   const DiagonalU16& diagonal_u16() const;
 
   /// The fused layer plan built at construction (once per simulator, and
-  /// therefore once per session/batch — every schedule reuses it). When
-  /// inactive — pipeline disabled, or an xy mixer — simulate_qaoa_from
-  /// runs the unfused loop and fallback_reason() says why.
+  /// therefore once per session/batch — every schedule reuses it). It is
+  /// inactive only for the xy mixers: simulate_qaoa_from then runs the
+  /// unfused loop and fallback_reason() says why.
   const pipeline::LayerPlan& layer_plan() const { return plan_; }
 
  private:

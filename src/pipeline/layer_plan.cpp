@@ -1,19 +1,8 @@
 #include "pipeline/layer_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace qokit::pipeline {
-
-bool pipeline_disabled_by_env() {
-  const char* v = std::getenv("QOKIT_PIPELINE");
-  if (!v) return false;
-  // "false" included because YAML CI configs coerce a bare `off` to the
-  // boolean false before it reaches the environment.
-  return std::strcmp(v, "off") == 0 || std::strcmp(v, "OFF") == 0 ||
-         std::strcmp(v, "0") == 0 || std::strcmp(v, "false") == 0;
-}
 
 namespace {
 
@@ -23,23 +12,23 @@ namespace {
 // >= 4 when the pass's lowest qubit allows it (>= 2 always, which keeps
 // butterfly pair ranges even-aligned) and never exceed that qubit's
 // stride, so a chunk cannot cross a row boundary.
-int clamped_tile(const PipelineOptions& opts) {
-  return std::clamp(opts.geometry.tile_log2, 2, 30);
+int clamped_tile(const Geometry& geometry) {
+  return std::clamp(geometry.tile_log2, 2, 30);
 }
 
 LayerPass make_tile_pass(int q_begin, int q_end, PassButterfly butterfly,
-                         PassPhase pre, const PipelineOptions& opts) {
+                         PassPhase pre, const Geometry& geometry) {
   return LayerPass{.strided = false,
                    .q_begin = q_begin,
                    .q_end = q_end,
                    .butterfly = butterfly,
                    .pre = pre,
                    .post = PassPhase::None,
-                   .width_log2 = clamped_tile(opts)};
+                   .width_log2 = clamped_tile(geometry)};
 }
 
 LayerPass make_strided_pass(int q_begin, int q_end, PassButterfly butterfly,
-                            const PipelineOptions& opts) {
+                            const Geometry& geometry) {
   return LayerPass{
       .strided = true,
       .q_begin = q_begin,
@@ -47,7 +36,7 @@ LayerPass make_strided_pass(int q_begin, int q_end, PassButterfly butterfly,
       .butterfly = butterfly,
       .pre = PassPhase::None,
       .post = PassPhase::None,
-      .width_log2 = std::clamp(opts.geometry.chunk_log2,
+      .width_log2 = std::clamp(geometry.chunk_log2,
                                std::min(2, q_begin), q_begin)};
 }
 
@@ -55,39 +44,27 @@ LayerPass make_strided_pass(int q_begin, int q_end, PassButterfly butterfly,
 
 LayerPlan LayerPlan::build(int num_qubits, MixerType mixer,
                            MixerBackend backend,
-                           const PipelineOptions& opts) {
+                           const Geometry& geometry) {
   LayerPlan plan;
   plan.n_ = num_qubits;
-  plan.opts_ = opts;
   if (mixer != MixerType::X) {
-    // Checked first so the diagnostic names the structural reason even
-    // when the pipeline is also disabled by options or environment.
     plan.reason_ = std::string("mixer=") +
                    (mixer == MixerType::XYRing ? "xyring" : "xycomplete") +
                    ": ordered two-qubit XY rotations cannot be tile-fused; "
                    "using the unfused path";
     return plan;
   }
-  if (opts.mode == PipelineMode::Off) {
-    plan.reason_ = "pipeline=off: unfused oracle path selected by options";
-    return plan;
-  }
-  if (opts.mode == PipelineMode::Auto && pipeline_disabled_by_env()) {
-    plan.reason_ = "QOKIT_PIPELINE=off: unfused oracle path selected by "
-                   "environment";
-    return plan;
-  }
 
-  const int g = std::max(1, opts.geometry.group_qubits);
-  const int m = std::min(num_qubits, clamped_tile(opts));
+  const int g = std::max(1, geometry.group_qubits);
+  const int m = std::min(num_qubits, clamped_tile(geometry));
 
   const auto add_tile = [&](PassButterfly butterfly, PassPhase pre) {
-    plan.passes_.push_back(make_tile_pass(0, m, butterfly, pre, opts));
+    plan.passes_.push_back(make_tile_pass(0, m, butterfly, pre, geometry));
   };
   const auto add_groups = [&](PassButterfly butterfly) {
     for (int q0 = m; q0 < num_qubits; q0 += g)
       plan.passes_.push_back(make_strided_pass(
-          q0, std::min(q0 + g, num_qubits), butterfly, opts));
+          q0, std::min(q0 + g, num_qubits), butterfly, geometry));
   };
 
   if (backend == MixerBackend::Fused) {
@@ -111,25 +88,24 @@ LayerPlan LayerPlan::build(int num_qubits, MixerType mixer,
 }
 
 LayerPlan LayerPlan::build_rx_sweep(int num_qubits, int q_begin, int q_end,
-                                    const PipelineOptions& opts) {
+                                    const Geometry& geometry) {
   LayerPlan plan;
   plan.n_ = num_qubits;
-  plan.opts_ = opts;
-  const int g = std::max(1, opts.geometry.group_qubits);
+  const int g = std::max(1, geometry.group_qubits);
   int q0 = q_begin;
-  const int tile_end = std::min(q_end, clamped_tile(opts));
+  const int tile_end = std::min(q_end, clamped_tile(geometry));
   if (q0 < tile_end) {
     // Qubits with in-tile stride go through a contiguous tile pass; only
     // the higher qubits need row gathering. A strided pass from qubit 1
     // would gather 2-amplitude chunks, cutting the higher qubits' runs
     // below the f32 vector width where the unfused sweep keeps them whole.
     plan.passes_.push_back(make_tile_pass(q0, tile_end, PassButterfly::Rx,
-                                          PassPhase::None, opts));
+                                          PassPhase::None, geometry));
     q0 = tile_end;
   }
   for (; q0 < q_end; q0 += g)
     plan.passes_.push_back(make_strided_pass(q0, std::min(q0 + g, q_end),
-                                             PassButterfly::Rx, opts));
+                                             PassButterfly::Rx, geometry));
   plan.active_ = true;
   plan.reason_.clear();
   return plan;

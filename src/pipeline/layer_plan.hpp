@@ -11,7 +11,7 @@
 //
 // A LayerPlan is the static schedule of that execution, built once per
 // simulator (and therefore once per session/batch — every schedule reuses
-// it) from the qubit count, mixer choice, and tiling options:
+// it) from the qubit count, mixer choice, and tiling geometry:
 //
 //  - One leading *tile pass*: contiguous 2^t-amplitude tiles; each tile is
 //    phase-multiplied and then swept by every butterfly with stride inside
@@ -22,9 +22,9 @@
 //
 // Full-array sweeps per layer drop from n + 1 to 1 + ceil((n - t)/g); the
 // per-amplitude arithmetic is untouched (fusion only reorders the memory
-// traversal), so the pipeline is bit-identical to the unfused loop — which
-// stays available as the correctness oracle via QOKIT_PIPELINE=off or
-// PipelineMode::Off (see layer_exec.hpp for the determinism argument).
+// traversal), so the pipeline is bit-identical to the unfused loop, which
+// lives on as the test oracle in tests/support/unfused_oracle.hpp (see
+// layer_exec.hpp for the determinism argument).
 #pragma once
 
 #include <span>
@@ -35,27 +35,6 @@
 #include "pipeline/geometry.hpp"
 
 namespace qokit::pipeline {
-
-/// Whether a simulator builds an active plan. Auto defers to the
-/// QOKIT_PIPELINE environment variable ("off"/"0" disables); On ignores
-/// the environment; Off forces the unfused oracle path.
-enum class PipelineMode { Auto, On, Off };
-
-/// Construction-time tiling knobs, carried by FurConfig / DistConfig and
-/// (mode only) by SimulatorSpec. The geometry defaults are safe for any n
-/// (make_simulator swaps in Geometry::for_caches of the probed machine);
-/// tests shrink them to exercise tile-boundary edge cases on small states.
-struct PipelineOptions {
-  PipelineMode mode = PipelineMode::Auto;
-  Geometry geometry = Geometry::defaults();
-
-  friend bool operator==(const PipelineOptions&, const PipelineOptions&) =
-      default;
-};
-
-/// True when QOKIT_PIPELINE is set to "off" or "0" (checked at plan-build
-/// time, i.e. simulator construction — not per layer).
-bool pipeline_disabled_by_env();
 
 /// Elementwise work attached to a pass (applied per cache-resident unit).
 enum class PassPhase {
@@ -85,29 +64,29 @@ struct LayerPass {
 
 /// The fused execution schedule for one QAOA layer over a 2^n-amplitude
 /// array (the full state, or one rank's slice in the distributed
-/// simulator). Inactive plans carry a human-readable fallback reason and
-/// the caller runs the unfused loop instead.
+/// simulator). Only the xy mixers get an inactive plan: it carries a
+/// human-readable fallback reason and the caller runs the unfused loop.
 class LayerPlan {
  public:
   LayerPlan() = default;  ///< inactive; reason "no plan built"
 
   /// Plan one layer for an n-qubit array under `mixer`/`backend`.
-  /// X-mixer layers (Fused and Fwht backends) plan fused passes; the xy
-  /// mixers are ordered two-qubit products and return an inactive plan
-  /// naming that reason. Options are clamped to valid ranges (tile and
-  /// chunk never below 4 amplitudes, chunk never above the pass's lowest
-  /// qubit) so any option combination yields a runnable plan.
+  /// X-mixer layers (Fused and Fwht backends) always plan fused passes;
+  /// the xy mixers are ordered two-qubit products and return an inactive
+  /// plan naming that reason. The geometry is clamped to valid ranges
+  /// (tile and chunk never below 4 amplitudes, chunk never above the
+  /// pass's lowest qubit) so any Geometry value yields a runnable plan.
   static LayerPlan build(int num_qubits, MixerType mixer,
-                         MixerBackend backend, const PipelineOptions& opts);
+                         MixerBackend backend, const Geometry& geometry);
 
   /// Plan a butterfly-only RX sweep over qubits [q_begin, q_end) of an
   /// n-qubit array: a contiguous tile pass for the qubits whose stride
   /// fits a tile, then strided groups — the same clamp and alignment
   /// rules as build(), kept in one place. The distributed
   /// simulator builds this once for the post-alltoall global-qubit mix.
-  /// Always active (mode/mixer gating belongs to the caller's main plan).
+  /// Always active.
   static LayerPlan build_rx_sweep(int num_qubits, int q_begin, int q_end,
-                                  const PipelineOptions& opts);
+                                  const Geometry& geometry);
 
   bool active() const noexcept { return active_; }
   /// Why the plan is inactive (empty when active) — the pinned diagnostic
@@ -116,7 +95,6 @@ class LayerPlan {
 
   std::span<const LayerPass> passes() const noexcept { return passes_; }
   int num_qubits() const noexcept { return n_; }
-  const PipelineOptions& options() const noexcept { return opts_; }
 
   /// Full-array sweeps one layer performs — the pipeline's figure of
   /// merit. The unfused loop costs n + 1 (n + 2 counting the cost read;
@@ -128,7 +106,6 @@ class LayerPlan {
  private:
   bool active_ = false;
   int n_ = 0;
-  PipelineOptions opts_;
   std::string reason_ = "no plan built";
   std::vector<LayerPass> passes_;
 };

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "statevector/state.hpp"
 
 namespace qokit::serve {
 namespace {
@@ -79,6 +80,24 @@ int bind_unix_listener(const std::string& path, int backlog) {
                             "ScheduleServer: bind/listen on " + path);
   }
   return fd;
+}
+
+/// Refuse a problem whose smallest possible session (f32 amplitudes)
+/// exceeds the state-vector limit or the cache budget, so an oversized
+/// request never reaches an allocation.
+void check_fits(const TermList& terms, std::uint64_t budget) {
+  const int n = terms.num_qubits();
+  if (n > kMaxQubits)
+    throw std::invalid_argument("serve: " + std::to_string(n) +
+                                " qubits exceed the " +
+                                std::to_string(kMaxQubits) + "-qubit limit");
+  const std::uint64_t bytes =
+      session_footprint_bytes(n, terms.size(), Precision::F32);
+  if (bytes > budget)
+    throw std::invalid_argument(
+        "serve: a " + std::to_string(n) + "-qubit session needs at least " +
+        std::to_string(bytes) + " bytes, over the " +
+        std::to_string(budget) + "-byte cache budget");
 }
 
 Response immediate(Status status, std::string error) {
@@ -181,8 +200,10 @@ Response ScheduleServer::handle(Request& request,
   try {
     if (request.terms.num_qubits() < 1)
       throw std::invalid_argument("serve: request carries no problem terms");
-    // Before the checkout, so a bad schedule never pays a miss's precompute.
+    // Before the checkout, so a bad schedule or an oversized problem never
+    // pays a miss's precompute or allocation.
     for (const QaoaParams& s : request.schedules) s.check();
+    check_fits(request.terms, config_.cache_bytes);
     SessionLease lease = cache_.checkout(request.terms, request.spec);
     response.cache_hit = lease.hit();
     span.attr("cache_hit", static_cast<std::int64_t>(lease.hit() ? 1 : 0));

@@ -44,13 +44,18 @@ std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec) {
 
 std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
                                       Precision prec) {
-  const std::uint64_t dim = std::uint64_t{1} << num_qubits;
   // f64 diagonal + three statevectors (cached initial state, scalar
   // scratch, one batch-pool slot) at the session's actual amplitude width
   // (16 bytes f64, 8 bytes f32), plus the terms and a fixed allowance for
   // the plan/object headers.
-  return dim * (8 + 3 * amplitude_bytes(prec)) + num_terms * sizeof(Term) +
-         4096;
+  const std::uint64_t per_amp = 8 + 3 * amplitude_bytes(prec);
+  const std::uint64_t fixed = num_terms * sizeof(Term) + 4096;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  // The wire admits up to 63 qubits: saturate instead of wrapping.
+  if (num_qubits >= 64 ||
+      (std::uint64_t{1} << num_qubits) > (kMax - fixed) / per_amp)
+    return kMax;
+  return (std::uint64_t{1} << num_qubits) * per_amp + fixed;
 }
 
 std::uint64_t session_footprint_bytes(const api::ProblemSession& session) {

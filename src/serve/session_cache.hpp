@@ -51,7 +51,8 @@ std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec);
 /// accounting -- it only needs to be monotone in n for LRU pressure to
 /// behave. The statevector buffers are charged at `prec`'s actual
 /// amplitude width, so an f32 session costs roughly half an f64 one and
-/// the LRU budget admits correspondingly more of them.
+/// the LRU budget admits correspondingly more of them. Saturates at
+/// UINT64_MAX for sizes no 64-bit count can hold.
 std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
                                       Precision prec = Precision::F64);
 

@@ -1,20 +1,23 @@
 // The cache-blocked fused layer pipeline (src/pipeline/) must be
 // *bit-identical* -- not merely close -- to the unfused per-qubit layer
-// loop it replaces, across every backend (serial / threaded / u16 / fwht /
-// dist:2 / dist:4:pairwise), both Exec policies, and both SIMD kernel
-// families; fusion reorders the memory traversal, never the per-amplitude
+// loop it replaces (tests/support/unfused_oracle.hpp), across every
+// backend (serial / threaded / u16 / fwht / dist:2 / dist:4:pairwise),
+// both Exec policies, both SIMD kernel families and both precisions;
+// fusion reorders the memory traversal, never the per-amplitude
 // arithmetic. Also pins the plan's pass-count math, the tile-boundary edge
-// cases (n < t, n == t, odd high-qubit remainders), and the unfused
-// fallback (with diagnostic) for the xy mixers.
+// cases (n < t, n == t, odd high-qubit remainders), that every X-mixer
+// plan is active, and the unfused fallback (with diagnostic) for the xy
+// mixers.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "api/qokit.hpp"
 #include "common/cpu_features.hpp"
 #include "pipeline/layer_exec.hpp"
+#include "support/unfused_oracle.hpp"
 
 namespace qokit {
 namespace {
@@ -50,21 +53,31 @@ QaoaParams test_schedule() {
   return s;
 }
 
-/// Fused (spec as given) vs unfused (same spec, pipeline=off) evolution,
-/// expectation, and overlap must agree bitwise.
+/// Bitwise equality of two evolved states at either precision.
+bool same_bits(const StateVector& a, const StateVector& b) {
+  if (a.precision() != b.precision() || a.size() != b.size()) return false;
+  return a.precision() == Precision::F32
+             ? std::memcmp(a.data_f32(), b.data_f32(),
+                           a.size() * sizeof(cfloat)) == 0
+             : std::memcmp(a.data(), b.data(), a.size() * sizeof(cdouble)) ==
+                   0;
+}
+
+/// The fused evolution of the simulator `name` builds must equal the
+/// unfused oracle's byte for byte, and its simulate+reduce expectation
+/// must equal the two-pass expectation of the oracle state.
 void expect_fused_matches_oracle(const TermList& terms,
                                  const std::string& name) {
-  const SimulatorSpec spec = SimulatorSpec::parse(name);
-  SimulatorSpec oracle_spec = spec;
-  oracle_spec.pipeline = pipeline::PipelineMode::Off;
-  const auto fused = make_simulator(terms, spec);
-  const auto oracle = make_simulator(terms, oracle_spec);
+  const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
   const QaoaParams sched = test_schedule();
-  const StateVector a = fused->simulate_qaoa(sched.gammas, sched.betas);
-  const StateVector b = oracle->simulate_qaoa(sched.gammas, sched.betas);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0) << name;
-  EXPECT_EQ(fused->get_expectation(a), oracle->get_expectation(b)) << name;
-  EXPECT_EQ(fused->get_overlap(a), oracle->get_overlap(b)) << name;
+  const StateVector fused = sim->simulate_qaoa(sched.gammas, sched.betas);
+  const StateVector oracle =
+      testing::unfused_simulate(*sim, sched.gammas, sched.betas);
+  EXPECT_TRUE(same_bits(fused, oracle)) << name;
+  StateVector state = sim->initial_state();
+  EXPECT_EQ(sim->simulate_qaoa_expectation(state, sched.gammas, sched.betas),
+            sim->get_expectation(oracle))
+      << name;
 }
 
 class PipelineCrossValidationTest
@@ -77,11 +90,12 @@ TEST_P(PipelineCrossValidationTest, FusedEqualsUnfusedOnEveryBackend) {
   SimdLevelGuard guard;
   for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
     force_simd_level(level);
-    for (const char* name :
+    for (const std::string name :
          {"serial", "threaded", "auto:exec=serial", "u16", "fwht",
           "fwht:exec=serial", "u16:exec=serial", "dist:2",
           "dist:4:pairwise"})
-      expect_fused_matches_oracle(terms, name);
+      for (const char* prec : {"", ":prec=f32"})
+        expect_fused_matches_oracle(terms, name + prec);
   }
 }
 
@@ -98,39 +112,25 @@ TermList tiling_problem(int n) {
   return t;
 }
 
-/// Bitwise equality of two evolved states at either precision.
-bool same_bits(const StateVector& a, const StateVector& b) {
-  if (a.precision() != b.precision() || a.size() != b.size()) return false;
-  return a.precision() == Precision::F32
-             ? std::memcmp(a.data_f32(), b.data_f32(),
-                           a.size() * sizeof(cfloat)) == 0
-             : std::memcmp(a.data(), b.data(), a.size() * sizeof(cdouble)) ==
-                   0;
-}
-
-/// Build fused/unfused FurQaoaSimulator pairs with custom tiling and
-/// assert bitwise identity of the evolved state.
+/// Build a FurQaoaSimulator with custom tiling and assert that its fused
+/// evolution equals the unfused oracle's bitwise.
 void expect_tiling_identical(int n, int tile_log2, int group_qubits,
                              int chunk_log2, bool use_u16,
                              MixerBackend backend, Exec exec,
                              Precision prec = Precision::F64) {
   const TermList terms = tiling_problem(n);
-  FurConfig fused;
-  fused.exec = exec;
-  fused.use_u16 = use_u16;
-  fused.backend = backend;
-  fused.prec = prec;
-  fused.pipeline = {.mode = pipeline::PipelineMode::On,
-                    .geometry = {tile_log2, group_qubits, chunk_log2}};
-  FurConfig oracle = fused;
-  oracle.pipeline.mode = pipeline::PipelineMode::Off;
-  const FurQaoaSimulator a(terms, fused);
-  const FurQaoaSimulator b(terms, oracle);
-  ASSERT_TRUE(a.layer_plan().active());
-  ASSERT_FALSE(b.layer_plan().active());
+  FurConfig cfg;
+  cfg.exec = exec;
+  cfg.use_u16 = use_u16;
+  cfg.backend = backend;
+  cfg.prec = prec;
+  cfg.geometry = {tile_log2, group_qubits, chunk_log2};
+  const FurQaoaSimulator sim(terms, cfg);
+  ASSERT_TRUE(sim.layer_plan().active());
   const QaoaParams sched = test_schedule();
-  EXPECT_TRUE(same_bits(a.simulate_qaoa(sched.gammas, sched.betas),
-                        b.simulate_qaoa(sched.gammas, sched.betas)))
+  EXPECT_TRUE(same_bits(
+      sim.simulate_qaoa(sched.gammas, sched.betas),
+      testing::unfused_simulate(sim, sched.gammas, sched.betas)))
       << "n=" << n << " t=" << tile_log2 << " g=" << group_qubits
       << " c=" << chunk_log2 << " u16=" << use_u16
       << " fwht=" << (backend == MixerBackend::Fwht)
@@ -144,17 +144,12 @@ void expect_dist_tiling_identical(int n, int ranks,
                                   const pipeline::Geometry& geometry,
                                   Precision prec) {
   const TermList terms = sk_terms(n, 11);
-  DistConfig fused{.ranks = ranks,
-                   .pipeline = {.mode = pipeline::PipelineMode::On,
-                                .geometry = geometry},
-                   .prec = prec};
-  DistConfig oracle = fused;
-  oracle.pipeline.mode = pipeline::PipelineMode::Off;
-  const DistributedFurSimulator a(terms, fused);
-  const DistributedFurSimulator b(terms, oracle);
+  const DistributedFurSimulator sim(
+      terms, DistConfig{.ranks = ranks, .geometry = geometry, .prec = prec});
   const QaoaParams sched = test_schedule();
-  EXPECT_TRUE(same_bits(a.simulate_qaoa(sched.gammas, sched.betas),
-                        b.simulate_qaoa(sched.gammas, sched.betas)))
+  EXPECT_TRUE(same_bits(
+      sim.simulate_qaoa(sched.gammas, sched.betas),
+      testing::unfused_simulate(sim, sched.gammas, sched.betas)))
       << "dist n=" << n << " ranks=" << ranks << " t=" << geometry.tile_log2
       << " g=" << geometry.group_qubits << " c=" << geometry.chunk_log2
       << " f32=" << (prec == Precision::F32)
@@ -182,6 +177,10 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
                               exec);  // two-transform route, tiled
       expect_tiling_identical(10, 5, 2, 4, true, MixerBackend::Fwht,
                               exec);  // chunk == row stride
+      expect_tiling_identical(9, 4, 2, 2, false, MixerBackend::Fwht, exec,
+                              Precision::F32);
+      expect_tiling_identical(10, 5, 2, 4, true, MixerBackend::Fwht, exec,
+                              Precision::F32);
       // Shapes the RX level pairing creates: adjacent levels share one
       // round trip and an odd level left over runs alone.
       for (const Precision prec : {Precision::F64, Precision::F32})
@@ -214,7 +213,7 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
   }
 }
 
-TEST(PipelineTiling, OutOfRangeOptionsAreClampedToARunnablePlan) {
+TEST(PipelineTiling, OutOfRangeGeometryIsClampedToARunnablePlan) {
   // Degenerate knobs must not break identity (clamps: tile >= 2^2,
   // chunk in [2^2, 2^q_begin], group >= 1).
   expect_tiling_identical(8, 0, 0, 0, false, MixerBackend::Fused,
@@ -226,16 +225,13 @@ TEST(PipelineTiling, OutOfRangeOptionsAreClampedToARunnablePlan) {
 // ---------------------------------------------------------- plan shapes
 
 TEST(LayerPlan, PassCountMathMatchesTheTilingFormula) {
-  // mode = On so the math holds even under a QOKIT_PIPELINE=off run (the
-  // CI oracle leg); t = 16, g = 6 defaults otherwise.
-  pipeline::PipelineOptions opts;
-  opts.mode = pipeline::PipelineMode::On;
+  const pipeline::Geometry geometry = pipeline::Geometry::defaults();
   for (const int n : {16, 20, 22, 24, 30}) {
     const auto plan = pipeline::LayerPlan::build(
-        n, MixerType::X, MixerBackend::Fused, opts);
+        n, MixerType::X, MixerBackend::Fused, geometry);
     ASSERT_TRUE(plan.active());
-    const int t = opts.geometry.tile_log2;
-    const int g = opts.geometry.group_qubits;
+    const int t = geometry.tile_log2;
+    const int g = geometry.group_qubits;
     const int expected =
         1 + (n > t ? (n - t + g - 1) / g : 0);  // 1 + ceil((n - t)/g)
     EXPECT_EQ(plan.full_sweeps(), expected) << "n=" << n;
@@ -248,16 +244,15 @@ TEST(LayerPlan, PassCountMathMatchesTheTilingFormula) {
   }
   // The fwht route plans two transforms: exactly twice the sweeps.
   const auto fwht_plan = pipeline::LayerPlan::build(
-      24, MixerType::X, MixerBackend::Fwht, opts);
+      24, MixerType::X, MixerBackend::Fwht, geometry);
   const auto fused_plan = pipeline::LayerPlan::build(
-      24, MixerType::X, MixerBackend::Fused, opts);
+      24, MixerType::X, MixerBackend::Fused, geometry);
   EXPECT_EQ(fwht_plan.full_sweeps(), 2 * fused_plan.full_sweeps());
 }
 
 TEST(LayerPlan, FirstPassFusesThePhaseIntoTheMixerSweep) {
   const auto plan = pipeline::LayerPlan::build(
-      24, MixerType::X, MixerBackend::Fused,
-      {.mode = pipeline::PipelineMode::On});
+      24, MixerType::X, MixerBackend::Fused, pipeline::Geometry::defaults());
   ASSERT_TRUE(plan.active());
   ASSERT_FALSE(plan.passes().empty());
   const pipeline::LayerPass& first = plan.passes().front();
@@ -281,43 +276,60 @@ TEST(PipelineFallback, XyMixersFallBackWithAPinnedDiagnostic) {
   EXPECT_NE(fur->layer_plan().fallback_reason().find("xyring"),
             std::string::npos)
       << fur->layer_plan().fallback_reason();
-  // Direct plan builds name each xy mixer.
-  const auto ring = pipeline::LayerPlan::build(
-      8, MixerType::XYRing, MixerBackend::Fused, {});
-  EXPECT_NE(ring.fallback_reason().find("xyring"), std::string::npos);
-  const auto complete = pipeline::LayerPlan::build(
-      8, MixerType::XYComplete, MixerBackend::Fused, {});
-  EXPECT_NE(complete.fallback_reason().find("xycomplete"),
-            std::string::npos);
 }
 
-TEST(PipelineFallback, SpecAndEnvironmentDisableThePlan) {
+TEST(LayerPlan, EveryXMixerPlanIsActiveAndOnlyXyMixersFallBack) {
+  // No switch turns the pipeline off: every X-mixer shape plans fused
+  // passes, whatever the geometry (including degenerate ones the clamps
+  // repair). The xy mixers are the one unfused path left.
+  for (const pipeline::Geometry geometry :
+       {pipeline::Geometry::defaults(), pipeline::Geometry{0, 0, 0},
+        pipeline::Geometry{30, 64, 25}})
+    for (int n = 1; n <= 30; ++n) {
+      for (const MixerBackend backend :
+           {MixerBackend::Fused, MixerBackend::Fwht}) {
+        const auto plan =
+            pipeline::LayerPlan::build(n, MixerType::X, backend, geometry);
+        EXPECT_TRUE(plan.active())
+            << "n=" << n << " t=" << geometry.tile_log2
+            << " fwht=" << (backend == MixerBackend::Fwht);
+        EXPECT_EQ(plan.fallback_reason(), "");
+        EXPECT_FALSE(plan.passes().empty());
+      }
+      for (const auto& [mixer, token] :
+           {std::pair{MixerType::XYRing, "xyring"},
+            std::pair{MixerType::XYComplete, "xycomplete"}}) {
+        const auto plan = pipeline::LayerPlan::build(
+            n, mixer, MixerBackend::Fused, geometry);
+        EXPECT_FALSE(plan.active()) << "n=" << n << " " << token;
+        EXPECT_EQ(plan.fallback_reason(),
+                  std::string("mixer=") + token +
+                      ": ordered two-qubit XY rotations cannot be "
+                      "tile-fused; using the unfused path");
+      }
+    }
+}
+
+TEST(LayerPlan, MakeSimulatorRunsTheFixedGeometry) {
   const TermList terms = labs_terms(8);
-  {
-    const FurQaoaSimulator sim(
-        terms, FurConfig{.pipeline = {.mode = pipeline::PipelineMode::Off}});
-    EXPECT_FALSE(sim.layer_plan().active());
-    EXPECT_NE(sim.layer_plan().fallback_reason().find("pipeline=off"),
-              std::string::npos);
+  for (const char* name : {"auto", "serial", "threaded", "u16", "fwht",
+                           "auto:prec=f32"}) {
+    const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
+    const auto* fur = dynamic_cast<const FurQaoaSimulator*>(sim.get());
+    ASSERT_NE(fur, nullptr) << name;
+    EXPECT_EQ(fur->config().geometry, pipeline::Geometry::defaults())
+        << name;
+    EXPECT_TRUE(fur->layer_plan().active()) << name;
   }
-  const char* prior = std::getenv("QOKIT_PIPELINE");
-  const std::string saved = prior ? prior : "";
-  ASSERT_EQ(setenv("QOKIT_PIPELINE", "off", 1), 0);
-  EXPECT_TRUE(pipeline::pipeline_disabled_by_env());
-  {
-    // Auto follows the environment; On overrides it.
-    const FurQaoaSimulator auto_sim(terms, FurConfig{});
-    EXPECT_FALSE(auto_sim.layer_plan().active());
-    EXPECT_NE(auto_sim.layer_plan().fallback_reason().find("QOKIT_PIPELINE"),
-              std::string::npos);
-    const FurQaoaSimulator on_sim(
-        terms, FurConfig{.pipeline = {.mode = pipeline::PipelineMode::On}});
-    EXPECT_TRUE(on_sim.layer_plan().active());
+  for (const char* name : {"dist:2", "dist:4:pairwise"}) {
+    const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
+    const auto* dist =
+        dynamic_cast<const DistributedFurSimulator*>(sim.get());
+    ASSERT_NE(dist, nullptr) << name;
+    EXPECT_EQ(dist->config().geometry, pipeline::Geometry::defaults())
+        << name;
+    EXPECT_TRUE(dist->layer_plan().active()) << name;
   }
-  if (prior)
-    ASSERT_EQ(setenv("QOKIT_PIPELINE", saved.c_str(), 1), 0);
-  else
-    ASSERT_EQ(unsetenv("QOKIT_PIPELINE"), 0);
 }
 
 TEST(PipelineFallback, RunLayerRejectsMisuse) {
@@ -328,8 +340,7 @@ TEST(PipelineFallback, RunLayerRejectsMisuse) {
                                    0.2, Exec::Serial),
                std::logic_error);
   const auto plan = pipeline::LayerPlan::build(
-      4, MixerType::X, MixerBackend::Fused,
-      {.mode = pipeline::PipelineMode::On});
+      4, MixerType::X, MixerBackend::Fused, pipeline::Geometry::defaults());
   ASSERT_TRUE(plan.active());
   // No phase source.
   EXPECT_THROW(pipeline::run_layer(plan, sv.data(), sv.size(), ctx, 0.1,
@@ -345,26 +356,10 @@ TEST(PipelineFallback, RunLayerRejectsMisuse) {
 
 // ------------------------------------------------- spec/session plumbing
 
-TEST(PipelineSpec, GrammarRoundTripsAndRejectsBadValues) {
-  EXPECT_EQ(SimulatorSpec::parse("auto:pipeline=off").pipeline,
-            pipeline::PipelineMode::Off);
-  EXPECT_EQ(SimulatorSpec::parse("auto:pipeline=on").pipeline,
-            pipeline::PipelineMode::On);
-  EXPECT_EQ(SimulatorSpec::parse("auto").pipeline,
-            pipeline::PipelineMode::Auto);
-  SimulatorSpec spec;
-  spec.pipeline = pipeline::PipelineMode::Off;
-  EXPECT_EQ(spec.to_string(), "auto:pipeline=off");
-  EXPECT_EQ(SimulatorSpec::parse(spec.to_string()), spec);
-  EXPECT_THROW(SimulatorSpec::parse("auto:pipeline=fast"),
-               std::invalid_argument);
-}
-
 TEST(PipelineSession, SessionsReuseOnePlanAndReportLayerTimings) {
   const Graph g = Graph::random_regular(8, 3, 5);
-  SimulatorSpec spec;
-  spec.pipeline = pipeline::PipelineMode::On;
-  const api::ProblemSession session = api::ProblemSession::maxcut(g, spec);
+  const api::ProblemSession session =
+      api::ProblemSession::maxcut(g, SimulatorSpec{});
   const auto* fur =
       dynamic_cast<const FurQaoaSimulator*>(&session.simulator());
   ASSERT_NE(fur, nullptr);
@@ -399,17 +394,13 @@ TEST(PipelineFusedExpectation, UntimedSessionMatchesTheTwoPassOracle) {
   // least one kReduceBlock). The untimed evaluate() takes the fused
   // simulate+reduce route; the timed one keeps the explicit two-pass
   // split so layer timings stay pure simulation. Expectation AND the
-  // post-evolution reductions (overlap here) must agree bitwise. Every
-  // spec pins pipeline=on: the fused reduction needs an active plan,
-  // whatever QOKIT_PIPELINE says.
+  // post-evolution reductions (overlap here) must agree bitwise.
   const QaoaParams sched = test_schedule();
   SimdLevelGuard guard;
   for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
     force_simd_level(level);
     for (const char* name :
-         {"auto:pipeline=on", "serial:pipeline=on", "threaded:pipeline=on",
-          "u16:pipeline=on", "fwht:pipeline=on",
-          "u16:exec=serial:pipeline=on"}) {
+         {"auto", "serial", "threaded", "u16", "fwht", "u16:exec=serial"}) {
       const TermList terms = sk_terms(11, 9);
       const api::ProblemSession session(terms, SimulatorSpec::parse(name));
       const auto* fur =
@@ -457,19 +448,13 @@ TEST(PipelineDist, DistPlansTheLocalSliceAndMatchesOracleAtTheBoundary) {
   // n == 2 log2 K: after the alltoall the swapped-in globals start at
   // local qubit 0, exercising run_rx_sweep's tile branch.
   const TermList terms = sk_terms(4, 3);
-  const DistributedFurSimulator fused(
-      terms, DistConfig{.ranks = 4,
-                        .pipeline = {.mode = pipeline::PipelineMode::On}});
-  EXPECT_TRUE(fused.layer_plan().active());
-  EXPECT_EQ(fused.layer_plan().num_qubits(), 2);  // local qubits
-  const DistributedFurSimulator oracle(
-      terms, DistConfig{.ranks = 4,
-                        .pipeline = {.mode = pipeline::PipelineMode::Off}});
+  const DistributedFurSimulator sim(terms, DistConfig{.ranks = 4});
+  EXPECT_TRUE(sim.layer_plan().active());
+  EXPECT_EQ(sim.layer_plan().num_qubits(), 2);  // local qubits
   const QaoaParams sched = test_schedule();
-  EXPECT_EQ(
-      fused.simulate_qaoa(sched.gammas, sched.betas)
-          .max_abs_diff(oracle.simulate_qaoa(sched.gammas, sched.betas)),
-      0.0);
+  EXPECT_TRUE(same_bits(
+      sim.simulate_qaoa(sched.gammas, sched.betas),
+      testing::unfused_simulate(sim, sched.gammas, sched.betas)));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "obs/obs.hpp"
 #include "serve/session_cache.hpp"
 #include "statevector/sampling.hpp"
+#include "support/unfused_oracle.hpp"
 
 namespace qokit {
 namespace {
@@ -207,22 +208,16 @@ TEST(PrecisionDeterminism, FusedPipelineIsBitIdenticalAtF32) {
   // precision-agnostic; pin that it actually holds for float amplitudes.
   const TermList terms = labs_terms(12);
   const auto [g, b] = ramp_schedule(3);
-  FurConfig on_cfg;
-  on_cfg.prec = Precision::F32;
-  on_cfg.pipeline.mode = pipeline::PipelineMode::On;
-  FurConfig off_cfg = on_cfg;
-  off_cfg.pipeline.mode = pipeline::PipelineMode::Off;
-  const FurQaoaSimulator fused(terms, on_cfg);
-  const FurQaoaSimulator unfused(terms, off_cfg);
-  EXPECT_EQ(
-      fused.simulate_qaoa(g, b).max_abs_diff(unfused.simulate_qaoa(g, b)),
-      0.0);
+  FurConfig cfg;
+  cfg.prec = Precision::F32;
+  const FurQaoaSimulator fused(terms, cfg);
+  const StateVector oracle = testing::unfused_simulate(fused, g, b);
+  EXPECT_EQ(fused.simulate_qaoa(g, b).max_abs_diff(oracle), 0.0);
   // The fused simulate+reduce path returns the same double as the
-  // two-pass split on the f32 state.
+  // two-pass split on the f32 oracle state.
   StateVector scratch = fused.initial_state();
-  const double fused_e = fused.simulate_qaoa_expectation(scratch, g, b);
-  const StateVector two_pass = unfused.simulate_qaoa(g, b);
-  EXPECT_EQ(fused_e, unfused.get_expectation(two_pass));
+  EXPECT_EQ(fused.simulate_qaoa_expectation(scratch, g, b),
+            fused.get_expectation(oracle));
 }
 
 TEST(PrecisionDeterminism, SimdLevelsAgreeAndAreInternallyBitStable) {

@@ -550,6 +550,53 @@ TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
   ASSERT_EQ(ok.expectations.size(), 1u);
 }
 
+TEST(ScheduleServer, OversizedProblemsAreBadRequestsBeforeTheCache) {
+  // The wire admits up to 63 qubits. A problem past the state-vector
+  // limit, or whose smallest session exceeds the cache budget, is refused
+  // before the checkout builds (and allocates) anything.
+  ServerConfig config;
+  config.workers = 1;
+  ScheduleServer server(config);
+  for (const int n : {40, 63}) {
+    Request request;
+    request.terms = TermList(n, {});
+    request.terms.add(1.0, {0, n - 1});
+    request.schedules = random_schedules(1, 1, 4);
+    const Response r = server.submit_blocking(std::move(request));
+    EXPECT_EQ(r.status, Status::BadRequest) << n << ": " << r.error;
+    EXPECT_NE(r.error.find(std::to_string(n) + " qubits"), std::string::npos)
+        << r.error;
+  }
+  EXPECT_EQ(server.cache_stats().misses, 0u);
+  // The footprint saturates instead of wrapping around.
+  EXPECT_EQ(session_footprint_bytes(63, 1, Precision::F32),
+            std::numeric_limits<std::uint64_t>::max());
+
+  // Within the qubit limit but over the budget: the message names the
+  // bytes and the budget.
+  ServerConfig small = config;
+  small.cache_bytes = session_footprint_bytes(10, 1, Precision::F32);
+  ScheduleServer tight(small);
+  const Response over =
+      tight.submit_blocking(make_request(12, 1, random_schedules(1, 1, 4)));
+  EXPECT_EQ(over.status, Status::BadRequest);
+  EXPECT_NE(over.error.find(std::to_string(session_footprint_bytes(
+                12, test_problem(12, 1).size(), Precision::F32))),
+            std::string::npos)
+      << over.error;
+  EXPECT_NE(over.error.find(std::to_string(small.cache_bytes)),
+            std::string::npos)
+      << over.error;
+  EXPECT_EQ(tight.cache_stats().misses, 0u);
+
+  // A request that fits, sent to the same server, is still served.
+  const Response ok =
+      server.submit_blocking(make_request(8, 1, random_schedules(1, 1, 4)));
+  EXPECT_EQ(ok.status, Status::Ok) << ok.error;
+  EXPECT_EQ(ok.expectations.size(), 1u);
+  EXPECT_EQ(server.cache_stats().misses, 1u);
+}
+
 TEST(ScheduleServer, NonFiniteAnglesAreBadRequestsBeforeTheCache) {
   ServerConfig config;
   config.workers = 1;

@@ -50,22 +50,18 @@ TEST(SimulatorSpec, RoundTripsOverTheFullGrid) {
         for (const Exec exec : {Exec::Serial, Exec::Parallel})
           for (const int ranks : {2, 8})
             for (const int weight : {-1, 3})
-              for (const pipeline::PipelineMode pipe :
-                   {pipeline::PipelineMode::Auto, pipeline::PipelineMode::On,
-                    pipeline::PipelineMode::Off})
-                for (const std::uint64_t seed : {1ull, 42ull}) {
-                  SimulatorSpec spec;
-                  spec.backend = backend;
-                  spec.mixer = mixer;
-                  spec.exec = exec;
-                  spec.ranks = ranks;
-                  spec.alltoall = strategy;
-                  spec.initial_weight = weight;
-                  spec.pipeline = pipe;
-                  spec.sample_seed = seed;
-                  const std::string name = spec.to_string();
-                  EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
-                }
+              for (const std::uint64_t seed : {1ull, 42ull}) {
+                SimulatorSpec spec;
+                spec.backend = backend;
+                spec.mixer = mixer;
+                spec.exec = exec;
+                spec.ranks = ranks;
+                spec.alltoall = strategy;
+                spec.initial_weight = weight;
+                spec.sample_seed = seed;
+                const std::string name = spec.to_string();
+                EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
+              }
 }
 
 TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
@@ -114,12 +110,15 @@ TEST(SimulatorSpec, RejectsUnknownTokensNamingThem) {
         Case{"auto:simd=sse", "simd=sse"}, Case{"dist:two", "two"},
         // Process-wide settings are not spec options: the kernel family
         // is QOKIT_SIMD / force_simd_level, instrumentation QOKIT_OBS /
-        // obs::set_enabled, and the pipeline geometry comes from the
-        // machine probe.
+        // obs::set_enabled, and the pipeline geometry is fixed.
         Case{"auto:tune=static", "tune=static"},
         Case{"auto:tune=/dev/zero", "tune=/dev/zero"},
         Case{"auto:simd=scalar", "simd=scalar"},
-        Case{"auto:obs=on", "obs=on"}}) {
+        Case{"auto:obs=on", "obs=on"},
+        // X-mixer layers always run the fused pipeline; the unfused loop
+        // is a test oracle, not a served option.
+        Case{"auto:pipeline=off", "pipeline=off"},
+        Case{"auto:pipeline=on", "pipeline=on"}}) {
     try {
       (void)SimulatorSpec::parse(c.name);
       FAIL() << "parse accepted '" << c.name << "'";

@@ -54,10 +54,10 @@ float-accum
 pipeline-geometry
     No bare geometry literals (tile_log2/group_qubits/chunk_log2 assigned
     a numeric constant) in src/pipeline/ outside geometry.hpp. The tiling
-    knobs live in pipeline::Geometry, whose defaults() and cache-derived
-    for_caches() are the only sites that spell them out, so the geometry
-    make_simulator derives from the probed caches is the one every plan
-    runs; a scattered literal would silently override it.
+    knobs live in pipeline::Geometry, whose defaults() is the one site
+    that spells them out, so the fixed geometry make_simulator hands every
+    simulator is the one every plan runs; a scattered literal would
+    silently override it.
     Tests and benches may pin literals freely -- the rule scopes to
     src/pipeline/ only.
 
@@ -155,7 +155,7 @@ GEOMETRY_LITERAL_RE = re.compile(
     r"\b(tile_log2|group_qubits|chunk_log2)\s*=\s*[+-]?\d"
 )
 GEOMETRY_DIR = "src/pipeline/"
-GEOMETRY_EXEMPT = "src/pipeline/geometry.hpp"  # defaults() + for_caches()
+GEOMETRY_EXEMPT = "src/pipeline/geometry.hpp"  # Geometry::defaults()
 
 # ----------------------------------------------------------- simd-flags
 ISA_FLAG_RE = re.compile(r"-m(avx2|avx512[a-z0-9]*|fma)\b|-march=")
@@ -386,9 +386,8 @@ def scan_source(rel: str, text: str) -> List[Finding]:
                     "pipeline-geometry",
                     f"bare geometry literal ('{m.group(0).strip()}') in "
                     "src/pipeline/; the tiling knobs are spelled out only "
-                    "in geometry.hpp (pipeline::Geometry::defaults and "
-                    "for_caches) so the cache-derived geometry is the one "
-                    "every plan runs",
+                    "in geometry.hpp (pipeline::Geometry::defaults) so "
+                    "the fixed geometry is the one every plan runs",
                 )
 
     # simd-flags: intrinsic headers / target attributes outside src/simd/
@@ -646,14 +645,13 @@ SELF_TEST_CASES = [
     (
         "bare geometry literal in src/pipeline/ must be flagged",
         "src/pipeline/bad_geom.cpp",
-        "void f(PipelineOptions& opts) { opts.geometry.tile_log2 = 16; }\n",
+        "void f(FurConfig& cfg) { cfg.geometry.tile_log2 = 16; }\n",
         "pipeline-geometry",
     ),
     (
         "designated-initializer geometry literal must be flagged",
         "src/pipeline/bad_geom_init.cpp",
-        "PipelineOptions o{.mode = PipelineMode::On,\n"
-        "                  .geometry = {.group_qubits = 6}};\n",
+        "FurConfig cfg{.geometry = {.group_qubits = 6}};\n",
         "pipeline-geometry",
     ),
     (
