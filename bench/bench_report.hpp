@@ -1,10 +1,10 @@
-// Shared context block for every BENCH_*.json emitter.
+// Context block for benchmark result documents.
 //
 // Benchmark numbers are only comparable against the hardware and build
-// that produced them, so every bench stamps the same leading fields --
+// that produced them, so a result stamps the same leading fields --
 // schema version, CPU model, SIMD dispatch level, thread count, git
-// revision, smoke flag -- through write_context() instead of each binary
-// inventing its own subset. Header-only; bench binaries only.
+// revision, smoke flag -- through write_context(). Header-only; its one
+// user is the repository benchmark, perfbench/ (src/util.cpp).
 #pragma once
 
 #include <cstdio>

@@ -11,7 +11,7 @@
 //
 // runs the same server as a long-lived process instead (stop with
 // Ctrl-C); any client speaking serve/protocol.hpp framing can connect,
-// e.g. serve::Client or the bench/bench_serve_load.cpp driver.
+// e.g. serve::Client.
 #include <chrono>
 #include <csignal>
 #include <cstdio>

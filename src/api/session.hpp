@@ -98,7 +98,7 @@ struct Timings {
   /// entry includes that call's dispatch overhead — in particular the
   /// dist:K backend re-spawns its rank team per call, so its layer_ns is
   /// team setup + compute; compare single-node numbers, not dist ones,
-  /// against BENCH_pipeline.json.
+  /// against perfbench's traced pipeline.layer_ms.
   std::vector<std::uint64_t> layer_ns{};
   /// Batched calls only: wall time of the whole evaluate_batch submission
   /// this item rode in (the same value on every item of one call; 0 for

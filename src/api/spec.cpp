@@ -129,7 +129,8 @@ bool apply_option(std::string_view token, std::string_view name,
   } else if (key == "alltoall") {
     ok = parse_strategy(value, &spec->alltoall);
   } else if (key == "weight") {
-    ok = parse_int_option(value, name, &spec->initial_weight);
+    ok = parse_int_option(value, name, &spec->initial_weight) &&
+         spec->initial_weight >= 0;
   } else if (key == "seed") {
     ok = parse_int_option(value, name, &spec->sample_seed);
   } else if (key == "prec") {
@@ -239,9 +240,7 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
   GateSimAdapter(const TermList& terms, const SimulatorSpec& spec)
       : gates_(terms, GateSimConfig{.exec = spec.exec,
                                     .mixer = spec.mixer,
-                                    .phase_style = PhaseStyle::CxLadder,
-                                    .fuse = false,
-                                    .out_of_place = false}),
+                                    .phase_style = PhaseStyle::CxLadder}),
         diag_(CostDiagonal::precompute(terms, spec.exec)),
         exec_(spec.exec),
         initial_weight_(spec.initial_weight) {}

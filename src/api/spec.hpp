@@ -62,9 +62,9 @@ enum class Prec {
 ///            | "gatesim" | "dist" [":" K [":" staged|pairwise|direct]]
 ///   option  := "mixer="    ("x" | "xyring" | "xycomplete")
 ///            | "exec="     ("serial" | "parallel")
-///            | "ranks="    <int>                (dist only)
+///            | "ranks="    <int >= 1>           (dist only)
 ///            | "alltoall=" ("staged" | "pairwise" | "direct")
-///            | "weight="   <int>                (Dicke weight, xy mixers)
+///            | "weight="   <int >= 0>           (Dicke weight, xy mixers)
 ///            | "seed="     <uint64>             (sampling seed)
 ///            | "prec="     ("auto" | "f32" | "f64")
 ///

@@ -23,7 +23,7 @@ namespace qokit {
 /// "preference order": the highest supported level wins.
 enum class SimdLevel { Scalar = 0, Avx2 = 1 };
 
-/// Human-readable name ("scalar", "avx2") for logs and BENCH_simd.json.
+/// Human-readable name ("scalar", "avx2") for logs and benchmark results.
 const char* simd_level_name(SimdLevel level) noexcept;
 
 /// True when the named level's kernels were compiled into this binary.

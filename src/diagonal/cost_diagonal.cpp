@@ -35,8 +35,7 @@ CostDiagonal::Cache& CostDiagonal::cache() const {
   return *cache_;
 }
 
-CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec,
-                                      PrecomputeStrategy strategy) {
+CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
   static const obs::Counter precomputes =
       obs::counter("qokit_precomputes_total");
   static const obs::Histogram precompute_hist =
@@ -54,26 +53,15 @@ CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec,
   const Term* ts = terms.terms().data();
   const std::size_t nt = terms.size();
 
-  if (strategy == PrecomputeStrategy::ElementMajor) {
-    // One thread owns one output element: the GPU-kernel layout of the
-    // paper, and the layout reused verbatim for distributed slices.
-    parallel_for(exec, 0, dim, [&](std::int64_t x) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < nt; ++k)
-        acc += ts[k].weight * parity_sign(static_cast<std::uint64_t>(x),
-                                          ts[k].mask);
-      out[x] = acc;
-    });
-  } else {
-    // Term-major ablation: stream the whole vector once per term.
-    for (std::size_t k = 0; k < nt; ++k) {
-      const double w = ts[k].weight;
-      const std::uint64_t mask = ts[k].mask;
-      parallel_for(exec, 0, dim, [&](std::int64_t x) {
-        out[x] += w * parity_sign(static_cast<std::uint64_t>(x), mask);
-      });
-    }
-  }
+  // One thread owns one output element: the GPU-kernel layout of the
+  // paper, and the layout reused verbatim for distributed slices.
+  parallel_for(exec, 0, dim, [&](std::int64_t x) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < nt; ++k)
+      acc += ts[k].weight * parity_sign(static_cast<std::uint64_t>(x),
+                                        ts[k].mask);
+    out[x] = acc;
+  });
   return d;
 }
 

@@ -18,14 +18,6 @@
 
 namespace qokit {
 
-/// Loop ordering of the precompute kernel.
-///
-/// ElementMajor parallelizes over the 2^n vector elements with the term loop
-/// inside — each element is written once, by one thread (the locality the
-/// paper exploits on GPUs and across nodes). TermMajor loops terms outside
-/// and streams the vector inside; it is provided as an ablation.
-enum class PrecomputeStrategy { ElementMajor, TermMajor };
-
 /// The 2^n cost vector c_x = f(x).
 class CostDiagonal {
  public:
@@ -34,9 +26,8 @@ class CostDiagonal {
   /// Precompute from polynomial terms (Eq. 1). Each element is a sum of
   /// weight * (-1)^{popcount(x & mask)} over terms — the bitwise-XOR /
   /// population-count kernel of Sec. III-A.
-  static CostDiagonal precompute(
-      const TermList& terms, Exec exec = Exec::Parallel,
-      PrecomputeStrategy strategy = PrecomputeStrategy::ElementMajor);
+  static CostDiagonal precompute(const TermList& terms,
+                                 Exec exec = Exec::Parallel);
 
   /// Precompute from an arbitrary callable f(x) (the Python-lambda input
   /// path of QOKit's high-level API).

@@ -100,7 +100,7 @@ void check_prec_mixer(const FurConfig& cfg) {
 
 FurQaoaSimulator::FurQaoaSimulator(const TermList& terms, FurConfig cfg)
     : cfg_(cfg),
-      diag_(CostDiagonal::precompute(terms, cfg.exec, cfg.precompute)),
+      diag_(CostDiagonal::precompute(terms, cfg.exec)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.backend, cfg.geometry)) {
   check_prec_mixer(cfg_);

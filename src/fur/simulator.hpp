@@ -29,7 +29,6 @@ struct FurConfig {
   MixerBackend backend = MixerBackend::Fused;  ///< X-mixer implementation
   bool use_u16 = false;             ///< store/apply the uint16 diagonal
   int initial_weight = -1;          ///< Dicke weight for xy mixers; -1 = n/2
-  PrecomputeStrategy precompute = PrecomputeStrategy::ElementMajor;
   /// Tiling of the fused layer pipeline (src/pipeline/) that runs every
   /// X-mixer layer. Any value gives the same bits; tests shrink it to
   /// reach tile-boundary shapes on small states.
@@ -50,7 +49,7 @@ class QaoaFastSimulatorBase {
   virtual int num_qubits() const = 0;
 
   /// Amplitude precision this simulator evolves states at. The base
-  /// default is F64 so existing backends (gatesim, tn) need no change;
+  /// default is F64 so f64-only backends (gatesim) need no override;
   /// callers sizing scratch or cache entries (batch, serve) read this
   /// instead of assuming 16-byte amplitudes.
   virtual Precision precision() const { return Precision::F64; }

@@ -23,7 +23,7 @@ void xy(cdouble* x, std::uint64_t n_amps, int q1, int q2, double c, double s,
 
 /// Generic two-qubit unitary (row-major 4x4 `m`, basis order |q2 q1> =
 /// 00,01,10,11 with q1 the low qubit). In-place orbit update; used by the
-/// gate-fusion executor and as the dense reference for the xy kernel.
+/// gate executor's U2 gates and as the dense reference for the xy kernel.
 void su4(cdouble* x, std::uint64_t n_amps, int q1, int q2,
          const cdouble m[16], Exec exec);
 

@@ -5,8 +5,7 @@
 // ladder plus an RZ (2(m-1) + 1 gates), so the per-layer gate count scales
 // with |T| -- the overhead the paper's precomputation eliminates. A MultiZ
 // style emits one diagonal multi-qubit phase gate per term instead (the
-// "diagonal gates" optimization referenced for tensor networks), used by
-// the TN builder and as an ablation.
+// "diagonal gates" optimization referenced for tensor networks).
 #pragma once
 
 #include <span>

@@ -85,6 +85,8 @@ void apply_zphase(StateVector& sv, std::uint64_t mask, double theta,
 }  // namespace
 
 void apply_gate(StateVector& sv, const Gate& g, Exec exec) {
+  if (sv.precision() != Precision::F64)
+    throw std::invalid_argument("apply_gate: f64 states only");
   switch (g.kind) {
     case GateKind::H:
       kern::hadamard(sv.data(), sv.size(), g.q0, exec);
@@ -128,24 +130,12 @@ void apply_gate(StateVector& sv, const Gate& g, Exec exec) {
   throw std::logic_error("apply_gate: unknown gate kind");
 }
 
-void apply_gate_out_of_place(StateVector& sv, const Gate& g) {
-  // Deliberately allocation-heavy: copy, transform serially, copy back.
-  StateVector tmp(sv.num_qubits());
-  for (std::uint64_t i = 0; i < sv.size(); ++i) tmp[i] = sv[i];
-  apply_gate(tmp, g, Exec::Serial);
-  sv = std::move(tmp);
-}
-
 void run_circuit(StateVector& sv, const Circuit& c, Exec exec) {
+  if (sv.precision() != Precision::F64)
+    throw std::invalid_argument("run_circuit: f64 states only");
   if (sv.num_qubits() != c.num_qubits())
     throw std::invalid_argument("run_circuit: qubit-count mismatch");
   for (const Gate& g : c.gates()) apply_gate(sv, g, exec);
-}
-
-void run_circuit_out_of_place(StateVector& sv, const Circuit& c) {
-  if (sv.num_qubits() != c.num_qubits())
-    throw std::invalid_argument("run_circuit_out_of_place: mismatch");
-  for (const Gate& g : c.gates()) apply_gate_out_of_place(sv, g);
 }
 
 }  // namespace qokit

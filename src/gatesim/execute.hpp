@@ -1,12 +1,9 @@
 // Gate-at-a-time state-vector executor -- the baseline execution model.
 //
-// Two modes:
-//  - in-place (default): each gate updates the state vector in place with
-//    OpenMP-parallel kernels; stands in for optimized simulators such as
-//    Qiskit Aer / cuStateVec-without-precompute.
-//  - out-of-place: every gate allocates a fresh output vector and streams
-//    the input through full-size temporaries, mimicking "vectorized"
-//    NumPy-style simulators (the OpenQAOA baseline of Fig. 2).
+// Each gate updates the state vector in place with OpenMP-parallel
+// kernels; this stands in for optimized simulators such as Qiskit Aer /
+// cuStateVec-without-precompute. The kernels are double precision: an
+// f32 state is refused with std::invalid_argument.
 #pragma once
 
 #include "common/parallel.hpp"
@@ -15,16 +12,11 @@
 
 namespace qokit {
 
-/// Apply one gate in place.
+/// Apply one gate in place. Throws std::invalid_argument on an f32 state.
 void apply_gate(StateVector& sv, const Gate& g, Exec exec = Exec::Parallel);
 
-/// Apply one gate out of place (allocates a full temporary).
-void apply_gate_out_of_place(StateVector& sv, const Gate& g);
-
-/// Run a whole circuit in place.
+/// Run a whole circuit in place. Throws std::invalid_argument on an f32
+/// state or a qubit-count mismatch.
 void run_circuit(StateVector& sv, const Circuit& c, Exec exec = Exec::Parallel);
-
-/// Run a whole circuit with per-gate temporaries (the slow baseline).
-void run_circuit_out_of_place(StateVector& sv, const Circuit& c);
 
 }  // namespace qokit

@@ -1,6 +1,5 @@
 #include "gatesim/gate.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -118,129 +117,6 @@ std::uint64_t Gate::support_mask() const noexcept {
 bool Gate::is_diagonal() const noexcept {
   return kind == GateKind::RZ || kind == GateKind::ZPhase ||
          kind == GateKind::CZ;
-}
-
-namespace {
-
-constexpr double kInvSqrt2 = 0.70710678118654752440;
-
-/// Dense matrix of a 1-qubit gate.
-std::array<cdouble, 4> matrix_1q(const Gate& g) {
-  const double c = std::cos(g.param / 2);
-  const double s = std::sin(g.param / 2);
-  switch (g.kind) {
-    case GateKind::H:
-      return {cdouble(kInvSqrt2), cdouble(kInvSqrt2), cdouble(kInvSqrt2),
-              cdouble(-kInvSqrt2)};
-    case GateKind::RX:
-      return {cdouble(c), cdouble(0, -s), cdouble(0, -s), cdouble(c)};
-    case GateKind::RY:
-      return {cdouble(c), cdouble(-s), cdouble(s), cdouble(c)};
-    case GateKind::RZ:
-      return {cdouble(c, -s), cdouble(0), cdouble(0), cdouble(c, s)};
-    case GateKind::ZPhase:
-      // 1-qubit ZPhase is RZ.
-      return {cdouble(c, -s), cdouble(0), cdouble(0), cdouble(c, s)};
-    case GateKind::U1:
-      return g.m1;
-    default:
-      throw std::logic_error("matrix_1q: not a one-qubit gate");
-  }
-}
-
-/// Dense matrix of a 2-qubit gate in its own (q0, q1) order, index
-/// convention b_q0 + 2*b_q1.
-std::array<cdouble, 16> matrix_2q(const Gate& g) {
-  std::array<cdouble, 16> m{};
-  const double c = std::cos(g.param / 2);
-  const double s = std::sin(g.param / 2);
-  switch (g.kind) {
-    case GateKind::CX:
-      // q0 = control = bit0, q1 = target = bit1.
-      for (int in = 0; in < 4; ++in) {
-        const int b0 = in & 1;
-        const int b1 = (in >> 1) & 1;
-        const int out = b0 | ((b1 ^ b0) << 1);
-        m[out * 4 + in] = cdouble(1.0);
-      }
-      return m;
-    case GateKind::CZ:
-      for (int in = 0; in < 4; ++in)
-        m[in * 4 + in] = in == 3 ? cdouble(-1.0) : cdouble(1.0);
-      return m;
-    case GateKind::SWAP:
-      for (int in = 0; in < 4; ++in) {
-        const int out = ((in & 1) << 1) | ((in >> 1) & 1);
-        m[out * 4 + in] = cdouble(1.0);
-      }
-      return m;
-    case GateKind::XY:
-      // Identity on |00>, |11>; RX-like butterfly on |01>, |10>.
-      m[0 * 4 + 0] = cdouble(1.0);
-      m[3 * 4 + 3] = cdouble(1.0);
-      m[1 * 4 + 1] = cdouble(c);
-      m[1 * 4 + 2] = cdouble(0, -s);
-      m[2 * 4 + 1] = cdouble(0, -s);
-      m[2 * 4 + 2] = cdouble(c);
-      return m;
-    case GateKind::ZPhase: {
-      // Exactly two bits set in zmask; q-order irrelevant (symmetric).
-      for (int in = 0; in < 4; ++in) {
-        const int par = ((in & 1) ^ ((in >> 1) & 1));
-        m[in * 4 + in] = par ? cdouble(c, s) : cdouble(c, -s);
-      }
-      return m;
-    }
-    case GateKind::U2:
-      return g.m2;
-    default:
-      throw std::logic_error("matrix_2q: not a two-qubit gate");
-  }
-}
-
-}  // namespace
-
-std::array<cdouble, 16> gate_matrix_on_pair(const Gate& g, int pa, int pb) {
-  if (pa == pb) throw std::invalid_argument("gate_matrix_on_pair: pa == pb");
-  if ((g.support_mask() & ~((1ull << pa) | (1ull << pb))) != 0)
-    throw std::invalid_argument("gate_matrix_on_pair: support not in pair");
-
-  std::array<cdouble, 16> out{};
-  if (g.support_size() == 1) {
-    const auto m = matrix_1q(g);
-    // Embed on bit 0 (pa) or bit 1 (pb) of the pair index.
-    const int gq = g.kind == GateKind::ZPhase
-                       ? (test_bit(g.zmask, pa) ? pa : pb)
-                       : g.q0;
-    const bool on_low = (gq == pa);
-    for (int jo = 0; jo < 2; ++jo)       // spectator bit
-      for (int r = 0; r < 2; ++r)
-        for (int cidx = 0; cidx < 2; ++cidx) {
-          const int row = on_low ? (jo << 1 | r) : (r << 1 | jo);
-          const int col = on_low ? (jo << 1 | cidx) : (cidx << 1 | jo);
-          out[row * 4 + col] = m[r * 2 + cidx];
-        }
-    return out;
-  }
-
-  // Two-qubit gate: matrix_2q uses (q0 -> bit0, q1 -> bit1); remap onto
-  // (pa -> bit0, pb -> bit1).
-  int gq0 = g.q0, gq1 = g.q1;
-  if (g.kind == GateKind::ZPhase) {
-    gq0 = pa;  // symmetric diagonal: any consistent order works
-    gq1 = pb;
-  }
-  const auto m = matrix_2q(g);
-  const bool aligned = (gq0 == pa && gq1 == pb);
-  if (!aligned && !(gq0 == pb && gq1 == pa))
-    throw std::invalid_argument("gate_matrix_on_pair: pair mismatch");
-  for (int row = 0; row < 4; ++row)
-    for (int col = 0; col < 4; ++col) {
-      const int r = aligned ? row : ((row >> 1) | ((row & 1) << 1));
-      const int c = aligned ? col : ((col >> 1) | ((col & 1) << 1));
-      out[row * 4 + col] = m[r * 4 + c];
-    }
-  return out;
 }
 
 }  // namespace qokit

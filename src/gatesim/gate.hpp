@@ -26,7 +26,7 @@ enum class GateKind {
   ZPhase,  ///< e^{-i theta/2 Z x Z x ... x Z} over `zmask` (diagonal)
   XY,      ///< e^{-i theta/2 (XX + YY)} -- two-qubit XY rotation
   U1,      ///< generic one-qubit matrix
-  U2,      ///< generic two-qubit matrix (fusion output)
+  U2,      ///< generic two-qubit matrix
 };
 
 /// One gate instance. Matrix storage is used only by U1/U2.
@@ -60,10 +60,5 @@ struct Gate {
   /// True for gates diagonal in the computational basis.
   bool is_diagonal() const noexcept;
 };
-
-/// Dense 4x4 matrix of `g` in the basis of the ordered qubit pair
-/// (pa, pb), index convention b_pa + 2*b_pb. `g`'s support must be a
-/// subset of {pa, pb}. Used by gate fusion and by tests as a reference.
-std::array<cdouble, 16> gate_matrix_on_pair(const Gate& g, int pa, int pb);
 
 }  // namespace qokit

@@ -4,7 +4,6 @@
 
 #include "diagonal/ops.hpp"
 #include "gatesim/execute.hpp"
-#include "gatesim/fusion.hpp"
 
 namespace qokit {
 
@@ -16,11 +15,9 @@ Circuit GateQaoaSimulator::build_circuit(std::span<const double> gammas,
   // The initial H layer is emitted only for the X mixer; xy-mixer runs
   // start from a Dicke state prepared directly (gate-based Dicke prep is
   // out of scope for the baseline).
-  Circuit c = compile_qaoa_circuit(terms_, gammas, betas, cfg_.mixer,
-                                   cfg_.phase_style,
-                                   /*initial_h=*/cfg_.mixer == MixerType::X);
-  if (cfg_.fuse) c = fuse_gates(c);
-  return c;
+  return compile_qaoa_circuit(terms_, gammas, betas, cfg_.mixer,
+                              cfg_.phase_style,
+                              /*initial_h=*/cfg_.mixer == MixerType::X);
 }
 
 StateVector GateQaoaSimulator::simulate_qaoa(
@@ -30,10 +27,7 @@ StateVector GateQaoaSimulator::simulate_qaoa(
                        ? StateVector::basis_state(n, 0)
                        : StateVector::dicke_state(n, n / 2);
   const Circuit c = build_circuit(gammas, betas);
-  if (cfg_.out_of_place)
-    run_circuit_out_of_place(sv, c);
-  else
-    run_circuit(sv, c, cfg_.exec);
+  run_circuit(sv, c, cfg_.exec);
   // Constant terms compile to no gate but contribute the global phase
   // e^{-i gamma_l * offset} per layer; apply it so the state matches the
   // diagonal-simulator output exactly (not just up to phase).

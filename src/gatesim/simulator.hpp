@@ -20,8 +20,6 @@ struct GateSimConfig {
   Exec exec = Exec::Parallel;
   MixerType mixer = MixerType::X;
   PhaseStyle phase_style = PhaseStyle::CxLadder;
-  bool fuse = false;            ///< apply F=2 gate fusion before execution
-  bool out_of_place = false;    ///< per-gate temporaries ("vectorized" style)
 };
 
 /// Gate-based QAOA simulator.
@@ -33,8 +31,8 @@ class GateQaoaSimulator {
   const TermList& terms() const { return terms_; }
   const GateSimConfig& config() const { return cfg_; }
 
-  /// Compile the full QAOA circuit for the given parameters (with fusion if
-  /// configured). Exposed so benchmarks can report gate counts.
+  /// Compile the full QAOA circuit for the given parameters. Exposed so
+  /// the gatesim session backend can run it from its own initial state.
   Circuit build_circuit(std::span<const double> gammas,
                         std::span<const double> betas) const;
 

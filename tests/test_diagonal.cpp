@@ -13,7 +13,7 @@
 namespace qokit {
 namespace {
 
-/// Every (problem, strategy, exec) combination must reproduce f(x) exactly.
+/// Every (problem, exec) combination must reproduce f(x) exactly.
 struct PrecomputeCase {
   const char* name;
   TermList terms;
@@ -29,16 +29,14 @@ std::vector<PrecomputeCase> precompute_cases() {
 }
 
 class PrecomputeTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(PrecomputeTest, MatchesBruteForceEvaluation) {
-  const auto [case_idx, strat_idx, exec_idx] = GetParam();
+  const auto [case_idx, exec_idx] = GetParam();
   const auto cases = precompute_cases();
   const TermList& terms = cases[case_idx].terms;
-  const auto strategy = strat_idx == 0 ? PrecomputeStrategy::ElementMajor
-                                       : PrecomputeStrategy::TermMajor;
   const auto exec = exec_idx == 0 ? Exec::Serial : Exec::Parallel;
-  const CostDiagonal d = CostDiagonal::precompute(terms, exec, strategy);
+  const CostDiagonal d = CostDiagonal::precompute(terms, exec);
   ASSERT_EQ(d.size(), dim_of(terms.num_qubits()));
   for (std::uint64_t x = 0; x < d.size(); ++x)
     ASSERT_NEAR(d[x], terms.evaluate(x), 1e-9)
@@ -47,7 +45,6 @@ TEST_P(PrecomputeTest, MatchesBruteForceEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, PrecomputeTest,
                          ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Range(0, 2),
                                             ::testing::Range(0, 2)));
 
 TEST(CostDiagonal, FromFunctionMatchesCallable) {

@@ -106,14 +106,6 @@ TEST(GateApply, U1AndU2MatchReference) {
             1e-12);
 }
 
-TEST(GateApply, OutOfPlaceMatchesInPlace) {
-  StateVector a = random_state(6, 9);
-  StateVector b = a;
-  apply_gate(a, Gate::rx(2, 0.5), Exec::Serial);
-  apply_gate_out_of_place(b, Gate::rx(2, 0.5));
-  EXPECT_LT(a.max_abs_diff(b), 1e-14);
-}
-
 TEST(Circuit, HLayerPreparesPlusState) {
   Circuit c(6);
   for (int q = 0; q < 6; ++q) c.append(Gate::h(q));
@@ -190,15 +182,6 @@ TEST(GateVsFur, LabsAgreesIncludingQuarticTerms) {
   const StateVector a = gate_sim.simulate_qaoa(gs, bs);
   const StateVector b = fur_sim.simulate_qaoa(gs, bs);
   EXPECT_LT(a.max_abs_diff(b), 1e-10);
-}
-
-TEST(GateVsFur, OutOfPlaceModeAgrees) {
-  const TermList terms = maxcut_terms(Graph::random_regular(6, 3, 23));
-  const std::vector<double> gs{0.4}, bs{0.7};
-  const GateQaoaSimulator slow(terms, {.out_of_place = true});
-  const FurQaoaSimulator fast(terms, {});
-  EXPECT_LT(slow.simulate_qaoa(gs, bs).max_abs_diff(fast.simulate_qaoa(gs, bs)),
-            1e-10);
 }
 
 TEST(GateSim, ExpectationViaTermsMatchesDiagonal) {

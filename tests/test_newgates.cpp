@@ -1,11 +1,9 @@
-// RY / CZ / SWAP gate coverage across executor, fusion and TN lowering.
+// RY / CZ / SWAP gate coverage in the gate executor.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "gatesim/execute.hpp"
-#include "gatesim/fusion.hpp"
 #include "support/reference.hpp"
-#include "tn/contract.hpp"
 
 namespace qokit {
 namespace {
@@ -80,35 +78,6 @@ TEST(NewGates, SwapEqualsThreeCx) {
   apply_gate(b, Gate::cx(3, 1), Exec::Serial);
   apply_gate(b, Gate::cx(1, 3), Exec::Serial);
   EXPECT_LT(a.max_abs_diff(b), 1e-13);
-}
-
-TEST(NewGates, FusionHandlesNewKinds) {
-  Circuit c(4);
-  c.append(Gate::ry(0, 0.3));
-  c.append(Gate::cz(0, 1));
-  c.append(Gate::swap(0, 1));
-  c.append(Gate::ry(1, -0.7));
-  const Circuit fused = fuse_gates(c);
-  EXPECT_LT(fused.size(), c.size());
-  StateVector a = random_state(4, 5);
-  StateVector b = a;
-  run_circuit(a, c, Exec::Serial);
-  run_circuit(b, fused, Exec::Serial);
-  EXPECT_LT(a.max_abs_diff(b), 1e-12);
-}
-
-TEST(NewGates, TnLoweringMatchesStatevector) {
-  Circuit c(4);
-  c.append(Gate::h(0));
-  c.append(Gate::ry(1, 0.4));
-  c.append(Gate::cz(0, 1));
-  c.append(Gate::swap(1, 2));
-  c.append(Gate::ry(3, -0.9));
-  c.append(Gate::cz(2, 3));
-  StateVector sv = StateVector::basis_state(4, 0);
-  run_circuit(sv, c, Exec::Serial);
-  for (std::uint64_t x = 0; x < 16; ++x)
-    EXPECT_LT(std::abs(tn::amplitude(c, x) - sv[x]), 1e-12) << x;
 }
 
 TEST(NewGates, RejectEqualQubits) {

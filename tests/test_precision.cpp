@@ -21,6 +21,7 @@
 #include "api/qokit.hpp"
 #include "common/bitops.hpp"
 #include "common/cpu_features.hpp"
+#include "gatesim/execute.hpp"
 #include "obs/obs.hpp"
 #include "serve/session_cache.hpp"
 #include "statevector/sampling.hpp"
@@ -139,7 +140,7 @@ TEST(PrecisionErrorBudget, DeepScheduleDriftStaysPinned) {
   // a p = 100 schedule at both precisions, layer by layer, and pin the
   // per-layer amplitude drift and the final (double-accumulated)
   // expectation error. QOKIT_PRECISION_STUDY_N widens the state for the
-  // full-size (n = 24) run; bench_precision performs that by default.
+  // full-size (n = 24) run.
   int n = 14;
   if (const char* env = std::getenv("QOKIT_PRECISION_STUDY_N"))
     n = std::atoi(env);
@@ -360,6 +361,17 @@ TEST(PrecisionResolution, ExplicitF32OnUnsupportedCombosThrows) {
   StateVector f32 = StateVector::plus_state(4, Precision::F32);
   const std::vector<double> betas(4, 0.3);
   EXPECT_THROW(apply_mixer_x_multiangle(f32, betas, Exec::Serial),
+               std::invalid_argument);
+  EXPECT_THROW(apply_gate(f32, Gate::rx(0, 0.3), Exec::Serial),
+               std::invalid_argument);
+  Circuit circuit(4);
+  circuit.append(Gate::h(0));
+  EXPECT_THROW(run_circuit(f32, circuit, Exec::Serial), std::invalid_argument);
+  const auto gatesim = make_simulator(terms, SimulatorSpec::parse("gatesim"));
+  const std::vector<double> gammas(2, 0.2), two_betas(2, 0.4);
+  EXPECT_THROW((void)gatesim->simulate_qaoa_from(
+                   StateVector::plus_state(8, Precision::F32), gammas,
+                   two_betas),
                std::invalid_argument);
 }
 

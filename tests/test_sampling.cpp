@@ -155,5 +155,42 @@ TEST(Sampler, QaoaSamplesConcentrateOnGoodCuts) {
   EXPECT_NEAR(mean_cut, -sim.get_expectation(result), 0.35);
 }
 
+TEST(SampledEstimator, ConvergesToExactExpectation) {
+  const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 11));
+  const FurQaoaSimulator sim(terms, {});
+  const std::vector<double> gs{0.4}, bs{-0.5};
+  const StateVector r = sim.simulate_qaoa(gs, bs);
+  const double exact = sim.get_expectation(r);
+
+  Rng rng(9);
+  const auto est = estimate_expectation_sampled(
+      r, [&terms](std::uint64_t x) { return terms.evaluate(x); }, 40000, rng);
+  EXPECT_NEAR(est.mean, exact, 5.0 * est.std_error + 1e-9);
+  EXPECT_GT(est.std_error, 0.0);
+}
+
+TEST(SampledEstimator, ErrorShrinksWithShots) {
+  const TermList terms = labs_terms(8);
+  const FurQaoaSimulator sim(terms, {});
+  const std::vector<double> gs{0.1}, bs{-0.6};
+  const StateVector r = sim.simulate_qaoa(gs, bs);
+  Rng rng(11);
+  const auto coarse = estimate_expectation_sampled(
+      r, [&terms](std::uint64_t x) { return terms.evaluate(x); }, 500, rng);
+  const auto fine = estimate_expectation_sampled(
+      r, [&terms](std::uint64_t x) { return terms.evaluate(x); }, 50000, rng);
+  EXPECT_LT(fine.std_error, coarse.std_error);
+}
+
+TEST(SampledEstimator, ZeroVarianceOnBasisState) {
+  const TermList terms = labs_terms(6);
+  const StateVector sv = StateVector::basis_state(6, 13);
+  Rng rng(3);
+  const auto est = estimate_expectation_sampled(
+      sv, [&terms](std::uint64_t x) { return terms.evaluate(x); }, 100, rng);
+  EXPECT_DOUBLE_EQ(est.mean, terms.evaluate(13));
+  EXPECT_DOUBLE_EQ(est.std_error, 0.0);
+}
+
 }  // namespace
 }  // namespace qokit

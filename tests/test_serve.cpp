@@ -24,6 +24,7 @@
 
 #include "api/session.hpp"
 #include "common/rng.hpp"
+#include "obs/obs.hpp"
 #include "problems/graph.hpp"
 #include "problems/maxcut.hpp"
 #include "serve/protocol.hpp"
@@ -51,6 +52,12 @@ std::vector<QaoaParams> random_schedules(int count, int p,
 
 TermList test_problem(int n, std::uint64_t seed) {
   return maxcut_terms(Graph::random_regular(n, 3, seed));
+}
+
+std::uint64_t precomputes_total() {
+  for (const auto& [name, value] : obs::snapshot().counters)
+    if (name == "qokit_precomputes_total") return value;
+  return 0;
 }
 
 Request make_request(int n, std::uint64_t problem_seed,
@@ -418,6 +425,13 @@ TEST(ScheduleServer, SoakIsBitIdenticalToDirectSessions) {
     }
   }
 
+  // A cache hit must not pay the precompute again: across the server part
+  // of the soak, qokit_precomputes_total rises once per problem. The
+  // counter only moves with obs on; the previous state is restored below.
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t precomputes_before = precomputes_total();
+
   ServerConfig config;
   config.workers = 3;
   config.queue_capacity = 1024;
@@ -446,9 +460,12 @@ TEST(ScheduleServer, SoakIsBitIdenticalToDirectSessions) {
       }
     });
   for (std::thread& t : clients) t.join();
+  const std::uint64_t precomputes = precomputes_total() - precomputes_before;
+  obs::set_enabled(obs_was_enabled);
 
   EXPECT_EQ(non_ok.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(precomputes, static_cast<std::uint64_t>(kProblems));
   const SessionCache::Stats stats = server.cache_stats();
   // One precompute per problem, everything else cache hits.
   EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kProblems));

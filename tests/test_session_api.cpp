@@ -108,6 +108,10 @@ TEST(SimulatorSpec, RejectsUnknownTokensNamingThem) {
         Case{"auto:seed=x", "seed=x"},
         Case{"dist:4:pairwise:junk=1", "junk=1"},
         Case{"auto:simd=sse", "simd=sse"}, Case{"dist:two", "two"},
+        // -1 is weight's unset value, not a spelling: a negative weight
+        // would build the default simulator under an unequal spec.
+        Case{"auto:weight=-5", "weight=-5"},
+        Case{"auto:mixer=xyring:weight=-1", "weight=-1"},
         // Process-wide settings are not spec options: the kernel family
         // is QOKIT_SIMD / force_simd_level, instrumentation QOKIT_OBS /
         // obs::set_enabled, and the pipeline geometry is fixed.

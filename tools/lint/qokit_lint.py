@@ -58,7 +58,7 @@ pipeline-geometry
     that spells them out, so the fixed geometry make_simulator hands every
     simulator is the one every plan runs; a scattered literal would
     silently override it.
-    Tests and benches may pin literals freely -- the rule scopes to
+    Tests and perfbench/ may pin literals freely -- the rule scopes to
     src/pipeline/ only.
 
 Suppression: append `// qokit-lint: allow(<rule>) -- <reason>` to the
