@@ -8,19 +8,35 @@
 namespace qokit {
 namespace {
 
-bool machine_has_avx2_fma() noexcept {
+/// True when this machine (CPU and OS) can run the level's kernels. Each
+/// vector level also needs everything the levels below it need: the
+/// AVX-512 table keeps the AVX2 kernels for every entry it does not
+/// replace.
+bool machine_supports(SimdLevel level) noexcept {
 #if QOKIT_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
+  switch (level) {
+    case SimdLevel::Scalar: return true;
+    case SimdLevel::Avx2:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    case SimdLevel::Avx512:
+      return machine_supports(SimdLevel::Avx2) &&
+             __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512dq");
+  }
   return false;
+#else
+  return level == SimdLevel::Scalar;
 #endif
 }
 
+/// The best level at or below `level` that is compiled in and runs here.
 SimdLevel clamp_to_available(SimdLevel level) noexcept {
-  if (level == SimdLevel::Avx2 &&
-      (!simd_level_compiled(SimdLevel::Avx2) || !machine_has_avx2_fma()))
-    return SimdLevel::Scalar;
-  return level;
+  for (int v = static_cast<int>(level); v > 0; --v) {
+    const auto candidate = static_cast<SimdLevel>(v);
+    if (simd_level_compiled(candidate) && machine_supports(candidate))
+      return candidate;
+  }
+  return SimdLevel::Scalar;
 }
 
 SimdLevel initial_level() noexcept {
@@ -50,6 +66,7 @@ const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::Scalar: return "scalar";
     case SimdLevel::Avx2: return "avx2";
+    case SimdLevel::Avx512: return "avx512";
   }
   return "unknown";
 }
@@ -57,14 +74,14 @@ const char* simd_level_name(SimdLevel level) noexcept {
 bool simd_level_compiled(SimdLevel level) noexcept {
   if (level == SimdLevel::Scalar) return true;
 #if QOKIT_SIMD_X86
-  return level == SimdLevel::Avx2;
+  return level == SimdLevel::Avx2 || level == SimdLevel::Avx512;
 #else
   return false;
 #endif
 }
 
 SimdLevel detect_simd_level() noexcept {
-  return clamp_to_available(SimdLevel::Avx2);
+  return clamp_to_available(SimdLevel::Avx512);
 }
 
 SimdLevel active_simd_level() noexcept {

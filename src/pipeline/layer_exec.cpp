@@ -13,11 +13,11 @@
 //     absolute pairs land in the same 2-pair vector groups and no pair
 //     falls to a (differently rounded) scalar tail in one decomposition
 //     but not the other.
-//  3. Two-level RX kernels (phase_rx, rx2_tile, rx2_rows) get whole
-//     2^(q+2)-amplitude tile blocks or whole row runs — exactly the runs
-//     the two single-level rx_pairs calls would see — and each family
-//     repeats rx_pairs' per-op arithmetic and its vector/scalar-tail split
-//     per level in registers.
+//  3. Multi-level RX kernels (phase_rx, rx2_tile, rx2_rows, rx3_tile,
+//     rx3_rows) get whole 2^(q+2)- or 2^(q+3)-amplitude tile blocks or
+//     whole row runs — exactly the runs the single-level rx_pairs calls
+//     would see — and each family repeats rx_pairs' per-op arithmetic and
+//     its vector/scalar-tail split per level in registers.
 //
 // Given those, per-amplitude results depend only on (input values, qubit,
 // dispatch level) — not on traversal order — and each pass applies its
@@ -63,6 +63,14 @@ const simd::detail::KernelsT<double>& active_family<double>() {
 template <>
 const simd::detail::KernelsT<float>& active_family<float>() {
   return simd::detail::active_kernels_f32();
+}
+
+/// How many triples a unit's `levels` remaining RX levels split into when
+/// the family has rx3 kernels: as many as leave the rest in pairs, so no
+/// level runs alone unless levels == 1 (4 -> 2+2, 7 -> 3+2+2,
+/// 14 -> 3+3+3+3+2).
+int rx_triples(int levels) {
+  return levels % 3 == 1 && levels > 1 ? (levels - 4) / 3 : levels / 3;
 }
 
 /// Parallelize over independent cache-units. Units touch disjoint
@@ -156,12 +164,19 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
                   phase_unit(k, amp, ctx, base, tile, gamma);
                 }
               }
-              // RX levels in adjacent pairs, one read/write of the tile per
-              // pair (q + 2 <= q_end <= log2(tile) keeps rx2_tile's blocks
-              // whole); an odd level left over goes alone.
-              if (rx)
+              // RX levels in adjacent triples where the family has rx3
+              // kernels, then pairs, one read/write of the tile each
+              // (q_end <= log2(tile) keeps the 2^(q+3) and 2^(q+2) blocks
+              // whole). Without rx3 kernels an odd level left over goes
+              // alone.
+              if (rx) {
+                if (k.rx3_tile)
+                  for (const int q3 = q + 3 * rx_triples(p.q_end - q);
+                       q < q3; q += 3)
+                    k.rx3_tile(amp + base, q, tile, c, s);
                 for (; q + 1 < p.q_end; q += 2)
                   k.rx2_tile(amp + base, q, tile, c, s);
+              }
               for (; q < p.q_end; ++q)
                 butterfly_tile(k, amp, base, tile, q, p.butterfly, c, s);
               if (p.post == PassPhase::Popcount)
@@ -193,11 +208,21 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
         // All g butterflies on the cache-resident 2^g-row working set;
         // partners for qubit q = a + j are rows r and r | 2^j, both inside
         // the set, so ascending-q order sees exactly the unfused dataflow.
-        // RX levels go in adjacent pairs: rows r, r | 2^j, r | 2^(j+1) and
-        // r | 3 * 2^j sit 2^q amplitudes apart, one rx2_rows call per
-        // quadruple; an odd level left over goes alone.
+        // RX levels go in adjacent triples where the family has rx3
+        // kernels, then pairs: rows r + m 2^j (m = 0..7, or 0..3) sit 2^q
+        // amplitudes apart, one rx3_rows / rx2_rows call per set. Without
+        // rx3 kernels an odd level left over goes alone.
         int q = a;
-        if (p.butterfly == PassButterfly::Rx)
+        if (p.butterfly == PassButterfly::Rx) {
+          if (k.rx3_rows)
+            for (const int q3 = q + 3 * rx_triples(b - q); q < q3; q += 3) {
+              const std::uint64_t rbits = 7ull << (q - a);
+              for (std::uint64_t r = 0; r < rows; ++r) {
+                if (r & rbits) continue;
+                k.rx3_rows(amp + blk + r * row + col, 1ull << q, chunk, c,
+                           s);
+              }
+            }
           for (; q + 1 < b; q += 2) {
             const std::uint64_t rbits = 3ull << (q - a);
             for (std::uint64_t r = 0; r < rows; ++r) {
@@ -205,6 +230,7 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
               k.rx2_rows(amp + blk + r * row + col, 1ull << q, chunk, c, s);
             }
           }
+        }
         for (; q < b; ++q) {
           const std::uint64_t rbit = 1ull << (q - a);
           for (std::uint64_t r = 0; r < rows; ++r) {

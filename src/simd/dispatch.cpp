@@ -20,14 +20,19 @@ namespace detail {
 
 const Kernels& active_kernels() noexcept {
 #if QOKIT_SIMD_X86
-  if (active_simd_level() == SimdLevel::Avx2) return avx2_kernels;
+  switch (active_simd_level()) {
+    case SimdLevel::Avx512: return avx512_kernels;
+    case SimdLevel::Avx2: return avx2_kernels;
+    case SimdLevel::Scalar: break;
+  }
 #endif
   return scalar_kernels;
 }
 
 const KernelsF32& active_kernels_f32() noexcept {
 #if QOKIT_SIMD_X86
-  if (active_simd_level() == SimdLevel::Avx2) return avx2_kernels_f32;
+  // f32 has no AVX-512 table yet: the AVX-512 level runs the AVX2 one.
+  if (active_simd_level() != SimdLevel::Scalar) return avx2_kernels_f32;
 #endif
   return scalar_kernels_f32;
 }
@@ -39,16 +44,18 @@ namespace {
 /// Count one dispatch-entry call against the active kernel family.
 /// Incremented at entry -- before the block decomposition -- so the totals
 /// are identical for Serial and Parallel execution of the same workload.
+/// The gauge holds the numeric SimdLevel (0 scalar, 1 avx2, 2 avx512).
 void count_kernel_call() {
   if (!obs::enabled()) return;
-  static const obs::Counter scalar_calls =
-      obs::counter("qokit_kernel_calls_scalar_total");
-  static const obs::Counter avx2_calls =
-      obs::counter("qokit_kernel_calls_avx2_total");
+  static const obs::Counter calls[] = {
+      obs::counter("qokit_kernel_calls_scalar_total"),
+      obs::counter("qokit_kernel_calls_avx2_total"),
+      obs::counter("qokit_kernel_calls_avx512_total"),
+  };
   static const obs::Gauge level = obs::gauge("qokit_simd_level");
-  const bool avx2 = active_simd_level() == SimdLevel::Avx2;
-  (avx2 ? avx2_calls : scalar_calls).add();
-  level.set(avx2 ? 1.0 : 0.0);
+  const int active = static_cast<int>(active_simd_level());
+  calls[active].add();
+  level.set(static_cast<double>(active));
 }
 
 /// Family selection by amplitude scalar.

@@ -3,11 +3,15 @@
 // Every elementwise pass in Algorithm 3 funnels through this layer: the
 // diagonal phase multiply (double-cost, u16-table, and popcount-table
 // variants), the single-qubit mixer butterflies (rx, hadamard) plus the
-// two-level RX butterflies the layer pipeline fuses them into, and the
-// expectation / norm / ground-overlap reductions. Each kernel exists in
-// a scalar family (kernels_scalar.cpp, portable C++) and an AVX2+FMA family
-// (kernels_avx2.cpp, compiled only under QOKIT_SIMD on x86-64); dispatch is
-// chosen once per process via CPUID (common/cpu_features.hpp).
+// two- and three-level RX butterflies the layer pipeline fuses them into,
+// and the expectation / norm / ground-overlap reductions. Each kernel
+// exists in a scalar family (kernels_scalar.cpp, portable C++) and an
+// AVX2+FMA family (kernels_avx2.cpp). At the AVX-512 level
+// (kernels_avx512.cpp, F+DQ) an f64 table replaces only phase_rx and the
+// radix-8 rx3_tile / rx3_rows the layer executor calls per unit, and
+// keeps the AVX2 ones for every other entry. Both vector units are
+// compiled only under QOKIT_SIMD on x86-64; the level is chosen once per
+// process via CPUID (common/cpu_features.hpp).
 //
 // Precision: every kernel exists for both amplitude widths — cdouble (the
 // default and oracle) and cfloat (the bandwidth-halving mixed-precision
@@ -112,7 +116,7 @@ namespace detail {
 /// pointers and a count; single-level butterfly kernels receive the full
 /// array plus a pair-index range [kb, ke) (pair k touches amplitudes
 /// insert_zero_bit(k, qubit) and its partner at stride 2^qubit), the
-/// two-level RX kernels an already-offset tile or row. Angles, costs, and
+/// multi-level RX kernels an already-offset tile or row. Angles, costs, and
 /// reduction results are double for every T.
 template <class T>
 struct KernelsT {
@@ -144,6 +148,18 @@ struct KernelsT {
   /// `run` pairs.
   void (*rx2_rows)(C* x, std::uint64_t stride, std::uint64_t run, double c,
                    double s);
+  /// Three RX levels, qubits q, q + 1 and q + 2, over the tile x[0, count)
+  /// (count a multiple of 2^(q+3)): bit for bit the three rx_pairs calls
+  /// covering the tile. Null in a family whose radix-8 body does not pay
+  /// (AVX2: it spills); the executor then issues pairs.
+  void (*rx3_tile)(C* x, int q, std::uint64_t count, double c, double s);
+  /// Three RX levels over eight row streams x + m stride, m = 0..7 (stride
+  /// a power of two >= 2, run <= stride): rows (m, m ^ 1), then (m, m ^ 2),
+  /// then (m, m ^ 4). Bit for bit the twelve rx_pairs calls that each
+  /// cover one row pair as a single run of `run` pairs. Null with
+  /// rx3_tile.
+  void (*rx3_rows)(C* x, std::uint64_t stride, std::uint64_t run, double c,
+                   double s);
   void (*hadamard_pairs)(C* x, int qubit, std::uint64_t kb,
                          std::uint64_t ke);
   double (*expectation)(const C* amp, const double* costs,
@@ -163,6 +179,8 @@ extern const KernelsF32 scalar_kernels_f32;
 #if QOKIT_SIMD_X86
 extern const Kernels avx2_kernels;
 extern const KernelsF32 avx2_kernels_f32;
+/// The AVX-512 level's f64 table; its f32 table is avx2_kernels_f32.
+extern const Kernels avx512_kernels;
 #endif
 
 /// Family for the current active_simd_level().

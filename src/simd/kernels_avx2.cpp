@@ -9,7 +9,8 @@
 // beyond). Reductions keep four independent accumulator lanes per block and
 // collapse them in a fixed order, so every result is a deterministic
 // function of the input alone. The parity suite pins both families to each
-// other within 1e-12 per amplitude.
+// other within 1e-12 per amplitude. The sin/cos core and the RX row
+// bodies are shared with the AVX-512 family (simd/vec_kernels.hpp).
 #include "simd/kernels.hpp"
 
 #if QOKIT_SIMD_X86
@@ -20,68 +21,21 @@
 #include <cmath>
 
 #include "common/bitops.hpp"
+#include "simd/vec_kernels.hpp"
 
 namespace qokit {
 namespace simd {
 namespace {
 
 // ------------------------------------------------------------- sin/cos
-// Three-term Cody–Waite split of pi/2 (Cephes DP1..DP3 doubled). Each
-// k*DPx product is formed inside a single-rounding fnmadd, so the
-// reduction error is dominated by the residual pi/2 - (DP1+DP2+DP3)
-// (~3e-22): at the kHugeAngle bound (|k| ~ 6.4e8) the reduced argument is
-// off by at most ~2e-13 absolute, inside the layer's 1e-12 parity budget;
-// for the |angle| <~ 1e4 regime real gammas produce it is ~1e-18.
-constexpr double kDP1 = 1.57079625129699707031e+00;
-constexpr double kDP2 = 7.54978941586159635335e-08;
-constexpr double kDP3 = 5.39030285815811905290e-15;
-constexpr double kTwoOverPi = 6.36619772367581382433e-01;
-// Beyond this magnitude the int32 quadrant index could overflow; the caller
-// falls back to libm for the whole 4-lane group (never hit by sane gammas).
-constexpr double kHugeAngle = 1.0e9;
 
-// Cephes minimax coefficients for sin/cos on |r| <= pi/4 (highest first).
-constexpr double kSinCof[6] = {
-    1.58962301576546568060e-10, -2.50507477628578072866e-8,
-    2.75573136213857245213e-6,  -1.98412698295895385996e-4,
-    8.33333333332211858878e-3,  -1.66666666666666307295e-1,
-};
-constexpr double kCosCof[6] = {
-    -1.13585365213876817300e-11, 2.08757008419747316778e-9,
-    -2.75573141792967388112e-7,  2.48015872888517179954e-5,
-    -1.38888888888730564116e-3,  4.16666666666665929218e-2,
-};
-
-inline __m256d poly6(__m256d z, const double (&c)[6]) {
-  __m256d p = _mm256_set1_pd(c[0]);
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(c[1]));
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(c[2]));
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(c[3]));
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(c[4]));
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(c[5]));
-  return p;
-}
-
-/// Four simultaneous sin/cos. Precondition: every |x| <= kHugeAngle.
+/// Four simultaneous sin/cos: the shared reduced pair, then the quadrant
+/// fixup with AVX2 compares and blends. Precondition: every
+/// |x| <= kHugeAngle.
 inline void sincos4(__m256d x, __m256d* s_out, __m256d* c_out) {
-  // Quadrant index k = round(x * 2/pi) and reduced argument r in
-  // [-pi/4, pi/4] via the three-term split.
-  const __m256d k = _mm256_round_pd(
-      _mm256_mul_pd(x, _mm256_set1_pd(kTwoOverPi)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256d r = _mm256_fnmadd_pd(k, _mm256_set1_pd(kDP1), x);
-  r = _mm256_fnmadd_pd(k, _mm256_set1_pd(kDP2), r);
-  r = _mm256_fnmadd_pd(k, _mm256_set1_pd(kDP3), r);
-
+  __m256d k, sin_r, cos_r;
+  sincos_reduced<Pd256>(x, &k, &sin_r, &cos_r);
   const __m256i q = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(k));
-
-  const __m256d z = _mm256_mul_pd(r, r);
-  // sin(r) = r + r z P(z);  cos(r) = 1 - z/2 + z^2 Q(z).
-  const __m256d sin_r =
-      _mm256_fmadd_pd(_mm256_mul_pd(poly6(z, kSinCof), z), r, r);
-  const __m256d cos_r = _mm256_fmadd_pd(
-      poly6(z, kCosCof), _mm256_mul_pd(z, z),
-      _mm256_fnmadd_pd(_mm256_set1_pd(0.5), z, _mm256_set1_pd(1.0)));
 
   // Quadrant fixup: q&1 swaps sin/cos; q&2 flips sin; (q+1)&2 flips cos.
   const __m256d swap = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
@@ -107,59 +61,13 @@ inline __m256d cmul_bcast(__m256d a, __m256d f_re, __m256d f_im) {
 }
 
 // ------------------------------------------------------ RX butterflies
-// e^{-i beta X} on a pair: y0 = c x0 - i s x1, y1 = -i s x0 + c x1. In
-// interleaved lanes -i s x1 = [s im1, -s re1]: the partner with re and im
-// swapped, times the pre-signed multiplier [s, -s, s, -s]. Folding the
-// sign into the multiplier instead of xor-ing it onto the partner is
-// exact, since (-x)*s and x*(-s) round identically.
-
-/// The pre-signed multiplier [s, -s, s, -s].
-inline __m256d presigned(double s) { return _mm256_setr_pd(s, -s, s, -s); }
-
-/// One RX output register, c*a + vsp*partner_sw in one FMA rounding, where
-/// partner_sw holds each lane's partner complex as [im, re].
-inline __m256d rx_out(__m256d vc, __m256d vsp, __m256d a,
-                      __m256d partner_sw) {
-  return _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vsp, partner_sw));
-}
+// The pre-signed RX update (rx_out, rx_rows) and the radix-4 row body are
+// simd/vec_kernels.hpp's, instantiated at two complexes per register.
 
 /// Qubit-0 RX on one register [x0, x1]: the partners are each other, so
 /// partner_sw is the full lane reversal.
 inline __m256d rx_q0(__m256d a, __m256d vc, __m256d vsp) {
-  return rx_out(vc, vsp, a, _mm256_permute4x64_pd(a, 0x1B));
-}
-
-/// RX between two registers whose complexes pair lane for lane.
-inline void rx_rows(__m256d& a, __m256d& b, __m256d vc, __m256d vsp) {
-  const __m256d na = rx_out(vc, vsp, a, _mm256_permute_pd(b, 0x5));
-  b = rx_out(vc, vsp, b, _mm256_permute_pd(a, 0x5));
-  a = na;
-}
-
-/// Vector part of the four-row two-level butterfly: rows at p, p + w,
-/// p + 2w, p + 3w (w in doubles), levels (0,1)(2,3) then (0,2)(1,3), two
-/// complexes per row per step. Returns the amplitudes done (run rounded
-/// down to even, rx_pairs' vector grouping of each row run).
-inline std::uint64_t rx2_rows_vec(double* p, std::uint64_t w,
-                                  std::uint64_t run, __m256d vc,
-                                  __m256d vsp) {
-  std::uint64_t j = 0;
-  for (; j + 2 <= run; j += 2) {
-    double* r = p + 2 * j;
-    __m256d a0 = _mm256_loadu_pd(r);
-    __m256d a1 = _mm256_loadu_pd(r + w);
-    __m256d a2 = _mm256_loadu_pd(r + 2 * w);
-    __m256d a3 = _mm256_loadu_pd(r + 3 * w);
-    rx_rows(a0, a1, vc, vsp);
-    rx_rows(a2, a3, vc, vsp);
-    rx_rows(a0, a2, vc, vsp);
-    rx_rows(a1, a3, vc, vsp);
-    _mm256_storeu_pd(r, a0);
-    _mm256_storeu_pd(r + w, a1);
-    _mm256_storeu_pd(r + 2 * w, a2);
-    _mm256_storeu_pd(r + 3 * w, a3);
-  }
-  return j;
+  return rx_out<Pd256>(vc, vsp, a, _mm256_permute4x64_pd(a, 0x1B));
 }
 
 // Tail/fallback elements run the *scalar family's* function (compiled
@@ -218,7 +126,7 @@ void phase_rx_avx2(cdouble* amp, const double* costs, std::uint64_t count,
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
   const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vsp = presigned(s);
+  const __m256d vsp = Pd256::presigned(s);
   for (std::uint64_t i = 0; i < count; i += 4) {
     __m256d p01, p23;
     const __m256d ang = _mm256_mul_pd(vng, _mm256_loadu_pd(costs + i));
@@ -239,7 +147,7 @@ void phase_rx_avx2(cdouble* amp, const double* costs, std::uint64_t count,
     }
     p01 = rx_q0(p01, vc, vsp);
     p23 = rx_q0(p23, vc, vsp);
-    rx_rows(p01, p23, vc, vsp);
+    rx_rows<Pd256>(p01, p23, vc, vsp);
     _mm256_storeu_pd(d + 2 * i, p01);
     _mm256_storeu_pd(d + 2 * i + 4, p23);
   }
@@ -282,7 +190,7 @@ void phase_popcount_avx2(cdouble* amp, std::uint64_t index_base,
 void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
                    double c, double s) {
   const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vsp = presigned(s);
+  const __m256d vsp = Pd256::presigned(s);
   double* d = reinterpret_cast<double*>(x);
   if (qubit == 0) {
     // Pair (x0, x1) is one register: [r0, i0, r1, i1].
@@ -302,7 +210,7 @@ void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
     for (; j + 2 <= run; j += 2) {
       __m256d a = _mm256_loadu_pd(p0 + 2 * j);
       __m256d b = _mm256_loadu_pd(p1 + 2 * j);
-      rx_rows(a, b, vc, vsp);
+      rx_rows<Pd256>(a, b, vc, vsp);
       _mm256_storeu_pd(p0 + 2 * j, a);
       _mm256_storeu_pd(p1 + 2 * j, b);
     }
@@ -316,8 +224,8 @@ void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
 void rx2_rows_avx2(cdouble* x, std::uint64_t stride, std::uint64_t run,
                    double c, double s) {
   const std::uint64_t j =
-      rx2_rows_vec(reinterpret_cast<double*>(x), 2 * stride, run,
-                   _mm256_set1_pd(c), presigned(s));
+      rx2_rows_body<Pd256>(reinterpret_cast<double*>(x), 2 * stride, run,
+                           Pd256::set1(c), Pd256::presigned(s));
   // An odd run's last amplitude takes rx_pairs' scalar remainder on both
   // levels (both row pairs share the run), so it goes to the scalar
   // family whole.
@@ -327,7 +235,7 @@ void rx2_rows_avx2(cdouble* x, std::uint64_t stride, std::uint64_t run,
 void rx2_tile_avx2(cdouble* x, int q, std::uint64_t count, double c,
                    double s) {
   const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vsp = presigned(s);
+  const __m256d vsp = Pd256::presigned(s);
   double* d = reinterpret_cast<double*>(x);
   if (q == 0) {
     // [x0, x1] and [x2, x3]: qubit 0 inside each register, then qubit 1
@@ -335,7 +243,7 @@ void rx2_tile_avx2(cdouble* x, int q, std::uint64_t count, double c,
     for (std::uint64_t i = 0; i < count; i += 4) {
       __m256d a = rx_q0(_mm256_loadu_pd(d + 2 * i), vc, vsp);
       __m256d b = rx_q0(_mm256_loadu_pd(d + 2 * i + 4), vc, vsp);
-      rx_rows(a, b, vc, vsp);
+      rx_rows<Pd256>(a, b, vc, vsp);
       _mm256_storeu_pd(d + 2 * i, a);
       _mm256_storeu_pd(d + 2 * i + 4, b);
     }
@@ -344,7 +252,7 @@ void rx2_tile_avx2(cdouble* x, int q, std::uint64_t count, double c,
   // Each 2^(q+2) block is four rows of 2^q (even) amplitudes: all vector.
   const std::uint64_t stride = 1ull << q;
   for (std::uint64_t b = 0; b < count; b += 4 * stride)
-    rx2_rows_vec(d + 2 * b, 2 * stride, stride, vc, vsp);
+    rx2_rows_body<Pd256>(d + 2 * b, 2 * stride, stride, vc, vsp);
 }
 
 void hadamard_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb,
@@ -479,18 +387,6 @@ double overlap_avx2(const cdouble* amp, const double* costs, double threshold,
 // containment contract). Tails and odd remainders delegate to the scalar
 // f32 family, mirroring the f64 policy.
 
-/// The pre-signed multiplier [s, -s, ...] at float width (s narrowed
-/// once, as the scalar family narrows it).
-inline __m256 presigned_ps(double s) {
-  const float f = static_cast<float>(s);
-  return _mm256_setr_ps(f, -f, f, -f, f, -f, f, -f);
-}
-
-/// rx_out at float width: c*a + vsp*partner_sw in one FMA rounding.
-inline __m256 rx_out_ps(__m256 vc, __m256 vsp, __m256 a, __m256 partner_sw) {
-  return _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vsp, partner_sw));
-}
-
 /// Hides a value from the optimizer. GCC's default -ffp-contract=fast
 /// fuses a multiply into a following add even across intrinsics; a
 /// product routed through here stays separately rounded.
@@ -511,7 +407,7 @@ inline __m256 rx_out_scalar_ps(__m256 vc, __m256 vsp, __m256 a,
 /// Qubit-0 RX on one register [x0, x1 | x2, x3]: each pair is one 128-bit
 /// lane and its partner_sw the within-lane reversal.
 inline __m256 rx_q0_ps(__m256 a, __m256 vc, __m256 vsp) {
-  return rx_out_ps(vc, vsp, a, _mm256_permute_ps(a, 0x1B));
+  return rx_out<Ps256>(vc, vsp, a, _mm256_permute_ps(a, 0x1B));
 }
 
 /// Qubit-1 RX on one register [x0, x1 | x2, x3]: each partner sits in the
@@ -519,38 +415,6 @@ inline __m256 rx_q0_ps(__m256 a, __m256 vc, __m256 vsp) {
 inline __m256 rx_q1_ps(__m256 a, __m256 vc, __m256 vsp) {
   const __m256 partner = _mm256_permute2f128_ps(a, a, 0x01);
   return rx_out_scalar_ps(vc, vsp, a, _mm256_permute_ps(partner, 0xB1));
-}
-
-/// RX between two registers whose complexes pair lane for lane.
-inline void rx_rows_ps(__m256& a, __m256& b, __m256 vc, __m256 vsp) {
-  const __m256 na = rx_out_ps(vc, vsp, a, _mm256_permute_ps(b, 0xB1));
-  b = rx_out_ps(vc, vsp, b, _mm256_permute_ps(a, 0xB1));
-  a = na;
-}
-
-/// rx2_rows_vec at float width: four complexes per row per step. Returns
-/// the amplitudes done (run rounded down to a multiple of 4, rx_pairs'
-/// vector grouping of each row run).
-inline std::uint64_t rx2_rows_vec_ps(float* p, std::uint64_t w,
-                                     std::uint64_t run, __m256 vc,
-                                     __m256 vsp) {
-  std::uint64_t j = 0;
-  for (; j + 4 <= run; j += 4) {
-    float* r = p + 2 * j;
-    __m256 a0 = _mm256_loadu_ps(r);
-    __m256 a1 = _mm256_loadu_ps(r + w);
-    __m256 a2 = _mm256_loadu_ps(r + 2 * w);
-    __m256 a3 = _mm256_loadu_ps(r + 3 * w);
-    rx_rows_ps(a0, a1, vc, vsp);
-    rx_rows_ps(a2, a3, vc, vsp);
-    rx_rows_ps(a0, a2, vc, vsp);
-    rx_rows_ps(a1, a3, vc, vsp);
-    _mm256_storeu_ps(r, a0);
-    _mm256_storeu_ps(r + w, a1);
-    _mm256_storeu_ps(r + 2 * w, a2);
-    _mm256_storeu_ps(r + 3 * w, a3);
-  }
-  return j;
 }
 
 /// (a * f) for interleaved a and per-complex broadcast halves
@@ -608,7 +472,7 @@ void phase_rx_avx2_f32(cfloat* amp, const double* costs, std::uint64_t count,
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
-  const __m256 vsp = presigned_ps(s);
+  const __m256 vsp = Ps256::presigned(s);
   for (std::uint64_t i = 0; i < count; i += 4) {
     __m256 p;
     const __m256d ang = _mm256_mul_pd(vng, _mm256_loadu_pd(costs + i));
@@ -673,7 +537,7 @@ void phase_popcount_avx2_f32(cfloat* amp, std::uint64_t index_base,
 void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
                        std::uint64_t ke, double c, double s) {
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
-  const __m256 vsp = presigned_ps(s);
+  const __m256 vsp = Ps256::presigned(s);
   float* d = reinterpret_cast<float*>(x);
   if (qubit == 0) {
     // Two pairs per register; each pair is one 128-bit lane [r0,i0,r1,i1].
@@ -696,7 +560,7 @@ void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
     for (; j + 4 <= run; j += 4) {
       __m256 a = _mm256_loadu_ps(p0 + 2 * j);
       __m256 b = _mm256_loadu_ps(p1 + 2 * j);
-      rx_rows_ps(a, b, vc, vsp);
+      rx_rows<Ps256>(a, b, vc, vsp);
       _mm256_storeu_ps(p0 + 2 * j, a);
       _mm256_storeu_ps(p1 + 2 * j, b);
     }
@@ -708,9 +572,9 @@ void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
 
 void rx2_rows_avx2_f32(cfloat* x, std::uint64_t stride, std::uint64_t run,
                        double c, double s) {
-  const std::uint64_t j = rx2_rows_vec_ps(
-      reinterpret_cast<float*>(x), 2 * stride, run,
-      _mm256_set1_ps(static_cast<float>(c)), presigned_ps(s));
+  const std::uint64_t j = rx2_rows_body<Ps256>(
+      reinterpret_cast<float*>(x), 2 * stride, run, Ps256::set1(c),
+      Ps256::presigned(s));
   // The run's last run % 4 amplitudes take rx_pairs' scalar remainder on
   // both levels (both row pairs share the run): scalar family, whole.
   if (j < run)
@@ -720,7 +584,7 @@ void rx2_rows_avx2_f32(cfloat* x, std::uint64_t stride, std::uint64_t run,
 void rx2_tile_avx2_f32(cfloat* x, int q, std::uint64_t count, double c,
                        double s) {
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
-  const __m256 vsp = presigned_ps(s);
+  const __m256 vsp = Ps256::presigned(s);
   float* d = reinterpret_cast<float*>(x);
   if (q == 0) {
     // [x0, x1 | x2, x3]: qubit 0 within the lanes, qubit 1 across them.
@@ -737,7 +601,7 @@ void rx2_tile_avx2_f32(cfloat* x, int q, std::uint64_t count, double c,
     for (std::uint64_t i = 0; i < count; i += 8) {
       __m256 a = rx_q1_ps(_mm256_loadu_ps(d + 2 * i), vc, vsp);
       __m256 b = rx_q1_ps(_mm256_loadu_ps(d + 2 * i + 8), vc, vsp);
-      rx_rows_ps(a, b, vc, vsp);
+      rx_rows<Ps256>(a, b, vc, vsp);
       _mm256_storeu_ps(d + 2 * i, a);
       _mm256_storeu_ps(d + 2 * i + 8, b);
     }
@@ -746,7 +610,7 @@ void rx2_tile_avx2_f32(cfloat* x, int q, std::uint64_t count, double c,
   // q >= 2: four rows of 2^q (a multiple of 4) amplitudes per block.
   const std::uint64_t stride = 1ull << q;
   for (std::uint64_t b = 0; b < count; b += 4 * stride)
-    rx2_rows_vec_ps(d + 2 * b, 2 * stride, stride, vc, vsp);
+    rx2_rows_body<Ps256>(d + 2 * b, 2 * stride, stride, vc, vsp);
 }
 
 void hadamard_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
@@ -883,6 +747,10 @@ const Kernels avx2_kernels = {
     .rx_pairs = rx_pairs_avx2,
     .rx2_tile = rx2_tile_avx2,
     .rx2_rows = rx2_rows_avx2,
+    // Radix-8 spills AVX2's 16 ymm registers (DESIGN.md "Level pairing"):
+    // the executor issues level pairs instead.
+    .rx3_tile = nullptr,
+    .rx3_rows = nullptr,
     .hadamard_pairs = hadamard_pairs_avx2,
     .expectation = expectation_avx2,
     .expectation_u16 = expectation_u16_avx2,
@@ -898,6 +766,10 @@ const KernelsF32 avx2_kernels_f32 = {
     .rx_pairs = rx_pairs_avx2_f32,
     .rx2_tile = rx2_tile_avx2_f32,
     .rx2_rows = rx2_rows_avx2_f32,
+    // Radix-8 spills AVX2's 16 ymm registers (DESIGN.md "Level pairing"):
+    // the executor issues level pairs instead.
+    .rx3_tile = nullptr,
+    .rx3_rows = nullptr,
     .hadamard_pairs = hadamard_pairs_avx2_f32,
     .expectation = expectation_avx2_f32,
     .expectation_u16 = expectation_u16_avx2_f32,

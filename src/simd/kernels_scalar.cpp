@@ -121,6 +121,37 @@ void rx2_tile_scalar(std::complex<T>* x, int q, std::uint64_t count,
 }
 
 template <class T>
+void rx3_rows_scalar(std::complex<T>* x, std::uint64_t stride,
+                     std::uint64_t run, double c, double s) {
+  // Levels q and q + 1 on rows 0-3 and on rows 4-7, then level q + 2
+  // across the halves: rx_pair's statements in the order the three
+  // unfused sweeps apply them. Blocks of kCols columns keep the third
+  // level's operands in L1.
+  constexpr std::uint64_t kCols = 32;
+  T* d = reinterpret_cast<T*>(x);
+  const T tc = static_cast<T>(c);
+  const T ts = static_cast<T>(s);
+  const std::uint64_t w = 2 * stride;  // row distance in reals
+  for (std::uint64_t j0 = 0; j0 < run; j0 += kCols) {
+    const std::uint64_t len = std::min(kCols, run - j0);
+    rx2_rows_scalar(x + j0, stride, len, c, s);
+    rx2_rows_scalar(x + j0 + 4 * stride, stride, len, c, s);
+    for (std::uint64_t m = 0; m < 4; ++m)
+      for (std::uint64_t j = 2 * j0; j < 2 * (j0 + len); j += 2)
+        rx_pair(d + m * w + j, d + (m + 4) * w + j, tc, ts);
+  }
+}
+
+template <class T>
+void rx3_tile_scalar(std::complex<T>* x, int q, std::uint64_t count,
+                     double c, double s) {
+  // Each 2^(q+3) block is eight rows of 2^q amplitudes.
+  const std::uint64_t stride = 1ull << q;
+  for (std::uint64_t b = 0; b < count; b += 8 * stride)
+    rx3_rows_scalar(x + b, stride, stride, c, s);
+}
+
+template <class T>
 void hadamard_pairs_scalar(std::complex<T>* x, int qubit, std::uint64_t kb,
                            std::uint64_t ke) {
   constexpr T kInvSqrt2 = static_cast<T>(0.70710678118654752440);
@@ -194,6 +225,8 @@ const Kernels scalar_kernels = {
     .rx_pairs = rx_pairs_scalar<double>,
     .rx2_tile = rx2_tile_scalar<double>,
     .rx2_rows = rx2_rows_scalar<double>,
+    .rx3_tile = rx3_tile_scalar<double>,
+    .rx3_rows = rx3_rows_scalar<double>,
     .hadamard_pairs = hadamard_pairs_scalar<double>,
     .expectation = expectation_scalar<double>,
     .expectation_u16 = expectation_u16_scalar<double>,
@@ -209,6 +242,8 @@ const KernelsF32 scalar_kernels_f32 = {
     .rx_pairs = rx_pairs_scalar<float>,
     .rx2_tile = rx2_tile_scalar<float>,
     .rx2_rows = rx2_rows_scalar<float>,
+    .rx3_tile = rx3_tile_scalar<float>,
+    .rx3_rows = rx3_rows_scalar<float>,
     .hadamard_pairs = hadamard_pairs_scalar<float>,
     .expectation = expectation_scalar<float>,
     .expectation_u16 = expectation_u16_scalar<float>,

@@ -12,6 +12,8 @@
 
 #include "api/qokit.hpp"
 #include "obs/obs.hpp"
+#include "simd/kernels.hpp"
+#include "support/simd_levels.hpp"
 
 namespace {
 
@@ -411,6 +413,32 @@ TEST_F(ObsTest, BatchTimingsArePerItem) {
   const BatchResult timed = s.batch().evaluate(batch, opts);
   EXPECT_EQ(timed.simulate_ns.size(), batch.size());
   EXPECT_EQ(timed.reduce_ns.size(), batch.size());
+}
+
+TEST_F(ObsTest, KernelCallsCountAgainstTheActiveSimdLevel) {
+  // qokit_simd_level holds the numeric level, and each dispatch-entry call
+  // moves exactly the active level's counter.
+  obs::set_enabled(true);
+  const qokit::testing::SimdLevelGuard guard;
+  const obs::Counter calls[] = {
+      obs::counter("qokit_kernel_calls_scalar_total"),
+      obs::counter("qokit_kernel_calls_avx2_total"),
+      obs::counter("qokit_kernel_calls_avx512_total"),
+  };
+  StateVector sv = StateVector::plus_state(6);
+  for (const SimdLevel level : qokit::testing::installable_simd_levels()) {
+    ASSERT_EQ(force_simd_level(level), level);
+    std::uint64_t before[3];
+    for (int i = 0; i < 3; ++i) before[i] = calls[i].value();
+    simd::rx(sv.data(), sv.size(), 0, 0.6, 0.8, Exec::Serial);
+    for (int i = 0; i < 3; ++i)
+      EXPECT_EQ(calls[i].value() - before[i],
+                i == static_cast<int>(level) ? 1u : 0u)
+          << simd_level_name(level) << " counter " << i;
+    EXPECT_EQ(obs::gauge("qokit_simd_level").value(),
+              static_cast<double>(level))
+        << simd_level_name(level);
+  }
 }
 
 TEST_F(ObsTest, GaugeAndResetSemantics) {

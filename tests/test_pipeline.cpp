@@ -2,7 +2,7 @@
 // *bit-identical* -- not merely close -- to the unfused per-qubit layer
 // loop it replaces (tests/support/unfused_oracle.hpp), across every
 // backend (serial / threaded / u16 / fwht / dist:2 / dist:4:pairwise),
-// both Exec policies, both SIMD kernel families and both precisions;
+// both Exec policies, every installable SIMD level and both precisions;
 // fusion reorders the memory traversal, never the per-amplitude
 // arithmetic. Also pins the plan's pass-count math, the tile-boundary edge
 // cases (n < t, n == t, odd high-qubit remainders), that every X-mixer
@@ -17,17 +17,13 @@
 #include "api/qokit.hpp"
 #include "common/cpu_features.hpp"
 #include "pipeline/layer_exec.hpp"
+#include "support/simd_levels.hpp"
 #include "support/unfused_oracle.hpp"
 
 namespace qokit {
 namespace {
 
-/// Restore the detected dispatch level when a test that forces levels
-/// exits (same guard idiom as test_simd_kernels.cpp).
-struct SimdLevelGuard {
-  SimdLevel entry = active_simd_level();
-  ~SimdLevelGuard() { force_simd_level(entry); }
-};
+using testing::SimdLevelGuard;
 
 /// Deterministic random problem per seed, cycling families (the
 /// cross-validation idiom).
@@ -88,7 +84,7 @@ TEST_P(PipelineCrossValidationTest, FusedEqualsUnfusedOnEveryBackend) {
   int n = 0;
   const TermList terms = random_problem(seed, &n);
   SimdLevelGuard guard;
-  for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
+  for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
     for (const std::string name :
          {"serial", "threaded", "auto:exec=serial", "u16", "fwht",
@@ -158,7 +154,7 @@ void expect_dist_tiling_identical(int n, int ranks,
 
 TEST(PipelineTiling, TileBoundaryEdgeCases) {
   SimdLevelGuard guard;
-  for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
+  for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
     for (const Exec exec : {Exec::Serial, Exec::Parallel}) {
       expect_tiling_identical(3, 4, 2, 2, false, MixerBackend::Fused,
@@ -181,18 +177,23 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
                               Precision::F32);
       expect_tiling_identical(10, 5, 2, 4, true, MixerBackend::Fwht, exec,
                               Precision::F32);
-      // Shapes the RX level pairing creates: adjacent levels share one
-      // round trip and an odd level left over runs alone.
+      // Shapes the RX level grouping creates: adjacent levels share one
+      // round trip, in pairs (and a lone odd level) where the family has
+      // no rx3 kernels, else in triples and pairs (never a lone level but
+      // for a unit of one). Counts below are the levels left after
+      // phase_rx; the u16 path has two more, from qubit 0.
       for (const Precision prec : {Precision::F64, Precision::F32})
         for (const bool u16 : {false, true}) {
           const auto check = [&](int n, int t, int g, int c) {
             expect_tiling_identical(n, t, g, c, u16, MixerBackend::Fused,
                                     exec, prec);
           };
-          check(9, 5, 2, 2);   // odd in-tile count: {0,1} {2,3}, 4 alone
+          check(9, 5, 2, 2);   // in-tile 3: a pair and one, or a triple
+          check(8, 6, 2, 2);   // in-tile 4: two pairs either way
           check(10, 4, 1, 2);  // strided groups of 1: every level alone
-          check(10, 4, 3, 2);  // groups of 3: a pair, then one alone
-          check(9, 4, 5, 2);   // one group of 5: two pairs, one alone
+          check(10, 4, 3, 2);  // groups of 3: a pair and one, or a triple
+          check(10, 4, 4, 2);  // a group of 4: two pairs either way
+          check(9, 4, 5, 2);   // a group of 5: 2+2+1, or 3+2
           check(10, 4, 2, 1);  // chunk of 2 requested: clamped to 4
           check(10, 4, 2, 2);  // chunk of 4: one f32 register per row
           check(10, 4, 3, 4);  // chunk of 16
@@ -397,7 +398,7 @@ TEST(PipelineFusedExpectation, UntimedSessionMatchesTheTwoPassOracle) {
   // post-evolution reductions (overlap here) must agree bitwise.
   const QaoaParams sched = test_schedule();
   SimdLevelGuard guard;
-  for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
+  for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
     for (const char* name :
          {"auto", "serial", "threaded", "u16", "fwht", "u16:exec=serial"}) {

@@ -25,17 +25,13 @@
 #include "obs/obs.hpp"
 #include "serve/session_cache.hpp"
 #include "statevector/sampling.hpp"
+#include "support/simd_levels.hpp"
 #include "support/unfused_oracle.hpp"
 
 namespace qokit {
 namespace {
 
-/// Restores the dispatch level that was active at test entry (which may be
-/// a QOKIT_SIMD=scalar override, not the detected level).
-struct SimdLevelGuard {
-  SimdLevel entry = active_simd_level();
-  ~SimdLevelGuard() { force_simd_level(entry); }
-};
+using testing::SimdLevelGuard;
 
 /// Saves and restores one environment variable across a test that has to
 /// own it (the CI prec=f32 leg exports QOKIT_PREC for the whole binary).

@@ -25,16 +25,12 @@
 #include "problems/labs.hpp"
 #include "simd/kernels.hpp"
 #include "statevector/sampling.hpp"
+#include "support/simd_levels.hpp"
 
 namespace qokit {
 namespace {
 
-/// Restores the dispatch level that was active at test entry (which may be
-/// a QOKIT_SIMD=scalar override, not the detected level).
-struct SimdLevelGuard {
-  SimdLevel entry = active_simd_level();
-  ~SimdLevelGuard() { force_simd_level(entry); }
-};
+using testing::SimdLevelGuard;
 
 bool has_vector_level() {
   return detect_simd_level() != SimdLevel::Scalar;
@@ -68,13 +64,24 @@ constexpr Exec kExecs[] = {Exec::Serial, Exec::Parallel};
 TEST(SimdDispatch, LevelIsConsistent) {
   SimdLevelGuard guard;
   EXPECT_TRUE(simd_level_compiled(SimdLevel::Scalar));
+  EXPECT_EQ(simd_level_compiled(SimdLevel::Avx2), QOKIT_SIMD_X86 != 0);
+  EXPECT_EQ(simd_level_compiled(SimdLevel::Avx512), QOKIT_SIMD_X86 != 0);
   const SimdLevel detected = detect_simd_level();
-  if (detected == SimdLevel::Avx2) {
-    EXPECT_TRUE(simd_level_compiled(SimdLevel::Avx2));
-  }
+  EXPECT_TRUE(simd_level_compiled(detected));
+  // A request above what runs here installs the best level below it, so
+  // the highest request lands on the detected level on any host.
+  EXPECT_EQ(force_simd_level(SimdLevel::Avx512), detected);
+  EXPECT_EQ(active_simd_level(), detected);
   // Forcing scalar always succeeds; forcing the detected level restores it.
   EXPECT_EQ(force_simd_level(SimdLevel::Scalar), SimdLevel::Scalar);
   EXPECT_EQ(force_simd_level(detected), detected);
+  EXPECT_EQ(active_simd_level(), detected);
+  // The installable levels run from scalar up to the detected one.
+  const std::vector<SimdLevel> levels = testing::installable_simd_levels();
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), SimdLevel::Scalar);
+  EXPECT_EQ(levels.back(), detected);
+  EXPECT_EQ(levels.size(), static_cast<std::size_t>(detected) + 1);
   EXPECT_EQ(active_simd_level(), detected);
 }
 
@@ -219,33 +226,44 @@ TEST(SimdButterflies, FwhtMixerMatchesScalar) {
   }
 }
 
-// ------------------------------------------ two-level RX kernel parity
-// The layer pipeline advances adjacent RX levels in one round trip
-// (rx2_tile, rx2_rows) and fuses the phase with qubits 0 and 1 (phase_rx).
-// Each family must reproduce its own single-level kernels BIT FOR BIT,
-// including the levels the f32 AVX2 family hands to its scalar tail: a
-// qubit-1 run is two complexes, half of its four-complex register.
+// ------------------------------------------ multi-level RX kernel parity
+// The layer pipeline advances two or three adjacent RX levels in one
+// round trip (rx2_tile / rx2_rows, rx3_tile / rx3_rows) and fuses the
+// phase with qubits 0 and 1 (phase_rx). Each family must reproduce its
+// level's single-level kernels BIT FOR BIT, including the levels the f32
+// AVX2 family hands to its scalar tail (a qubit-1 run is two complexes,
+// half of its four-complex register). The AVX-512 f64 table keeps the
+// AVX2 rx_pairs, so its entries are pinned to the AVX2 family's bits.
 
 template <class T>
 using FamilyList =
     std::vector<std::pair<const char*, const simd::detail::KernelsT<T>*>>;
 
-/// Every kernel family at amplitude scalar T this build and host can run.
+/// Every kernel table at amplitude scalar T this build and host can run:
+/// scalar, avx2, and the avx512 f64 table (the AVX-512 level's f32 table
+/// is the avx2 one).
 template <class T>
 FamilyList<T> families() {
   FamilyList<T> out;
-  if constexpr (std::is_same_v<T, double>)
-    out.emplace_back("scalar f64", &simd::detail::scalar_kernels);
-  else
-    out.emplace_back("scalar f32", &simd::detail::scalar_kernels_f32);
+  for (const SimdLevel level : testing::installable_simd_levels()) {
+    if constexpr (std::is_same_v<T, double>) {
+      if (level == SimdLevel::Scalar)
+        out.emplace_back("scalar f64", &simd::detail::scalar_kernels);
 #if QOKIT_SIMD_X86
-  if (detect_simd_level() == SimdLevel::Avx2) {
-    if constexpr (std::is_same_v<T, double>)
-      out.emplace_back("avx2 f64", &simd::detail::avx2_kernels);
-    else
-      out.emplace_back("avx2 f32", &simd::detail::avx2_kernels_f32);
-  }
+      if (level == SimdLevel::Avx2)
+        out.emplace_back("avx2 f64", &simd::detail::avx2_kernels);
+      if (level == SimdLevel::Avx512)
+        out.emplace_back("avx512 f64", &simd::detail::avx512_kernels);
 #endif
+    } else {
+      if (level == SimdLevel::Scalar)
+        out.emplace_back("scalar f32", &simd::detail::scalar_kernels_f32);
+#if QOKIT_SIMD_X86
+      if (level == SimdLevel::Avx2)
+        out.emplace_back("avx2 f32", &simd::detail::avx2_kernels_f32);
+#endif
+    }
+  }
   return out;
 }
 
@@ -273,70 +291,91 @@ template <class T>
 }
 
 // A zero sine pins the sign handling of the pre-signed multiplier.
-constexpr double kRx2Betas[] = {0.42, -1.1, 0.0};
+constexpr double kRxBetas[] = {0.42, -1.1, 0.0};
+
+/// The tile and row kernels that advance `levels` (2 or 3) RX levels.
+template <class T>
+auto rx_tile_kernel(const simd::detail::KernelsT<T>& k, int levels) {
+  return levels == 2 ? k.rx2_tile : k.rx3_tile;
+}
+template <class T>
+auto rx_rows_kernel(const simd::detail::KernelsT<T>& k, int levels) {
+  return levels == 2 ? k.rx2_rows : k.rx3_rows;
+}
 
 template <class T>
-void check_rx2_tile() {
-  // Tiles of 2^w amplitudes, w from q + 2 (one block) to the default
+void check_rx_tile(int levels) {
+  // Tiles of 2^w amplitudes, w from q + levels (one block) to the default
   // 2^16 tile, placed at base = count so the pair indices are non-zero.
-  for (const auto& [name, k] : families<T>())
-    for (const double beta : kRx2Betas)
-      for (int q = 0; q <= 14; ++q)
-        for (int w = q + 2; w <= std::max(q + 2, 16); ++w) {
+  for (const auto& [name, k] : families<T>()) {
+    const auto tile_kernel = rx_tile_kernel(*k, levels);
+    if (!tile_kernel) continue;  // no radix-8 in this family
+    for (const double beta : kRxBetas)
+      for (int q = 0; q + levels <= 16; ++q)
+        for (int w = q + levels; w <= 16; ++w) {
           const std::uint64_t count = std::uint64_t{1} << w;
           auto ref = random_amps<T>(2 * count, 71 + q + w);
           auto got = ref;
           const double c = std::cos(beta), s = std::sin(beta);
-          k->rx_pairs(ref.data(), q, count / 2, count, c, s);
-          k->rx_pairs(ref.data(), q + 1, count / 2, count, c, s);
-          k->rx2_tile(got.data() + count, q, count, c, s);
+          for (int l = 0; l < levels; ++l)
+            k->rx_pairs(ref.data(), q + l, count / 2, count, c, s);
+          tile_kernel(got.data() + count, q, count, c, s);
           EXPECT_TRUE(same_bits(ref, got))
-              << name << " q=" << q << " count=" << count
-              << " beta=" << beta;
+              << name << " levels=" << levels << " q=" << q
+              << " count=" << count << " beta=" << beta;
         }
+  }
 }
 
-TEST(SimdRx2, TileFormEqualsTwoRxPairsBitForBit) {
-  check_rx2_tile<double>();
-  check_rx2_tile<float>();
+TEST(SimdRxFused, TileFormsEqualPerLevelRxPairsBitForBit) {
+  for (const int levels : {2, 3}) {
+    check_rx_tile<double>(levels);
+    check_rx_tile<float>(levels);
+  }
 }
 
 template <class T>
-void check_rx2_rows() {
-  // Four rows 2^q apart; runs are every chunk length a strided pass can
-  // gather (2 .. 2^q amplitudes), at the first and the last column. The
-  // lowest row qubit is >= 1: the tile pass always owns qubit 0.
-  for (const auto& [name, k] : families<T>())
-    for (const double beta : kRx2Betas)
-      for (int q = 1; q <= 14; ++q) {
+void check_rx_rows(int levels) {
+  // 2^levels rows 2^q apart; runs are every chunk length a strided pass
+  // can gather (2 .. 2^q amplitudes), at the first and the last column.
+  // The lowest row qubit is >= 1: the tile pass always owns qubit 0. The
+  // reference pairs rows r and r | 2^l on level q + l, one rx_pairs call
+  // per row pair.
+  const std::uint64_t nrows = std::uint64_t{1} << levels;
+  for (const auto& [name, k] : families<T>()) {
+    const auto rows_kernel = rx_rows_kernel(*k, levels);
+    if (!rows_kernel) continue;  // no radix-8 in this family
+    for (const double beta : kRxBetas)
+      for (int q = 1; q + levels <= 16; ++q) {
         const std::uint64_t stride = std::uint64_t{1} << q;
-        const auto init = random_amps<T>(4 * stride, 79 + q);
+        const auto init = random_amps<T>(nrows * stride, 79 + q);
         for (int w = 1; w <= q; ++w) {
           const std::uint64_t run = std::uint64_t{1} << w;
           for (const std::uint64_t col : {std::uint64_t{0}, stride - run}) {
             auto ref = init;
             auto got = init;
             const double c = std::cos(beta), s = std::sin(beta);
-            for (const std::uint64_t r : {col, col + 2 * stride}) {
-              const std::uint64_t kb = remove_bit(r, q);
-              k->rx_pairs(ref.data(), q, kb, kb + run, c, s);
-            }
-            for (const std::uint64_t r : {col, col + stride}) {
-              const std::uint64_t kb = remove_bit(r, q + 1);
-              k->rx_pairs(ref.data(), q + 1, kb, kb + run, c, s);
-            }
-            k->rx2_rows(got.data() + col, stride, run, c, s);
+            for (int l = 0; l < levels; ++l)
+              for (std::uint64_t r = 0; r < nrows; ++r) {
+                if ((r >> l) & 1) continue;
+                const std::uint64_t kb = remove_bit(col + r * stride, q + l);
+                k->rx_pairs(ref.data(), q + l, kb, kb + run, c, s);
+              }
+            rows_kernel(got.data() + col, stride, run, c, s);
             EXPECT_TRUE(same_bits(ref, got))
-                << name << " q=" << q << " run=" << run << " col=" << col
-                << " beta=" << beta;
+                << name << " levels=" << levels << " q=" << q
+                << " run=" << run << " col=" << col << " beta=" << beta;
           }
         }
       }
+  }
 }
 
-TEST(SimdRx2, RowFormEqualsFourRxPairsBitForBit) {
-  check_rx2_rows<double>();
-  check_rx2_rows<float>();
+TEST(SimdRxFused, RowFormsEqualPerLevelRxPairsBitForBit) {
+  for (const int levels : {2, 3}) {
+    check_rx_rows<double>(levels);
+    check_rx_rows<float>(levels);
+  }
 }
 
 template <class T>
@@ -345,7 +384,7 @@ void check_phase_rx() {
   // Every 7th cost is huge enough to take the AVX2 libm fallback group.
   const double gamma = 0.37;
   for (const auto& [name, k] : families<T>())
-    for (const double beta : kRx2Betas)
+    for (const double beta : kRxBetas)
       for (int w = 2; w <= 16; ++w) {
         const std::uint64_t count = std::uint64_t{1} << w;
         Rng rng(83 + w);
@@ -365,7 +404,7 @@ void check_phase_rx() {
       }
 }
 
-TEST(SimdRx2, PhaseRxEqualsPhaseThenTwoRxPairsBitForBit) {
+TEST(SimdRxFused, PhaseRxEqualsPhaseThenTwoRxPairsBitForBit) {
   check_phase_rx<double>();
   check_phase_rx<float>();
 }

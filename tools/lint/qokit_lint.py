@@ -28,7 +28,8 @@ hot-transcendental
 
 kernel-alloc
     No heap allocation in the SIMD kernel translation units
-    (src/simd/kernels_*.cpp): no new/malloc, no std::vector (growth or
+    (src/simd/kernels_*.cpp) or the kernel bodies they share
+    (src/simd/vec_kernels.hpp): no new/malloc, no std::vector (growth or
     otherwise). Kernels run inside the batch engine's zero-steady-state-
     allocation contract (pinned by test_batch_scratch); an allocation here
     bypasses the instrumented AlignedAllocator and the pinning test both.
@@ -126,7 +127,7 @@ def amplitude_sized(header: str) -> bool:
     return False
 
 # --------------------------------------------------------- kernel-alloc
-KERNEL_TU_RE = re.compile(r"simd/kernels_[^/]*\.cpp$")
+KERNEL_TU_RE = re.compile(r"simd/(kernels_[^/]*\.cpp|vec_kernels\.hpp)$")
 KERNEL_ALLOC_RE = re.compile(
     r"(?<![\w.])new\b(?!\s*\()|\bmalloc\s*\(|\bcalloc\s*\(|\brealloc\s*\(|"
     r"std::vector\b|\bpush_back\s*\(|\bemplace_back\s*\(|"
@@ -564,6 +565,12 @@ SELF_TEST_CASES = [
         "src/simd/kernels_scalar.cpp",
         "#include <vector>\n"
         "void k() { std::vector<double> v; v.push_back(1.0); }\n",
+        "kernel-alloc",
+    ),
+    (
+        "allocation in the shared vector kernel bodies must be flagged",
+        "src/simd/vec_kernels.hpp",
+        "inline double* k(unsigned long n) { return new double[n]; }\n",
         "kernel-alloc",
     ),
     (
