@@ -17,7 +17,7 @@ int main() {
   const TermList terms = labs_terms(n);
   const QaoaParams params = linear_ramp(2, 0.9);
 
-  const api::ProblemSession single(terms, SimulatorSpec::parse("threaded"));
+  const api::ProblemSession single(terms, SimulatorSpec::parse("auto"));
   const StateVector reference = single.simulate(params);
   const double e_ref = single.simulator().get_expectation(reference);
   std::printf("single-node reference: n = %d, p = %d, <E> = %.6f\n", n,

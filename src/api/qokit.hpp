@@ -24,9 +24,7 @@
 #include "common/timer.hpp"
 #include "diagonal/ops.hpp"
 #include "dist/dist_fur.hpp"
-#include "fur/fwht.hpp"
 #include "fur/simulator.hpp"
-#include "fur/symmetry.hpp"
 #include "gatesim/simulator.hpp"
 #include "optimize/grid.hpp"
 #include "optimize/labs_params.hpp"
@@ -47,8 +45,8 @@ namespace qokit::api {
 
 // The `simulator` argument of every wrapper below is parsed by
 // SimulatorSpec::parse (see api/spec.hpp for the full grammar): "auto",
-// "serial", "threaded", "u16", "fwht", "gatesim", the distributed
-// spellings "dist[:K[:staged|pairwise|direct]]", plus key=value options
+// "serial", "u16", "gatesim", the distributed spellings
+// "dist[:K[:staged|pairwise|direct]]", plus key=value options
 // such as "seed=7". Unknown spellings throw std::invalid_argument naming
 // the offending token -- no entry point falls back to a default.
 

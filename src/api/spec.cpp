@@ -30,9 +30,7 @@ Exec default_exec(Backend backend) {
 bool parse_backend(std::string_view token, Backend* out) {
   if (token == "auto") *out = Backend::Auto;
   else if (token == "serial") *out = Backend::Serial;
-  else if (token == "threaded") *out = Backend::Threaded;
   else if (token == "u16") *out = Backend::U16;
-  else if (token == "fwht") *out = Backend::Fwht;
   else if (token == "gatesim") *out = Backend::Gatesim;
   else if (token == "dist") *out = Backend::Dist;
   else return false;
@@ -148,9 +146,7 @@ std::string_view to_string(Backend backend) {
   switch (backend) {
     case Backend::Auto: return "auto";
     case Backend::Serial: return "serial";
-    case Backend::Threaded: return "threaded";
     case Backend::U16: return "u16";
-    case Backend::Fwht: return "fwht";
     case Backend::Gatesim: return "gatesim";
     default: return "dist";
   }
@@ -386,12 +382,6 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
       cfg.initial_weight = spec.initial_weight;
       cfg.prec = prec;
       if (spec.backend == Backend::U16) cfg.use_u16 = true;
-      if (spec.backend == Backend::Fwht) {
-        if (spec.mixer != MixerType::X)
-          throw std::invalid_argument(
-              "fwht backend supports only the X mixer");
-        cfg.backend = MixerBackend::Fwht;
-      }
       return std::make_unique<FurQaoaSimulator>(terms, cfg);
     }
   }

@@ -24,13 +24,11 @@ namespace qokit {
 
 /// Which simulator implementation a spec selects.
 enum class Backend {
-  Auto,      ///< the default: threaded fused-kernel FurQaoaSimulator
-  Serial,    ///< single-threaded FurQaoaSimulator (portable reference)
-  Threaded,  ///< explicit OpenMP FurQaoaSimulator
-  U16,       ///< FurQaoaSimulator over the uint16-compressed diagonal
-  Fwht,      ///< FurQaoaSimulator with the two-transform mixer (X only)
-  Gatesim,   ///< gate-at-a-time evolution (diagonal-scored; baseline)
-  Dist,      ///< DistributedFurSimulator over `ranks` virtual ranks
+  Auto,     ///< the default: threaded fused-kernel FurQaoaSimulator
+  Serial,   ///< single-threaded FurQaoaSimulator (portable reference)
+  U16,      ///< FurQaoaSimulator over the uint16-compressed diagonal
+  Gatesim,  ///< gate-at-a-time evolution (diagonal-scored; baseline)
+  Dist,     ///< DistributedFurSimulator over `ranks` virtual ranks
 };
 
 /// Canonical backend token ("auto", "serial", ..., "dist").
@@ -58,8 +56,8 @@ enum class Prec {
 /// String grammar (SimulatorSpec::parse):
 ///
 ///   spec    := backend (":" option)*
-///   backend := "auto" | "serial" | "threaded" | "u16" | "fwht"
-///            | "gatesim" | "dist" [":" K [":" staged|pairwise|direct]]
+///   backend := "auto" | "serial" | "u16" | "gatesim"
+///            | "dist" [":" K [":" staged|pairwise|direct]]
 ///   option  := "mixer="    ("x" | "xyring" | "xycomplete")
 ///            | "exec="     ("serial" | "parallel")
 ///            | "ranks="    <int >= 1>           (dist only)
@@ -70,8 +68,8 @@ enum class Prec {
 ///
 /// Any other token throws std::invalid_argument naming the offending
 /// token -- no spelling silently falls back to a default simulator.
-/// parse() validates tokens only; semantic constraints (e.g. fwht or
-/// dist with an XY mixer) are enforced by make_simulator.
+/// parse() validates tokens only; semantic constraints (e.g. dist with an
+/// XY mixer) are enforced by make_simulator.
 struct SimulatorSpec {
   Backend backend = Backend::Auto;
   MixerType mixer = MixerType::X;
@@ -102,8 +100,8 @@ struct SimulatorSpec {
 /// Build the simulator a spec describes. The single factory behind
 /// choose_simulator / choose_simulator_xyring / choose_simulator_xycomplete
 /// / choose_simulator_distributed and the session API. Throws
-/// std::invalid_argument on semantically invalid combinations (fwht or
-/// dist with a non-X mixer).
+/// std::invalid_argument on semantically invalid combinations (dist with
+/// a non-X mixer).
 ///
 /// Every fur and dist simulator it builds runs the fixed pipeline
 /// geometry, pipeline::Geometry::defaults(). It changes no process-wide

@@ -4,8 +4,8 @@
 // plus, under the QOKIT_SIMD build option on x86-64, one translation unit
 // per instruction-set extension: AVX2+FMA (kernels_avx2.cpp) and AVX-512
 // F+DQ (kernels_avx512.cpp). Which family runs is decided *once per
-// process* from CPUID — not per call — so every backend (serial/threaded/
-// u16/fwht/dist/batch) sees one consistent kernel family and results are
+// process* from CPUID — not per call — so every backend (auto/serial/u16/
+// dist/batch) sees one consistent kernel family and results are
 // deterministic per dispatch level.
 #pragma once
 

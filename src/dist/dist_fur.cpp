@@ -107,9 +107,7 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
   // plan it once for the local qubit count, plus a butterfly-only sweep
   // plan for the post-alltoall mix of the swapped-in global qubits.
   const int nl = n - log2_ranks_;
-  local_plan_ = pipeline::LayerPlan::build(nl, MixerType::X,
-                                           MixerBackend::Fused,
-                                           cfg_.geometry);
+  local_plan_ = pipeline::LayerPlan::build(nl, MixerType::X, cfg_.geometry);
   global_sweep_plan_ = pipeline::LayerPlan::build_rx_sweep(
       nl, nl - log2_ranks_, nl, cfg_.geometry);
 }

@@ -3,18 +3,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fur/fwht.hpp"
 #include "fur/su2.hpp"
 #include "fur/su4.hpp"
 
 namespace qokit {
 
-void apply_mixer_x(StateVector& sv, double beta, Exec exec,
-                   MixerBackend backend) {
-  if (backend == MixerBackend::Fwht) {
-    apply_mixer_x_fwht(sv, beta, exec);
-    return;
-  }
+void apply_mixer_x(StateVector& sv, double beta, Exec exec) {
   const double c = std::cos(beta);
   const double s = std::sin(beta);
   if (sv.precision() == Precision::F32) {
@@ -63,11 +57,10 @@ void apply_mixer_xy_complete(StateVector& sv, double beta, Exec exec) {
       kern::xy(sv.data(), sv.size(), i, j, c, s, exec);
 }
 
-void apply_mixer(StateVector& sv, MixerType type, double beta, Exec exec,
-                 MixerBackend backend) {
+void apply_mixer(StateVector& sv, MixerType type, double beta, Exec exec) {
   switch (type) {
     case MixerType::X:
-      apply_mixer_x(sv, beta, exec, backend);
+      apply_mixer_x(sv, beta, exec);
       return;
     case MixerType::XYRing:
       apply_mixer_xy_ring(sv, beta, exec);

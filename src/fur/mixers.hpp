@@ -20,13 +20,8 @@ namespace qokit {
 /// Which mixing operator a simulator applies between phase layers.
 enum class MixerType { X, XYRing, XYComplete };
 
-/// Implementation used for the X mixer: the paper's single-pass fused
-/// kernel, or the FWHT -> diagonal -> FWHT route of its Ref. [43].
-enum class MixerBackend { Fused, Fwht };
-
 /// Transverse-field mixer e^{-i beta sum_i X_i}.
-void apply_mixer_x(StateVector& sv, double beta, Exec exec = Exec::Parallel,
-                   MixerBackend backend = MixerBackend::Fused);
+void apply_mixer_x(StateVector& sv, double beta, Exec exec = Exec::Parallel);
 
 /// Multi-angle X mixer: prod_i e^{-i beta_i X_i} with one angle per qubit
 /// (the ma-QAOA ansatz). Algorithm 2 supports this natively -- each
@@ -47,7 +42,6 @@ void apply_mixer_xy_complete(StateVector& sv, double beta,
 
 /// Dispatch by MixerType.
 void apply_mixer(StateVector& sv, MixerType type, double beta,
-                 Exec exec = Exec::Parallel,
-                 MixerBackend backend = MixerBackend::Fused);
+                 Exec exec = Exec::Parallel);
 
 }  // namespace qokit

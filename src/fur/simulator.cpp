@@ -102,7 +102,7 @@ FurQaoaSimulator::FurQaoaSimulator(const TermList& terms, FurConfig cfg)
     : cfg_(cfg),
       diag_(CostDiagonal::precompute(terms, cfg.exec)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
-                                       cfg.backend, cfg.geometry)) {
+                                       cfg.geometry)) {
   check_prec_mixer(cfg_);
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
 }
@@ -111,7 +111,7 @@ FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
     : cfg_(cfg),
       diag_(std::move(costs)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
-                                       cfg.backend, cfg.geometry)) {
+                                       cfg.geometry)) {
   check_prec_mixer(cfg_);
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
 }
@@ -159,7 +159,7 @@ StateVector FurQaoaSimulator::simulate_qaoa_from(
       apply_phase(state, diag16_, gammas[l], cfg_.exec);
     else
       apply_phase(state, diag_, gammas[l], cfg_.exec);
-    apply_mixer(state, cfg_.mixer, betas[l], cfg_.exec, cfg_.backend);
+    apply_mixer(state, cfg_.mixer, betas[l], cfg_.exec);
   }
   return state;
 }

@@ -26,7 +26,6 @@ namespace qokit {
 struct FurConfig {
   Exec exec = Exec::Parallel;       ///< serial ("python") vs threaded ("c")
   MixerType mixer = MixerType::X;   ///< which mixing operator
-  MixerBackend backend = MixerBackend::Fused;  ///< X-mixer implementation
   bool use_u16 = false;             ///< store/apply the uint16 diagonal
   int initial_weight = -1;          ///< Dicke weight for xy mixers; -1 = n/2
   /// Tiling of the fused layer pipeline (src/pipeline/) that runs every
@@ -169,8 +168,8 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
 /// Factory mirroring qokit.fur.choose_simulator: a thin wrapper over
 /// make_simulator(terms, SimulatorSpec::parse(name)) — see api/spec.hpp
 /// for the full grammar. Recognized base names: "auto" (threaded
-/// fused-kernel, the default), "serial", "threaded", "u16", "fwht",
-/// "gatesim", and the distributed spellings "dist[:K[:strategy]]".
+/// fused-kernel, the default), "serial", "u16", "gatesim", and the
+/// distributed spellings "dist[:K[:strategy]]".
 /// Unknown names throw std::invalid_argument naming the offending token.
 std::unique_ptr<QaoaFastSimulatorBase> choose_simulator(
     const TermList& terms, std::string_view name = "auto");

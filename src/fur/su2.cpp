@@ -41,14 +41,6 @@ void rx(cfloat* x, std::uint64_t n_amps, int qubit, double c, double s,
   simd::rx(x, n_amps, qubit, c, s, exec);
 }
 
-void hadamard(cdouble* x, std::uint64_t n_amps, int qubit, Exec exec) {
-  simd::hadamard(x, n_amps, qubit, exec);
-}
-
-void hadamard(cfloat* x, std::uint64_t n_amps, int qubit, Exec exec) {
-  simd::hadamard(x, n_amps, qubit, exec);
-}
-
 }  // namespace kern
 
 namespace {

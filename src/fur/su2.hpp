@@ -38,11 +38,6 @@ void rx(cdouble* x, std::uint64_t n_amps, int qubit, double c, double s,
 void rx(cfloat* x, std::uint64_t n_amps, int qubit, double c, double s,
         Exec exec);
 
-/// Hadamard pass on one qubit: y0 = (x0 + x1)/sqrt(2), y1 = (x0 - x1)/sqrt(2).
-/// Not special-unitary (det = -1), hence separate from su2.
-void hadamard(cdouble* x, std::uint64_t n_amps, int qubit, Exec exec);
-void hadamard(cfloat* x, std::uint64_t n_amps, int qubit, Exec exec);
-
 }  // namespace kern
 
 /// Algorithm 1 on a full state vector.

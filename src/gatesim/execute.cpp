@@ -27,6 +27,25 @@ void apply_u1(StateVector& sv, int q, const std::array<cdouble, 4>& m,
                });
 }
 
+/// H on qubit q: y0 = (x0 + x1) k, y1 = (x0 - x1) k with k = 1/sqrt(2).
+/// Add then multiply leaves no product for FMA contraction to fuse, so
+/// the gate rounds the same on every build.
+void apply_h(StateVector& sv, int q, Exec exec) {
+  constexpr double kInvSqrt2 = 0.70710678118654752440;
+  cdouble* x = sv.data();
+  const std::uint64_t stride = 1ull << q;
+  parallel_for(exec, 0, static_cast<std::int64_t>(sv.size() >> 1),
+               [=](std::int64_t k) {
+                 const std::uint64_t i0 =
+                     insert_zero_bit(static_cast<std::uint64_t>(k), q);
+                 const std::uint64_t i1 = i0 | stride;
+                 const cdouble x0 = x[i0];
+                 const cdouble x1 = x[i1];
+                 x[i0] = (x0 + x1) * kInvSqrt2;
+                 x[i1] = (x0 - x1) * kInvSqrt2;
+               });
+}
+
 void apply_cx(StateVector& sv, int control, int target, Exec exec) {
   cdouble* x = sv.data();
   const std::uint64_t cbit = 1ull << control;
@@ -89,7 +108,7 @@ void apply_gate(StateVector& sv, const Gate& g, Exec exec) {
     throw std::invalid_argument("apply_gate: f64 states only");
   switch (g.kind) {
     case GateKind::H:
-      kern::hadamard(sv.data(), sv.size(), g.q0, exec);
+      apply_h(sv, g.q0, exec);
       return;
     case GateKind::RX:
       kern::rx(sv.data(), sv.size(), g.q0, std::cos(g.param / 2),

@@ -2,12 +2,12 @@
 // cache-resident units. Bit-identity with the unfused path rests on two
 // alignment invariants that every sub-range issued here preserves:
 //
-//  1. Elementwise kernels (phase / phase_table / phase_popcount) are
-//     called on ranges whose start is a multiple of 4 and whose length is
-//     a multiple of 4 (or the single whole-array call when the array is
-//     shorter) — so the AVX2 kernels partition elements into the same
-//     absolute groups of 4 as dispatch.cpp's kSimdBlock blocks, and the
-//     same elements take the vector vs libm-fallback path.
+//  1. Elementwise kernels (phase / phase_table) are called on ranges
+//     whose start is a multiple of 4 and whose length is a multiple of 4
+//     (or the single whole-array call when the array is shorter) — so
+//     the AVX2 kernels partition elements into the same absolute groups
+//     of 4 as dispatch.cpp's kSimdBlock blocks, and the same elements
+//     take the vector vs libm-fallback path.
 //  2. Butterfly kernels are called on pair ranges with even start and even
 //     length that never split a contiguous run mid-vector — so the same
 //     absolute pairs land in the same 2-pair vector groups and no pair
@@ -31,7 +31,6 @@
 
 #include "common/bitops.hpp"
 #include "common/parallel.hpp"
-#include "fur/fwht.hpp"
 #include "obs/obs.hpp"
 #include "simd/kernels.hpp"
 
@@ -122,26 +121,10 @@ void phase_unit(const simd::detail::KernelsT<T>& k, std::complex<T>* amp,
     k.phase(amp + base, ctx.costs + base, count, gamma);
 }
 
-/// One butterfly qubit over the contiguous tile [base, base+count): for
-/// q < log2(count) and base a multiple of count, the pair indices covering
-/// exactly this tile are [base/2, (base+count)/2).
-template <class T>
-void butterfly_tile(const simd::detail::KernelsT<T>& k, std::complex<T>* amp,
-                    std::uint64_t base, std::uint64_t count, int q,
-                    PassButterfly butterfly, double c, double s) {
-  const std::uint64_t kb = base >> 1;
-  const std::uint64_t ke = (base + count) >> 1;
-  if (butterfly == PassButterfly::Rx)
-    k.rx_pairs(amp, q, kb, ke, c, s);
-  else
-    k.hadamard_pairs(amp, q, kb, ke);
-}
-
 template <class T>
 void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
                    std::complex<T>* amp, std::uint64_t n_amps,
-                   const PhaseCtxT<T>& ctx, double gamma,
-                   const std::complex<T>* pop_table, double c, double s,
+                   const PhaseCtxT<T>& ctx, double gamma, double c, double s,
                    Exec exec, const ExpectationCtx* red = nullptr,
                    double* partials = nullptr) {
   const std::uint64_t tile =
@@ -152,9 +135,8 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
               const std::uint64_t base =
                   static_cast<std::uint64_t>(u) * tile;
               int q = p.q_begin;
-              const bool rx = p.butterfly == PassButterfly::Rx;
-              if (p.pre == PassPhase::Diagonal) {
-                if (!ctx.codes && rx && q == 0 && p.q_end >= 2) {
+              if (p.phase) {
+                if (!ctx.codes && q == 0 && p.q_end >= 2) {
                   // The fused family kernel: phase + the qubit-0 and
                   // qubit-1 butterflies in one read/write of the tile.
                   k.phase_rx(amp + base, ctx.costs + base, tile, gamma, c,
@@ -168,19 +150,16 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
               // kernels, then pairs, one read/write of the tile each
               // (q_end <= log2(tile) keeps the 2^(q+3) and 2^(q+2) blocks
               // whole). Without rx3 kernels an odd level left over goes
-              // alone.
-              if (rx) {
-                if (k.rx3_tile)
-                  for (const int q3 = q + 3 * rx_triples(p.q_end - q);
-                       q < q3; q += 3)
-                    k.rx3_tile(amp + base, q, tile, c, s);
-                for (; q + 1 < p.q_end; q += 2)
-                  k.rx2_tile(amp + base, q, tile, c, s);
-              }
+              // alone, over the pair indices [base/2, (base+tile)/2) that
+              // cover exactly this tile.
+              if (k.rx3_tile)
+                for (const int q3 = q + 3 * rx_triples(p.q_end - q); q < q3;
+                     q += 3)
+                  k.rx3_tile(amp + base, q, tile, c, s);
+              for (; q + 1 < p.q_end; q += 2)
+                k.rx2_tile(amp + base, q, tile, c, s);
               for (; q < p.q_end; ++q)
-                butterfly_tile(k, amp, base, tile, q, p.butterfly, c, s);
-              if (p.post == PassPhase::Popcount)
-                k.phase_popcount(amp + base, base, tile, pop_table);
+                k.rx_pairs(amp, q, base >> 1, (base + tile) >> 1, c, s);
               if (red)
                 reduce_piece(k, amp, *red, base, tile, partials);
             });
@@ -188,9 +167,9 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
 
 template <class T>
 void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
-                      std::complex<T>* amp, std::uint64_t n_amps,
-                      const std::complex<T>* pop_table, double c, double s,
-                      Exec exec, const ExpectationCtx* red = nullptr,
+                      std::complex<T>* amp, std::uint64_t n_amps, double c,
+                      double s, Exec exec,
+                      const ExpectationCtx* red = nullptr,
                       double* partials = nullptr) {
   const int a = p.q_begin;
   const int b = p.q_end;
@@ -213,41 +192,29 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
         // amplitudes apart, one rx3_rows / rx2_rows call per set. Without
         // rx3 kernels an odd level left over goes alone.
         int q = a;
-        if (p.butterfly == PassButterfly::Rx) {
-          if (k.rx3_rows)
-            for (const int q3 = q + 3 * rx_triples(b - q); q < q3; q += 3) {
-              const std::uint64_t rbits = 7ull << (q - a);
-              for (std::uint64_t r = 0; r < rows; ++r) {
-                if (r & rbits) continue;
-                k.rx3_rows(amp + blk + r * row + col, 1ull << q, chunk, c,
-                           s);
-              }
-            }
-          for (; q + 1 < b; q += 2) {
-            const std::uint64_t rbits = 3ull << (q - a);
+        if (k.rx3_rows)
+          for (const int q3 = q + 3 * rx_triples(b - q); q < q3; q += 3) {
+            const std::uint64_t rbits = 7ull << (q - a);
             for (std::uint64_t r = 0; r < rows; ++r) {
               if (r & rbits) continue;
-              k.rx2_rows(amp + blk + r * row + col, 1ull << q, chunk, c, s);
+              k.rx3_rows(amp + blk + r * row + col, 1ull << q, chunk, c, s);
             }
+          }
+        for (; q + 1 < b; q += 2) {
+          const std::uint64_t rbits = 3ull << (q - a);
+          for (std::uint64_t r = 0; r < rows; ++r) {
+            if (r & rbits) continue;
+            k.rx2_rows(amp + blk + r * row + col, 1ull << q, chunk, c, s);
           }
         }
         for (; q < b; ++q) {
           const std::uint64_t rbit = 1ull << (q - a);
           for (std::uint64_t r = 0; r < rows; ++r) {
             if (r & rbit) continue;
-            const std::uint64_t i0 = blk + r * row + col;
-            const std::uint64_t kb = remove_bit(i0, q);
-            if (p.butterfly == PassButterfly::Rx)
-              k.rx_pairs(amp, q, kb, kb + chunk, c, s);
-            else
-              k.hadamard_pairs(amp, q, kb, kb + chunk);
+            const std::uint64_t kb = remove_bit(blk + r * row + col, q);
+            k.rx_pairs(amp, q, kb, kb + chunk, c, s);
           }
         }
-        if (p.post == PassPhase::Popcount)
-          for (std::uint64_t r = 0; r < rows; ++r) {
-            const std::uint64_t i0 = blk + r * row + col;
-            k.phase_popcount(amp + i0, i0, chunk, pop_table);
-          }
         if (red)
           // Each row's chunk starts at blk + r*row + col — a multiple of
           // the chunk length (col is a whole chunk multiple, row and blk
@@ -278,12 +245,6 @@ void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
   const simd::detail::KernelsT<T>& k = active_family<T>();
   const double c = std::cos(beta);
   const double s = std::sin(beta);
-  std::complex<T> pop_table[kMaxQubits + 1];
-  for (const LayerPass& p : plan.passes())
-    if (p.post == PassPhase::Popcount) {
-      fill_x_mixer_phase_table(plan.num_qubits(), beta, pop_table);
-      break;
-    }
   obs::Span span("pipeline_layer");
   span.attr("n", plan.num_qubits());
   span.attr("passes", static_cast<std::int64_t>(plan.passes().size()));
@@ -297,12 +258,11 @@ void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
     pspan.attr("width_log2", p.width_log2);
     if (p.strided) {
       strided_pass_counter().add();
-      run_strided_pass(k, p, amp, n_amps, pop_table, c, s, exec, pass_red,
-                       partials);
+      run_strided_pass(k, p, amp, n_amps, c, s, exec, pass_red, partials);
     } else {
       tile_pass_counter().add();
-      run_tile_pass(k, p, amp, n_amps, phase, gamma, pop_table, c, s, exec,
-                    pass_red, partials);
+      run_tile_pass(k, p, amp, n_amps, phase, gamma, c, s, exec, pass_red,
+                    partials);
     }
   }
 }
@@ -323,11 +283,10 @@ void run_sweep_impl(const LayerPlan& plan, std::complex<T>* amp,
   for (const LayerPass& p : plan.passes()) {
     if (p.strided) {
       strided_pass_counter().add();
-      run_strided_pass<T>(k, p, amp, n_amps, nullptr, c, s, exec);
+      run_strided_pass<T>(k, p, amp, n_amps, c, s, exec);
     } else {
       tile_pass_counter().add();
-      run_tile_pass<T>(k, p, amp, n_amps, no_phase, 0.0, nullptr, c, s,
-                       exec);
+      run_tile_pass<T>(k, p, amp, n_amps, no_phase, 0.0, c, s, exec);
     }
   }
 }
@@ -352,14 +311,9 @@ bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps) {
   if (n_amps < static_cast<std::uint64_t>(kReduceBlock)) return false;
   const LayerPass& last = plan.passes().back();
   // The final pass's unit width must hold whole kReduceBlocks so fused
-  // partial blocks align with the two-pass decomposition; a trailing
-  // elementwise multiply would have to run before the reduction read,
-  // which no current plan shape produces (Fwht's Popcount lands on the
-  // middle pass) — checked anyway so new plan shapes fail safe.
-  if ((std::uint64_t{1} << last.width_log2) <
-      static_cast<std::uint64_t>(kReduceBlock))
-    return false;
-  return last.post == PassPhase::None;
+  // partial blocks align with the two-pass decomposition.
+  return (std::uint64_t{1} << last.width_log2) >=
+         static_cast<std::uint64_t>(kReduceBlock);
 }
 
 void run_layer_expectation(const LayerPlan& plan, cdouble* amp,

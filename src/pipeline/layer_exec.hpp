@@ -63,12 +63,10 @@ struct ExpectationCtx {
 
 /// True when a plan's FINAL pass can carry the expectation reduction:
 /// the plan is active and non-empty, the array holds at least one
-/// kReduceBlock, the final pass's unit width is a whole number of
+/// kReduceBlock, and the final pass's unit width is a whole number of
 /// kReduceBlocks (so the fused partial blocks land at exactly the
-/// absolute offsets the two-pass expectation_slice uses), and the final
-/// pass has no trailing elementwise multiply (a post-phase would run
-/// after the reduction read). With the default Geometry every Fused and
-/// Fwht plan for n >= 10 qualifies.
+/// absolute offsets the two-pass expectation_slice uses). With the
+/// default Geometry every X-mixer plan for n >= 10 qualifies.
 bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps);
 
 /// run_layer, plus: after each unit of the FINAL pass finishes its

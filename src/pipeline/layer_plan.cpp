@@ -16,34 +16,32 @@ int clamped_tile(const Geometry& geometry) {
   return std::clamp(geometry.tile_log2, 2, 30);
 }
 
-LayerPass make_tile_pass(int q_begin, int q_end, PassButterfly butterfly,
-                         PassPhase pre, const Geometry& geometry) {
+LayerPass make_tile_pass(int q_begin, int q_end, bool phase,
+                         const Geometry& geometry) {
   return LayerPass{.strided = false,
                    .q_begin = q_begin,
                    .q_end = q_end,
-                   .butterfly = butterfly,
-                   .pre = pre,
-                   .post = PassPhase::None,
+                   .phase = phase,
                    .width_log2 = clamped_tile(geometry)};
 }
 
-LayerPass make_strided_pass(int q_begin, int q_end, PassButterfly butterfly,
-                            const Geometry& geometry) {
-  return LayerPass{
-      .strided = true,
-      .q_begin = q_begin,
-      .q_end = q_end,
-      .butterfly = butterfly,
-      .pre = PassPhase::None,
-      .post = PassPhase::None,
-      .width_log2 = std::clamp(geometry.chunk_log2,
-                               std::min(2, q_begin), q_begin)};
+/// Strided groups for qubits [q_begin, q_end), g at a time.
+void add_strided_passes(std::vector<LayerPass>& passes, int q_begin,
+                        int q_end, const Geometry& geometry) {
+  const int g = std::max(1, geometry.group_qubits);
+  for (int q0 = q_begin; q0 < q_end; q0 += g)
+    passes.push_back(LayerPass{
+        .strided = true,
+        .q_begin = q0,
+        .q_end = std::min(q0 + g, q_end),
+        .phase = false,
+        .width_log2 =
+            std::clamp(geometry.chunk_log2, std::min(2, q0), q0)});
 }
 
 }  // namespace
 
 LayerPlan LayerPlan::build(int num_qubits, MixerType mixer,
-                           MixerBackend backend,
                            const Geometry& geometry) {
   LayerPlan plan;
   plan.n_ = num_qubits;
@@ -55,33 +53,10 @@ LayerPlan LayerPlan::build(int num_qubits, MixerType mixer,
     return plan;
   }
 
-  const int g = std::max(1, geometry.group_qubits);
+  // e^{-i gamma C} fused into the first RX sweep, then strided groups.
   const int m = std::min(num_qubits, clamped_tile(geometry));
-
-  const auto add_tile = [&](PassButterfly butterfly, PassPhase pre) {
-    plan.passes_.push_back(make_tile_pass(0, m, butterfly, pre, geometry));
-  };
-  const auto add_groups = [&](PassButterfly butterfly) {
-    for (int q0 = m; q0 < num_qubits; q0 += g)
-      plan.passes_.push_back(make_strided_pass(
-          q0, std::min(q0 + g, num_qubits), butterfly, geometry));
-  };
-
-  if (backend == MixerBackend::Fused) {
-    // e^{-i gamma C} fused into the first RX sweep, then strided groups.
-    add_tile(PassButterfly::Rx, PassPhase::Diagonal);
-    add_groups(PassButterfly::Rx);
-  } else {
-    // Fwht route: H^n · popcount diagonal · H^n, with the cost phase fused
-    // into the first Hadamard sweep and the popcount diagonal fused into
-    // the last pass of the forward transform (every unit of that pass has
-    // completed all of its Hadamards by the time the diagonal runs).
-    add_tile(PassButterfly::Hadamard, PassPhase::Diagonal);
-    add_groups(PassButterfly::Hadamard);
-    plan.passes_.back().post = PassPhase::Popcount;
-    add_tile(PassButterfly::Hadamard, PassPhase::None);
-    add_groups(PassButterfly::Hadamard);
-  }
+  plan.passes_.push_back(make_tile_pass(0, m, true, geometry));
+  add_strided_passes(plan.passes_, m, num_qubits, geometry);
   plan.active_ = true;
   plan.reason_.clear();
   return plan;
@@ -91,7 +66,6 @@ LayerPlan LayerPlan::build_rx_sweep(int num_qubits, int q_begin, int q_end,
                                     const Geometry& geometry) {
   LayerPlan plan;
   plan.n_ = num_qubits;
-  const int g = std::max(1, geometry.group_qubits);
   int q0 = q_begin;
   const int tile_end = std::min(q_end, clamped_tile(geometry));
   if (q0 < tile_end) {
@@ -99,13 +73,10 @@ LayerPlan LayerPlan::build_rx_sweep(int num_qubits, int q_begin, int q_end,
     // the higher qubits need row gathering. A strided pass from qubit 1
     // would gather 2-amplitude chunks, cutting the higher qubits' runs
     // below the f32 vector width where the unfused sweep keeps them whole.
-    plan.passes_.push_back(make_tile_pass(q0, tile_end, PassButterfly::Rx,
-                                          PassPhase::None, geometry));
+    plan.passes_.push_back(make_tile_pass(q0, tile_end, false, geometry));
     q0 = tile_end;
   }
-  for (; q0 < q_end; q0 += g)
-    plan.passes_.push_back(make_strided_pass(q0, std::min(q0 + g, q_end),
-                                             PassButterfly::Rx, geometry));
+  add_strided_passes(plan.passes_, q0, q_end, geometry);
   plan.active_ = true;
   plan.reason_.clear();
   return plan;

@@ -36,26 +36,16 @@
 
 namespace qokit::pipeline {
 
-/// Elementwise work attached to a pass (applied per cache-resident unit).
-enum class PassPhase {
-  None,
-  Diagonal,  ///< e^{-i gamma c_x} from the cost diagonal (double or u16)
-  Popcount,  ///< the fwht mixer's Hadamard-frame diagonal, by weight
-};
-
-/// Which butterfly the pass sweeps over its qubit range.
-enum class PassButterfly { Rx, Hadamard };
-
-/// One fused full-array sweep: an optional leading elementwise multiply,
-/// butterflies over qubits [q_begin, q_end) in ascending order, and an
-/// optional trailing elementwise multiply, all applied unit-by-unit.
+/// One fused full-array sweep: an optional leading diagonal phase
+/// multiply, then RX butterflies over qubits [q_begin, q_end) in ascending
+/// order, both applied unit-by-unit.
 struct LayerPass {
   bool strided = false;  ///< false: contiguous tiles; true: row groups
   int q_begin = 0;       ///< first butterfly qubit
   int q_end = 0;         ///< one past the last butterfly qubit
-  PassButterfly butterfly = PassButterfly::Rx;
-  PassPhase pre = PassPhase::None;   ///< before the unit's butterflies
-  PassPhase post = PassPhase::None;  ///< after the unit's butterflies
+  /// e^{-i gamma c_x} from the cost diagonal (double or u16) before the
+  /// unit's butterflies.
+  bool phase = false;
   /// log2 of the unit width in amplitudes: the tile size for contiguous
   /// passes, the per-row chunk length for strided ones (<= q_begin so a
   /// chunk never crosses a row boundary).
@@ -70,14 +60,14 @@ class LayerPlan {
  public:
   LayerPlan() = default;  ///< inactive; reason "no plan built"
 
-  /// Plan one layer for an n-qubit array under `mixer`/`backend`.
-  /// X-mixer layers (Fused and Fwht backends) always plan fused passes;
-  /// the xy mixers are ordered two-qubit products and return an inactive
-  /// plan naming that reason. The geometry is clamped to valid ranges
-  /// (tile and chunk never below 4 amplitudes, chunk never above the
-  /// pass's lowest qubit) so any Geometry value yields a runnable plan.
+  /// Plan one layer for an n-qubit array under `mixer`. X-mixer layers
+  /// always plan fused passes; the xy mixers are ordered two-qubit
+  /// products and return an inactive plan naming that reason. The
+  /// geometry is clamped to valid ranges (tile and chunk never below 4
+  /// amplitudes, chunk never above the pass's lowest qubit) so any
+  /// Geometry value yields a runnable plan.
   static LayerPlan build(int num_qubits, MixerType mixer,
-                         MixerBackend backend, const Geometry& geometry);
+                         const Geometry& geometry);
 
   /// Plan a butterfly-only RX sweep over qubits [q_begin, q_end) of an
   /// n-qubit array: a contiguous tile pass for the qubits whose stride
@@ -97,8 +87,8 @@ class LayerPlan {
   int num_qubits() const noexcept { return n_; }
 
   /// Full-array sweeps one layer performs — the pipeline's figure of
-  /// merit. The unfused loop costs n + 1 (n + 2 counting the cost read;
-  /// 2n + 2 for the fwht backend); a plan targets 1 + ceil((n - t)/g).
+  /// merit. The unfused loop costs n + 1 (n + 2 counting the cost read);
+  /// a plan targets 1 + ceil((n - t)/g).
   int full_sweeps() const noexcept {
     return static_cast<int>(passes_.size());
   }

@@ -98,20 +98,6 @@ void phase_table_impl(std::complex<T>* amp, const std::uint16_t* codes,
 }
 
 template <class T>
-void phase_popcount_impl(std::complex<T>* amp, std::uint64_t index_base,
-                         std::uint64_t count, const std::complex<T>* table,
-                         Exec exec) {
-  count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
-  parallel_for_blocks(exec, static_cast<std::int64_t>(count), kSimdBlock,
-                      [&](std::int64_t b, std::int64_t e) {
-                        k.phase_popcount(amp + b, index_base + b,
-                                         static_cast<std::uint64_t>(e - b),
-                                         table);
-                      });
-}
-
-template <class T>
 void rx_impl(std::complex<T>* x, std::uint64_t n_amps, int qubit, double c,
              double s, Exec exec) {
   count_kernel_call();
@@ -120,19 +106,6 @@ void rx_impl(std::complex<T>* x, std::uint64_t n_amps, int qubit, double c,
                       kSimdBlock, [&](std::int64_t b, std::int64_t e) {
                         k.rx_pairs(x, qubit, static_cast<std::uint64_t>(b),
                                    static_cast<std::uint64_t>(e), c, s);
-                      });
-}
-
-template <class T>
-void hadamard_impl(std::complex<T>* x, std::uint64_t n_amps, int qubit,
-                   Exec exec) {
-  count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
-  parallel_for_blocks(exec, static_cast<std::int64_t>(n_amps >> 1),
-                      kSimdBlock, [&](std::int64_t b, std::int64_t e) {
-                        k.hadamard_pairs(x, qubit,
-                                         static_cast<std::uint64_t>(b),
-                                         static_cast<std::uint64_t>(e));
                       });
 }
 
@@ -210,17 +183,6 @@ void apply_phase_table(cfloat* amp, const std::uint16_t* codes,
   phase_table_impl(amp, codes, table, count, exec);
 }
 
-void apply_phase_popcount(cdouble* amp, std::uint64_t index_base,
-                          std::uint64_t count, const cdouble* table,
-                          Exec exec) {
-  phase_popcount_impl(amp, index_base, count, table, exec);
-}
-void apply_phase_popcount(cfloat* amp, std::uint64_t index_base,
-                          std::uint64_t count, const cfloat* table,
-                          Exec exec) {
-  phase_popcount_impl(amp, index_base, count, table, exec);
-}
-
 void rx(cdouble* x, std::uint64_t n_amps, int qubit, double c, double s,
         Exec exec) {
   rx_impl(x, n_amps, qubit, c, s, exec);
@@ -228,13 +190,6 @@ void rx(cdouble* x, std::uint64_t n_amps, int qubit, double c, double s,
 void rx(cfloat* x, std::uint64_t n_amps, int qubit, double c, double s,
         Exec exec) {
   rx_impl(x, n_amps, qubit, c, s, exec);
-}
-
-void hadamard(cdouble* x, std::uint64_t n_amps, int qubit, Exec exec) {
-  hadamard_impl(x, n_amps, qubit, exec);
-}
-void hadamard(cfloat* x, std::uint64_t n_amps, int qubit, Exec exec) {
-  hadamard_impl(x, n_amps, qubit, exec);
 }
 
 double expectation_slice(const cdouble* amp, const double* costs,

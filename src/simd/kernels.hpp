@@ -1,15 +1,15 @@
 // Runtime-dispatched vector kernels for the simulator hot loops.
 //
 // Every elementwise pass in Algorithm 3 funnels through this layer: the
-// diagonal phase multiply (double-cost, u16-table, and popcount-table
-// variants), the single-qubit mixer butterflies (rx, hadamard) plus the
-// two- and three-level RX butterflies the layer pipeline fuses them into,
-// and the expectation / norm / ground-overlap reductions. Each kernel
-// exists in a scalar family (kernels_scalar.cpp, portable C++) and an
-// AVX2+FMA family (kernels_avx2.cpp). At the AVX-512 level
-// (kernels_avx512.cpp, F+DQ) an f64 table replaces only phase_rx and the
-// radix-8 rx3_tile / rx3_rows the layer executor calls per unit, and
-// keeps the AVX2 ones for every other entry. Both vector units are
+// diagonal phase multiply (double-cost and u16-table variants), the
+// single-qubit RX mixer butterfly plus the two- and three-level RX
+// butterflies the layer pipeline fuses it into, and the expectation /
+// norm / ground-overlap reductions. Each kernel exists in a scalar family
+// (kernels_scalar.cpp, portable C++) and an AVX2+FMA family
+// (kernels_avx2.cpp). At the AVX-512 level (kernels_avx512.cpp, F+DQ) an
+// f64 table replaces only phase_rx and the radix-8 rx3_tile / rx3_rows
+// the layer executor calls per unit, and keeps the AVX2 ones for every
+// other entry. Both vector units are
 // compiled only under QOKIT_SIMD on x86-64; the level is chosen once per
 // process via CPUID (common/cpu_features.hpp).
 //
@@ -27,13 +27,12 @@
 // the active kernel family. Reductions sum per-block partials sequentially
 // in block order. Consequently results depend only on (input, dispatch
 // level, amplitude precision) — not on Exec policy or thread count — and
-// the serial and threaded backends stay bit-identical to each other at
+// serial and parallel execution stay bit-identical to each other at
 // every dispatch level, at either precision.
 //
-// Callers (diagonal/ops.cpp, fur/su2.cpp, fur/fwht.cpp, statevector/
-// state.cpp) keep their public signatures, so the dist:K rank-local slices
-// and the batch engine's scratch states inherit the vectorization with zero
-// API change.
+// Callers (diagonal/ops.cpp, fur/su2.cpp, statevector/state.cpp) keep
+// their public signatures, so the dist:K rank-local slices and the batch
+// engine's scratch states inherit the vectorization with zero API change.
 //
 // Two drivers decompose work over these families: the flat kSimdBlock
 // blocking below, and the cache-blocked layer pipeline
@@ -66,24 +65,11 @@ void apply_phase_table(cdouble* amp, const std::uint16_t* codes,
 void apply_phase_table(cfloat* amp, const std::uint16_t* codes,
                        const cfloat* table, std::uint64_t count, Exec exec);
 
-/// amp[j] *= table[popcount(index_base + j)]: the Hadamard-frame diagonal of
-/// the FWHT mixer path, with one table entry per Hamming weight.
-void apply_phase_popcount(cdouble* amp, std::uint64_t index_base,
-                          std::uint64_t count, const cdouble* table,
-                          Exec exec);
-void apply_phase_popcount(cfloat* amp, std::uint64_t index_base,
-                          std::uint64_t count, const cfloat* table,
-                          Exec exec);
-
 /// In-place e^{-i beta X_qubit} butterfly with c = cos(beta), s = sin(beta).
 void rx(cdouble* x, std::uint64_t n_amps, int qubit, double c, double s,
         Exec exec);
 void rx(cfloat* x, std::uint64_t n_amps, int qubit, double c, double s,
         Exec exec);
-
-/// In-place Hadamard butterfly on one qubit.
-void hadamard(cdouble* x, std::uint64_t n_amps, int qubit, Exec exec);
-void hadamard(cfloat* x, std::uint64_t n_amps, int qubit, Exec exec);
 
 /// sum_i |amp[i]|^2 costs[i] (double accumulation at either precision).
 double expectation_slice(const cdouble* amp, const double* costs,
@@ -125,8 +111,6 @@ struct KernelsT {
                 double gamma);
   void (*phase_table)(C* amp, const std::uint16_t* codes, const C* table,
                       std::uint64_t count);
-  void (*phase_popcount)(C* amp, std::uint64_t index_base,
-                         std::uint64_t count, const C* table);
   /// Fused diagonal phase + qubit-0 RX + qubit-1 RX over `count` (a
   /// multiple of 4) amplitudes — the per-amplitude operations of phase,
   /// rx_pairs(qubit=0) and rx_pairs(qubit=1) over the same range, bit for
@@ -160,8 +144,6 @@ struct KernelsT {
   /// rx3_tile.
   void (*rx3_rows)(C* x, std::uint64_t stride, std::uint64_t run, double c,
                    double s);
-  void (*hadamard_pairs)(C* x, int qubit, std::uint64_t kb,
-                         std::uint64_t ke);
   double (*expectation)(const C* amp, const double* costs,
                         std::uint64_t count);
   double (*expectation_u16)(const C* amp, const std::uint16_t* codes,

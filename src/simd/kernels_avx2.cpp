@@ -176,17 +176,6 @@ void phase_table_avx2(cdouble* amp, const std::uint16_t* codes,
   for (; i < count; ++i) amp[i] *= table[codes[i]];
 }
 
-void phase_popcount_avx2(cdouble* amp, std::uint64_t index_base,
-                         std::uint64_t count, const cdouble* table) {
-  double* d = reinterpret_cast<double*>(amp);
-  std::uint64_t i = 0;
-  for (; i + 2 <= count; i += 2)
-    table_mul2(d, i,
-               load_factor_pair(table + popcount(index_base + i),
-                                table + popcount(index_base + i + 1)));
-  for (; i < count; ++i) amp[i] *= table[popcount(index_base + i)];
-}
-
 void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
                    double c, double s) {
   const __m256d vc = _mm256_set1_pd(c);
@@ -253,45 +242,6 @@ void rx2_tile_avx2(cdouble* x, int q, std::uint64_t count, double c,
   const std::uint64_t stride = 1ull << q;
   for (std::uint64_t b = 0; b < count; b += 4 * stride)
     rx2_rows_body<Pd256>(d + 2 * b, 2 * stride, stride, vc, vsp);
-}
-
-void hadamard_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb,
-                         std::uint64_t ke) {
-  constexpr double kInvSqrt2 = 0.70710678118654752440;
-  const __m256d vk = _mm256_set1_pd(kInvSqrt2);
-  double* d = reinterpret_cast<double*>(x);
-  if (qubit == 0) {
-    for (std::uint64_t k = kb; k < ke; ++k) {
-      const __m256d a = _mm256_loadu_pd(d + 4 * k);
-      const __m256d b = _mm256_permute2f128_pd(a, a, 0x01);
-      // Lanes 0-1: x0 + x1; lanes 2-3: x0 - x1 (note b - a has the partner
-      // first in the high half, giving the required x0 - x1 order).
-      const __m256d out = _mm256_blend_pd(_mm256_add_pd(a, b),
-                                          _mm256_sub_pd(b, a), 0xC);
-      _mm256_storeu_pd(d + 4 * k, _mm256_mul_pd(out, vk));
-    }
-    return;
-  }
-  const std::uint64_t stride = 1ull << qubit;
-  std::uint64_t k = kb;
-  while (k < ke) {
-    const std::uint64_t off = k & (stride - 1);
-    const std::uint64_t run = std::min(ke - k, stride - off);
-    double* p0 = reinterpret_cast<double*>(x + insert_zero_bit(k, qubit));
-    double* p1 = p0 + 2 * stride;
-    std::uint64_t j = 0;
-    for (; j + 2 <= run; j += 2) {
-      const __m256d a = _mm256_loadu_pd(p0 + 2 * j);
-      const __m256d b = _mm256_loadu_pd(p1 + 2 * j);
-      _mm256_storeu_pd(p0 + 2 * j,
-                       _mm256_mul_pd(_mm256_add_pd(a, b), vk));
-      _mm256_storeu_pd(p1 + 2 * j,
-                       _mm256_mul_pd(_mm256_sub_pd(a, b), vk));
-    }
-    if (j < run)
-      detail::scalar_kernels.hadamard_pairs(x, qubit, k + j, k + run);
-    k += run;
-  }
 }
 
 // ------------------------------------------------------------ reductions
@@ -521,19 +471,6 @@ void phase_table_avx2_f32(cfloat* amp, const std::uint16_t* codes,
   for (; i < count; ++i) amp[i] *= table[codes[i]];
 }
 
-void phase_popcount_avx2_f32(cfloat* amp, std::uint64_t index_base,
-                             std::uint64_t count, const cfloat* table) {
-  float* d = reinterpret_cast<float*>(amp);
-  std::uint64_t i = 0;
-  for (; i + 4 <= count; i += 4)
-    table_mul4_ps(d, i,
-                  load_factor4_ps(table + popcount(index_base + i),
-                                  table + popcount(index_base + i + 1),
-                                  table + popcount(index_base + i + 2),
-                                  table + popcount(index_base + i + 3)));
-  for (; i < count; ++i) amp[i] *= table[popcount(index_base + i)];
-}
-
 void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
                        std::uint64_t ke, double c, double s) {
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
@@ -611,46 +548,6 @@ void rx2_tile_avx2_f32(cfloat* x, int q, std::uint64_t count, double c,
   const std::uint64_t stride = 1ull << q;
   for (std::uint64_t b = 0; b < count; b += 4 * stride)
     rx2_rows_body<Ps256>(d + 2 * b, 2 * stride, stride, vc, vsp);
-}
-
-void hadamard_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
-                             std::uint64_t ke) {
-  constexpr float kInvSqrt2f = 0.70710678118654752440f;
-  const __m256 vk = _mm256_set1_ps(kInvSqrt2f);
-  float* d = reinterpret_cast<float*>(x);
-  if (qubit == 0) {
-    std::uint64_t k = kb;
-    for (; k + 2 <= ke; k += 2) {
-      const __m256 a = _mm256_loadu_ps(d + 4 * k);
-      // Swap the two complexes within each lane; blend keeps x0 + x1 in
-      // the low complex and takes x0 - x1 (partner-first b - a) in the
-      // high one.
-      const __m256 b = _mm256_permute_ps(a, 0x4E);
-      const __m256 out = _mm256_blend_ps(_mm256_add_ps(a, b),
-                                         _mm256_sub_ps(b, a), 0xCC);
-      _mm256_storeu_ps(d + 4 * k, _mm256_mul_ps(out, vk));
-    }
-    if (k < ke) detail::scalar_kernels_f32.hadamard_pairs(x, qubit, k, ke);
-    return;
-  }
-  const std::uint64_t stride = 1ull << qubit;
-  std::uint64_t k = kb;
-  while (k < ke) {
-    const std::uint64_t off = k & (stride - 1);
-    const std::uint64_t run = std::min(ke - k, stride - off);
-    float* p0 = reinterpret_cast<float*>(x + insert_zero_bit(k, qubit));
-    float* p1 = p0 + 2 * stride;
-    std::uint64_t j = 0;
-    for (; j + 4 <= run; j += 4) {
-      const __m256 a = _mm256_loadu_ps(p0 + 2 * j);
-      const __m256 b = _mm256_loadu_ps(p1 + 2 * j);
-      _mm256_storeu_ps(p0 + 2 * j, _mm256_mul_ps(_mm256_add_ps(a, b), vk));
-      _mm256_storeu_ps(p1 + 2 * j, _mm256_mul_ps(_mm256_sub_ps(a, b), vk));
-    }
-    if (j < run)
-      detail::scalar_kernels_f32.hadamard_pairs(x, qubit, k + j, k + run);
-    k += run;
-  }
 }
 
 // f32 reductions: widen each 128-bit half of the four loaded complexes to
@@ -742,7 +639,6 @@ namespace detail {
 const Kernels avx2_kernels = {
     .phase = phase_avx2,
     .phase_table = phase_table_avx2,
-    .phase_popcount = phase_popcount_avx2,
     .phase_rx = phase_rx_avx2,
     .rx_pairs = rx_pairs_avx2,
     .rx2_tile = rx2_tile_avx2,
@@ -751,7 +647,6 @@ const Kernels avx2_kernels = {
     // the executor issues level pairs instead.
     .rx3_tile = nullptr,
     .rx3_rows = nullptr,
-    .hadamard_pairs = hadamard_pairs_avx2,
     .expectation = expectation_avx2,
     .expectation_u16 = expectation_u16_avx2,
     .norm_squared = norm_squared_avx2,
@@ -761,7 +656,6 @@ const Kernels avx2_kernels = {
 const KernelsF32 avx2_kernels_f32 = {
     .phase = phase_avx2_f32,
     .phase_table = phase_table_avx2_f32,
-    .phase_popcount = phase_popcount_avx2_f32,
     .phase_rx = phase_rx_avx2_f32,
     .rx_pairs = rx_pairs_avx2_f32,
     .rx2_tile = rx2_tile_avx2_f32,
@@ -770,7 +664,6 @@ const KernelsF32 avx2_kernels_f32 = {
     // the executor issues level pairs instead.
     .rx3_tile = nullptr,
     .rx3_rows = nullptr,
-    .hadamard_pairs = hadamard_pairs_avx2_f32,
     .expectation = expectation_avx2_f32,
     .expectation_u16 = expectation_u16_avx2_f32,
     .norm_squared = norm_squared_avx2_f32,

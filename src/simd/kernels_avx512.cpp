@@ -181,14 +181,12 @@ namespace detail {
 const Kernels avx512_kernels = {
     .phase = ViaAvx2<&Kernels::phase>::call,
     .phase_table = ViaAvx2<&Kernels::phase_table>::call,
-    .phase_popcount = ViaAvx2<&Kernels::phase_popcount>::call,
     .phase_rx = phase_rx_avx512,
     .rx_pairs = ViaAvx2<&Kernels::rx_pairs>::call,
     .rx2_tile = ViaAvx2<&Kernels::rx2_tile>::call,
     .rx2_rows = ViaAvx2<&Kernels::rx2_rows>::call,
     .rx3_tile = rx3_tile_avx512,
     .rx3_rows = rx3_rows_avx512,
-    .hadamard_pairs = ViaAvx2<&Kernels::hadamard_pairs>::call,
     .expectation = ViaAvx2<&Kernels::expectation>::call,
     .expectation_u16 = ViaAvx2<&Kernels::expectation_u16>::call,
     .norm_squared = ViaAvx2<&Kernels::norm_squared>::call,

@@ -38,13 +38,6 @@ void phase_table_scalar(std::complex<T>* amp, const std::uint16_t* codes,
   for (std::uint64_t i = 0; i < count; ++i) amp[i] *= table[codes[i]];
 }
 
-template <class T>
-void phase_popcount_scalar(std::complex<T>* amp, std::uint64_t index_base,
-                           std::uint64_t count, const std::complex<T>* table) {
-  for (std::uint64_t i = 0; i < count; ++i)
-    amp[i] *= table[popcount(index_base + i)];
-}
-
 /// One RX pair in real arithmetic on the interleaved re/im slots a[0..1]
 /// and b[0..1] — e^{-i beta X}: y0 = c x0 - i s x1, y1 = -i s x0 + c x1.
 template <class T>
@@ -151,21 +144,6 @@ void rx3_tile_scalar(std::complex<T>* x, int q, std::uint64_t count,
     rx3_rows_scalar(x + b, stride, stride, c, s);
 }
 
-template <class T>
-void hadamard_pairs_scalar(std::complex<T>* x, int qubit, std::uint64_t kb,
-                           std::uint64_t ke) {
-  constexpr T kInvSqrt2 = static_cast<T>(0.70710678118654752440);
-  const std::uint64_t stride = 1ull << qubit;
-  for (std::uint64_t k = kb; k < ke; ++k) {
-    const std::uint64_t i0 = insert_zero_bit(k, qubit);
-    const std::uint64_t i1 = i0 | stride;
-    const std::complex<T> x0 = x[i0];
-    const std::complex<T> x1 = x[i1];
-    x[i0] = (x0 + x1) * kInvSqrt2;
-    x[i1] = (x0 - x1) * kInvSqrt2;
-  }
-}
-
 /// |amp[i]|^2 widened to double before the squares — the one sanctioned
 /// pattern for touching f32 amplitudes in a reduction.
 template <class T>
@@ -220,14 +198,12 @@ namespace detail {
 const Kernels scalar_kernels = {
     .phase = phase_scalar<double>,
     .phase_table = phase_table_scalar<double>,
-    .phase_popcount = phase_popcount_scalar<double>,
     .phase_rx = phase_rx_scalar<double>,
     .rx_pairs = rx_pairs_scalar<double>,
     .rx2_tile = rx2_tile_scalar<double>,
     .rx2_rows = rx2_rows_scalar<double>,
     .rx3_tile = rx3_tile_scalar<double>,
     .rx3_rows = rx3_rows_scalar<double>,
-    .hadamard_pairs = hadamard_pairs_scalar<double>,
     .expectation = expectation_scalar<double>,
     .expectation_u16 = expectation_u16_scalar<double>,
     .norm_squared = norm_squared_scalar<double>,
@@ -237,14 +213,12 @@ const Kernels scalar_kernels = {
 const KernelsF32 scalar_kernels_f32 = {
     .phase = phase_scalar<float>,
     .phase_table = phase_table_scalar<float>,
-    .phase_popcount = phase_popcount_scalar<float>,
     .phase_rx = phase_rx_scalar<float>,
     .rx_pairs = rx_pairs_scalar<float>,
     .rx2_tile = rx2_tile_scalar<float>,
     .rx2_rows = rx2_rows_scalar<float>,
     .rx3_tile = rx3_tile_scalar<float>,
     .rx3_rows = rx3_rows_scalar<float>,
-    .hadamard_pairs = hadamard_pairs_scalar<float>,
     .expectation = expectation_scalar<float>,
     .expectation_u16 = expectation_u16_scalar<float>,
     .norm_squared = norm_squared_scalar<float>,

@@ -43,7 +43,7 @@ inline constexpr std::uint64_t amplitude_bytes(Precision p) noexcept {
 }
 
 /// Largest supported qubit count for an in-memory state vector (2^34
-/// amplitudes = 256 GiB); also sizes fixed per-weight tables (fwht mixer).
+/// amplitudes = 256 GiB).
 inline constexpr int kMaxQubits = 34;
 
 /// Owning 2^n-amplitude state vector.

@@ -10,7 +10,7 @@
 // oracle's byte for byte:
 //
 //  - Algorithm 3: apply_phase on the f64 or u16 diagonal, then apply_mixer
-//    with the simulator's Exec policy, mixer and mixer backend;
+//    with the simulator's Exec policy and mixer;
 //  - Algorithm 4: apply_phase_slice, then dist::apply_mixer_x, over a
 //    VirtualRankWorld with the simulator's ranks and alltoall strategy.
 #pragma once
@@ -38,7 +38,7 @@ inline StateVector unfused_evolve(const FurQaoaSimulator& sim,
       apply_phase(state, sim.diagonal_u16(), gammas[l], cfg.exec);
     else
       apply_phase(state, sim.get_cost_diagonal(), gammas[l], cfg.exec);
-    apply_mixer(state, cfg.mixer, betas[l], cfg.exec, cfg.backend);
+    apply_mixer(state, cfg.mixer, betas[l], cfg.exec);
   }
   return state;
 }

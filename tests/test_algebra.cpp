@@ -100,21 +100,6 @@ TEST(Algebra, Su2CompositionMatchesMatrixProduct) {
   EXPECT_LT(x.max_abs_diff(y), 1e-12);
 }
 
-TEST(Algebra, FwhtPreservesInnerProducts) {
-  // Parseval: <Fa|Fb> = <a|b>.
-  Rng rng(6);
-  StateVector a(8), b(8);
-  for (std::uint64_t i = 0; i < a.size(); ++i) {
-    a[i] = cdouble(rng.normal(), rng.normal());
-    b[i] = cdouble(rng.normal(), rng.normal());
-  }
-  const cdouble before = a.inner(b);
-  fwht(a);
-  fwht(b);
-  const cdouble after = a.inner(b);
-  EXPECT_LT(std::abs(before - after), 1e-10);
-}
-
 TEST(Algebra, DickeStatesAreOrthogonalAcrossSectors) {
   for (int k1 = 0; k1 <= 5; ++k1)
     for (int k2 = k1 + 1; k2 <= 5; ++k2) {

@@ -1,8 +1,8 @@
 // Randomized cross-validation of the batch evaluation engine: for random
 // problems and random schedule batches (fixed seeds), BatchEvaluator must
 // be *bit-identical* -- not merely close -- to a sequential simulate_qaoa
-// loop on the same simulator, for every backend (serial / threaded / u16 /
-// fwht / dist:K / xy-ring) and in every parallelism mode.
+// loop on the same simulator, for every backend (serial / auto / u16 /
+// dist:K / xy-ring) and in every parallelism mode.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -78,7 +78,7 @@ TEST_P(BatchCrossValidationTest, MatchesSequentialLoopOnEveryBackend) {
   const std::vector<QaoaParams> batch =
       random_batch(seed, 5 + static_cast<int>(seed % 4));
 
-  for (const char* name : {"serial", "auto", "u16", "fwht"}) {
+  for (const char* name : {"serial", "auto", "u16"}) {
     const auto sim = choose_simulator(terms, name);
     for (const auto mode :
          {BatchParallelism::Auto, BatchParallelism::Outer,

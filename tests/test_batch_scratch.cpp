@@ -69,11 +69,9 @@ TEST(BatchScratch, SimulateQaoaFromConsumesInPlace) {
   const TermList terms = labs_terms(8);
   const std::vector<double> g{0.3, -0.2}, b{0.7, 0.4};
   const FurQaoaSimulator serial(terms, {.exec = Exec::Serial});
-  const FurQaoaSimulator fwht_sim(terms, {.backend = MixerBackend::Fwht});
   const DistributedFurSimulator dist_sim(terms, {.ranks = 2});
   for (const QaoaFastSimulatorBase* sim :
        {static_cast<const QaoaFastSimulatorBase*>(&serial),
-        static_cast<const QaoaFastSimulatorBase*>(&fwht_sim),
         static_cast<const QaoaFastSimulatorBase*>(&dist_sim)}) {
     StateVector state = sim->initial_state();
     const cdouble* buffer = state.data();

@@ -54,10 +54,6 @@ TEST_P(BackendAgreementTest, AllBackendsProduceTheSameState) {
   const FurQaoaSimulator threaded(terms, {});
   EXPECT_LT(threaded.simulate_qaoa(g, b).max_abs_diff(ref), 1e-10) << seed;
 
-  // FWHT mixer backend.
-  const FurQaoaSimulator fwht_sim(terms, {.backend = MixerBackend::Fwht});
-  EXPECT_LT(fwht_sim.simulate_qaoa(g, b).max_abs_diff(ref), 1e-10) << seed;
-
   // Gate-based baseline, both phase decompositions.
   for (const auto style : {PhaseStyle::CxLadder, PhaseStyle::MultiZ}) {
     const GateQaoaSimulator gates(terms, {.phase_style = style});
@@ -81,28 +77,6 @@ TEST_P(BackendAgreementTest, AllBackendsProduceTheSameState) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendAgreementTest,
                          ::testing::Range<std::uint64_t>(1, 13));
-
-class SymmetricAgreementTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SymmetricAgreementTest, HalfSpaceAgreesOnSymmetricProblems) {
-  const std::uint64_t seed = GetParam();
-  Rng rng(seed);
-  const int n = 6 + static_cast<int>(rng.uniform_int(4));
-  const TermList terms = seed % 2 == 0
-                             ? labs_terms(n)
-                             : sk_terms(n, seed);
-  const auto [g, b] = random_schedule(seed, 2);
-  const FurQaoaSimulator full(terms, {.exec = Exec::Serial});
-  const SymmetricFurSimulator half(terms, Exec::Serial);
-  const StateVector f = full.simulate_qaoa(g, b);
-  const StateVector h = half.simulate_qaoa(g, b);
-  EXPECT_NEAR(full.get_expectation(f), half.get_expectation(h), 1e-9) << seed;
-  EXPECT_NEAR(full.get_overlap(f), half.get_overlap(h), 1e-10) << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SymmetricAgreementTest,
-                         ::testing::Range<std::uint64_t>(1, 9));
 
 class AlltoallInvolutionTest
     : public ::testing::TestWithParam<AlltoallStrategy> {};
@@ -149,8 +123,7 @@ TEST_P(SessionLegacyAgreementTest, SessionApiIsBitIdenticalToFreeFunctions) {
   params.betas = b;
   const std::vector<QaoaParams> batch{params, params};
 
-  for (const char* name :
-       {"serial", "threaded", "u16", "fwht", "dist:2", "gatesim"}) {
+  for (const char* name : {"serial", "auto", "u16", "dist:2", "gatesim"}) {
     SCOPED_TRACE(name);
     const api::ProblemSession session(terms, SimulatorSpec::parse(name));
     const auto legacy = choose_simulator(terms, name);
@@ -188,7 +161,7 @@ TEST_P(PrecisionAgreementTest, F32BackendsTrackTheirF64Twins) {
   const auto [g, b] = random_schedule(seed, 1 + static_cast<int>(seed % 3));
 
   StateVector serial_f32;  // kept for the cross-backend bit-identity check
-  for (const char* name : {"serial", "threaded", "u16", "fwht", "dist:2"}) {
+  for (const char* name : {"serial", "auto", "u16", "dist:2"}) {
     SCOPED_TRACE(name);
     const std::string base(name);
     const auto sim64 =
@@ -208,8 +181,8 @@ TEST_P(PrecisionAgreementTest, F32BackendsTrackTheirF64Twins) {
         << seed;
     if (base == "serial") {
       serial_f32 = r32;
-    } else if (base == "threaded") {
-      // Determinism contract at f32: Exec policy (serial vs threaded is
+    } else if (base == "auto") {
+      // Determinism contract at f32: Exec policy (serial vs auto is
       // exactly that switch) never changes the bits.
       EXPECT_EQ(r32.max_abs_diff(serial_f32), 0.0) << seed;
     }

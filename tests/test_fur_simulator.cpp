@@ -55,15 +55,6 @@ TEST(FurSimulator, SerialAndParallelAgree) {
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
 }
 
-TEST(FurSimulator, FwhtBackendAgreesWithFused) {
-  const TermList terms = labs_terms(9);
-  const FurQaoaSimulator fused(terms, {});
-  const FurQaoaSimulator fwht_sim(terms, {.backend = MixerBackend::Fwht});
-  const StateVector a = fused.simulate_qaoa(kGammas, kBetas);
-  const StateVector b = fwht_sim.simulate_qaoa(kGammas, kBetas);
-  EXPECT_LT(a.max_abs_diff(b), 1e-10);
-}
-
 TEST(FurSimulator, U16ModeAgreesOnIntegralSpectrum) {
   const TermList terms = labs_terms(10);
   const FurQaoaSimulator dbl(terms, {});
@@ -162,7 +153,7 @@ TEST(FurSimulator, SectorRestrictedOverlap) {
 
 TEST(ChooseSimulator, NamesProduceWorkingSimulators) {
   const TermList terms = labs_terms(6);
-  for (const char* name : {"auto", "serial", "threaded", "u16", "fwht"}) {
+  for (const char* name : {"auto", "serial", "u16"}) {
     const auto sim = choose_simulator(terms, name);
     const StateVector r = sim->simulate_qaoa(kGammas, kBetas);
     // Under QOKIT_PREC=f32 the names resolve to float amplitudes, where
@@ -182,7 +173,7 @@ TEST(ChooseSimulator, AllNamesAgreeNumerically) {
   // matrix runs at f32 (QOKIT_PREC=f32 leg).
   const double tol =
       reference->precision() == Precision::F32 ? 1e-5 : 1e-10;
-  for (const char* name : {"auto", "threaded", "u16", "fwht"}) {
+  for (const char* name : {"auto", "u16"}) {
     const auto sim = choose_simulator(terms, name);
     const StateVector r = sim->simulate_qaoa(kGammas, kBetas);
     EXPECT_LT(r.max_abs_diff(ref), tol) << name;
@@ -191,11 +182,6 @@ TEST(ChooseSimulator, AllNamesAgreeNumerically) {
 
 TEST(ChooseSimulator, UnknownNameThrows) {
   EXPECT_THROW(choose_simulator(labs_terms(4), "gpu"), std::invalid_argument);
-}
-
-TEST(ChooseSimulator, FwhtRejectsXyMixers) {
-  EXPECT_THROW(choose_simulator_xyring(labs_terms(4), "fwht"),
-               std::invalid_argument);
 }
 
 TEST(ChooseSimulator, XyFactoriesSetMixerAndWeight) {

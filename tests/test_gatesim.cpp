@@ -26,12 +26,18 @@ StateVector random_state(int n, std::uint64_t seed) {
 }
 
 TEST(GateApply, HadamardMatchesReference) {
-  StateVector sv = random_state(5, 1);
-  const auto before = to_vec(sv);
-  apply_gate(sv, Gate::h(2), Exec::Serial);
-  EXPECT_LT(max_diff(to_vec(sv),
-                     testing::ref_apply_1q(before, 2, testing::ref_matrix_h())),
-            1e-13);
+  // Every qubit, qubit 0 (adjacent pair partners) included, under both
+  // Exec policies.
+  for (const Exec exec : {Exec::Serial, Exec::Parallel})
+    for (int q = 0; q < 5; ++q) {
+      StateVector sv = random_state(5, 1);
+      const auto before = to_vec(sv);
+      apply_gate(sv, Gate::h(q), exec);
+      EXPECT_LT(max_diff(to_vec(sv), testing::ref_apply_1q(
+                                         before, q, testing::ref_matrix_h())),
+                1e-13)
+          << "q=" << q << " exec=" << static_cast<int>(exec);
+    }
 }
 
 TEST(GateApply, RxMatchesReference) {

@@ -1,7 +1,7 @@
 // The cache-blocked fused layer pipeline (src/pipeline/) must be
 // *bit-identical* -- not merely close -- to the unfused per-qubit layer
 // loop it replaces (tests/support/unfused_oracle.hpp), across every
-// backend (serial / threaded / u16 / fwht / dist:2 / dist:4:pairwise),
+// backend (serial / auto / u16 / dist:2 / dist:4:pairwise),
 // both Exec policies, every installable SIMD level and both precisions;
 // fusion reorders the memory traversal, never the per-amplitude
 // arithmetic. Also pins the plan's pass-count math, the tile-boundary edge
@@ -87,9 +87,8 @@ TEST_P(PipelineCrossValidationTest, FusedEqualsUnfusedOnEveryBackend) {
   for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
     for (const std::string name :
-         {"serial", "threaded", "auto:exec=serial", "u16", "fwht",
-          "fwht:exec=serial", "u16:exec=serial", "dist:2",
-          "dist:4:pairwise"})
+         {"serial", "auto", "auto:exec=serial", "u16", "u16:exec=serial",
+          "dist:2", "dist:4:pairwise"})
       for (const char* prec : {"", ":prec=f32"})
         expect_fused_matches_oracle(terms, name + prec);
   }
@@ -111,14 +110,12 @@ TermList tiling_problem(int n) {
 /// Build a FurQaoaSimulator with custom tiling and assert that its fused
 /// evolution equals the unfused oracle's bitwise.
 void expect_tiling_identical(int n, int tile_log2, int group_qubits,
-                             int chunk_log2, bool use_u16,
-                             MixerBackend backend, Exec exec,
+                             int chunk_log2, bool use_u16, Exec exec,
                              Precision prec = Precision::F64) {
   const TermList terms = tiling_problem(n);
   FurConfig cfg;
   cfg.exec = exec;
   cfg.use_u16 = use_u16;
-  cfg.backend = backend;
   cfg.prec = prec;
   cfg.geometry = {tile_log2, group_qubits, chunk_log2};
   const FurQaoaSimulator sim(terms, cfg);
@@ -129,7 +126,6 @@ void expect_tiling_identical(int n, int tile_log2, int group_qubits,
       testing::unfused_simulate(sim, sched.gammas, sched.betas)))
       << "n=" << n << " t=" << tile_log2 << " g=" << group_qubits
       << " c=" << chunk_log2 << " u16=" << use_u16
-      << " fwht=" << (backend == MixerBackend::Fwht)
       << " f32=" << (prec == Precision::F32)
       << " level=" << simd_level_name(active_simd_level());
 }
@@ -157,26 +153,18 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
   for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
     for (const Exec exec : {Exec::Serial, Exec::Parallel}) {
-      expect_tiling_identical(3, 4, 2, 2, false, MixerBackend::Fused,
-                              exec);  // n < t: single tile
-      expect_tiling_identical(4, 4, 2, 2, false, MixerBackend::Fused,
-                              exec);  // n == t
-      expect_tiling_identical(9, 4, 2, 2, false, MixerBackend::Fused,
+      expect_tiling_identical(3, 4, 2, 2, false, exec);  // n < t: one tile
+      expect_tiling_identical(4, 4, 2, 2, false, exec);  // n == t
+      expect_tiling_identical(9, 4, 2, 2, false,
                               exec);  // odd remainder: groups {2,2,1}
-      expect_tiling_identical(9, 4, 3, 2, false, MixerBackend::Fused,
+      expect_tiling_identical(9, 4, 3, 2, false,
                               exec);  // remainder group of 2
-      expect_tiling_identical(2, 4, 2, 2, false, MixerBackend::Fused,
+      expect_tiling_identical(2, 4, 2, 2, false,
                               exec);  // smaller than any tile
-      expect_tiling_identical(9, 4, 2, 2, true, MixerBackend::Fused,
+      expect_tiling_identical(9, 4, 2, 2, true,
                               exec);  // u16 table phase, tiled
-      expect_tiling_identical(9, 4, 2, 2, false, MixerBackend::Fwht,
-                              exec);  // two-transform route, tiled
-      expect_tiling_identical(10, 5, 2, 4, true, MixerBackend::Fwht,
+      expect_tiling_identical(10, 5, 2, 4, true,
                               exec);  // chunk == row stride
-      expect_tiling_identical(9, 4, 2, 2, false, MixerBackend::Fwht, exec,
-                              Precision::F32);
-      expect_tiling_identical(10, 5, 2, 4, true, MixerBackend::Fwht, exec,
-                              Precision::F32);
       // Shapes the RX level grouping creates: adjacent levels share one
       // round trip, in pairs (and a lone odd level) where the family has
       // no rx3 kernels, else in triples and pairs (never a lone level but
@@ -185,8 +173,7 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
       for (const Precision prec : {Precision::F64, Precision::F32})
         for (const bool u16 : {false, true}) {
           const auto check = [&](int n, int t, int g, int c) {
-            expect_tiling_identical(n, t, g, c, u16, MixerBackend::Fused,
-                                    exec, prec);
+            expect_tiling_identical(n, t, g, c, u16, exec, prec);
           };
           check(9, 5, 2, 2);   // in-tile 3: a pair and one, or a triple
           check(8, 6, 2, 2);   // in-tile 4: two pairs either way
@@ -217,10 +204,8 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
 TEST(PipelineTiling, OutOfRangeGeometryIsClampedToARunnablePlan) {
   // Degenerate knobs must not break identity (clamps: tile >= 2^2,
   // chunk in [2^2, 2^q_begin], group >= 1).
-  expect_tiling_identical(8, 0, 0, 0, false, MixerBackend::Fused,
-                          Exec::Serial);
-  expect_tiling_identical(8, 30, 64, 25, false, MixerBackend::Fused,
-                          Exec::Serial);
+  expect_tiling_identical(8, 0, 0, 0, false, Exec::Serial);
+  expect_tiling_identical(8, 30, 64, 25, false, Exec::Serial);
 }
 
 // ---------------------------------------------------------- plan shapes
@@ -228,8 +213,7 @@ TEST(PipelineTiling, OutOfRangeGeometryIsClampedToARunnablePlan) {
 TEST(LayerPlan, PassCountMathMatchesTheTilingFormula) {
   const pipeline::Geometry geometry = pipeline::Geometry::defaults();
   for (const int n : {16, 20, 22, 24, 30}) {
-    const auto plan = pipeline::LayerPlan::build(
-        n, MixerType::X, MixerBackend::Fused, geometry);
+    const auto plan = pipeline::LayerPlan::build(n, MixerType::X, geometry);
     ASSERT_TRUE(plan.active());
     const int t = geometry.tile_log2;
     const int g = geometry.group_qubits;
@@ -243,26 +227,20 @@ TEST(LayerPlan, PassCountMathMatchesTheTilingFormula) {
     }
     EXPECT_LT(plan.full_sweeps(), n + 1) << "n=" << n;
   }
-  // The fwht route plans two transforms: exactly twice the sweeps.
-  const auto fwht_plan = pipeline::LayerPlan::build(
-      24, MixerType::X, MixerBackend::Fwht, geometry);
-  const auto fused_plan = pipeline::LayerPlan::build(
-      24, MixerType::X, MixerBackend::Fused, geometry);
-  EXPECT_EQ(fwht_plan.full_sweeps(), 2 * fused_plan.full_sweeps());
 }
 
 TEST(LayerPlan, FirstPassFusesThePhaseIntoTheMixerSweep) {
   const auto plan = pipeline::LayerPlan::build(
-      24, MixerType::X, MixerBackend::Fused, pipeline::Geometry::defaults());
+      24, MixerType::X, pipeline::Geometry::defaults());
   ASSERT_TRUE(plan.active());
   ASSERT_FALSE(plan.passes().empty());
   const pipeline::LayerPass& first = plan.passes().front();
   EXPECT_FALSE(first.strided);
-  EXPECT_EQ(first.pre, pipeline::PassPhase::Diagonal);
+  EXPECT_TRUE(first.phase);
   EXPECT_EQ(first.q_begin, 0);
   // No other pass re-applies the diagonal phase.
   for (std::size_t i = 1; i < plan.passes().size(); ++i)
-    EXPECT_NE(plan.passes()[i].pre, pipeline::PassPhase::Diagonal) << i;
+    EXPECT_FALSE(plan.passes()[i].phase) << i;
 }
 
 // ------------------------------------------------- fallbacks/diagnostics
@@ -287,21 +265,15 @@ TEST(LayerPlan, EveryXMixerPlanIsActiveAndOnlyXyMixersFallBack) {
        {pipeline::Geometry::defaults(), pipeline::Geometry{0, 0, 0},
         pipeline::Geometry{30, 64, 25}})
     for (int n = 1; n <= 30; ++n) {
-      for (const MixerBackend backend :
-           {MixerBackend::Fused, MixerBackend::Fwht}) {
-        const auto plan =
-            pipeline::LayerPlan::build(n, MixerType::X, backend, geometry);
-        EXPECT_TRUE(plan.active())
-            << "n=" << n << " t=" << geometry.tile_log2
-            << " fwht=" << (backend == MixerBackend::Fwht);
-        EXPECT_EQ(plan.fallback_reason(), "");
-        EXPECT_FALSE(plan.passes().empty());
-      }
+      const auto x_plan = pipeline::LayerPlan::build(n, MixerType::X, geometry);
+      EXPECT_TRUE(x_plan.active())
+          << "n=" << n << " t=" << geometry.tile_log2;
+      EXPECT_EQ(x_plan.fallback_reason(), "");
+      EXPECT_FALSE(x_plan.passes().empty());
       for (const auto& [mixer, token] :
            {std::pair{MixerType::XYRing, "xyring"},
             std::pair{MixerType::XYComplete, "xycomplete"}}) {
-        const auto plan = pipeline::LayerPlan::build(
-            n, mixer, MixerBackend::Fused, geometry);
+        const auto plan = pipeline::LayerPlan::build(n, mixer, geometry);
         EXPECT_FALSE(plan.active()) << "n=" << n << " " << token;
         EXPECT_EQ(plan.fallback_reason(),
                   std::string("mixer=") + token +
@@ -313,8 +285,7 @@ TEST(LayerPlan, EveryXMixerPlanIsActiveAndOnlyXyMixersFallBack) {
 
 TEST(LayerPlan, MakeSimulatorRunsTheFixedGeometry) {
   const TermList terms = labs_terms(8);
-  for (const char* name : {"auto", "serial", "threaded", "u16", "fwht",
-                           "auto:prec=f32"}) {
+  for (const char* name : {"auto", "serial", "u16", "auto:prec=f32"}) {
     const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
     const auto* fur = dynamic_cast<const FurQaoaSimulator*>(sim.get());
     ASSERT_NE(fur, nullptr) << name;
@@ -341,7 +312,7 @@ TEST(PipelineFallback, RunLayerRejectsMisuse) {
                                    0.2, Exec::Serial),
                std::logic_error);
   const auto plan = pipeline::LayerPlan::build(
-      4, MixerType::X, MixerBackend::Fused, pipeline::Geometry::defaults());
+      4, MixerType::X, pipeline::Geometry::defaults());
   ASSERT_TRUE(plan.active());
   // No phase source.
   EXPECT_THROW(pipeline::run_layer(plan, sv.data(), sv.size(), ctx, 0.1,
@@ -400,8 +371,7 @@ TEST(PipelineFusedExpectation, UntimedSessionMatchesTheTwoPassOracle) {
   SimdLevelGuard guard;
   for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
-    for (const char* name :
-         {"auto", "serial", "threaded", "u16", "fwht", "u16:exec=serial"}) {
+    for (const char* name : {"auto", "serial", "u16", "u16:exec=serial"}) {
       const TermList terms = sk_terms(11, 9);
       const api::ProblemSession session(terms, SimulatorSpec::parse(name));
       const auto* fur =

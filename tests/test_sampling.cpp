@@ -123,15 +123,15 @@ TEST(Sampler, SessionSeedYieldsIdenticalStreamsAcrossExecModes) {
   const QaoaParams params{{0.4, -0.3}, {0.7, 0.2}};
   const api::ProblemSession serial =
       api::ProblemSession::labs(8, SimulatorSpec::parse("serial:seed=7"));
-  const api::ProblemSession threaded =
-      api::ProblemSession::labs(8, SimulatorSpec::parse("threaded:seed=7"));
+  const api::ProblemSession parallel =
+      api::ProblemSession::labs(8, SimulatorSpec::parse("auto:seed=7"));
   const auto a = serial.sample(params, 50);
-  EXPECT_EQ(threaded.sample(params, 50), a);
+  EXPECT_EQ(parallel.sample(params, 50), a);
 
   api::EvalRequest request;
   request.shots = 50;
   EXPECT_EQ(*serial.evaluate(params, request).samples,
-            *threaded.evaluate(params, request).samples);
+            *parallel.evaluate(params, request).samples);
 }
 
 TEST(Sampler, QaoaSamplesConcentrateOnGoodCuts) {

@@ -175,20 +175,26 @@ TEST(ServeProtocol, RejectsMalformedFrames) {
     EXPECT_THROW((void)decode_request(lying), ProtocolError);
   }
   // An unparseable spec token is NOT a framing error: the frame is intact,
-  // the content is wrong -- std::invalid_argument, mapped to BadRequest.
-  {
-    Request bad_spec = request;
-    std::vector<std::uint8_t> encoded = encode_request(bad_spec);
-    // Corrupt the spec string in place ("auto" -> "zuto").
-    const std::string spelled = bad_spec.spec.to_string();
-    std::vector<std::uint8_t>::iterator at = std::search(
+  // the content is wrong -- std::invalid_argument naming the token, mapped
+  // to BadRequest. "fwht" is a removed backend name: an old client sending
+  // it gets the same typed refusal.
+  for (const std::string corrupt : {"zuto", "fwht"}) {
+    std::vector<std::uint8_t> encoded = encode_request(request);
+    // Overwrite the spec string's backend in place ("auto" -> corrupt).
+    const std::string spelled = request.spec.to_string();
+    ASSERT_EQ(spelled.substr(0, 4), "auto");
+    const std::vector<std::uint8_t>::iterator at = std::search(
         encoded.begin(), encoded.end(), spelled.begin(), spelled.end());
     ASSERT_NE(at, encoded.end());
-    *at = 'z';
-    EXPECT_THROW(
-        (void)decode_request(
-            std::span<const std::uint8_t>(encoded).subspan(kFrameHeaderBytes)),
-        std::invalid_argument);
+    std::copy(corrupt.begin(), corrupt.end(), at);
+    try {
+      (void)decode_request(
+          std::span<const std::uint8_t>(encoded).subspan(kFrameHeaderBytes));
+      ADD_FAILURE() << "decode_request accepted spec '" << corrupt << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(corrupt), std::string::npos)
+          << e.what();
+    }
   }
 }
 

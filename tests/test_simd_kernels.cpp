@@ -1,7 +1,7 @@
 // Parity suite for the runtime-dispatched SIMD kernel layer: every
 // dispatched kernel must agree with the scalar family within 1e-12 per
 // amplitude, across all qubit positions, both Exec policies, and the
-// table-driven u16/popcount paths. Also holds the determinism contract
+// table-driven u16 path. Also holds the determinism contract
 // (Serial == Parallel bitwise at a fixed dispatch level) and the sampler
 // edge-case regressions from the hot-path bugfix sweep.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "diagonal/cost_diagonal.hpp"
 #include "diagonal/diagonal_u16.hpp"
 #include "diagonal/ops.hpp"
-#include "fur/fwht.hpp"
 #include "fur/simulator.hpp"
 #include "fur/su2.hpp"
 #include "problems/labs.hpp"
@@ -152,31 +151,6 @@ TEST(SimdPhase, U16TablePathMatchesScalar) {
   }
 }
 
-TEST(SimdPhase, PopcountTableMatchesScalar) {
-  if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
-  SimdLevelGuard guard;
-  const int n = 11;
-  // One entry per popcount a 64-bit global index can have: with the
-  // nonzero base the indices reach past 2^n, and so past popcount n.
-  aligned_vector<cdouble> table(65);
-  for (int w = 0; w <= 64; ++w) {
-    const double ang = 0.3 * w - 0.7;
-    table[w] = cdouble(std::cos(ang), std::sin(ang));
-  }
-  // Nonzero index_base mimics a distributed rank slice.
-  for (std::uint64_t base : {0ull, 12345ull}) {
-    StateVector a = random_state(n, 31);
-    StateVector b = a;
-    force_simd_level(SimdLevel::Scalar);
-    simd::apply_phase_popcount(a.data(), base, a.size(), table.data(),
-                               Exec::Serial);
-    force_simd_level(detect_simd_level());
-    simd::apply_phase_popcount(b.data(), base, b.size(), table.data(),
-                               Exec::Serial);
-    expect_states_close(a, b, 1e-12, "phase-popcount");
-  }
-}
-
 TEST(SimdButterflies, RxMatchesScalarAtEveryQubit) {
   if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
   SimdLevelGuard guard;
@@ -192,37 +166,6 @@ TEST(SimdButterflies, RxMatchesScalarAtEveryQubit) {
       kern::rx(b.data(), b.size(), q, c, s, exec);
       expect_states_close(a, b, 1e-12, "rx");
     }
-  }
-}
-
-TEST(SimdButterflies, HadamardMatchesScalarAtEveryQubit) {
-  if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
-  SimdLevelGuard guard;
-  const int n = 12;
-  for (int q = 0; q < n; ++q) {
-    for (Exec exec : kExecs) {
-      StateVector a = random_state(n, 41 + q);
-      StateVector b = a;
-      force_simd_level(SimdLevel::Scalar);
-      kern::hadamard(a.data(), a.size(), q, exec);
-      force_simd_level(detect_simd_level());
-      kern::hadamard(b.data(), b.size(), q, exec);
-      expect_states_close(a, b, 1e-12, "hadamard");
-    }
-  }
-}
-
-TEST(SimdButterflies, FwhtMixerMatchesScalar) {
-  if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
-  SimdLevelGuard guard;
-  for (Exec exec : kExecs) {
-    StateVector a = random_state(13, 43);
-    StateVector b = a;
-    force_simd_level(SimdLevel::Scalar);
-    apply_mixer_x_fwht(a, 0.77, exec);
-    force_simd_level(detect_simd_level());
-    apply_mixer_x_fwht(b, 0.77, exec);
-    expect_states_close(a, b, 1e-11, "fwht-mixer");
   }
 }
 
@@ -456,7 +399,7 @@ TEST(SimdEndToEnd, SimulatorBackendsMatchScalarDispatch) {
   const TermList terms = labs_terms(10);
   const std::vector<double> gammas = {0.3, -0.8, 0.45};
   const std::vector<double> betas = {0.7, 0.2, -0.55};
-  for (const char* name : {"serial", "threaded", "u16", "fwht"}) {
+  for (const char* name : {"serial", "auto", "u16"}) {
     force_simd_level(SimdLevel::Scalar);
     const auto sim_s = choose_simulator(terms, name);
     const StateVector r_s = sim_s->simulate_qaoa(gammas, betas);

@@ -105,23 +105,6 @@ TEST(RxKernel, FullMixerEquivalenceAcrossQubits) {
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
 }
 
-TEST(HadamardKernel, MatchesDenseReference) {
-  StateVector sv = random_state(6, 2);
-  const auto before = to_vec(sv);
-  kern::hadamard(sv.data(), sv.size(), 3, Exec::Serial);
-  EXPECT_LT(max_diff(to_vec(sv),
-                     testing::ref_apply_1q(before, 3, testing::ref_matrix_h())),
-            1e-13);
-}
-
-TEST(HadamardKernel, SelfInverse) {
-  StateVector sv = random_state(8, 13);
-  const StateVector before = sv;
-  kern::hadamard(sv.data(), sv.size(), 5, Exec::Parallel);
-  kern::hadamard(sv.data(), sv.size(), 5, Exec::Parallel);
-  EXPECT_LT(sv.max_abs_diff(before), 1e-13);
-}
-
 TEST(Su2Product, AppliesPerQubitMatrices) {
   const int n = 5;
   StateVector a = random_state(n, 31);
