@@ -1,6 +1,8 @@
 #include "diagonal/cost_diagonal.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -9,6 +11,7 @@
 
 #include "common/bitops.hpp"
 #include "obs/obs.hpp"
+#include "statevector/state.hpp"
 
 namespace qokit {
 
@@ -35,7 +38,54 @@ CostDiagonal::Cache& CostDiagonal::cache() const {
   return *cache_;
 }
 
+namespace {
+
+/// Indices per term visit of precompute_costs.
+constexpr std::uint64_t kLanes = 16;
+
+/// Sign bits of a term's low four mask bits over the 16 lanes of a block:
+/// kLowSign[m][j] has bit 63 set iff popcount(j & m) is odd.
+constexpr auto kLowSign = [] {
+  std::array<std::array<std::uint64_t, kLanes>, kLanes> t{};
+  for (std::uint64_t m = 0; m < kLanes; ++m)
+    for (std::uint64_t j = 0; j < kLanes; ++j)
+      t[m][j] = static_cast<std::uint64_t>(std::popcount(j & m) & 1) << 63;
+  return t;
+}();
+
+/// Amplitudes per parallel_for_blocks task of CostDiagonal::precompute:
+/// 64 blocks amortize a task's start, and the smallest threaded range
+/// (kParallelGrain, n = 15) still splits into 32 tasks.
+constexpr std::int64_t kPrecomputeChunk = 1 << 10;
+
+}  // namespace
+
+void precompute_costs(const TermList& terms, std::uint64_t begin,
+                      std::span<double> out) {
+  const std::uint64_t end = begin + out.size();
+  for (std::uint64_t base = begin & ~(kLanes - 1); base < end;
+       base += kLanes) {
+    // Lane j accumulates c_{base + j}. A term's sign is the parity of the
+    // block's high bits times the table's low-bit parity; flipping w's
+    // sign bit is exactly w * (-1.0), so lane j adds what
+    // terms.evaluate(base + j) adds, in the same order, without a branch.
+    double acc[kLanes] = {};
+    for (const Term& t : terms) {
+      const std::uint64_t w =
+          std::bit_cast<std::uint64_t>(t.weight) ^
+          (static_cast<std::uint64_t>(parity(base & t.mask)) << 63);
+      const auto& low = kLowSign[t.mask & (kLanes - 1)];
+      for (std::uint64_t j = 0; j < kLanes; ++j)
+        acc[j] += std::bit_cast<double>(w ^ low[j]);
+    }
+    const std::uint64_t lo = std::max(base, begin);
+    const std::uint64_t hi = std::min(base + kLanes, end);
+    for (std::uint64_t x = lo; x < hi; ++x) out[x - begin] = acc[x - base];
+  }
+}
+
 CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
+  check_qubit_limit(terms.num_qubits(), "CostDiagonal::precompute");
   static const obs::Counter precomputes =
       obs::counter("qokit_precomputes_total");
   static const obs::Histogram precompute_hist =
@@ -50,23 +100,21 @@ CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
   const std::int64_t dim = static_cast<std::int64_t>(dim_of(d.n_));
   d.values_.assign(dim, 0.0);
   double* out = d.values_.data();
-  const Term* ts = terms.terms().data();
-  const std::size_t nt = terms.size();
-
-  // One thread owns one output element: the GPU-kernel layout of the
-  // paper, and the layout reused verbatim for distributed slices.
-  parallel_for(exec, 0, dim, [&](std::int64_t x) {
-    double acc = 0.0;
-    for (std::size_t k = 0; k < nt; ++k)
-      acc += ts[k].weight * parity_sign(static_cast<std::uint64_t>(x),
-                                        ts[k].mask);
-    out[x] = acc;
-  });
+  // Each element depends on its own index alone, so any split of the
+  // range -- these chunks, or the dist ranks' slices -- gives the same
+  // bits.
+  parallel_for_blocks(exec, dim, kPrecomputeChunk,
+                      [&](std::int64_t b, std::int64_t e) {
+                        precompute_costs(
+                            terms, static_cast<std::uint64_t>(b),
+                            {out + b, static_cast<std::size_t>(e - b)});
+                      });
   return d;
 }
 
 CostDiagonal CostDiagonal::from_function(
     int num_qubits, const std::function<double(std::uint64_t)>& f, Exec exec) {
+  check_qubit_limit(num_qubits, "CostDiagonal::from_function");
   CostDiagonal d;
   d.n_ = num_qubits;
   const std::int64_t dim = static_cast<std::int64_t>(dim_of(num_qubits));

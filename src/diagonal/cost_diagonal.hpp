@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "common/aligned.hpp"
 #include "common/parallel.hpp"
@@ -18,19 +19,31 @@
 
 namespace qokit {
 
+/// out[i] = c_{begin + i} for every i: the precompute kernel (Sec. III-A),
+/// shared by CostDiagonal::precompute and the dist ranks' slices. It visits
+/// each term once per block of 16 consecutive indices and adds
+/// w * (-1)^{popcount(x & mask)} into 16 accumulators, so each c_x is the
+/// sum terms.evaluate(x) forms: +0.0, then every term in list order. Any
+/// begin and length work (a block is computed whole, stored in part).
+void precompute_costs(const TermList& terms, std::uint64_t begin,
+                      std::span<double> out);
+
 /// The 2^n cost vector c_x = f(x).
 class CostDiagonal {
  public:
   CostDiagonal();
 
-  /// Precompute from polynomial terms (Eq. 1). Each element is a sum of
-  /// weight * (-1)^{popcount(x & mask)} over terms — the bitwise-XOR /
-  /// population-count kernel of Sec. III-A.
+  /// Precompute from polynomial terms (Eq. 1): precompute_costs over the
+  /// whole index range, in chunks spread over threads under
+  /// Exec::Parallel. c_x equals terms.evaluate(x) bit for bit under
+  /// either Exec. Throws std::invalid_argument past kMaxQubits, before
+  /// allocating.
   static CostDiagonal precompute(const TermList& terms,
                                  Exec exec = Exec::Parallel);
 
   /// Precompute from an arbitrary callable f(x) (the Python-lambda input
-  /// path of QOKit's high-level API).
+  /// path of QOKit's high-level API). Throws std::invalid_argument past
+  /// kMaxQubits, before allocating.
   static CostDiagonal from_function(int num_qubits,
                                     const std::function<double(std::uint64_t)>& f,
                                     Exec exec = Exec::Parallel);

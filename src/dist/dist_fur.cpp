@@ -82,15 +82,16 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
           cfg.ranks > 0 ? cfg.ranks : 1))),
       world_(cfg.ranks, cfg.strategy) {
   const int n = terms.num_qubits();
+  check_qubit_limit(n, "DistributedFurSimulator");
   if (2 * log2_ranks_ > n)
     throw std::invalid_argument(
         "DistributedFurSimulator: " + std::to_string(cfg.ranks) +
         " ranks need at least " + std::to_string(2 * log2_ranks_) +
         " qubits (2*log2 K), got " + std::to_string(n));
-  // Distributed diagonal precompute: each rank fills its own slice, the
-  // element-major kernel the paper runs once per problem on every
-  // GPU/rank. Identical term order to CostDiagonal::precompute, so the
-  // result is bit-identical to the single-node diagonal.
+  // Distributed diagonal precompute: each rank fills its own slice with
+  // the single-node kernel (precompute_costs), as the paper runs it once
+  // per problem on every GPU/rank. An element depends on its index alone,
+  // so the result is bit-identical to CostDiagonal::precompute.
   obs::Span span("precompute");
   span.attr("n", n);
   span.attr("ranks", cfg_.ranks);
@@ -99,8 +100,7 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
   const std::uint64_t local = values.size() >> log2_ranks_;
   world_.run([&](Communicator& comm) {
     const std::uint64_t base = static_cast<std::uint64_t>(comm.rank()) * local;
-    for (std::uint64_t i = 0; i < local; ++i)
-      out[base + i] = terms.evaluate(base + i);
+    precompute_costs(terms, base, {out + base, local});
   });
   diag_ = CostDiagonal::from_values(n, std::move(values));
   // Each rank's per-layer work is phase + X mixer on a 2^(n - g) slice:

@@ -69,10 +69,12 @@ struct DistConfig {
 /// X mixer only, as in the paper's distributed implementation.
 class DistributedFurSimulator final : public QaoaFastSimulatorBase {
  public:
-  /// Precomputes the cost diagonal slice-by-slice across the ranks.
-  /// Throws std::invalid_argument if cfg.ranks is not a power of two or
-  /// if 2 * log2(ranks) > n (a rank must own at least as many local
-  /// qubits as there are global ones for the reordering to fit).
+  /// Precomputes the cost diagonal slice-by-slice across the ranks, each
+  /// with precompute_costs (bit-identical to CostDiagonal::precompute).
+  /// Throws std::invalid_argument if n exceeds kMaxQubits (before
+  /// allocating), if cfg.ranks is not a power of two, or if
+  /// 2 * log2(ranks) > n (a rank must own at least as many local qubits
+  /// as there are global ones for the reordering to fit).
   explicit DistributedFurSimulator(const TermList& terms, DistConfig cfg = {});
 
   int num_qubits() const override { return diag_.num_qubits(); }

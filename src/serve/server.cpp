@@ -87,10 +87,7 @@ int bind_unix_listener(const std::string& path, int backlog) {
 /// request never reaches an allocation.
 void check_fits(const TermList& terms, std::uint64_t budget) {
   const int n = terms.num_qubits();
-  if (n > kMaxQubits)
-    throw std::invalid_argument("serve: " + std::to_string(n) +
-                                " qubits exceed the " +
-                                std::to_string(kMaxQubits) + "-qubit limit");
+  check_qubit_limit(n, "serve");
   const std::uint64_t bytes =
       session_footprint_bytes(n, terms.size(), Precision::F32);
   if (bytes > budget)

@@ -2,16 +2,27 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitops.hpp"
 #include "simd/kernels.hpp"
 
 namespace qokit {
 
+void check_qubit_limit(int num_qubits, const char* who) {
+  if (num_qubits < 0)
+    throw std::invalid_argument(std::string(who) + ": negative qubit count " +
+                                std::to_string(num_qubits));
+  if (num_qubits > kMaxQubits)
+    throw std::invalid_argument(std::string(who) + ": " +
+                                std::to_string(num_qubits) +
+                                " qubits exceed the " +
+                                std::to_string(kMaxQubits) + "-qubit limit");
+}
+
 StateVector::StateVector(int num_qubits, Precision prec)
     : n_(num_qubits), prec_(prec) {
-  if (num_qubits < 0 || num_qubits > kMaxQubits)
-    throw std::invalid_argument("StateVector: unsupported qubit count");
+  check_qubit_limit(num_qubits, "StateVector");
   if (prec_ == Precision::F32)
     amp32_.assign(dim_of(num_qubits), cfloat(0.0f, 0.0f));
   else

@@ -43,8 +43,13 @@ inline constexpr std::uint64_t amplitude_bytes(Precision p) noexcept {
 }
 
 /// Largest supported qubit count for an in-memory state vector (2^34
-/// amplitudes = 256 GiB).
+/// amplitudes = 256 GiB) or cost diagonal.
 inline constexpr int kMaxQubits = 34;
+
+/// Refuses a 2^n buffer before it is allocated: throws
+/// std::invalid_argument ("<who>: <n> qubits exceed the 34-qubit limit")
+/// unless 0 <= num_qubits <= kMaxQubits.
+void check_qubit_limit(int num_qubits, const char* who);
 
 /// Owning 2^n-amplitude state vector.
 class StateVector {

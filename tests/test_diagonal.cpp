@@ -2,20 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "diagonal/ops.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/portfolio.hpp"
 #include "problems/sat.hpp"
+#include "problems/sk.hpp"
 #include "support/reference.hpp"
 
 namespace qokit {
 namespace {
 
-/// Every (problem, exec) combination must reproduce f(x) exactly.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// `count` terms with uniform non-integer weights and random masks inside
+/// `allowed`, in generation order (not canonicalized, so masks repeat).
+TermList random_terms(int n, int count, std::uint64_t allowed,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Term> terms;
+  for (int k = 0; k < count; ++k)
+    terms.push_back({rng.uniform(-2.0, 2.0), rng.next_u64() & allowed});
+  return TermList(n, std::move(terms));
+}
+
+/// Every (problem, exec) combination must reproduce terms.evaluate(x) bit
+/// for bit: the same additions in the same order from +0.0. The weights
+/// are non-integer wherever the problem allows, so a different summation
+/// order shows in the low bits.
 struct PrecomputeCase {
-  const char* name;
+  std::string name;
   TermList terms;
 };
 
@@ -25,11 +48,26 @@ std::vector<PrecomputeCase> precompute_cases() {
   cases.push_back({"labs", labs_terms(9)});
   cases.push_back({"sat", sat_terms(random_ksat(8, 3, 20, 2))});
   cases.push_back({"portfolio", portfolio_terms(random_portfolio(7, 3, 0.5, 3))});
+  cases.push_back({"sk", sk_terms(10, 9)});
+  // Masks inside one 16-amplitude block (the sign table alone) and masks
+  // above it (the block's high-bit parity alone).
+  cases.push_back({"low-bits", random_terms(9, 60, 0xFull, 21)});
+  cases.push_back({"high-bits", random_terms(9, 60, 0x1F0ull, 22)});
+  cases.push_back({"empty-mask",
+                   TermList(6, {{0.3, 0}, {-1.7, 0b101}, {0.1, 0}})});
+  cases.push_back({"no-terms", TermList(3, {})});
+  // Shorter than one 16-amplitude block (n < 4), one block, two blocks.
+  for (int n = 0; n <= 5; ++n)
+    cases.push_back({"n=" + std::to_string(n),
+                     random_terms(n, 25, dim_of(n) - 1, 30 + n)});
+  // Long enough that Exec::Parallel splits it across the OpenMP team.
+  static_assert((std::int64_t{1} << 16) >= 2 * kParallelGrain);
+  cases.push_back({"n=16", random_terms(16, 50, dim_of(16) - 1, 40)});
   return cases;
 }
 
 class PrecomputeTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
 
 TEST_P(PrecomputeTest, MatchesBruteForceEvaluation) {
   const auto [case_idx, exec_idx] = GetParam();
@@ -39,13 +77,51 @@ TEST_P(PrecomputeTest, MatchesBruteForceEvaluation) {
   const CostDiagonal d = CostDiagonal::precompute(terms, exec);
   ASSERT_EQ(d.size(), dim_of(terms.num_qubits()));
   for (std::uint64_t x = 0; x < d.size(); ++x)
-    ASSERT_NEAR(d[x], terms.evaluate(x), 1e-9)
-        << cases[case_idx].name << " x=" << x;
+    ASSERT_EQ(bits(d[x]), bits(terms.evaluate(x)))
+        << cases[case_idx].name << " x=" << x << ": " << d[x] << " vs "
+        << terms.evaluate(x);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCombos, PrecomputeTest,
-                         ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Range(0, 2)));
+INSTANTIATE_TEST_SUITE_P(
+    AllCombos, PrecomputeTest,
+    ::testing::Combine(::testing::Range<std::size_t>(0,
+                                                     precompute_cases().size()),
+                       ::testing::Range(0, 2)));
+
+TEST(CostDiagonal, PrecomputeCostsFillsAnyWindow) {
+  // Windows that start and end off a 16-amplitude block, shorter than a
+  // block, inside one block, and straddling several.
+  const TermList terms = random_terms(7, 40, 0x7Full, 5);
+  for (const auto& [begin, count] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 128}, {3, 4}, {12, 4},
+        {5, 30}, {17, 1}, {16, 16}, {31, 97}, {127, 1}, {40, 0}}) {
+    std::vector<double> out(count + 2, 42.0);
+    precompute_costs(terms, begin, {out.data() + 1, count});
+    EXPECT_EQ(out.front(), 42.0) << begin;
+    EXPECT_EQ(out.back(), 42.0) << begin;
+    for (std::uint64_t i = 0; i < count; ++i)
+      ASSERT_EQ(bits(out[1 + i]), bits(terms.evaluate(begin + i)))
+          << "begin=" << begin << " i=" << i;
+  }
+}
+
+TEST(CostDiagonal, RefusesOversizedProblemsBeforeAllocating) {
+  const TermList terms(40, {{1.0, 1ull << 39}, {-0.5, 0b11}});
+  const auto zero = [](std::uint64_t) { return 0.0; };
+  const std::uint64_t before = aligned_allocation_count();
+  EXPECT_THROW(CostDiagonal::precompute(terms), std::invalid_argument);
+  EXPECT_THROW(CostDiagonal::precompute(terms, Exec::Serial),
+               std::invalid_argument);
+  EXPECT_THROW(CostDiagonal::from_function(40, zero), std::invalid_argument);
+  EXPECT_THROW(CostDiagonal::from_function(-1, zero), std::invalid_argument);
+  EXPECT_EQ(aligned_allocation_count(), before);
+  try {
+    CostDiagonal::precompute(terms);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("34-qubit limit"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(CostDiagonal, FromFunctionMatchesCallable) {
   const auto f = [](std::uint64_t x) { return static_cast<double>(x % 7); };

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <utility>
 
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "fur/mixers.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
+#include "problems/sk.hpp"
 
 namespace qokit {
 namespace {
@@ -148,11 +151,21 @@ INSTANTIATE_TEST_SUITE_P(
                                          AlltoallStrategy::Direct)));
 
 TEST(DistSimulator, PrecomputedDiagonalMatchesSingleNode) {
-  const TermList terms = labs_terms(8);
-  const DistributedFurSimulator sim(terms, {.ranks = 4});
-  const CostDiagonal ref = CostDiagonal::precompute(terms);
-  for (std::uint64_t x = 0; x < ref.size(); ++x)
-    EXPECT_NEAR(sim.get_cost_diagonal()[x], ref[x], 1e-12);
+  // Bit for bit, on SK's non-integer weights. n=4 on 4 ranks gives four
+  // 4-amplitude slices, three of which start inside a 16-amplitude block.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& [n, ranks] : {std::pair{10, 1}, {10, 2}, {10, 4},
+                                 {10, 8}, {4, 4}, {4, 2}, {6, 8}}) {
+    const TermList terms = sk_terms(n, 13);
+    const DistributedFurSimulator sim(terms, {.ranks = ranks});
+    const CostDiagonal ref = CostDiagonal::precompute(terms);
+    ASSERT_EQ(sim.get_cost_diagonal().size(), ref.size());
+    for (std::uint64_t x = 0; x < ref.size(); ++x) {
+      ASSERT_EQ(bits(sim.get_cost_diagonal()[x]), bits(ref[x]))
+          << "n=" << n << " ranks=" << ranks << " x=" << x;
+      ASSERT_EQ(bits(ref[x]), bits(terms.evaluate(x))) << "x=" << x;
+    }
+  }
 }
 
 TEST(DistSimulator, RejectsTooManyRanks) {

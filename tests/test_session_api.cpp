@@ -289,6 +289,24 @@ TEST(ProblemSession, SweepDoesOnePrecomputeAndZeroSteadyStateAllocations) {
   }
 }
 
+TEST(ProblemSession, RefusesOversizedProblemsBeforeAllocating) {
+  // The simulator (and its diagonal) is built before the initial state,
+  // so the diagonal's own check is the one that has to fire.
+  const TermList terms(40, {{1.0, 1ull << 39}, {0.5, 0b11}});
+  const std::uint64_t before = aligned_allocation_count();
+  for (const char* name : {"auto", "serial", "u16", "gatesim", "dist:4"}) {
+    try {
+      const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+      ADD_FAILURE() << name << " built a 40-qubit session";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("34-qubit limit"),
+                std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(aligned_allocation_count(), before);
+}
+
 TEST(ProblemSession, EvaluateBatchMatchesScalarEvaluateAndLegacyBatch) {
   const TermList terms = labs_terms(9);
   const std::vector<QaoaParams> schedules = random_schedules(6, 2, 11);
