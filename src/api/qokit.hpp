@@ -25,7 +25,6 @@
 #include "diagonal/ops.hpp"
 #include "dist/dist_fur.hpp"
 #include "fur/simulator.hpp"
-#include "gatesim/simulator.hpp"
 #include "optimize/grid.hpp"
 #include "optimize/labs_params.hpp"
 #include "optimize/nelder_mead.hpp"
@@ -45,10 +44,10 @@ namespace qokit::api {
 
 // The `simulator` argument of every wrapper below is parsed by
 // SimulatorSpec::parse (see api/spec.hpp for the full grammar): "auto",
-// "serial", "u16", "gatesim", the distributed spellings
-// "dist[:K[:staged|pairwise|direct]]", plus key=value options
-// such as "seed=7". Unknown spellings throw std::invalid_argument naming
-// the offending token -- no entry point falls back to a default.
+// "serial", "u16", the distributed spellings "dist" and "dist:K", plus
+// key=value options such as "seed=7". Unknown spellings throw
+// std::invalid_argument naming the offending token -- no entry point
+// falls back to a default.
 
 /// QAOA objective for MaxCut on `g` at the given schedule (Listing 1).
 /// Returns <C> with C = -cut, so -return is the expected cut weight.

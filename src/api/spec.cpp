@@ -2,14 +2,10 @@
 
 #include <bit>
 #include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
-#include "diagonal/ops.hpp"
 #include "dist/dist_fur.hpp"
-#include "gatesim/execute.hpp"
-#include "gatesim/simulator.hpp"
 #include "obs/obs.hpp"
 
 namespace qokit {
@@ -31,16 +27,7 @@ bool parse_backend(std::string_view token, Backend* out) {
   if (token == "auto") *out = Backend::Auto;
   else if (token == "serial") *out = Backend::Serial;
   else if (token == "u16") *out = Backend::U16;
-  else if (token == "gatesim") *out = Backend::Gatesim;
   else if (token == "dist") *out = Backend::Dist;
-  else return false;
-  return true;
-}
-
-bool parse_strategy(std::string_view token, AlltoallStrategy* out) {
-  if (token == "staged") *out = AlltoallStrategy::Staged;
-  else if (token == "pairwise") *out = AlltoallStrategy::Pairwise;
-  else if (token == "direct") *out = AlltoallStrategy::Direct;
   else return false;
   return true;
 }
@@ -107,13 +94,12 @@ bool all_digits(std::string_view token) {
   return true;
 }
 
-/// One "key=value" option. Returns false when `token` has no '=' at all
-/// (so positional dist tokens can be tried first); throws on a known key
-/// with a bad value or an unknown key.
-bool apply_option(std::string_view token, std::string_view name,
+/// One "key=value" option; throws naming the token on a missing '=', an
+/// unknown key, or a known key with a bad value.
+void apply_option(std::string_view token, std::string_view name,
                   SimulatorSpec* spec) {
   const std::size_t eq = token.find('=');
-  if (eq == std::string_view::npos) return false;
+  if (eq == std::string_view::npos) bad_token(token, name);
   const std::string_view key = token.substr(0, eq);
   const std::string_view value = token.substr(eq + 1);
   bool ok = false;
@@ -124,8 +110,6 @@ bool apply_option(std::string_view token, std::string_view name,
     if (ok) spec->exec = value == "serial" ? Exec::Serial : Exec::Parallel;
   } else if (key == "ranks") {
     ok = parse_int_option(value, name, &spec->ranks) && spec->ranks >= 1;
-  } else if (key == "alltoall") {
-    ok = parse_strategy(value, &spec->alltoall);
   } else if (key == "weight") {
     ok = parse_int_option(value, name, &spec->initial_weight) &&
          spec->initial_weight >= 0;
@@ -137,7 +121,6 @@ bool apply_option(std::string_view token, std::string_view name,
     else if (value == "f64") spec->prec = Prec::F64, ok = true;
   }
   if (!ok) bad_token(token, name);
-  return true;
 }
 
 }  // namespace
@@ -147,7 +130,6 @@ std::string_view to_string(Backend backend) {
     case Backend::Auto: return "auto";
     case Backend::Serial: return "serial";
     case Backend::U16: return "u16";
-    case Backend::Gatesim: return "gatesim";
     default: return "dist";
   }
 }
@@ -159,11 +141,9 @@ SimulatorSpec SimulatorSpec::parse(std::string_view name) {
   if (!parse_backend(head, &spec.backend)) bad_token(head, name);
   spec.exec = default_exec(spec.backend);
 
-  // Remaining colon-separated tokens. The legacy distributed spelling
-  // "dist[:K[:strategy]]" uses positional tokens; everything else is
-  // key=value.
+  // Remaining colon-separated tokens: the rank count of "dist:K" is the
+  // one positional token; everything else is key=value.
   bool want_dist_ranks = spec.backend == Backend::Dist;
-  bool want_dist_strategy = false;
   while (pos != std::string_view::npos) {
     const std::size_t next = name.find(':', pos + 1);
     const std::string_view token =
@@ -178,19 +158,10 @@ SimulatorSpec SimulatorSpec::parse(std::string_view name) {
         out_of_range_token(token, name);
       if (spec.ranks < 1) bad_token(token, name);
       want_dist_ranks = false;
-      want_dist_strategy = true;
       continue;
     }
     want_dist_ranks = false;
-    if (apply_option(token, name, &spec)) {
-      want_dist_strategy = false;
-      continue;
-    }
-    if (want_dist_strategy && parse_strategy(token, &spec.alltoall)) {
-      want_dist_strategy = false;
-      continue;
-    }
-    bad_token(token, name);
+    apply_option(token, name, &spec);
   }
   return spec;
 }
@@ -198,18 +169,11 @@ SimulatorSpec SimulatorSpec::parse(std::string_view name) {
 std::string SimulatorSpec::to_string() const {
   std::string out(qokit::to_string(backend));
   if (backend == Backend::Dist) {
-    out += ':';
-    out += std::to_string(ranks);
-    out += ':';
-    out += qokit::to_string(alltoall);
-  } else {
-    // ranks/alltoall are dist-only knobs, but the spec compares them, so
-    // the canonical spelling must carry non-default values to round-trip.
-    if (ranks != 2) out += ":ranks=" + std::to_string(ranks);
-    if (alltoall != AlltoallStrategy::Staged) {
-      out += ":alltoall=";
-      out += qokit::to_string(alltoall);
-    }
+    out += ':' + std::to_string(ranks);
+  } else if (ranks != 2) {
+    // ranks is a dist-only knob, but the spec compares it, so the
+    // canonical spelling must carry a non-default value to round-trip.
+    out += ":ranks=" + std::to_string(ranks);
   }
   if (mixer != MixerType::X) {
     out += ":mixer=";
@@ -227,88 +191,10 @@ std::string SimulatorSpec::to_string() const {
 
 namespace {
 
-/// Backend::Gatesim behind the fast-simulator interface: gate-at-a-time
-/// evolution (the baseline cost model), but scored through a diagonal
-/// precomputed once at construction so get_expectation / get_overlap /
-/// get_cost_diagonal work uniformly across every session backend.
-class GateSimAdapter final : public QaoaFastSimulatorBase {
- public:
-  GateSimAdapter(const TermList& terms, const SimulatorSpec& spec)
-      : gates_(terms, GateSimConfig{.exec = spec.exec,
-                                    .mixer = spec.mixer,
-                                    .phase_style = PhaseStyle::CxLadder}),
-        diag_(CostDiagonal::precompute(terms, spec.exec)),
-        exec_(spec.exec),
-        initial_weight_(spec.initial_weight) {}
-
-  int num_qubits() const override { return gates_.num_qubits(); }
-
-  StateVector initial_state() const override {
-    const int n = num_qubits();
-    // The compiled circuit opens with the H layer for the X mixer, so the
-    // evolution starts from |0...0>; xy runs start from the Dicke state.
-    if (gates_.config().mixer == MixerType::X)
-      return StateVector::basis_state(n, 0);
-    const int k = initial_weight_ >= 0 ? initial_weight_ : n / 2;
-    return StateVector::dicke_state(n, k);
-  }
-
-  StateVector simulate_qaoa_from(StateVector state,
-                                 std::span<const double> gammas,
-                                 std::span<const double> betas) const override {
-    if (gammas.size() != betas.size())
-      throw std::invalid_argument(
-          "simulate_qaoa: gammas/betas length mismatch");
-    if (state.num_qubits() != num_qubits())
-      throw std::invalid_argument("simulate_qaoa: state size mismatch");
-    const Circuit c = gates_.build_circuit(gammas, betas);
-    run_circuit(state, c, exec_);
-    // Constant terms compile to no gate but contribute a global phase per
-    // layer; apply it so the state matches the diagonal simulators exactly
-    // (same fixup as GateQaoaSimulator::simulate_qaoa).
-    const double offset = gates_.terms().offset();
-    if (offset != 0.0) {
-      double total = 0.0;
-      for (double g : gammas) total += g;
-      const cdouble phase(std::cos(-total * offset),
-                          std::sin(-total * offset));
-      for (std::uint64_t i = 0; i < state.size(); ++i) state[i] *= phase;
-    }
-    return state;
-  }
-
-  using QaoaFastSimulatorBase::get_expectation;
-  using QaoaFastSimulatorBase::get_overlap;
-
-  double get_expectation(const StateVector& result) const override {
-    return expectation(result, diag_, exec_);
-  }
-
-  double get_overlap(const StateVector& result,
-                     int restrict_weight = -1) const override {
-    if (restrict_weight < 0)
-      return overlap_ground(result, diag_, 1e-9, exec_);
-    return overlap_ground_sector(result, diag_, restrict_weight, 1e-9,
-                                 exec_);
-  }
-
-  const CostDiagonal& get_cost_diagonal() const override { return diag_; }
-
- private:
-  GateQaoaSimulator gates_;
-  CostDiagonal diag_;
-  Exec exec_;
-  int initial_weight_;
-};
-
-}  // namespace
-
-namespace {
-
 /// True when the combination a spec resolves to can evolve f32 amplitudes:
-/// the fur/dist X-mixer paths. Gatesim and the xy mixers stay f64-only.
+/// the X mixer, on every backend. The xy mixers stay f64-only.
 bool supports_f32(const SimulatorSpec& spec) {
-  return spec.backend != Backend::Gatesim && spec.mixer == MixerType::X;
+  return spec.mixer == MixerType::X;
 }
 
 /// Resolve the effective amplitude precision. Explicit f32/f64 win (an
@@ -316,7 +202,7 @@ bool supports_f32(const SimulatorSpec& spec) {
 /// and throws); Auto consults QOKIT_PREC, where "f32" opts the whole
 /// process into float amplitudes *where supported* — unsupported
 /// combinations silently stay f64, so an env-driven f32 run (the CI
-/// prec=f32 leg) still passes suites that exercise gatesim/xy backends.
+/// prec=f32 leg) still passes suites that exercise the xy mixers.
 Precision resolve_precision(const SimulatorSpec& spec) {
   switch (spec.prec) {
     case Prec::F32: return Precision::F32;
@@ -344,8 +230,8 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
   const Precision prec = resolve_precision(spec);
   if (prec == Precision::F32 && !supports_f32(spec))
     throw std::invalid_argument(
-        "make_simulator: prec=f32 supports the X-mixer fur/dist backends "
-        "only (gatesim and xy mixers are f64-only)");
+        "make_simulator: prec=f32 supports the X mixer only (the xy "
+        "mixers are f64-only)");
   record_precision(prec);
   switch (spec.backend) {
     case Backend::Dist:
@@ -370,11 +256,7 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
             " amplitudes of a " + std::to_string(terms.num_qubits()) +
             "-qubit problem");
       return std::make_unique<DistributedFurSimulator>(
-          terms,
-          DistConfig{
-              .ranks = spec.ranks, .strategy = spec.alltoall, .prec = prec});
-    case Backend::Gatesim:
-      return std::make_unique<GateSimAdapter>(terms, spec);
+          terms, DistConfig{.ranks = spec.ranks, .prec = prec});
     default: {
       FurConfig cfg;
       cfg.exec = spec.exec;

@@ -15,20 +15,19 @@
 #include <string>
 #include <string_view>
 
-#include "dist/alltoall.hpp"
 #include "fur/mixers.hpp"
 #include "fur/simulator.hpp"
 #include "terms/term.hpp"
 
 namespace qokit {
 
-/// Which simulator implementation a spec selects.
+/// Which topology a spec selects: FurQaoaSimulator on one node, or
+/// DistributedFurSimulator over `ranks` virtual ranks.
 enum class Backend {
-  Auto,     ///< the default: threaded fused-kernel FurQaoaSimulator
-  Serial,   ///< single-threaded FurQaoaSimulator (portable reference)
-  U16,      ///< FurQaoaSimulator over the uint16-compressed diagonal
-  Gatesim,  ///< gate-at-a-time evolution (diagonal-scored; baseline)
-  Dist,     ///< DistributedFurSimulator over `ranks` virtual ranks
+  Auto,    ///< the default: threaded fused-kernel FurQaoaSimulator
+  Serial,  ///< single-threaded FurQaoaSimulator (portable reference)
+  U16,     ///< FurQaoaSimulator over the uint16-compressed diagonal
+  Dist,    ///< DistributedFurSimulator over `ranks` virtual ranks
 };
 
 /// Canonical backend token ("auto", "serial", ..., "dist").
@@ -38,11 +37,11 @@ std::string_view to_string(Backend backend);
 /// environment variable ("f32" selects float amplitudes when the resolved
 /// backend supports them; anything else means f64) and otherwise means
 /// f64 — so default spec spellings, cache keys, and results are untouched
-/// by this knob. Explicit F32 on an unsupported combination (gatesim, xy
-/// mixers) throws from make_simulator instead of silently widening.
+/// by this knob. Explicit F32 with an xy mixer throws from make_simulator
+/// instead of silently widening.
 enum class Prec {
   Auto,  ///< QOKIT_PREC env, else f64; downgrades silently if unsupported
-  F32,   ///< float amplitudes (X mixer fur/dist backends only)
+  F32,   ///< float amplitudes (X mixer only)
   F64,   ///< double amplitudes (the pre-existing behavior)
 };
 
@@ -56,15 +55,13 @@ enum class Prec {
 /// String grammar (SimulatorSpec::parse):
 ///
 ///   spec    := backend (":" option)*
-///   backend := "auto" | "serial" | "u16" | "gatesim"
-///            | "dist" [":" K [":" staged|pairwise|direct]]
-///   option  := "mixer="    ("x" | "xyring" | "xycomplete")
-///            | "exec="     ("serial" | "parallel")
-///            | "ranks="    <int >= 1>           (dist only)
-///            | "alltoall=" ("staged" | "pairwise" | "direct")
-///            | "weight="   <int >= 0>           (Dicke weight, xy mixers)
-///            | "seed="     <uint64>             (sampling seed)
-///            | "prec="     ("auto" | "f32" | "f64")
+///   backend := "auto" | "serial" | "u16" | "dist" [":" K]
+///   option  := "mixer="  ("x" | "xyring" | "xycomplete")
+///            | "exec="   ("serial" | "parallel")
+///            | "ranks="  <int >= 1>           (dist only)
+///            | "weight=" <int >= 0>           (Dicke weight, xy mixers)
+///            | "seed="   <uint64>             (sampling seed)
+///            | "prec="   ("auto" | "f32" | "f64")
 ///
 /// Any other token throws std::invalid_argument naming the offending
 /// token -- no spelling silently falls back to a default simulator.
@@ -78,7 +75,6 @@ struct SimulatorSpec {
   /// rank threads are the parallelism.
   Exec exec = Exec::Parallel;
   int ranks = 2;  ///< virtual rank count (Backend::Dist only)
-  AlltoallStrategy alltoall = AlltoallStrategy::Staged;  ///< Dist only
   int initial_weight = -1;  ///< Dicke weight for xy mixers; -1 = n/2
   std::uint64_t sample_seed = 1;  ///< base seed for drawn bitstrings
   /// Amplitude scalar width (see enum Prec). Auto = QOKIT_PREC env, else
@@ -99,9 +95,11 @@ struct SimulatorSpec {
 
 /// Build the simulator a spec describes. The single factory behind
 /// choose_simulator / choose_simulator_xyring / choose_simulator_xycomplete
-/// / choose_simulator_distributed and the session API. Throws
-/// std::invalid_argument on semantically invalid combinations (dist with
-/// a non-X mixer).
+/// and the session API. Throws std::invalid_argument on semantically
+/// invalid combinations: dist with a non-X mixer, or a rank count that is
+/// not a power of two, exceeds the 2^n amplitudes, or exceeds kMaxRanks
+/// (checked by VirtualRankWorld). Every check runs before a thread starts
+/// or the diagonal allocates.
 ///
 /// Every fur and dist simulator it builds runs the fixed pipeline
 /// geometry, pipeline::Geometry::defaults(). It changes no process-wide

@@ -83,42 +83,6 @@ double expectation(const StateVector& sv, const DiagonalU16& diag,
                                diag.scale(), sv.size(), exec);
 }
 
-double expectation_terms(const StateVector& sv, const TermList& terms,
-                         Exec exec) {
-  if (terms.num_qubits() != sv.num_qubits())
-    throw std::invalid_argument("expectation_terms: qubit-count mismatch");
-  double total = terms.offset();  // constant term, <1> = norm = 1
-  if (sv.precision() == Precision::F32) {
-    const cfloat* amp = sv.data_f32();
-    for (const Term& t : terms) {
-      if (t.mask == 0) continue;
-      const std::uint64_t mask = t.mask;
-      const double z = parallel_reduce_sum(
-          exec, 0, static_cast<std::int64_t>(sv.size()),
-          [amp, mask](std::int64_t i) {
-            const double re = amp[i].real(), im = amp[i].imag();
-            return (re * re + im * im) *
-                   parity_sign(static_cast<std::uint64_t>(i), mask);
-          });
-      total += t.weight * z;
-    }
-    return total;
-  }
-  const cdouble* amp = sv.data();
-  for (const Term& t : terms) {
-    if (t.mask == 0) continue;
-    const std::uint64_t mask = t.mask;
-    const double z = parallel_reduce_sum(
-        exec, 0, static_cast<std::int64_t>(sv.size()),
-        [amp, mask](std::int64_t i) {
-          return std::norm(amp[i]) *
-                 parity_sign(static_cast<std::uint64_t>(i), mask);
-        });
-    total += t.weight * z;
-  }
-  return total;
-}
-
 double overlap_ground(const StateVector& sv, const CostDiagonal& diag,
                       double tol, Exec exec) {
   check_dims(sv.size(), diag.size(), "overlap_ground");

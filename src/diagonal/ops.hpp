@@ -1,14 +1,11 @@
 // Operations that consume the precomputed diagonal (paper Fig. 1): the
 // phase operator (one elementwise multiply), the QAOA objective (one inner
-// product) and the ground-state overlap. Also the *non*-precomputed
-// expectation over raw terms, which is the objective-evaluation cost a
-// gate-based baseline pays on every call.
+// product) and the ground-state overlap.
 #pragma once
 
 #include "diagonal/cost_diagonal.hpp"
 #include "diagonal/diagonal_u16.hpp"
 #include "statevector/state.hpp"
-#include "terms/term.hpp"
 
 namespace qokit {
 
@@ -46,11 +43,6 @@ double expectation_slice(const cfloat* amp, const double* costs,
 /// Objective through the uint16 codec.
 double expectation(const StateVector& sv, const DiagonalU16& diag,
                    Exec exec = Exec::Parallel);
-
-/// Objective evaluated from raw terms, sum_k w_k <prod Z> -- the
-/// O(|T| 2^n) path a framework without precomputation executes per call.
-double expectation_terms(const StateVector& sv, const TermList& terms,
-                         Exec exec = Exec::Parallel);
 
 /// Ground-state overlap: total probability on basis states whose cost is
 /// within `tol` of the diagonal minimum (QOKit's get_overlap).

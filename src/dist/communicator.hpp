@@ -8,15 +8,17 @@
 
 #include <atomic>
 #include <barrier>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "dist/alltoall.hpp"
 #include "statevector/state.hpp"
 
 namespace qokit {
+
+/// Largest rank count a world accepts. Every VirtualRankWorld::run starts
+/// one thread per rank, so the count is capped before any thread starts.
+inline constexpr int kMaxRanks = 64;
 
 namespace detail {
 
@@ -30,31 +32,26 @@ namespace detail {
 /// annotated qokit::Mutex so its discipline is compiler-checked from day
 /// one.
 struct WorldState {
-  WorldState(int size, AlltoallStrategy strategy)
+  explicit WorldState(int size)
       : size(size),
-        strategy(strategy),
         barrier(size),
         windows(static_cast<std::size_t>(size), nullptr),
         reduce_slots(static_cast<std::size_t>(size), 0.0) {}
 
   const int size;
-  const AlltoallStrategy strategy;
   std::barrier<> barrier;
-  /// Per-rank published pointer: the live buffer (Pairwise) or the receive
-  /// slice (Direct) of each rank during an exchange. Untyped because an
-  /// exchange moves whatever amplitude scalar the collective was called
-  /// with (complex128 or complex64); all ranks of one exchange publish the
-  /// same element type, restored by the transport before dereferencing.
+  /// Per-rank published pointer: each rank's live buffer during an
+  /// exchange. Untyped because an exchange moves whatever amplitude scalar
+  /// the collective was called with (complex128 or complex64); all ranks
+  /// of one exchange publish the same element type, restored by alltoall
+  /// before dereferencing.
   std::vector<void*> windows;
   /// Per-rank slots for allreduce_sum.
   std::vector<double> reduce_slots;
-  /// Central gather buffer for the Staged transport; grown on demand by
-  /// rank 0 between barriers. Byte-typed for the same reason as `windows`.
-  std::vector<std::byte> staging;
-  /// Set (before arrive_and_drop) by a rank whose closure threw. Window-
-  /// touching transports check it after every barrier and bail out so
-  /// survivors never dereference a dead rank's window; run() re-throws
-  /// the original exception after the join.
+  /// Set (before arrive_and_drop) by a rank whose closure threw. alltoall
+  /// checks it after every barrier and bails out so survivors never
+  /// dereference a dead rank's window; run() re-throws the original
+  /// exception after the join.
   std::atomic<bool> failed{false};
 };
 
@@ -82,8 +79,9 @@ class Communicator {
   /// global<->local qubit reordering. All ranks must call collectively
   /// with the same `block` and the same element type (the f32 overload
   /// moves half the bytes — the distributed path's share of the
-  /// mixed-precision bandwidth win). The transport is the world's
-  /// strategy; all three produce bit-identical results.
+  /// mixed-precision bandwidth win). The transport is pairwise: K - 1
+  /// XOR-scheduled rounds of direct block swaps between the live
+  /// buffers, one copy per element and no staging memory.
   void alltoall(cdouble* buf, std::uint64_t block);
   void alltoall(cfloat* buf, std::uint64_t block);
 
@@ -94,7 +92,6 @@ class Communicator {
 
   int rank_;
   detail::WorldState* state_;
-  std::vector<std::byte> recv_;  ///< Direct-transport receive slice
 };
 
 /// K virtual ranks (threads) executing one SPMD closure, K a power of two.
@@ -104,18 +101,17 @@ class Communicator {
 /// team joins.
 class VirtualRankWorld {
  public:
-  /// Throws std::invalid_argument unless `size` is a power of two >= 1.
-  VirtualRankWorld(int size, AlltoallStrategy strategy);
+  /// Throws std::invalid_argument unless `size` is a power of two in
+  /// [1, kMaxRanks].
+  explicit VirtualRankWorld(int size);
 
   int size() const noexcept { return size_; }
-  AlltoallStrategy strategy() const noexcept { return strategy_; }
 
   /// Execute `fn` once per rank, in parallel, and join.
   void run(const std::function<void(Communicator&)>& fn) const;
 
  private:
   int size_;
-  AlltoallStrategy strategy_;
 };
 
 }  // namespace qokit

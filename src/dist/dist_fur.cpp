@@ -8,58 +8,12 @@
 #include "common/aligned.hpp"
 #include "common/bitops.hpp"
 #include "diagonal/ops.hpp"
-#include "fur/su2.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/layer_exec.hpp"
 
 namespace qokit {
 
 namespace dist {
-namespace {
-
-// Shared body of the two apply_mixer_x overloads: the slice layout and
-// exchange schedule are precision-independent; only the element width
-// moving through kern::rx and the alltoall changes.
-template <class C>
-void apply_mixer_x_impl(Communicator& comm, C* local,
-                        std::uint64_t local_size, int num_qubits,
-                        double beta) {
-  const int g = std::countr_zero(static_cast<unsigned>(comm.size()));
-  const int nl = num_qubits - g;  // local qubits per rank
-  if (nl < g)
-    throw std::invalid_argument(
-        "dist::apply_mixer_x: need num_qubits >= 2*log2(ranks)");
-  if (local_size != dim_of(nl))
-    throw std::invalid_argument("dist::apply_mixer_x: slice size mismatch");
-  const double c = std::cos(beta);
-  const double s = std::sin(beta);
-  // Local qubits: the paper's in-place fused RX passes, unchanged on the
-  // slice. Exec::Serial -- the K rank threads are the parallelism here.
-  for (int q = 0; q < nl; ++q)
-    kern::rx(local, local_size, q, c, s, Exec::Serial);
-  if (g == 0) return;
-  // Alltoall with block 2^(nl - g) swaps qubit ranges [nl-g, nl) and
-  // [nl, n): the former global qubits land on the top g local positions.
-  const std::uint64_t block = local_size >> g;
-  comm.alltoall(local, block);
-  for (int q = nl - g; q < nl; ++q)
-    kern::rx(local, local_size, q, c, s, Exec::Serial);
-  // The exchange is an involution; undo it to restore canonical qubit
-  // order so diagonal slices stay valid for the next layer.
-  comm.alltoall(local, block);
-}
-
-}  // namespace
-
-void apply_mixer_x(Communicator& comm, cdouble* local,
-                   std::uint64_t local_size, int num_qubits, double beta) {
-  apply_mixer_x_impl(comm, local, local_size, num_qubits, beta);
-}
-
-void apply_mixer_x(Communicator& comm, cfloat* local,
-                   std::uint64_t local_size, int num_qubits, double beta) {
-  apply_mixer_x_impl(comm, local, local_size, num_qubits, beta);
-}
 
 double expectation_slice(Communicator& comm, const cdouble* local,
                          const double* costs, std::uint64_t count) {
@@ -80,7 +34,7 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
     : cfg_(cfg),
       log2_ranks_(std::countr_zero(static_cast<unsigned>(
           cfg.ranks > 0 ? cfg.ranks : 1))),
-      world_(cfg.ranks, cfg.strategy) {
+      world_(cfg.ranks) {
   const int n = terms.num_qubits();
   check_qubit_limit(n, "DistributedFurSimulator");
   if (2 * log2_ranks_ > n)
@@ -219,12 +173,6 @@ double DistributedFurSimulator::get_overlap(const StateVector& result,
   // Shared sector helper: identical semantics to FurQaoaSimulator by
   // construction (the distributed simulator itself only runs the X mixer).
   return overlap_ground_sector(result, diag_, restrict_weight);
-}
-
-std::unique_ptr<QaoaFastSimulatorBase> choose_simulator_distributed(
-    const TermList& terms, int ranks, AlltoallStrategy strategy) {
-  return std::make_unique<DistributedFurSimulator>(
-      terms, DistConfig{.ranks = ranks, .strategy = strategy});
 }
 
 }  // namespace qokit

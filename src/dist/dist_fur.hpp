@@ -12,7 +12,6 @@
 // second exchange restores the canonical ordering. Requires n >= 2 log2 K.
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "diagonal/cost_diagonal.hpp"
@@ -25,21 +24,6 @@ namespace qokit {
 
 namespace dist {
 
-// The phase operator needs no distributed counterpart: the diagonal is
-// sharded the same way as the state, so ranks call the shared
-// apply_phase_slice kernel (diagonal/ops.hpp) on their own slice.
-
-/// Distributed transverse-field mixer e^{-i beta sum X} over a sharded
-/// state (the mixer step of Algorithm 4). `local` is this rank's slice of
-/// `local_size` = 2^(num_qubits - log2 K) amplitudes. Mixes the local
-/// qubits in place, then performs alltoall -> mix former-global qubits ->
-/// alltoall to cover the global ones. Collective: every rank of `comm`
-/// must call with the same num_qubits and beta.
-void apply_mixer_x(Communicator& comm, cdouble* local,
-                   std::uint64_t local_size, int num_qubits, double beta);
-void apply_mixer_x(Communicator& comm, cfloat* local,
-                   std::uint64_t local_size, int num_qubits, double beta);
-
 /// <C> contribution of one local slice: sum_i |amp_i|^2 costs_i, reduced
 /// over all ranks; every rank returns the same total. The per-slice
 /// partial and the allreduce are double at both amplitude precisions.
@@ -50,10 +34,11 @@ double expectation_slice(Communicator& comm, const cfloat* local,
 
 }  // namespace dist
 
-/// Construction-time options for DistributedFurSimulator.
+/// Construction-time options for DistributedFurSimulator. The rank count
+/// names the topology; the alltoall transport is always the in-place
+/// pairwise exchange (Communicator::alltoall).
 struct DistConfig {
-  int ranks = 2;  ///< virtual rank count K; must be a power of two
-  AlltoallStrategy strategy = AlltoallStrategy::Staged;
+  int ranks = 2;  ///< virtual rank count K: a power of two <= kMaxRanks
   /// Tiling of the fused layer execution on the rank-local slices (phase
   /// fused into the first local mixer sweep, tiled butterflies between
   /// the alltoall reorders). Any value gives the same bits.
@@ -65,16 +50,18 @@ struct DistConfig {
 };
 
 /// Algorithm 4 on K virtual ranks. Drop-in replacement for
-/// FurQaoaSimulator (same base interface, matches it to fp tolerance);
-/// X mixer only, as in the paper's distributed implementation.
+/// FurQaoaSimulator (same base interface; at f64 its states equal the
+/// single-node ones byte for byte); X mixer only, as in the paper's
+/// distributed implementation.
 class DistributedFurSimulator final : public QaoaFastSimulatorBase {
  public:
   /// Precomputes the cost diagonal slice-by-slice across the ranks, each
   /// with precompute_costs (bit-identical to CostDiagonal::precompute).
-  /// Throws std::invalid_argument if n exceeds kMaxQubits (before
-  /// allocating), if cfg.ranks is not a power of two, or if
-  /// 2 * log2(ranks) > n (a rank must own at least as many local qubits
-  /// as there are global ones for the reordering to fit).
+  /// Throws std::invalid_argument if cfg.ranks is not a power of two or
+  /// exceeds kMaxRanks, if n exceeds kMaxQubits, or if 2 * log2(ranks) > n
+  /// (a rank must own at least as many local qubits as there are global
+  /// ones for the reordering to fit). Every check runs before a thread
+  /// starts or the diagonal allocates.
   explicit DistributedFurSimulator(const TermList& terms, DistConfig cfg = {});
 
   int num_qubits() const override { return diag_.num_qubits(); }
@@ -102,8 +89,6 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
                                   std::span<const double> betas) const;
 
   const DistConfig& config() const { return cfg_; }
-  /// log2 of the rank count: how many qubits live in the rank index.
-  int global_qubits() const { return log2_ranks_; }
 
   /// The fused plan each rank runs on its local slice (built once, for
   /// the local qubit count).
@@ -120,10 +105,5 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
   /// local_plan_ so the tiling rules have one home (LayerPlan).
   pipeline::LayerPlan global_sweep_plan_;
 };
-
-/// Factory matching choose_simulator's shape for the distributed backend.
-std::unique_ptr<QaoaFastSimulatorBase> choose_simulator_distributed(
-    const TermList& terms, int ranks,
-    AlltoallStrategy strategy = AlltoallStrategy::Staged);
 
 }  // namespace qokit

@@ -47,11 +47,10 @@ class QaoaFastSimulatorBase {
 
   virtual int num_qubits() const = 0;
 
-  /// Amplitude precision this simulator evolves states at. The base
-  /// default is F64 so f64-only backends (gatesim) need no override;
-  /// callers sizing scratch or cache entries (batch, serve) read this
-  /// instead of assuming 16-byte amplitudes.
-  virtual Precision precision() const { return Precision::F64; }
+  /// Amplitude precision this simulator evolves states at. Callers sizing
+  /// scratch or cache entries (batch, serve) read this instead of
+  /// assuming 16-byte amplitudes.
+  virtual Precision precision() const = 0;
 
   /// Default initial state: |+>^n for the X mixer, the in-sector Dicke
   /// state for xy mixers. Built at precision().
@@ -168,8 +167,8 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
 /// Factory mirroring qokit.fur.choose_simulator: a thin wrapper over
 /// make_simulator(terms, SimulatorSpec::parse(name)) — see api/spec.hpp
 /// for the full grammar. Recognized base names: "auto" (threaded
-/// fused-kernel, the default), "serial", "u16", "gatesim", and the
-/// distributed spellings "dist[:K[:strategy]]".
+/// fused-kernel, the default), "serial", "u16", and the distributed
+/// spellings "dist" and "dist:K".
 /// Unknown names throw std::invalid_argument naming the offending token.
 std::unique_ptr<QaoaFastSimulatorBase> choose_simulator(
     const TermList& terms, std::string_view name = "auto");

@@ -32,28 +32,6 @@ void xy(cdouble* x, std::uint64_t n_amps, int q1, int q2, double c, double s,
   });
 }
 
-void su4(cdouble* x, std::uint64_t n_amps, int q1, int q2, const cdouble m[16],
-         Exec exec) {
-  if (q1 == q2) throw std::invalid_argument("su4: qubits must differ");
-  const int lo = std::min(q1, q2);
-  const int hi = std::max(q1, q2);
-  const std::uint64_t b1 = 1ull << q1;
-  const std::uint64_t b2 = 1ull << q2;
-  const std::int64_t groups = static_cast<std::int64_t>(n_amps >> 2);
-  parallel_for(exec, 0, groups, [=](std::int64_t k) {
-    const std::uint64_t base =
-        insert_two_zero_bits(static_cast<std::uint64_t>(k), lo, hi);
-    const std::uint64_t idx[4] = {base, base | b1, base | b2, base | b1 | b2};
-    cdouble in[4];
-    for (int r = 0; r < 4; ++r) in[r] = x[idx[r]];
-    for (int r = 0; r < 4; ++r) {
-      cdouble acc(0.0, 0.0);
-      for (int col = 0; col < 4; ++col) acc += m[r * 4 + col] * in[col];
-      x[idx[r]] = acc;
-    }
-  });
-}
-
 }  // namespace kern
 
 void apply_xy(StateVector& sv, int q1, int q2, double beta, Exec exec) {

@@ -1,4 +1,4 @@
-// Two-qubit in-place kernels: the SU(4) extension of Algorithm 1 mentioned
+// Two-qubit in-place kernel: the SU(4) extension of Algorithm 1 mentioned
 // in paper Sec. III-B, used to implement the Hamming-weight-preserving xy
 // mixers M = sum_{<i,j>} (X_i X_j + Y_i Y_j) / 2.
 //
@@ -20,12 +20,6 @@ namespace kern {
 /// s = sin(beta). q1 != q2, order irrelevant (the operator is symmetric).
 void xy(cdouble* x, std::uint64_t n_amps, int q1, int q2, double c, double s,
         Exec exec);
-
-/// Generic two-qubit unitary (row-major 4x4 `m`, basis order |q2 q1> =
-/// 00,01,10,11 with q1 the low qubit). In-place orbit update; used by the
-/// gate executor's U2 gates and as the dense reference for the xy kernel.
-void su4(cdouble* x, std::uint64_t n_amps, int q1, int q2,
-         const cdouble m[16], Exec exec);
 
 }  // namespace kern
 

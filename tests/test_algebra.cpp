@@ -109,18 +109,6 @@ TEST(Algebra, DickeStatesAreOrthogonalAcrossSectors) {
     }
 }
 
-TEST(Algebra, CircuitCountersMatchContent) {
-  Circuit c(5);
-  c.append(Gate::h(0));
-  c.append(Gate::cx(0, 1));
-  c.append(Gate::rz(2, 0.3));
-  c.append(Gate::zphase(0b11100, 0.4));
-  c.append(Gate::cz(3, 4));
-  EXPECT_EQ(c.size(), 5u);
-  EXPECT_EQ(c.two_plus_qubit_count(), 3u);  // cx, 3-qubit zphase, cz
-  EXPECT_EQ(c.diagonal_count(), 3u);        // rz, zphase, cz
-}
-
 TEST(Algebra, GateExpectationInvariantUnderDiagonalPhase) {
   // <C> is unchanged by any extra diagonal phase layer (C commutes).
   const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 9));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "api/qokit.hpp"
+#include "support/gate_oracle.hpp"
 
 namespace qokit {
 namespace {
@@ -55,8 +56,9 @@ TEST_P(BackendAgreementTest, AllBackendsProduceTheSameState) {
   EXPECT_LT(threaded.simulate_qaoa(g, b).max_abs_diff(ref), 1e-10) << seed;
 
   // Gate-based baseline, both phase decompositions.
-  for (const auto style : {PhaseStyle::CxLadder, PhaseStyle::MultiZ}) {
-    const GateQaoaSimulator gates(terms, {.phase_style = style});
+  for (const auto style :
+       {testing::PhaseStyle::CxLadder, testing::PhaseStyle::MultiZ}) {
+    const testing::GateQaoaSimulator gates(terms, {.phase_style = style});
     EXPECT_LT(gates.simulate_qaoa(g, b).max_abs_diff(ref), 1e-9)
         << seed << " style " << static_cast<int>(style);
   }
@@ -70,22 +72,18 @@ TEST_P(BackendAgreementTest, AllBackendsProduceTheSameState) {
   }
 
   // Expectations agree between the diagonal and the raw-terms path.
-  EXPECT_NEAR(reference.get_expectation(ref), expectation_terms(ref, terms),
-              1e-9)
+  EXPECT_NEAR(reference.get_expectation(ref),
+              testing::expectation_terms(ref, terms), 1e-9)
       << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendAgreementTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-class AlltoallInvolutionTest
-    : public ::testing::TestWithParam<AlltoallStrategy> {};
-
-TEST_P(AlltoallInvolutionTest, TwoApplicationsRestoreTheData) {
-  const AlltoallStrategy strategy = GetParam();
+TEST(AlltoallInvolution, TwoApplicationsRestoreTheData) {
   const int k = 8;
   const std::uint64_t block = 32;
-  VirtualRankWorld world(k, strategy);
+  VirtualRankWorld world(k);
   std::vector<std::vector<cdouble>> bufs(k);
   world.run([&](Communicator& comm) {
     Rng rng(1000 + comm.rank());
@@ -99,11 +97,6 @@ TEST_P(AlltoallInvolutionTest, TwoApplicationsRestoreTheData) {
       if (mine[i] != original[i]) ADD_FAILURE() << "rank " << comm.rank();
   });
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, AlltoallInvolutionTest,
-                         ::testing::Values(AlltoallStrategy::Staged,
-                                           AlltoallStrategy::Pairwise,
-                                           AlltoallStrategy::Direct));
 
 class SessionLegacyAgreementTest
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -123,7 +116,7 @@ TEST_P(SessionLegacyAgreementTest, SessionApiIsBitIdenticalToFreeFunctions) {
   params.betas = b;
   const std::vector<QaoaParams> batch{params, params};
 
-  for (const char* name : {"serial", "auto", "u16", "dist:2", "gatesim"}) {
+  for (const char* name : {"serial", "auto", "u16", "dist:2"}) {
     SCOPED_TRACE(name);
     const api::ProblemSession session(terms, SimulatorSpec::parse(name));
     const auto legacy = choose_simulator(terms, name);

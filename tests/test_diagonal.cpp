@@ -15,6 +15,7 @@
 #include "problems/portfolio.hpp"
 #include "problems/sat.hpp"
 #include "problems/sk.hpp"
+#include "support/gate_oracle.hpp"
 #include "support/reference.hpp"
 
 namespace qokit {
@@ -200,7 +201,8 @@ TEST(DiagonalOps, ExpectationTermsAgreesWithDiagonal) {
   const CostDiagonal d = CostDiagonal::precompute(terms);
   StateVector sv = StateVector::plus_state(10);
   apply_phase(sv, d, 0.2);  // some non-trivial state
-  EXPECT_NEAR(expectation_terms(sv, terms), expectation(sv, d), 1e-9);
+  EXPECT_NEAR(testing::expectation_terms(sv, terms), expectation(sv, d),
+              1e-9);
 }
 
 TEST(DiagonalOps, SerialAndParallelExpectationAgree) {

@@ -1,6 +1,6 @@
 // Alltoall and virtual-rank-world edge cases: the K=1 degenerate world,
 // the K = 2^(n/2) extreme where each exchange block is a single amplitude,
-// bit-identity across the three transports, and scheduling-independence
+// a rank that dies mid-exchange, and scheduling-independence
 // (determinism) of world results.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@ namespace qokit {
 namespace {
 
 TEST(AlltoallEdge, SingleRankExchangeIsANoOp) {
-  VirtualRankWorld world(1, AlltoallStrategy::Staged);
+  VirtualRankWorld world(1);
   std::vector<cdouble> buf(64);
   Rng rng(11);
   for (auto& v : buf) v = cdouble(rng.normal(), rng.normal());
@@ -32,46 +32,18 @@ TEST(AlltoallEdge, SingleAmplitudeBlocksAtMaximumRankCount) {
   // K = 2^n ranks over a 2^(2n)-element buffer per rank is the simulator's
   // K = 2^(n/2) extreme: every exchanged block is exactly one amplitude.
   const int k = 16;
-  for (const auto strategy : {AlltoallStrategy::Staged,
-                              AlltoallStrategy::Pairwise,
-                              AlltoallStrategy::Direct}) {
-    VirtualRankWorld world(k, strategy);
-    std::vector<std::vector<cdouble>> bufs(k);
-    world.run([&](Communicator& comm) {
-      auto& mine = bufs[comm.rank()];
-      mine.resize(k);
-      for (int b = 0; b < k; ++b)
-        mine[b] = cdouble(comm.rank(), b);
-      comm.alltoall(mine.data(), 1);
-    });
-    for (int r = 0; r < k; ++r)
-      for (int b = 0; b < k; ++b)
-        EXPECT_EQ(bufs[r][b], cdouble(b, r))
-            << "strategy " << to_string(strategy);
-  }
-}
-
-TEST(AlltoallEdge, AllStrategiesProduceBitIdenticalSlices) {
-  const int k = 8;
-  const std::uint64_t block = 37;  // deliberately not a power of two
-  std::vector<std::vector<std::vector<cdouble>>> results;
-  for (const auto strategy : {AlltoallStrategy::Staged,
-                              AlltoallStrategy::Pairwise,
-                              AlltoallStrategy::Direct}) {
-    VirtualRankWorld world(k, strategy);
-    std::vector<std::vector<cdouble>> bufs(k);
-    world.run([&](Communicator& comm) {
-      Rng rng(500 + comm.rank());  // same data for every strategy
-      auto& mine = bufs[comm.rank()];
-      mine.resize(k * block);
-      for (auto& v : mine) v = cdouble(rng.normal(), rng.normal());
-      comm.alltoall(mine.data(), block);
-    });
-    results.push_back(std::move(bufs));
-  }
-  for (std::size_t s = 1; s < results.size(); ++s)
-    for (int r = 0; r < k; ++r)
-      EXPECT_EQ(results[s][r], results[0][r]) << "strategy " << s;
+  VirtualRankWorld world(k);
+  std::vector<std::vector<cdouble>> bufs(k);
+  world.run([&](Communicator& comm) {
+    auto& mine = bufs[comm.rank()];
+    mine.resize(k);
+    for (int b = 0; b < k; ++b)
+      mine[b] = cdouble(comm.rank(), b);
+    comm.alltoall(mine.data(), 1);
+  });
+  for (int r = 0; r < k; ++r)
+    for (int b = 0; b < k; ++b)
+      EXPECT_EQ(bufs[r][b], cdouble(b, r)) << "rank " << r;
 }
 
 TEST(AlltoallEdge, RepeatedRunsAreSchedulingIndependent) {
@@ -79,8 +51,7 @@ TEST(AlltoallEdge, RepeatedRunsAreSchedulingIndependent) {
   // schedules them. Exact equality across repeats is the check.
   const TermList terms = labs_terms(8);
   const std::vector<double> g{0.37, -0.21}, b{0.82, 0.44};
-  const DistributedFurSimulator sim(
-      terms, {.ranks = 8, .strategy = AlltoallStrategy::Direct});
+  const DistributedFurSimulator sim(terms, {.ranks = 8});
   const StateVector first = sim.simulate_qaoa(g, b);
   const double e_first = sim.simulate_and_expectation(g, b);
   for (int repeat = 0; repeat < 5; ++repeat) {
@@ -92,7 +63,7 @@ TEST(AlltoallEdge, RepeatedRunsAreSchedulingIndependent) {
 TEST(AlltoallEdge, AllreduceIsDeterministicAcrossRepeats) {
   // allreduce_sum sums the slots in rank order, so the total is exactly
   // reproducible even though doubles do not commute associatively.
-  VirtualRankWorld world(8, AlltoallStrategy::Pairwise);
+  VirtualRankWorld world(8);
   std::vector<double> totals;
   for (int repeat = 0; repeat < 20; ++repeat) {
     double total = 0.0;
@@ -113,14 +84,8 @@ TEST(DistEdge, MaximumRankCountSimulatorMatchesSingleNode) {
   const std::vector<double> g{0.3, -0.4}, b{0.7, 0.2};
   const FurQaoaSimulator single(terms, {.exec = Exec::Serial});
   const StateVector ref = single.simulate_qaoa(g, b);
-  for (const auto strategy : {AlltoallStrategy::Staged,
-                              AlltoallStrategy::Pairwise,
-                              AlltoallStrategy::Direct}) {
-    const DistributedFurSimulator sim(terms,
-                                      {.ranks = 16, .strategy = strategy});
-    EXPECT_LT(sim.simulate_qaoa(g, b).max_abs_diff(ref), 1e-12)
-        << to_string(strategy);
-  }
+  const DistributedFurSimulator sim(terms, {.ranks = 16});
+  EXPECT_LT(sim.simulate_qaoa(g, b).max_abs_diff(ref), 1e-12);
 }
 
 TEST(DistEdge, ThrowingRankDoesNotWedgeOrCrashSurvivors) {
@@ -128,47 +93,33 @@ TEST(DistEdge, ThrowingRankDoesNotWedgeOrCrashSurvivors) {
   // proceed into a collective. Survivors must abandon the exchange (not
   // dereference the dead rank's window, not deadlock) and the world must
   // re-throw the original exception after the join.
-  for (const auto strategy :
-       {AlltoallStrategy::Staged, AlltoallStrategy::Pairwise,
-        AlltoallStrategy::Direct}) {
-    VirtualRankWorld world(4, strategy);
-    std::vector<std::vector<cdouble>> bufs(4);
-    EXPECT_THROW(world.run([&](Communicator& comm) {
-      if (comm.rank() == 0) throw std::runtime_error("rank 0 down");
-      auto& mine = bufs[comm.rank()];
-      mine.resize(4 * 8);
-      comm.alltoall(mine.data(), 8);
-    }),
-                 std::runtime_error)
-        << to_string(strategy);
-  }
+  VirtualRankWorld world(4);
+  std::vector<std::vector<cdouble>> bufs(4);
+  EXPECT_THROW(world.run([&](Communicator& comm) {
+    if (comm.rank() == 0) throw std::runtime_error("rank 0 down");
+    auto& mine = bufs[comm.rank()];
+    mine.resize(4 * 8);
+    comm.alltoall(mine.data(), 8);
+  }),
+               std::runtime_error);
 }
 
 TEST(DistEdge, ApiSimulatorSpellingsRouteToDistributedBackend) {
   const std::vector<double> g{0.3, -0.2}, b{0.8, 0.4};
   const auto ref = api::qaoa_labs_evaluate(10, g, b, "serial");
-  for (const char* name : {"dist", "dist:1", "dist:4", "dist:4:staged",
-                           "dist:4:pairwise", "dist:4:direct"}) {
+  for (const char* name : {"dist", "dist:1", "dist:4", "dist:ranks=4",
+                           "dist:4:seed=3"}) {
     const auto r = api::qaoa_labs_evaluate(10, g, b, name);
     EXPECT_NEAR(r.expectation, ref.expectation, 1e-10) << name;
     EXPECT_NEAR(r.ground_overlap, ref.ground_overlap, 1e-10) << name;
   }
   for (const char* name :
-       {"dist:", "dist:x", "dist:4:", "dist:4:bogus", "dist:3", "dist:0",
-        "dist:-2", "dist: 4", "distant"}) {
+       {"dist:", "dist:x", "dist:4:", "dist:4:bogus", "dist:4:pairwise",
+        "dist:3", "dist:0", "dist:-2", "dist: 4", "distant"}) {
     EXPECT_THROW((void)api::qaoa_labs_evaluate(10, g, b, name),
                  std::invalid_argument)
         << name;
   }
-}
-
-TEST(DistEdge, StrategyNamesRoundTrip) {
-  for (const auto strategy : {AlltoallStrategy::Staged,
-                              AlltoallStrategy::Pairwise,
-                              AlltoallStrategy::Direct})
-    EXPECT_EQ(alltoall_strategy_from_string(to_string(strategy)), strategy);
-  EXPECT_THROW(alltoall_strategy_from_string("carrier-pigeon"),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,19 +1,29 @@
-#include "gatesim/simulator.hpp"
+// Self-validation of the gate-at-a-time oracle (tests/support/
+// gate_oracle.hpp): each gate against the dense reference, the circuit
+// compiler's gate counts, and whole evolutions against the fast
+// simulator. The oracle pins the fast path in other suites, so it gets
+// its own check, as reference.hpp does in test_reference_self.cpp.
+#include "support/gate_oracle.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "diagonal/ops.hpp"
 #include "fur/simulator.hpp"
-#include "gatesim/execute.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
+#include "problems/portfolio.hpp"
 #include "support/reference.hpp"
 
 namespace qokit {
 namespace {
 
+using testing::Circuit;
+using testing::compile_qaoa_circuit;
+using testing::Gate;
+using testing::GateQaoaSimulator;
 using testing::max_diff;
+using testing::PhaseStyle;
 using testing::to_vec;
 
 StateVector random_state(int n, std::uint64_t seed) {
@@ -26,24 +36,22 @@ StateVector random_state(int n, std::uint64_t seed) {
 }
 
 TEST(GateApply, HadamardMatchesReference) {
-  // Every qubit, qubit 0 (adjacent pair partners) included, under both
-  // Exec policies.
-  for (const Exec exec : {Exec::Serial, Exec::Parallel})
-    for (int q = 0; q < 5; ++q) {
-      StateVector sv = random_state(5, 1);
-      const auto before = to_vec(sv);
-      apply_gate(sv, Gate::h(q), exec);
-      EXPECT_LT(max_diff(to_vec(sv), testing::ref_apply_1q(
-                                         before, q, testing::ref_matrix_h())),
-                1e-13)
-          << "q=" << q << " exec=" << static_cast<int>(exec);
-    }
+  // Every qubit, qubit 0 (adjacent pair partners) included.
+  for (int q = 0; q < 5; ++q) {
+    StateVector sv = random_state(5, 1);
+    const auto before = to_vec(sv);
+    testing::apply_gate(sv, Gate::h(q));
+    EXPECT_LT(max_diff(to_vec(sv), testing::ref_apply_1q(
+                                       before, q, testing::ref_matrix_h())),
+              1e-13)
+        << "q=" << q;
+  }
 }
 
 TEST(GateApply, RxMatchesReference) {
   StateVector sv = random_state(5, 2);
   const auto before = to_vec(sv);
-  apply_gate(sv, Gate::rx(1, 0.8), Exec::Serial);
+  testing::apply_gate(sv, Gate::rx(1, 0.8));
   EXPECT_LT(max_diff(to_vec(sv), testing::ref_apply_1q(
                                      before, 1, testing::ref_matrix_rx(0.8))),
             1e-13);
@@ -53,7 +61,7 @@ TEST(GateApply, RzAddsConditionalPhase) {
   StateVector sv = random_state(4, 3);
   const auto before = to_vec(sv);
   const double theta = 0.62;
-  apply_gate(sv, Gate::rz(2, theta), Exec::Serial);
+  testing::apply_gate(sv, Gate::rz(2, theta));
   for (std::uint64_t x = 0; x < sv.size(); ++x) {
     const double ang = test_bit(x, 2) ? theta / 2 : -theta / 2;
     const cdouble expect = before[x] * cdouble(std::cos(ang), std::sin(ang));
@@ -64,7 +72,7 @@ TEST(GateApply, RzAddsConditionalPhase) {
 TEST(GateApply, CxPermutesBasis) {
   for (std::uint64_t x = 0; x < 8; ++x) {
     StateVector sv = StateVector::basis_state(3, x);
-    apply_gate(sv, Gate::cx(0, 2), Exec::Serial);
+    testing::apply_gate(sv, Gate::cx(0, 2));
     const std::uint64_t expect = test_bit(x, 0) ? (x ^ 0b100) : x;
     EXPECT_NEAR(std::norm(sv[expect]), 1.0, 1e-14) << "x=" << x;
   }
@@ -75,7 +83,7 @@ TEST(GateApply, ZPhaseMatchesParityRule) {
   const auto before = to_vec(sv);
   const double theta = 1.3;
   const std::uint64_t mask = 0b10110;
-  apply_gate(sv, Gate::zphase(mask, theta), Exec::Serial);
+  testing::apply_gate(sv, Gate::zphase(mask, theta));
   for (std::uint64_t x = 0; x < sv.size(); ++x) {
     const double sgn = parity(x & mask) ? 1.0 : -1.0;
     const cdouble expect =
@@ -87,36 +95,28 @@ TEST(GateApply, ZPhaseMatchesParityRule) {
 TEST(GateApply, XyMatchesFurKernel) {
   StateVector a = random_state(6, 5);
   StateVector b = a;
-  apply_gate(a, Gate::xy(1, 4, 2.0 * 0.7), Exec::Serial);
+  testing::apply_gate(a, Gate::xy(1, 4, 2.0 * 0.7));
   const auto ref =
       testing::ref_apply_2q(to_vec(b), 1, 4, testing::ref_matrix_xy(0.7));
   EXPECT_LT(max_diff(to_vec(a), ref), 1e-13);
 }
 
-TEST(GateApply, U1AndU2MatchReference) {
-  Rng rng(6);
-  std::array<cdouble, 4> m1;
-  for (auto& v : m1) v = cdouble(rng.normal(), rng.normal());
-  std::array<cdouble, 16> m2;
-  for (auto& v : m2) v = cdouble(rng.normal(), rng.normal());
-
-  StateVector sv = random_state(5, 7);
-  const auto before = to_vec(sv);
-  apply_gate(sv, Gate::u1(3, m1), Exec::Serial);
-  EXPECT_LT(max_diff(to_vec(sv), testing::ref_apply_1q(before, 3, m1)), 1e-12);
-
-  StateVector sv2 = random_state(5, 8);
-  const auto before2 = to_vec(sv2);
-  apply_gate(sv2, Gate::u2(0, 4, m2), Exec::Serial);
-  EXPECT_LT(max_diff(to_vec(sv2), testing::ref_apply_2q(before2, 0, 4, m2)),
-            1e-12);
+TEST(GateApply, RefusesF32States) {
+  StateVector f32 = StateVector::plus_state(4, Precision::F32);
+  EXPECT_THROW(testing::apply_gate(f32, Gate::rx(0, 0.3)),
+               std::invalid_argument);
+  Circuit circuit(4);
+  circuit.append(Gate::h(0));
+  EXPECT_THROW(testing::run_circuit(f32, circuit), std::invalid_argument);
+  EXPECT_THROW((void)testing::expectation_terms(f32, labs_terms(4)),
+               std::invalid_argument);
 }
 
 TEST(Circuit, HLayerPreparesPlusState) {
   Circuit c(6);
   for (int q = 0; q < 6; ++q) c.append(Gate::h(q));
   StateVector sv = StateVector::basis_state(6, 0);
-  run_circuit(sv, c);
+  testing::run_circuit(sv, c);
   EXPECT_LT(sv.max_abs_diff(StateVector::plus_state(6)), 1e-13);
 }
 
@@ -188,6 +188,22 @@ TEST(GateVsFur, LabsAgreesIncludingQuarticTerms) {
   const StateVector a = gate_sim.simulate_qaoa(gs, bs);
   const StateVector b = fur_sim.simulate_qaoa(gs, bs);
   EXPECT_LT(a.max_abs_diff(b), 1e-10);
+}
+
+TEST(GateVsFur, XyMixersAgreeFromTheDickeState) {
+  // The xy runs start from the weight-n/2 Dicke state and emit one XY
+  // rotation per edge, in the fur mixers' edge order.
+  const TermList terms = portfolio_terms(random_portfolio(6, 3, 0.5, 7));
+  const std::vector<double> gs{0.21, -0.35}, bs{0.62, 0.18};
+  for (const MixerType mixer : {MixerType::XYRing, MixerType::XYComplete}) {
+    const GateQaoaSimulator gate_sim(terms, {.mixer = mixer});
+    const FurQaoaSimulator fur_sim(terms,
+                                   {.mixer = mixer, .initial_weight = 3});
+    EXPECT_LT(gate_sim.simulate_qaoa(gs, bs).max_abs_diff(
+                  fur_sim.simulate_qaoa(gs, bs)),
+              1e-10)
+        << static_cast<int>(mixer);
+  }
 }
 
 TEST(GateSim, ExpectationViaTermsMatchesDiagonal) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/gate_oracle.hpp"
+
 namespace qokit {
 namespace {
 
@@ -127,7 +129,7 @@ TEST(Api, GateBaselineAgreesWithFastPathEndToEnd) {
   const Graph g = Graph::random_regular(8, 3, 29);
   const TermList terms = maxcut_terms(g);
   const std::vector<double> gs{0.35, 0.15}, bs{0.65, 0.25};
-  const GateQaoaSimulator gate_sim(terms, {});
+  const testing::GateQaoaSimulator gate_sim(terms, {});
   const double gate_e = gate_sim.get_expectation(gate_sim.simulate_qaoa(gs, bs));
   // The gate baseline is f64-only; the fast path follows prec=auto, so
   // under QOKIT_PREC=f32 the cross-check runs at f32 drift scale.

@@ -343,20 +343,20 @@ TEST_F(ObsTest, CounterTotalsExecInvariant) {
 TEST_F(ObsTest, ExportsParseBackUnderDist) {
   obs::set_enabled(true);
   obs::reset();
-  const api::ProblemSession s = labs_session("dist:2:staged");
+  const api::ProblemSession s = labs_session("dist:2");
   api::EvalRequest req;
   req.timings = true;
   req.shots = 4;
   s.evaluate(linear_ramp(2), req);
 
   const obs::Snapshot snap = s.metrics();
-  EXPECT_GT(counter_value(snap, "qokit_alltoall_staged_calls_total"), 0u);
-  EXPECT_GT(counter_value(snap, "qokit_alltoall_staged_bytes_total"), 0u);
-  EXPECT_GT(counter_value(snap, "qokit_alltoall_staged_rounds_total"), 0u);
+  EXPECT_GT(counter_value(snap, "qokit_alltoall_calls_total"), 0u);
+  EXPECT_GT(counter_value(snap, "qokit_alltoall_bytes_total"), 0u);
+  EXPECT_GT(counter_value(snap, "qokit_alltoall_rounds_total"), 0u);
 
   const std::string json = snap.to_json();
   EXPECT_TRUE(JsonValidator(json).valid()) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"qokit_alltoall_staged_calls_total\""),
+  EXPECT_NE(json.find("\"qokit_alltoall_calls_total\""),
             std::string::npos);
 
   EXPECT_TRUE(valid_prometheus(snap.to_prometheus()));
@@ -369,8 +369,6 @@ TEST_F(ObsTest, ExportsParseBackUnderDist) {
   EXPECT_FALSE(event_line(trace, "simulate").empty());
   const std::string alltoall = event_line(trace, "alltoall");
   ASSERT_FALSE(alltoall.empty());
-  EXPECT_NE(alltoall.find("\"transport\":\"staged\""), std::string::npos)
-      << alltoall;
   EXPECT_NE(alltoall.find("\"ranks\":2"), std::string::npos) << alltoall;
 }
 

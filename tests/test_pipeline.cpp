@@ -1,7 +1,7 @@
 // The cache-blocked fused layer pipeline (src/pipeline/) must be
 // *bit-identical* -- not merely close -- to the unfused per-qubit layer
 // loop it replaces (tests/support/unfused_oracle.hpp), across every
-// backend (serial / auto / u16 / dist:2 / dist:4:pairwise),
+// backend (serial / auto / u16 / dist:2 / dist:4),
 // both Exec policies, every installable SIMD level and both precisions;
 // fusion reorders the memory traversal, never the per-amplitude
 // arithmetic. Also pins the plan's pass-count math, the tile-boundary edge
@@ -88,7 +88,7 @@ TEST_P(PipelineCrossValidationTest, FusedEqualsUnfusedOnEveryBackend) {
     force_simd_level(level);
     for (const std::string name :
          {"serial", "auto", "auto:exec=serial", "u16", "u16:exec=serial",
-          "dist:2", "dist:4:pairwise"})
+          "dist:2", "dist:4"})
       for (const char* prec : {"", ":prec=f32"})
         expect_fused_matches_oracle(terms, name + prec);
   }
@@ -293,7 +293,7 @@ TEST(LayerPlan, MakeSimulatorRunsTheFixedGeometry) {
         << name;
     EXPECT_TRUE(fur->layer_plan().active()) << name;
   }
-  for (const char* name : {"dist:2", "dist:4:pairwise"}) {
+  for (const char* name : {"dist:2", "dist:4"}) {
     const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
     const auto* dist =
         dynamic_cast<const DistributedFurSimulator*>(sim.get());

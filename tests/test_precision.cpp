@@ -21,7 +21,6 @@
 #include "api/qokit.hpp"
 #include "common/bitops.hpp"
 #include "common/cpu_features.hpp"
-#include "gatesim/execute.hpp"
 #include "obs/obs.hpp"
 #include "serve/session_cache.hpp"
 #include "statevector/sampling.hpp"
@@ -325,9 +324,6 @@ TEST(PrecisionResolution, AutoFollowsEnvOnlyWhereSupported) {
       Precision::F32);
   // Unsupported combinations downgrade silently under Auto (so a
   // QOKIT_PREC=f32 full-suite run still passes everywhere)...
-  EXPECT_EQ(
-      make_simulator(terms, SimulatorSpec::parse("gatesim"))->precision(),
-      Precision::F64);
   EXPECT_EQ(make_simulator(terms, SimulatorSpec::parse("auto:mixer=xyring"))
                 ->precision(),
             Precision::F64);
@@ -340,8 +336,6 @@ TEST(PrecisionResolution, AutoFollowsEnvOnlyWhereSupported) {
 
 TEST(PrecisionResolution, ExplicitF32OnUnsupportedCombosThrows) {
   const TermList terms = labs_terms(8);
-  EXPECT_THROW(make_simulator(terms, SimulatorSpec::parse("gatesim:prec=f32")),
-               std::invalid_argument);
   EXPECT_THROW(
       make_simulator(terms, SimulatorSpec::parse("auto:prec=f32:mixer=xyring")),
       std::invalid_argument);
@@ -352,22 +346,11 @@ TEST(PrecisionResolution, ExplicitF32OnUnsupportedCombosThrows) {
   cfg.prec = Precision::F32;
   cfg.mixer = MixerType::XYRing;
   EXPECT_THROW(FurQaoaSimulator(terms, cfg), std::invalid_argument);
-  // The f64-only subsystems refuse float states instead of reading the
-  // wrong buffer.
+  // The f64-only ma-QAOA mixer refuses float states instead of reading
+  // the wrong buffer.
   StateVector f32 = StateVector::plus_state(4, Precision::F32);
   const std::vector<double> betas(4, 0.3);
   EXPECT_THROW(apply_mixer_x_multiangle(f32, betas, Exec::Serial),
-               std::invalid_argument);
-  EXPECT_THROW(apply_gate(f32, Gate::rx(0, 0.3), Exec::Serial),
-               std::invalid_argument);
-  Circuit circuit(4);
-  circuit.append(Gate::h(0));
-  EXPECT_THROW(run_circuit(f32, circuit, Exec::Serial), std::invalid_argument);
-  const auto gatesim = make_simulator(terms, SimulatorSpec::parse("gatesim"));
-  const std::vector<double> gammas(2, 0.2), two_betas(2, 0.4);
-  EXPECT_THROW((void)gatesim->simulate_qaoa_from(
-                   StateVector::plus_state(8, Precision::F32), gammas,
-                   two_betas),
                std::invalid_argument);
 }
 

@@ -40,28 +40,23 @@ TEST(SimulatorSpec, RoundTripsOverTheFullGrid) {
   // combination -- including ones make_simulator would reject (parse and
   // to_string are string-level; semantic validation happens at build).
   for (const Backend backend :
-       {Backend::Auto, Backend::Serial, Backend::U16, Backend::Gatesim,
-        Backend::Dist})
+       {Backend::Auto, Backend::Serial, Backend::U16, Backend::Dist})
     for (const MixerType mixer :
          {MixerType::X, MixerType::XYRing, MixerType::XYComplete})
-      for (const AlltoallStrategy strategy :
-           {AlltoallStrategy::Staged, AlltoallStrategy::Pairwise,
-            AlltoallStrategy::Direct})
-        for (const Exec exec : {Exec::Serial, Exec::Parallel})
-          for (const int ranks : {2, 8})
-            for (const int weight : {-1, 3})
-              for (const std::uint64_t seed : {1ull, 42ull}) {
-                SimulatorSpec spec;
-                spec.backend = backend;
-                spec.mixer = mixer;
-                spec.exec = exec;
-                spec.ranks = ranks;
-                spec.alltoall = strategy;
-                spec.initial_weight = weight;
-                spec.sample_seed = seed;
-                const std::string name = spec.to_string();
-                EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
-              }
+      for (const Exec exec : {Exec::Serial, Exec::Parallel})
+        for (const int ranks : {2, 8})
+          for (const int weight : {-1, 3})
+            for (const std::uint64_t seed : {1ull, 42ull}) {
+              SimulatorSpec spec;
+              spec.backend = backend;
+              spec.mixer = mixer;
+              spec.exec = exec;
+              spec.ranks = ranks;
+              spec.initial_weight = weight;
+              spec.sample_seed = seed;
+              const std::string name = spec.to_string();
+              EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
+            }
 }
 
 TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
@@ -71,12 +66,12 @@ TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
   EXPECT_EQ(serial.backend, Backend::Serial);
   EXPECT_EQ(serial.exec, Exec::Serial);
 
-  const SimulatorSpec dist = SimulatorSpec::parse("dist:4:pairwise");
+  const SimulatorSpec dist = SimulatorSpec::parse("dist:4");
   EXPECT_EQ(dist.backend, Backend::Dist);
   EXPECT_EQ(dist.ranks, 4);
-  EXPECT_EQ(dist.alltoall, AlltoallStrategy::Pairwise);
   EXPECT_EQ(dist.exec, Exec::Parallel);
-  EXPECT_EQ(dist.to_string(), "dist:4:pairwise");
+  EXPECT_EQ(dist.to_string(), "dist:4");
+  EXPECT_EQ(SimulatorSpec::parse("dist").to_string(), "dist:2");
 
   const SimulatorSpec seeded = SimulatorSpec::parse("u16:seed=9");
   EXPECT_EQ(seeded.backend, Backend::U16);
@@ -87,10 +82,8 @@ TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
   EXPECT_EQ(mixed.mixer, MixerType::XYRing);
   EXPECT_EQ(mixed.initial_weight, 3);
 
-  const SimulatorSpec dist_opts =
-      SimulatorSpec::parse("dist:4:pairwise:seed=7");
+  const SimulatorSpec dist_opts = SimulatorSpec::parse("dist:4:seed=7");
   EXPECT_EQ(dist_opts.ranks, 4);
-  EXPECT_EQ(dist_opts.alltoall, AlltoallStrategy::Pairwise);
   EXPECT_EQ(dist_opts.sample_seed, 7u);
 }
 
@@ -106,7 +99,7 @@ TEST(SimulatorSpec, RejectsUnknownTokensNamingThem) {
         Case{"auto:mixer=ring", "mixer=ring"},
         Case{"auto:exec=turbo", "exec=turbo"},
         Case{"auto:seed=x", "seed=x"},
-        Case{"dist:4:pairwise:junk=1", "junk=1"},
+        Case{"dist:4:junk=1", "junk=1"},
         Case{"auto:simd=sse", "simd=sse"}, Case{"dist:two", "two"},
         // -1 is weight's unset value, not a spelling: a negative weight
         // would build the default simulator under an unequal spec.
@@ -125,7 +118,15 @@ TEST(SimulatorSpec, RejectsUnknownTokensNamingThem) {
         Case{"auto:pipeline=on", "pipeline=on"},
         // Every X-mixer layer has one implementation, and exec= is the
         // one Exec switch: these backend names are refused, not aliased.
-        Case{"fwht", "fwht"}, Case{"threaded", "threaded"}}) {
+        Case{"fwht", "fwht"}, Case{"threaded", "threaded"},
+        // A backend names a topology, not an implementation: the gate
+        // simulator is a test oracle, and dist has one alltoall
+        // transport, so neither has a spelling left.
+        Case{"gatesim", "gatesim"}, Case{"dist:4:staged", "staged"},
+        Case{"dist:4:pairwise", "pairwise"},
+        Case{"dist:4:direct", "direct"},
+        Case{"auto:alltoall=pairwise", "alltoall=pairwise"},
+        Case{"dist:alltoall=direct", "alltoall=direct"}}) {
     try {
       (void)SimulatorSpec::parse(c.name);
       FAIL() << "parse accepted '" << c.name << "'";
@@ -239,6 +240,21 @@ TEST(MakeSimulator, ValidatesDistRankCounts) {
     EXPECT_NE(what.find("32"), std::string::npos) << what;
     EXPECT_NE(what.find("exceed"), std::string::npos) << what;
   }
+  // Each rank is a thread, so the count is capped at kMaxRanks before
+  // any thread starts, even where n >= 2*log2 K would fit it.
+  SimulatorSpec above_cap;
+  above_cap.backend = Backend::Dist;
+  above_cap.ranks = 128;
+  try {
+    (void)make_simulator(labs_terms(14), above_cap);
+    FAIL() << "make_simulator accepted 128 ranks";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("128"), std::string::npos) << what;
+    EXPECT_NE(what.find("cap of " + std::to_string(kMaxRanks)),
+              std::string::npos)
+        << what;
+  }
   // The largest count the backend supports here (it additionally needs
   // n >= 2*log2 K for its transpose) still constructs fine.
   EXPECT_EQ(make_simulator(tiny, [] {
@@ -262,8 +278,7 @@ TEST(ProblemSession, SweepDoesOnePrecomputeAndZeroSteadyStateAllocations) {
   const Graph g = Graph::random_regular(n, 3, 5);
   const std::vector<QaoaParams> schedules = random_schedules(64, 2, 7);
 
-  for (const char* name : {"serial", "auto", "u16", "dist:2",
-                           "dist:4:pairwise"}) {
+  for (const char* name : {"serial", "auto", "u16", "dist:2", "dist:4"}) {
     SCOPED_TRACE(name);
     std::vector<double> legacy(schedules.size());
     for (std::size_t i = 0; i < schedules.size(); ++i)
@@ -294,7 +309,7 @@ TEST(ProblemSession, RefusesOversizedProblemsBeforeAllocating) {
   // so the diagonal's own check is the one that has to fire.
   const TermList terms(40, {{1.0, 1ull << 39}, {0.5, 0b11}});
   const std::uint64_t before = aligned_allocation_count();
-  for (const char* name : {"auto", "serial", "u16", "gatesim", "dist:4"}) {
+  for (const char* name : {"auto", "serial", "u16", "dist:4"}) {
     try {
       const api::ProblemSession session(terms, SimulatorSpec::parse(name));
       ADD_FAILURE() << name << " built a 40-qubit session";
@@ -449,25 +464,6 @@ TEST(ProblemSession, NonFiniteOrRaggedSchedulesAreRejectedNamingTheLayer) {
                   "3 gammas but 2 betas");
   // Nothing ran: the session still evaluates bit-identically.
   EXPECT_EQ(*session.evaluate(good).expectation, before);
-}
-
-TEST(ProblemSession, GatesimBackendAgreesWithFastSimulators) {
-  const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 2));
-  const QaoaParams params = random_schedules(1, 2, 17).front();
-  const api::ProblemSession fast(terms, SimulatorSpec::parse("serial"));
-  const api::ProblemSession gates(terms, SimulatorSpec::parse("gatesim"));
-  // Gate-at-a-time evolution agrees to fp tolerance, and the adapter's
-  // state is exactly what the legacy GateQaoaSimulator produces. Gatesim
-  // is f64-only; the fast session follows prec=auto, so under the
-  // QOKIT_PREC=f32 leg the cross-check runs at f32 drift scale.
-  const double tol =
-      fast.simulator().precision() == Precision::F32 ? 1e-4 : 1e-9;
-  EXPECT_NEAR(*gates.evaluate(params).expectation,
-              *fast.evaluate(params).expectation, tol);
-  const GateQaoaSimulator legacy(terms, {});
-  EXPECT_EQ(gates.simulate(params).max_abs_diff(
-                legacy.simulate_qaoa(params.gammas, params.betas)),
-            0.0);
 }
 
 TEST(ProblemSession, EqualSpecsProduceIdenticalSampleStreamsAcrossExec) {

@@ -85,33 +85,8 @@ TEST(XyKernel, InverseUndoes) {
   EXPECT_LT(sv.max_abs_diff(before), 1e-13);
 }
 
-TEST(Su4Kernel, MatchesDenseReferenceForRandomMatrix) {
-  Rng rng(5);
-  std::array<cdouble, 16> m;
-  for (auto& v : m) v = cdouble(rng.normal(), rng.normal());
-  StateVector sv = random_state(5, 29);
-  const auto before = to_vec(sv);
-  kern::su4(sv.data(), sv.size(), 1, 3, m.data(), Exec::Serial);
-  EXPECT_LT(max_diff(to_vec(sv), testing::ref_apply_2q(before, 1, 3, m)),
-            1e-12);
-}
-
-TEST(Su4Kernel, SerialAndParallelAgree) {
-  Rng rng(8);
-  std::array<cdouble, 16> m;
-  for (auto& v : m) v = cdouble(rng.normal(), rng.normal());
-  StateVector a = random_state(11, 31);
-  StateVector b = a;
-  kern::su4(a.data(), a.size(), 2, 9, m.data(), Exec::Serial);
-  kern::su4(b.data(), b.size(), 2, 9, m.data(), Exec::Parallel);
-  EXPECT_LT(a.max_abs_diff(b), 1e-14);
-}
-
-TEST(Su4Kernel, RejectsEqualQubits) {
+TEST(XyKernel, RejectsEqualQubits) {
   StateVector sv = StateVector::plus_state(4);
-  std::array<cdouble, 16> m{};
-  EXPECT_THROW(kern::su4(sv.data(), sv.size(), 2, 2, m.data(), Exec::Serial),
-               std::invalid_argument);
   EXPECT_THROW(apply_xy(sv, 1, 1, 0.1), std::invalid_argument);
 }
 
