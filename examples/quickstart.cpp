@@ -14,8 +14,8 @@ int main() {
   // Terms for all-to-all MaxCut with weight 0.3 (Listing 1, line 5).
   const Graph g = Graph::complete(n, 0.3);
 
-  // The session owns the simulator, the precomputed cost diagonal, and
-  // the cached initial state; every later query reuses all three.
+  // The session owns the simulator, the precomputed cost diagonal, and a
+  // scratch-state pool; every later query reuses all three.
   const api::ProblemSession session =
       api::ProblemSession::maxcut(g, SimulatorSpec::parse("auto"));
 
@@ -39,8 +39,8 @@ int main() {
   std::printf("simulate %.3f ms, score %.3f ms (no re-precompute)\n",
               r.timings->simulate_ns / 1e6, r.timings->reduce_ns / 1e6);
 
-  // Repeat queries are cheap: the second evaluation reuses the diagonal,
-  // the initial state, and the scratch statevector.
+  // Repeat queries are cheap: the second evaluation reuses the diagonal
+  // and the scratch statevector, refilled with |+> in place.
   const api::EvalResult again = session.evaluate(params, request);
   std::printf("second call simulate %.3f ms (identical result: %s)\n",
               again.timings->simulate_ns / 1e6,

@@ -103,11 +103,12 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
             static_cast<std::int64_t>(precision_bits(sim_->precision())));
   EvalResult out;
   const steady::time_point t0 = steady::now();
-  // Refill the reused scratch slot from the cached initial state (a
-  // copy-assign that reuses its buffer) and evolve in place -- the exact
-  // arithmetic of a fresh simulator's simulate_qaoa, without its
-  // allocations.
-  scratch_ = evaluator_.initial_state();
+  // Refill batch pool slot 0 with the initial state in place (reusing its
+  // buffer) and evolve it -- the exact arithmetic of a fresh simulator's
+  // simulate_qaoa, without its allocations, and the same state an Inner
+  // batch uses, so the session holds one state whichever path runs.
+  StateVector& scratch = evaluator_.scratch_slot();
+  sim_->fill_initial_state(scratch);
   std::vector<std::uint64_t> layer_ns;
   if (request.timings) {
     // Evolve layer by layer so the per-layer breakdown can be recorded.
@@ -123,8 +124,8 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
       obs::Span lspan("layer");
       lspan.attr("layer", static_cast<std::int64_t>(l));
       const steady::time_point tl = steady::now();
-      scratch_ = sim_->simulate_qaoa_from(
-          std::move(scratch_), gammas.subspan(l, 1), betas.subspan(l, 1));
+      scratch = sim_->simulate_qaoa_from(
+          std::move(scratch), gammas.subspan(l, 1), betas.subspan(l, 1));
       layer_ns.push_back(elapsed_ns(tl));
       layer_hist.record(layer_ns.back());
     }
@@ -133,26 +134,26 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
     // the final layer's last pipeline pass (skipping one full read of the
     // state); other backends run the two-pass default. Bit-identical to
     // simulate_qaoa_from + get_expectation either way, and the evolved
-    // state stays in scratch_ for overlap/sampling below. The timed path
+    // state stays in the slot for overlap/sampling below. The timed path
     // keeps the explicit two-pass split so layer timings stay pure
     // simulation.
     out.expectation = sim_->simulate_qaoa_expectation(
-        scratch_, schedule.gammas, schedule.betas);
+        scratch, schedule.gammas, schedule.betas);
   } else {
-    scratch_ = sim_->simulate_qaoa_from(std::move(scratch_), schedule.gammas,
-                                        schedule.betas);
+    scratch = sim_->simulate_qaoa_from(std::move(scratch), schedule.gammas,
+                                       schedule.betas);
   }
   const std::uint64_t simulate_ns = elapsed_ns(t0);
   const steady::time_point t1 = steady::now();
   {
     obs::Span rspan("reduce");
     if (request.expectation && !out.expectation.has_value())
-      out.expectation = sim_->get_expectation(scratch_);
+      out.expectation = sim_->get_expectation(scratch);
     if (request.overlap)
-      out.overlap = sim_->get_overlap(scratch_, request.overlap_weight);
+      out.overlap = sim_->get_overlap(scratch, request.overlap_weight);
     if (request.shots > 0)
-      out.samples = StateSampler(scratch_).sample(request.shots,
-                                                  spec_.sample_seed);
+      out.samples = StateSampler(scratch).sample(request.shots,
+                                                 spec_.sample_seed);
   }
   const std::uint64_t reduce_ns = elapsed_ns(t1);
   reduce_hist.record(reduce_ns);
@@ -213,7 +214,10 @@ EvalResult ProblemSession::optimize(const OptimizerSpec& optimizer) const {
     throw std::invalid_argument(
         "ProblemSession::optimize: initial schedule depth does not match p");
   start.check();
-  QaoaBatchObjective objective(*sim_, optimizer.p);
+  // The populations ride the session's own pool: a per-call evaluator
+  // would allocate (and, on worker threads, strand in glibc's per-thread
+  // arenas) a fresh set of slots on every optimize.
+  const QaoaBatchObjective objective(evaluator_, optimizer.p);
   const auto population =
       [&objective](const std::vector<std::vector<double>>& points) {
         return objective(points);

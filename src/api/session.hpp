@@ -4,11 +4,12 @@
 // diagonal once, then make each layer (and, with src/batch/, each
 // schedule) cheap. ProblemSession carries that economics to the API
 // boundary: construct it once per problem and it owns the simulator, the
-// precomputed diagonal, the cached initial state, a BatchEvaluator
-// scratch pool, and the sampling seed; every entry point -- scalar
-// evaluation, batched evaluation, optimization, sampling -- then routes
-// through one typed EvalRequest/EvalResult surface with zero re-
-// precompute and zero steady-state statevector allocations. The one-line
+// precomputed diagonal, a BatchEvaluator scratch pool, and the sampling
+// seed, but no initial-state copy: every entry point refills a pool slot
+// with |+> (or the Dicke state) in place. Scalar evaluation, batched
+// evaluation, optimization and sampling all route through one typed
+// EvalRequest/EvalResult surface and one pool, with zero re-precompute and
+// zero steady-state statevector allocations. The one-line
 // free functions in api/qokit.hpp remain as the stable compatibility
 // layer; each is a thin wrapper over a throwaway session.
 #pragma once
@@ -39,7 +40,7 @@ namespace qokit::api {
 namespace detail {
 
 /// Cheap exclusive-entry guard for the session's single-caller contract.
-/// The reused scratch_/batch_scratch_ buffers make concurrent calls on one
+/// The reused pool slots and batch_scratch_ make concurrent calls on one
 /// ProblemSession silent data corruption; Scope turns that misuse into an
 /// immediate std::logic_error instead (one uncontended atomic exchange on
 /// entry, a store on exit). Not a lock: the second caller fails, it never
@@ -149,9 +150,11 @@ struct OptimizerSpec {
 };
 
 /// A reusable handle over one problem: owns the simulator (and with it
-/// the precomputed cost diagonal), the cached initial state, the batch
-/// scratch pool, and the sampling seed from its SimulatorSpec. Repeated
-/// calls perform zero re-precompute and zero steady-state statevector
+/// the precomputed cost diagonal), the batch scratch pool, and the
+/// sampling seed from its SimulatorSpec. Its 2^n buffers are exactly the
+/// diagonal and the pool slots in use: scalar evaluate borrows slot 0 and
+/// optimize runs its populations through the same pool. Repeated calls
+/// perform zero re-precompute and zero steady-state statevector
 /// allocations (pinned by tests/test_session_api.cpp via the
 /// instrumented AlignedAllocator counter). Results are bit-identical to
 /// the legacy free functions on every backend.
@@ -184,7 +187,7 @@ class ProblemSession {
   static ProblemSession sk(int n, std::uint64_t seed,
                            SimulatorSpec spec = {});
 
-  /// Evaluate one schedule. Evolves the reused scratch state (zero
+  /// Evaluate one schedule. Refills and evolves batch pool slot 0 (zero
   /// steady-state statevector allocations) and scores exactly as a
   /// freshly built simulator would -- bit-identical outputs.
   ///
@@ -210,7 +213,8 @@ class ProblemSession {
       std::span<const QaoaParams> schedules) const;
 
   /// Run a parameter optimization. The population steps go through the
-  /// session's batch plumbing (QaoaBatchObjective); the result engages
+  /// session's own BatchEvaluator (QaoaBatchObjective over batch()), so a
+  /// warm session allocates no state here either; the result engages
   /// params / expectation (the optimized objective) / evaluations /
   /// batches / iterations / converged.
   EvalResult optimize(const OptimizerSpec& optimizer) const;
@@ -248,8 +252,7 @@ class ProblemSession {
   TermList terms_;
   std::uint64_t precompute_ns_ = 0;
   std::unique_ptr<QaoaFastSimulatorBase> sim_;
-  BatchEvaluator evaluator_;
-  mutable StateVector scratch_;       ///< scalar-evaluate slot, reused
+  BatchEvaluator evaluator_;          ///< the pool; slot 0 serves evaluate
   mutable BatchResult batch_scratch_; ///< reused across evaluate_batch calls
   detail::ReentrancyGuard guard_;     ///< trips on concurrent entry
 };

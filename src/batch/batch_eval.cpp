@@ -5,6 +5,7 @@
 #include <exception>
 #include <stdexcept>
 
+#include "common/bitops.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
@@ -44,7 +45,6 @@ BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim,
                                BatchOptions opts)
     : sim_(&sim),
       opts_(opts),
-      init_(sim.initial_state()),
       scratch_(static_cast<std::size_t>(max_threads())) {
   if (opts_.sample_shots < 0)
     throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
@@ -65,13 +65,14 @@ BatchParallelism BatchEvaluator::resolve(BatchParallelism requested,
   if (sim_->prefers_sequential_batches()) return BatchParallelism::Inner;
   // Actual amplitude width (f32 states cost half), so the outer-scratch
   // budget admits twice the f32 slots it would f64 ones.
-  const std::uint64_t bytes = init_.bytes();
+  const std::uint64_t amps = dim_of(sim_->num_qubits());
+  const std::uint64_t bytes = amps * amplitude_bytes(sim_->precision());
   if (static_cast<std::uint64_t>(threads) * bytes > kMaxOuterScratchBytes)
     return BatchParallelism::Inner;
   // Sub-grain states get no inner parallelism at all (parallel_for runs
   // them serially), so threading across schedules is the only parallelism
   // available -- and it skips the per-kernel team dispatch entirely.
-  if (init_.size() < static_cast<std::uint64_t>(kParallelGrain))
+  if (amps < static_cast<std::uint64_t>(kParallelGrain))
     return BatchParallelism::Outer;
   // Large states: outer only when the batch can fill every thread;
   // otherwise the simulator's own kernels use the machine better.
@@ -117,19 +118,20 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
   span.attr("mode",
             out.used == BatchParallelism::Outer ? "outer" : "inner");
 
-  // Evolve schedule i in slot: refill from the cached initial state (a
-  // copy-assign that reuses the slot's buffer, so no allocation after the
+  // Evolve schedule i in slot: the simulator writes its initial state
+  // into the slot in place (reusing the buffer, so no allocation after the
   // slot's first use), then the consume-in-place evolution; the buffer
   // round-trips through moves and comes back to the slot.
+  const std::uint64_t amps = dim_of(sim_->num_qubits());
+  const Precision prec = sim_->precision();
   auto evolve = [&](std::size_t i, StateVector& slot) {
     // A slot already sized (and precision-matched) like the initial state
     // refills in place; a fresh or mismatched slot pays an allocation.
-    if (slot.size() == init_.size() &&
-        slot.precision() == init_.precision())
+    if (slot.size() == amps && slot.precision() == prec)
       scratch_hits.add();
     else scratch_allocs.add();
     const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
-    slot = init_;
+    sim_->fill_initial_state(slot);
     slot = sim_->simulate_qaoa_from(std::move(slot), schedules[i].gammas,
                                     schedules[i].betas);
     if (opts.record_timings) out.simulate_ns[i] = tick_ns() - t0;

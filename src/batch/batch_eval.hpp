@@ -4,9 +4,10 @@
 // Algorithm 3 amortizes the cost-diagonal precompute over every QAOA
 // layer; a parameter-optimization or serving workload should amortize it
 // over every *schedule* too. BatchEvaluator owns that amortization: it
-// wraps one QaoaFastSimulatorBase (whose diagonal was precomputed once),
-// caches the initial state, and reuses per-thread scratch statevectors so
-// evaluating a batch of schedules performs zero steady-state allocations.
+// wraps one QaoaFastSimulatorBase (whose diagonal was precomputed once) and
+// reuses per-thread scratch statevectors, refilled in place with the
+// initial state per schedule, so evaluating a batch of schedules performs
+// zero steady-state allocations and holds no state beyond its pool.
 //
 // Parallelism is two-level and chosen by a cost heuristic (see DESIGN.md):
 //  - Outer: thread across schedules, one scratch state per thread. Wins
@@ -78,7 +79,9 @@ struct BatchResult {
 /// scratch pool is per-instance); distinct instances are independent.
 class BatchEvaluator {
  public:
-  /// `sim` must outlive the evaluator. Caches sim.initial_state() once.
+  /// `sim` must outlive the evaluator. Sizes the pool (one empty slot per
+  /// thread) and allocates nothing: a slot's buffer appears on its first
+  /// use.
   explicit BatchEvaluator(const QaoaFastSimulatorBase& sim,
                           BatchOptions opts = {});
 
@@ -116,10 +119,18 @@ class BatchEvaluator {
   const QaoaFastSimulatorBase& simulator() const { return *sim_; }
   const BatchOptions& options() const { return opts_; }
 
-  /// The initial state cached at construction (copied into scratch per
-  /// schedule); exposed so callers sharing the evaluator -- the session's
-  /// scalar path -- can refill their own scratch without recomputing it.
-  const StateVector& initial_state() const { return init_; }
+  /// The simulator's initial state as a fresh allocation (by value: the
+  /// evaluator keeps no copy; each schedule's slot is refilled in place).
+  StateVector initial_state() const { return sim_->initial_state(); }
+
+  /// Pool slot 0: the slot an Inner batch evolves in, lent to the
+  /// session's scalar evaluate so that one state serves both paths. Like
+  /// the rest of the pool, not safe for concurrent use.
+  StateVector& scratch_slot() const { return scratch_.front(); }
+
+  /// Number of pool slots, one per OpenMP thread at construction: the
+  /// most states the evaluator can hold at once.
+  std::size_t pool_size() const { return scratch_.size(); }
 
   /// Outer mode keeps one scratch state per thread; above this total
   /// footprint the Auto heuristic falls back to Inner.
@@ -131,7 +142,6 @@ class BatchEvaluator {
 
   const QaoaFastSimulatorBase* sim_;
   BatchOptions opts_;
-  StateVector init_;  ///< cached initial state, copied into scratch per job
   mutable std::vector<StateVector> scratch_;  ///< one reusable state/thread
 };
 

@@ -12,16 +12,23 @@
 namespace qokit {
 
 namespace detail {
-/// Running count of AlignedAllocator::allocate calls. The scratch-reuse
-/// regression tests read it to pin that the hot evaluation loops perform
-/// zero steady-state statevector allocations; one relaxed increment per
-/// 2^n-element allocation is free next to the allocation itself.
+/// Running count and byte total of AlignedAllocator::allocate calls. The
+/// scratch-reuse regression tests read them to pin that the hot
+/// evaluation loops perform zero steady-state statevector allocations and
+/// that a session's buffers stay within its serve footprint; two relaxed
+/// increments per 2^n-element allocation are free next to the allocation.
 inline std::atomic<std::uint64_t> aligned_alloc_count{0};
+inline std::atomic<std::uint64_t> aligned_alloc_bytes{0};
 }  // namespace detail
 
 /// Total AlignedAllocator::allocate calls so far in this process.
 inline std::uint64_t aligned_allocation_count() {
   return detail::aligned_alloc_count.load(std::memory_order_relaxed);
+}
+
+/// Total bytes those calls requested (before alignment rounding).
+inline std::uint64_t aligned_allocation_bytes() {
+  return detail::aligned_alloc_bytes.load(std::memory_order_relaxed);
 }
 
 /// Allocator returning 64-byte aligned memory so that SIMD loads in the hot
@@ -49,6 +56,8 @@ struct AlignedAllocator {
     void* p = std::aligned_alloc(Alignment, bytes);
     if (!p) throw std::bad_alloc();
     detail::aligned_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    detail::aligned_alloc_bytes.fetch_add(n * sizeof(T),
+                                          std::memory_order_relaxed);
     return static_cast<T*>(p);
   }
 

@@ -66,8 +66,10 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
       nl, nl - log2_ranks_, nl, cfg_.geometry);
 }
 
-StateVector DistributedFurSimulator::initial_state() const {
-  return StateVector::plus_state(num_qubits(), cfg_.prec);
+void DistributedFurSimulator::fill_initial_state(StateVector& state) const {
+  // The rank slices are contiguous pieces of one buffer, so |+> is one
+  // parallel fill of the whole state, like the single-node simulator's.
+  state.assign_plus(num_qubits(), cfg_.prec, Exec::Parallel);
 }
 
 namespace {

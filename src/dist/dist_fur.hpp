@@ -66,7 +66,7 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
 
   int num_qubits() const override { return diag_.num_qubits(); }
   Precision precision() const override { return cfg_.prec; }
-  StateVector initial_state() const override;
+  void fill_initial_state(StateVector& state) const override;
   StateVector simulate_qaoa_from(StateVector state,
                                  std::span<const double> gammas,
                                  std::span<const double> betas) const override;

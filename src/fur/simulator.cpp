@@ -1,6 +1,7 @@
 #include "fur/simulator.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "common/aligned.hpp"
 #include "common/bitops.hpp"
@@ -49,6 +50,12 @@ void fused_schedule(const pipeline::LayerPlan& plan, std::complex<T>* amp,
 
 }  // namespace
 
+StateVector QaoaFastSimulatorBase::initial_state() const {
+  StateVector state;
+  fill_initial_state(state);
+  return state;
+}
+
 StateVector QaoaFastSimulatorBase::simulate_qaoa(
     std::span<const double> gammas, std::span<const double> betas) const {
   return simulate_qaoa_from(initial_state(), gammas, betas);
@@ -90,10 +97,17 @@ std::vector<double> per_layer_expectations(const QaoaFastSimulatorBase& sim,
 
 namespace {
 
-void check_prec_mixer(const FurConfig& cfg) {
+/// Refuses configurations no initial state or kernel can serve, at
+/// construction rather than at the first evaluate's fill.
+void check_config(const FurConfig& cfg, int num_qubits) {
   if (cfg.prec != Precision::F64 && cfg.mixer != MixerType::X)
     throw std::invalid_argument(
         "FurQaoaSimulator: prec=f32 supports the X mixer only");
+  if (cfg.mixer != MixerType::X && cfg.initial_weight > num_qubits)
+    throw std::invalid_argument(
+        "FurQaoaSimulator: Dicke weight " +
+        std::to_string(cfg.initial_weight) + " exceeds " +
+        std::to_string(num_qubits) + " qubits");
 }
 
 }  // namespace
@@ -103,7 +117,7 @@ FurQaoaSimulator::FurQaoaSimulator(const TermList& terms, FurConfig cfg)
       diag_(CostDiagonal::precompute(terms, cfg.exec)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.geometry)) {
-  check_prec_mixer(cfg_);
+  check_config(cfg_, diag_.num_qubits());
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
 }
 
@@ -112,16 +126,18 @@ FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
       diag_(std::move(costs)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.geometry)) {
-  check_prec_mixer(cfg_);
+  check_config(cfg_, diag_.num_qubits());
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
 }
 
-StateVector FurQaoaSimulator::initial_state() const {
+void FurQaoaSimulator::fill_initial_state(StateVector& state) const {
   const int n = num_qubits();
-  if (cfg_.mixer == MixerType::X)
-    return StateVector::plus_state(n, cfg_.prec);
+  if (cfg_.mixer == MixerType::X) {
+    state.assign_plus(n, cfg_.prec, cfg_.exec);
+    return;
+  }
   const int k = cfg_.initial_weight >= 0 ? cfg_.initial_weight : n / 2;
-  return StateVector::dicke_state(n, k, cfg_.prec);
+  state.assign_dicke(n, k, cfg_.prec, cfg_.exec);
 }
 
 StateVector FurQaoaSimulator::simulate_qaoa_from(

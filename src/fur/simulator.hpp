@@ -52,9 +52,17 @@ class QaoaFastSimulatorBase {
   /// assuming 16-byte amplitudes.
   virtual Precision precision() const = 0;
 
-  /// Default initial state: |+>^n for the X mixer, the in-sector Dicke
-  /// state for xy mixers. Built at precision().
-  virtual StateVector initial_state() const = 0;
+  /// Overwrite `state` with the default initial state -- |+>^n for the X
+  /// mixer, the in-sector Dicke state for xy mixers -- at precision(),
+  /// written in parallel under the simulator's own execution policy. The
+  /// buffer is reused when it already holds num_qubits() amplitudes at
+  /// precision() and reallocated otherwise, so a scratch slot is refilled
+  /// in place with no cached copy to read from.
+  virtual void fill_initial_state(StateVector& state) const = 0;
+
+  /// The default initial state as a fresh allocation: fill_initial_state
+  /// on an empty state, so both carry the same bits by construction.
+  StateVector initial_state() const;
 
   /// Run Algorithm 3 from the default initial state. gammas and betas must
   /// have equal length p. The returned StateVector is the `result` object
@@ -131,7 +139,7 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
 
   int num_qubits() const override { return diag_.num_qubits(); }
   Precision precision() const override { return cfg_.prec; }
-  StateVector initial_state() const override;
+  void fill_initial_state(StateVector& state) const override;
   StateVector simulate_qaoa_from(StateVector state,
                                  std::span<const double> gammas,
                                  std::span<const double> betas) const override;

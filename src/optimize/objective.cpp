@@ -7,7 +7,7 @@
 namespace qokit {
 
 QaoaObjective::QaoaObjective(const QaoaFastSimulatorBase& sim, int p)
-    : sim_(&sim), p_(p), init_(sim.initial_state()) {
+    : sim_(&sim), p_(p) {
   if (p < 1) throw std::invalid_argument("QaoaObjective: p must be >= 1");
 }
 
@@ -17,18 +17,17 @@ double QaoaObjective::operator()(const std::vector<double>& x) const {
   ++evals_;
   const std::span<const double> gammas(x.data(), p_);
   const std::span<const double> betas(x.data() + p_, p_);
-  // Refill the scratch state from the cached template (a copy-assign that
-  // reuses its buffer) and evolve it in place: after the first call no
-  // statevector is allocated, where simulate_qaoa would allocate and fill
-  // a fresh initial state per evaluation.
-  scratch_ = init_;
+  // Refill the scratch state with the initial state in place (reusing its
+  // buffer) and evolve it: after the first call no statevector is
+  // allocated, where simulate_qaoa would allocate a fresh initial state
+  // per evaluation.
+  sim_->fill_initial_state(scratch_);
   scratch_ = sim_->simulate_qaoa_from(std::move(scratch_), gammas, betas);
   return sim_->get_expectation(scratch_);
 }
 
-QaoaBatchObjective::QaoaBatchObjective(const QaoaFastSimulatorBase& sim, int p,
-                                       BatchOptions opts)
-    : evaluator_(sim, opts), p_(p) {
+QaoaBatchObjective::QaoaBatchObjective(const BatchEvaluator& evaluator, int p)
+    : evaluator_(&evaluator), p_(p) {
   if (p < 1) throw std::invalid_argument("QaoaBatchObjective: p must be >= 1");
 }
 
@@ -40,7 +39,7 @@ std::vector<double> QaoaBatchObjective::operator()(
           "QaoaBatchObjective: expected 2p parameters");
   evals_ += static_cast<int>(points.size());
   ++batches_;
-  return evaluator_.expectations_packed(points);
+  return evaluator_->expectations_packed(points);
 }
 
 }  // namespace qokit

@@ -3,9 +3,11 @@
 // Wraps any QaoaFastSimulatorBase: the simulator owns the precomputed
 // diagonal, so every call costs p mixer transforms + p phase multiplies +
 // one inner product -- the loop of paper Fig. 1 that the optimizer drives.
-// Both functors reuse scratch statevectors across calls (the evolution is
-// consume-in-place per simulate_qaoa_from's contract), so steady-state
-// evaluation performs zero statevector allocations.
+// Both functors reuse scratch statevectors across calls, refilled in place
+// with the initial state (no cached copy) and evolved in place per
+// simulate_qaoa_from's contract, so steady-state evaluation performs zero
+// statevector allocations. The population functor owns no states at all:
+// it runs on a caller's BatchEvaluator pool (a session's, in optimize).
 #pragma once
 
 #include <functional>
@@ -42,20 +44,20 @@ class QaoaObjective {
   const QaoaFastSimulatorBase* sim_;
   int p_;
   mutable int evals_ = 0;
-  StateVector init_;            ///< cached initial state template
-  mutable StateVector scratch_; ///< reused across calls; refilled from init_
+  mutable StateVector scratch_;  ///< refilled in place per call
 };
 
 /// Population objective for the batched optimizers: evaluates a set of
-/// packed points through one BatchEvaluator submission, sharing the
-/// precomputed diagonal and the per-thread scratch pool across the whole
-/// optimization run. Matches the BatchObjectiveFn shape of
+/// packed points through one submission to a caller's BatchEvaluator,
+/// sharing the precomputed diagonal and that evaluator's per-thread
+/// scratch pool across the whole optimization run (and, for a session's
+/// evaluator, across runs). Matches the BatchObjectiveFn shape of
 /// nelder_mead_batched / spsa_batched.
 class QaoaBatchObjective {
  public:
-  /// `sim` must outlive the objective. `p` fixes the parameter layout.
-  QaoaBatchObjective(const QaoaFastSimulatorBase& sim, int p,
-                     BatchOptions opts = {});
+  /// `evaluator` must outlive the objective; its options pick the batch
+  /// parallelism. `p` fixes the parameter layout.
+  QaoaBatchObjective(const BatchEvaluator& evaluator, int p);
 
   /// Objective values of a population of packed points (each size 2p),
   /// in submission order.
@@ -71,10 +73,10 @@ class QaoaBatchObjective {
   void reset_count() { evals_ = batches_ = 0; }
 
   int p() const { return p_; }
-  const BatchEvaluator& evaluator() const { return evaluator_; }
+  const BatchEvaluator& evaluator() const { return *evaluator_; }
 
  private:
-  BatchEvaluator evaluator_;
+  const BatchEvaluator* evaluator_;
   int p_;
   mutable int evals_ = 0;
   mutable int batches_ = 0;

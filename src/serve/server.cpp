@@ -82,9 +82,9 @@ int bind_unix_listener(const std::string& path, int backlog) {
   return fd;
 }
 
-/// Refuse a problem whose smallest possible session (f32 amplitudes)
-/// exceeds the state-vector limit or the cache budget, so an oversized
-/// request never reaches an allocation.
+/// Refuse a problem whose smallest possible session (the diagonal plus
+/// one f32 state) exceeds the state-vector limit or the cache budget, so
+/// an oversized request never reaches an allocation.
 void check_fits(const TermList& terms, std::uint64_t budget) {
   const int n = terms.num_qubits();
   check_qubit_limit(n, "serve");

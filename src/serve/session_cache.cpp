@@ -43,14 +43,15 @@ std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec) {
 }
 
 std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
-                                      Precision prec) {
-  // f64 diagonal + three statevectors (cached initial state, scalar
-  // scratch, one batch-pool slot) at the session's actual amplitude width
-  // (16 bytes f64, 8 bytes f32), plus the terms and a fixed allowance for
-  // the plan/object headers.
-  const std::uint64_t per_amp = 8 + 3 * amplitude_bytes(prec);
-  const std::uint64_t fixed = num_terms * sizeof(Term) + 4096;
+                                      Precision prec, std::size_t states) {
+  // f64 diagonal + one statevector per pool slot at the session's actual
+  // amplitude width (16 bytes f64, 8 bytes f32), plus the terms and a
+  // fixed allowance for the plan/object headers.
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t amp = amplitude_bytes(prec);
+  if (states > (kMax - 8) / amp) return kMax;
+  const std::uint64_t per_amp = 8 + states * amp;
+  const std::uint64_t fixed = num_terms * sizeof(Term) + 4096;
   // The wire admits up to 63 qubits: saturate instead of wrapping.
   if (num_qubits >= 64 ||
       (std::uint64_t{1} << num_qubits) > (kMax - fixed) / per_amp)
@@ -61,8 +62,8 @@ std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
 std::uint64_t session_footprint_bytes(const api::ProblemSession& session) {
   const int n = session.terms().num_qubits();
   const Precision prec = session.simulator().precision();
-  std::uint64_t bytes =
-      session_footprint_bytes(n, session.terms().size(), prec);
+  std::uint64_t bytes = session_footprint_bytes(
+      n, session.terms().size(), prec, session.batch().pool_size());
   if (const auto* fur =
           dynamic_cast<const FurQaoaSimulator*>(&session.simulator())) {
     bytes += fur->layer_plan().passes().size() * sizeof(pipeline::LayerPass);

@@ -46,23 +46,24 @@ namespace qokit::serve {
 std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec);
 
 /// Footprint estimate used against the byte budget: the 2^n-sized buffers
-/// a session owns (f64 diagonal, cached initial state, scalar scratch, and
-/// one batch-pool statevector slot) plus its terms. An estimate, not an
-/// accounting -- it only needs to be monotone in n for LRU pressure to
-/// behave. The statevector buffers are charged at `prec`'s actual
-/// amplitude width, so an f32 session costs roughly half an f64 one and
-/// the LRU budget admits correspondingly more of them. Saturates at
-/// UINT64_MAX for sizes no 64-bit count can hold.
+/// a session owns -- the f64 diagonal and `states` statevectors, one per
+/// batch-pool slot it can fill (a session keeps no initial-state copy or
+/// separate scalar scratch) -- plus its terms. The default of one state is
+/// the smallest session there is, which admission charges. The
+/// statevectors are charged at `prec`'s actual amplitude width (24 B/amp
+/// per single-state f64 session, 16 at f32). Saturates at UINT64_MAX for
+/// sizes no 64-bit count can hold.
 std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
-                                      Precision prec = Precision::F64);
+                                      Precision prec = Precision::F64,
+                                      std::size_t states = 1);
 
-/// Footprint of a *built* session: the (n, terms) estimate above plus the
-/// buffers only a live session reveals — the LayerPlan's pass schedule
-/// and, for u16-diagonal specs, the uint16 code array and the per-gamma
-/// 65536-entry phase-factor table. The cache charges this overload after
-/// a build so the LRU budget sees what the session actually holds (the
-/// two-argument estimate undercounted u16 sessions by ~dim*2 bytes,
-/// deferring evictions past the configured budget).
+/// Footprint of a *built* session: the estimate above with one state per
+/// slot of the session's own pool (batch().pool_size(): in Outer mode
+/// every thread fills its slot), plus the buffers only a live session
+/// reveals -- the LayerPlan's pass schedule and, for u16-diagonal specs,
+/// the uint16 code array and the per-gamma 65536-entry phase-factor
+/// table. The cache charges this overload after a build, so the LRU
+/// budget bounds what the cached sessions can actually hold.
 std::uint64_t session_footprint_bytes(const api::ProblemSession& session);
 
 class SessionCache;

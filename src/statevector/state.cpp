@@ -41,34 +41,70 @@ StateVector StateVector::basis_state(int num_qubits, std::uint64_t x,
 }
 
 StateVector StateVector::plus_state(int num_qubits, Precision prec) {
-  StateVector sv(num_qubits, prec);
-  const double a = 1.0 / std::sqrt(static_cast<double>(sv.size()));
-  if (prec == Precision::F32) {
-    const cfloat v(static_cast<float>(a), 0.0f);
-    for (auto& amp : sv.amp32_) amp = v;
-  } else {
-    for (auto& amp : sv.amp64_) amp = cdouble(a, 0.0);
-  }
+  StateVector sv;
+  sv.assign_plus(num_qubits, prec, Exec::Parallel);
   return sv;
 }
 
 StateVector StateVector::dicke_state(int num_qubits, int weight,
                                      Precision prec) {
+  StateVector sv;
+  sv.assign_dicke(num_qubits, weight, prec, Exec::Parallel);
+  return sv;
+}
+
+void StateVector::reshape(int num_qubits, Precision prec) {
+  check_qubit_limit(num_qubits, "StateVector");
+  if (prec_ != prec || size() != dim_of(num_qubits))
+    *this = StateVector(num_qubits, prec);
+}
+
+namespace {
+
+/// Writes amplitude(x) + 0i at every index x of `sv` under `exec`, the
+/// double rounded once to float at F32: the one store behind every
+/// initial state.
+template <class F>
+void fill_real(StateVector& sv, Exec exec, F amplitude) {
+  const auto count = static_cast<std::int64_t>(sv.size());
+  if (sv.precision() == Precision::F32) {
+    cfloat* amp = sv.data_f32();
+    parallel_for(exec, 0, count, [amp, amplitude](std::int64_t i) {
+      const double a = amplitude(static_cast<std::uint64_t>(i));
+      amp[i] = cfloat(static_cast<float>(a), 0.0f);
+    });
+    return;
+  }
+  cdouble* amp = sv.data();
+  parallel_for(exec, 0, count, [amp, amplitude](std::int64_t i) {
+    amp[i] = cdouble(amplitude(static_cast<std::uint64_t>(i)), 0.0);
+  });
+}
+
+}  // namespace
+
+void StateVector::assign_plus(int num_qubits, Precision prec, Exec exec) {
+  reshape(num_qubits, prec);
+  const double a = 1.0 / std::sqrt(static_cast<double>(size()));
+  fill_real(*this, exec, [a](std::uint64_t) { return a; });
+}
+
+void StateVector::assign_dicke(int num_qubits, int weight, Precision prec,
+                               Exec exec) {
   if (weight < 0 || weight > num_qubits)
     throw std::invalid_argument("dicke_state: weight out of range");
-  StateVector sv(num_qubits, prec);
-  std::uint64_t count = 0;
-  for (std::uint64_t x = 0; x < sv.size(); ++x)
-    if (popcount(x) == weight) ++count;
-  const double a = 1.0 / std::sqrt(static_cast<double>(count));
-  for (std::uint64_t x = 0; x < sv.size(); ++x)
-    if (popcount(x) == weight) {
-      if (prec == Precision::F32)
-        sv.amp32_[x] = cfloat(static_cast<float>(a), 0.0f);
-      else
-        sv.amp64_[x] = cdouble(a, 0.0);
-    }
-  return sv;
+  reshape(num_qubits, prec);
+  // C(n, k) in integers: each step's product is divisible by i + 1, and
+  // the largest intermediate (C(34, 16) * 18 < 2^36) fits easily. The
+  // count is exact, so this is the amplitude a popcount census gives.
+  std::uint64_t sector = 1;
+  for (int i = 0; i < weight; ++i)
+    sector = sector * static_cast<std::uint64_t>(num_qubits - i) /
+             static_cast<std::uint64_t>(i + 1);
+  const double a = 1.0 / std::sqrt(static_cast<double>(sector));
+  fill_real(*this, exec, [a, weight](std::uint64_t x) {
+    return popcount(x) == weight ? a : 0.0;
+  });
 }
 
 StateVector StateVector::to_precision(Precision prec) const {

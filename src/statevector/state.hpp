@@ -8,9 +8,12 @@
 //
 // Precision is a runtime tag, not a template parameter, so the virtual
 // simulator API, the batch scratch pool, and the serving stack move
-// StateVector values around without caring which width is inside; copy
-// assignment propagates the precision, so scratch states follow
-// initial_state() automatically. Everything numeric that *aggregates*
+// StateVector values around without caring which width is inside. The
+// initial states are in-place fills (assign_plus / assign_dicke) that reuse
+// a buffer of the right size and precision and reallocate any other, so a
+// scratch state is refilled without a cached copy to read from; the
+// plus_state / dicke_state factories are built on the same fills, so the
+// bits have one source. Everything numeric that *aggregates*
 // amplitudes (norms, expectations, the sampler CDF) accumulates in double
 // regardless of the amplitude width — see DESIGN.md "Mixed precision".
 #pragma once
@@ -72,6 +75,18 @@ class StateVector {
   /// (f64-only subsystem; F32 Dicke states are still constructible).
   static StateVector dicke_state(int num_qubits, int weight,
                                  Precision prec = Precision::F64);
+
+  /// Overwrite this state with |+>^n at `prec`: every amplitude becomes
+  /// 1/sqrt(2^n) (at F32, that double rounded once to float). The buffer
+  /// is reused when it already holds 2^n amplitudes at `prec` and
+  /// reallocated otherwise; the write is one parallel_for under `exec`.
+  void assign_plus(int num_qubits, Precision prec, Exec exec);
+
+  /// Overwrite this state with |D_n^k> at `prec`, reusing the buffer like
+  /// assign_plus: 1/sqrt(C(n, k)) at every index of Hamming weight k and
+  /// zero elsewhere, written per index under `exec`. Throws
+  /// std::invalid_argument unless 0 <= weight <= num_qubits.
+  void assign_dicke(int num_qubits, int weight, Precision prec, Exec exec);
 
   int num_qubits() const noexcept { return n_; }
   Precision precision() const noexcept { return prec_; }
@@ -139,6 +154,11 @@ class StateVector {
   double max_abs_diff(const StateVector& other) const;
 
  private:
+  /// Make this an n-qubit state at `prec`, keeping the buffer when its
+  /// size and precision already match (contents are then left as they
+  /// are) and allocating a zeroed one otherwise.
+  void reshape(int num_qubits, Precision prec);
+
   int n_ = 0;
   Precision prec_ = Precision::F64;
   aligned_vector<cdouble> amp64_;

@@ -34,7 +34,8 @@ TEST(BatchOptimizers, NelderMeadTrajectoryUnchangedByBatching) {
     const OptResult a = nelder_mead(
         [&scalar](const std::vector<double>& x) { return scalar(x); }, x0,
         opts);
-    const QaoaBatchObjective batched(sim, 2);
+    const BatchEvaluator evaluator(sim);
+    const QaoaBatchObjective batched(evaluator, 2);
     const OptResult b = nelder_mead_batched(
         [&batched](const std::vector<std::vector<double>>& points) {
           return batched(points);
@@ -58,7 +59,8 @@ TEST(BatchOptimizers, SpsaTrajectoryUnchangedByBatching) {
   const OptResult a = spsa(
       [&scalar](const std::vector<double>& x) { return scalar(x); }, x0,
       opts);
-  const QaoaBatchObjective batched(sim, 2);
+  const BatchEvaluator evaluator(sim);
+  const QaoaBatchObjective batched(evaluator, 2);
   const OptResult b = spsa_batched(
       [&batched](const std::vector<std::vector<double>>& points) {
         return batched(points);
@@ -181,7 +183,8 @@ TEST(BatchOptimizers, OptimizeQaoaApiMatchesManualBatchedRun) {
   // Same factory spelling as the api:: call above, so both sides resolve
   // identical configuration (including prec=auto) and stay bit-equal.
   const auto sim = choose_simulator(terms, "serial");
-  const QaoaBatchObjective objective(*sim, 2);
+  const BatchEvaluator evaluator(*sim);
+  const QaoaBatchObjective objective(evaluator, 2);
   const OptResult manual = nelder_mead_batched(
       [&objective](const std::vector<std::vector<double>>& points) {
         return objective(points);

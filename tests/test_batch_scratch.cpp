@@ -1,10 +1,14 @@
 // Scratch-pool and consume-in-place regression tests: the batch engine
 // and the objective functor reuse statevector buffers across evaluations;
 // these tests pin that (a) reuse never aliases results across schedules,
-// (b) repeated batches are bitwise deterministic, and (c) the steady-state
+// (b) repeated batches are bitwise deterministic, (c) the steady-state
 // evaluation loops perform zero statevector allocations (via the
-// instrumented AlignedAllocator counter).
+// instrumented AlignedAllocator counter), and (d) a slot refilled in
+// place holds exactly initial_state()'s bytes.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "api/qokit.hpp"
 
@@ -78,6 +82,60 @@ TEST(BatchScratch, SimulateQaoaFromConsumesInPlace) {
     const StateVector evolved =
         sim->simulate_qaoa_from(std::move(state), g, b);
     EXPECT_EQ(evolved.data(), buffer);
+  }
+}
+
+const void* amplitudes(const StateVector& s) {
+  if (s.precision() == Precision::F32) return s.data_f32();
+  return s.data();
+}
+
+bool same_bytes(const StateVector& a, const StateVector& b) {
+  return a.size() == b.size() && a.precision() == b.precision() &&
+         std::memcmp(amplitudes(a), amplitudes(b), a.bytes()) == 0;
+}
+
+TEST(BatchScratch, RefilledSlotEqualsInitialStateBitForBit) {
+  // Every pool slot is refilled in place by fill_initial_state. Over a
+  // dirty (evolved) slot the refill must keep the buffer and reproduce
+  // initial_state() byte for byte; a slot of the wrong size or precision
+  // must be reallocated whole. Below and above kParallelGrain, under both
+  // Exec policies, for every simulator family and several Dicke weights.
+  const std::vector<double> g{0.3, -0.2}, b{0.7, 0.4};
+  for (const int n : {10, 16}) {
+    ASSERT_EQ(dim_of(n) >= static_cast<std::uint64_t>(kParallelGrain),
+              n == 16);
+    const TermList terms = labs_terms(n);
+    std::vector<std::string> specs = {
+        "auto", "auto:prec=f32", "serial", "serial:prec=f32", "u16",
+        "dist:2", "dist:2:prec=f32"};
+    for (const char* mixer : {"xyring", "xycomplete"})
+      for (const int k : {0, 1, n / 2, n - 1})
+        for (const char* exec : {"auto", "serial"})
+          specs.push_back(std::string(exec) + ":mixer=" + mixer +
+                          ":weight=" + std::to_string(k));
+    for (const std::string& name : specs) {
+      SCOPED_TRACE(name + " n=" + std::to_string(n));
+      const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
+      const StateVector expected = sim->initial_state();
+      StateVector slot =
+          sim->simulate_qaoa_from(sim->initial_state(), g, b);
+      ASSERT_FALSE(same_bytes(slot, expected));
+      const void* buffer = amplitudes(slot);
+      sim->fill_initial_state(slot);
+      EXPECT_TRUE(same_bytes(slot, expected));
+      EXPECT_EQ(amplitudes(slot), buffer);
+      // Wrong size, then wrong precision: reallocated to the full state.
+      StateVector smaller = StateVector::plus_state(n - 1, sim->precision());
+      sim->fill_initial_state(smaller);
+      EXPECT_TRUE(same_bytes(smaller, expected));
+      StateVector other = StateVector::basis_state(
+          n, 1,
+          sim->precision() == Precision::F32 ? Precision::F64
+                                             : Precision::F32);
+      sim->fill_initial_state(other);
+      EXPECT_TRUE(same_bytes(other, expected));
+    }
   }
 }
 

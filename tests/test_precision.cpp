@@ -277,10 +277,10 @@ TEST(PrecisionFootprint, F32SessionsChargeHalfTheAmplitudeBytes) {
       serve::session_footprint_bytes(n, 20, Precision::F64);
   const std::uint64_t f32 =
       serve::session_footprint_bytes(n, 20, Precision::F32);
-  // Floors: f64 diagonal (8 B/amp) + three statevectors at the actual
-  // amplitude width (48 B/amp f64, 24 B/amp f32).
-  EXPECT_GE(f64, dim * 56);
-  EXPECT_GE(f32, dim * 32);
+  // Floors: f64 diagonal (8 B/amp) + one statevector at the actual
+  // amplitude width (16 B/amp f64, 8 B/amp f32).
+  EXPECT_GE(f64, dim * 24);
+  EXPECT_GE(f32, dim * 16);
   EXPECT_LT(f32, f64);
   // The default-precision overload is the f64 one (legacy callers).
   EXPECT_EQ(serve::session_footprint_bytes(n, 20), f64);
@@ -357,8 +357,8 @@ TEST(PrecisionResolution, ExplicitF32OnUnsupportedCombosThrows) {
 // -------------------------------------------------------- session surface
 
 TEST(PrecisionSession, F32EvaluateMatchesTheRawSimulator) {
-  // The precision-erased session path (cached initial state, batch
-  // scratch, fused expectation) returns the same bits as a fresh f32
+  // The precision-erased session path (in-place initial-state refill,
+  // batch scratch, fused expectation) returns the same bits as a fresh f32
   // simulator -- nothing in the session layer re-rounds or widens.
   const TermList terms = labs_terms(9);
   const auto [g, b] = ramp_schedule(3);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "problems/graph.hpp"
@@ -406,6 +407,49 @@ TEST(ServeSessionCache, BuiltSessionFootprintChargesPlanAndU16Buffers) {
   EXPECT_GE(session_footprint_bytes(plain),
             session_footprint_bytes(10, problem.size(),
                                     plain.simulator().precision()));
+}
+
+TEST(ServeSessionCache, FootprintCoversEveryBufferASessionAllocates) {
+  // Regression: the charge was a diagonal plus three states (56 B/amp at
+  // f64), but in Outer mode a served session fills one pool slot per
+  // thread, and it also cached |+> -- at 4 threads it held 88 B/amp. A
+  // session's 2^n buffers are its diagonal and its pool, and the charge
+  // is the diagonal plus one state per pool slot. Drive a fresh session
+  // through evaluate (slot 0), a batch as wide as its pool (every slot)
+  // and optimize (the same pool), and hold every aligned byte it
+  // allocated to its charge. The pool has one slot per thread, so the
+  // 1-thread and the multi-thread legs each check their own width.
+  const int n = 12;
+  for (const char* name : {"auto", "serial"}) {
+    SCOPED_TRACE(name);
+    const SimulatorSpec spec = SimulatorSpec::parse(name);
+    const auto exercise = [](const api::ProblemSession& session) {
+      const std::vector<QaoaParams> schedules = random_schedules(
+          static_cast<int>(session.batch().pool_size()), 2, 31);
+      (void)session.evaluate(schedules.front());
+      api::EvalRequest wide;
+      wide.parallelism = BatchParallelism::Outer;
+      (void)session.evaluate_batch(schedules, wide);
+      api::OptimizerSpec optimizer;
+      optimizer.p = 2;
+      optimizer.nelder_mead.max_evals = 30;
+      (void)session.optimize(optimizer);
+    };
+    // Per-thread scratch (the fused reduction's partials) is shared by
+    // every session on a thread: warm it on another problem first, so
+    // only this session's own buffers are counted.
+    exercise(api::ProblemSession(test_problem(n, 2), spec));
+    const std::uint64_t before = aligned_allocation_bytes();
+    const api::ProblemSession session(test_problem(n, 1), spec);
+    exercise(session);
+    const std::uint64_t allocated = aligned_allocation_bytes() - before;
+    EXPECT_LE(allocated, session_footprint_bytes(session));
+    // And the pool really was filled: the diagonal plus every slot.
+    const std::uint64_t state_bytes =
+        dim_of(n) * amplitude_bytes(session.simulator().precision());
+    EXPECT_GE(allocated, dim_of(n) * sizeof(double) +
+                             session.batch().pool_size() * state_bytes);
+  }
 }
 
 // ------------------------------------------------------------ server

@@ -278,7 +278,10 @@ TEST(ProblemSession, SweepDoesOnePrecomputeAndZeroSteadyStateAllocations) {
   const Graph g = Graph::random_regular(n, 3, 5);
   const std::vector<QaoaParams> schedules = random_schedules(64, 2, 7);
 
-  for (const char* name : {"serial", "auto", "u16", "dist:2", "dist:4"}) {
+  // The xy-ring session refills a Dicke state per schedule: in place, or
+  // the counter moves.
+  for (const char* name : {"serial", "auto", "u16", "dist:2", "dist:4",
+                           "auto:mixer=xyring:weight=3"}) {
     SCOPED_TRACE(name);
     std::vector<double> legacy(schedules.size());
     for (std::size_t i = 0; i < schedules.size(); ++i)
@@ -304,9 +307,70 @@ TEST(ProblemSession, SweepDoesOnePrecomputeAndZeroSteadyStateAllocations) {
   }
 }
 
+TEST(ProblemSession, BuildAllocatesOnlyTheDiagonal) {
+  // A session's construction allocates its diagonal -- plus the uint16
+  // codes for u16 -- and nothing else: no initial state is cached, and
+  // every pool slot stays empty until a call fills it.
+  const int n = 12;
+  const TermList terms = maxcut_terms(Graph::random_regular(n, 3, 5));
+  for (const char* name : {"auto", "serial", "u16", "dist:2", "dist:4"}) {
+    SCOPED_TRACE(name);
+    const SimulatorSpec spec = SimulatorSpec::parse(name);
+    const bool u16 = spec.backend == Backend::U16;
+    const std::uint64_t count = aligned_allocation_count();
+    const std::uint64_t bytes = aligned_allocation_bytes();
+    const api::ProblemSession session(terms, spec);
+    EXPECT_EQ(aligned_allocation_count() - count, u16 ? 2u : 1u);
+    EXPECT_EQ(aligned_allocation_bytes() - bytes,
+              dim_of(n) * (sizeof(double) + (u16 ? 2 : 0)));
+  }
+}
+
+TEST(ProblemSession, SecondOptimizeAllocatesNothing) {
+  // optimize runs its populations through the session's own pool, so once
+  // a first run has filled the slots it needs, an identical second run
+  // allocates no aligned memory at all.
+  const TermList terms = labs_terms(10);
+  for (const char* name : {"auto", "serial", "dist:2"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+    api::OptimizerSpec optimizer;
+    optimizer.p = 2;
+    optimizer.nelder_mead.max_evals = 40;
+    const api::EvalResult first = session.optimize(optimizer);
+    const std::uint64_t baseline = aligned_allocation_count();
+    const api::EvalResult second = session.optimize(optimizer);
+    EXPECT_EQ(aligned_allocation_count(), baseline);
+    EXPECT_EQ(*second.expectation, *first.expectation);
+    EXPECT_EQ(second.params->flatten(), first.params->flatten());
+  }
+}
+
+TEST(ProblemSession, EvaluateSharesPoolSlotZeroWithExpectations) {
+  // A one-schedule batch runs Inner in pool slot 0, and scalar evaluate
+  // borrows the same slot: after expectations({s}), evaluate(s) allocates
+  // nothing, and both give the same bits.
+  const int n = 12;
+  const TermList terms = labs_terms(n);
+  const std::vector<QaoaParams> one = random_schedules(1, 3, 21);
+  // Warm the per-thread fused-reduction scratch at this size, so only the
+  // session's own buffers can move the counter.
+  (void)api::ProblemSession(labs_terms(n), {}).evaluate(one[0]);
+  for (const char* name : {"auto", "serial", "u16", "dist:2",
+                           "auto:mixer=xyring"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+    const std::vector<double> batched = session.expectations(one);
+    const std::uint64_t baseline = aligned_allocation_count();
+    const api::EvalResult scalar = session.evaluate(one[0]);
+    EXPECT_EQ(aligned_allocation_count(), baseline);
+    EXPECT_EQ(*scalar.expectation, batched[0]);
+  }
+}
+
 TEST(ProblemSession, RefusesOversizedProblemsBeforeAllocating) {
-  // The simulator (and its diagonal) is built before the initial state,
-  // so the diagonal's own check is the one that has to fire.
+  // A session allocates nothing but its diagonal at construction, so the
+  // diagonal's own check is the one that has to fire.
   const TermList terms(40, {{1.0, 1ull << 39}, {0.5, 0b11}});
   const std::uint64_t before = aligned_allocation_count();
   for (const char* name : {"auto", "serial", "u16", "dist:4"}) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/bitops.hpp"
 
@@ -56,6 +57,75 @@ INSTANTIATE_TEST_SUITE_P(Sectors, DickeStateTest,
 TEST(StateVector, DickeRejectsBadWeight) {
   EXPECT_THROW(StateVector::dicke_state(4, 5), std::invalid_argument);
   EXPECT_THROW(StateVector::dicke_state(4, -1), std::invalid_argument);
+}
+
+/// The Dicke state as it was first built: a serial popcount census of the
+/// sector, then a serial write of 1/sqrt(count) into a zeroed state.
+StateVector census_dicke(int n, int k, Precision prec) {
+  StateVector sv(n, prec);
+  std::uint64_t count = 0;
+  for (std::uint64_t x = 0; x < sv.size(); ++x)
+    if (popcount(x) == k) ++count;
+  const double a = 1.0 / std::sqrt(static_cast<double>(count));
+  for (std::uint64_t x = 0; x < sv.size(); ++x) {
+    if (popcount(x) != k) continue;
+    if (prec == Precision::F32)
+      sv.data_f32()[x] = cfloat(static_cast<float>(a), 0.0f);
+    else
+      sv.data()[x] = cdouble(a, 0.0);
+  }
+  return sv;
+}
+
+const void* amplitudes(const StateVector& s) {
+  if (s.precision() == Precision::F32) return s.data_f32();
+  return s.data();
+}
+
+bool same_bytes(const StateVector& a, const StateVector& b) {
+  return a.size() == b.size() && a.precision() == b.precision() &&
+         std::memcmp(amplitudes(a), amplitudes(b), a.bytes()) == 0;
+}
+
+TEST(StateVector, DickeFillMatchesThePopcountCensus) {
+  // The fill takes C(n, k) from integer arithmetic and writes every index
+  // (zeros included) in parallel; it must reproduce the census bytes, on
+  // a fresh state and over a dirty buffer, under both Exec policies.
+  for (const Precision prec : {Precision::F64, Precision::F32}) {
+    for (const int n : {1, 6, 16}) {
+      for (int k = 0; k <= n; ++k) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
+                                          << " bits=" << precision_bits(prec));
+        const StateVector oracle = census_dicke(n, k, prec);
+        EXPECT_TRUE(same_bytes(StateVector::dicke_state(n, k, prec), oracle));
+        for (const Exec exec : {Exec::Serial, Exec::Parallel}) {
+          StateVector dirty = StateVector::plus_state(n, prec);
+          dirty.assign_dicke(n, k, prec, exec);
+          EXPECT_TRUE(same_bytes(dirty, oracle));
+        }
+      }
+    }
+  }
+}
+
+TEST(StateVector, InPlaceFillsReuseOrReallocateTheBuffer) {
+  // Same size and precision: the buffer is kept. Any other shape is
+  // reallocated whole, never half-filled.
+  StateVector sv = StateVector::basis_state(10, 3);
+  const cdouble* buffer = sv.data();
+  sv.assign_plus(10, Precision::F64, Exec::Parallel);
+  EXPECT_EQ(sv.data(), buffer);
+  const cdouble plus(1.0 / std::sqrt(1024.0), 0.0);
+  for (std::uint64_t x = 0; x < sv.size(); ++x) ASSERT_EQ(sv[x], plus) << x;
+  sv.assign_plus(16, Precision::F64, Exec::Parallel);
+  EXPECT_EQ(sv.num_qubits(), 16);
+  EXPECT_TRUE(same_bytes(sv, StateVector::plus_state(16)));
+  sv.assign_dicke(16, 5, Precision::F32, Exec::Parallel);
+  EXPECT_EQ(sv.precision(), Precision::F32);
+  EXPECT_EQ(sv.data(), nullptr);
+  EXPECT_TRUE(same_bytes(sv, StateVector::dicke_state(16, 5, Precision::F32)));
+  EXPECT_THROW(sv.assign_dicke(6, 7, Precision::F64, Exec::Serial),
+               std::invalid_argument);
 }
 
 TEST(StateVector, NormalizeScalesToUnit) {
