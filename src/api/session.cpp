@@ -152,8 +152,7 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
     if (request.overlap)
       out.overlap = sim_->get_overlap(scratch, request.overlap_weight);
     if (request.shots > 0)
-      out.samples = StateSampler(scratch).sample(request.shots,
-                                                 spec_.sample_seed);
+      out.samples = sample_states(scratch, request.shots, spec_.sample_seed);
   }
   const std::uint64_t reduce_ns = elapsed_ns(t1);
   reduce_hist.record(reduce_ns);

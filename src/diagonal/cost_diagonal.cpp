@@ -98,7 +98,7 @@ CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
   CostDiagonal d;
   d.n_ = terms.num_qubits();
   const std::int64_t dim = static_cast<std::int64_t>(dim_of(d.n_));
-  d.values_.assign(dim, 0.0);
+  d.values_.resize(dim);  // unwritten: the kernel's threads touch it first
   double* out = d.values_.data();
   // Each element depends on its own index alone, so any split of the
   // range -- these chunks, or the dist ranks' slices -- gives the same
@@ -118,7 +118,7 @@ CostDiagonal CostDiagonal::from_function(
   CostDiagonal d;
   d.n_ = num_qubits;
   const std::int64_t dim = static_cast<std::int64_t>(dim_of(num_qubits));
-  d.values_.assign(dim, 0.0);
+  d.values_.resize(dim);  // unwritten: f writes every element
   double* out = d.values_.data();
   parallel_for(exec, 0, dim, [&](std::int64_t x) {
     out[x] = f(static_cast<std::uint64_t>(x));
@@ -126,8 +126,7 @@ CostDiagonal CostDiagonal::from_function(
   return d;
 }
 
-CostDiagonal CostDiagonal::from_values(int num_qubits,
-                                       aligned_vector<double> values) {
+CostDiagonal CostDiagonal::from_values(int num_qubits, Values values) {
   if (values.size() != dim_of(num_qubits))
     throw std::invalid_argument("from_values: size must be 2^n");
   CostDiagonal d;

@@ -31,6 +31,10 @@ void precompute_costs(const TermList& terms, std::uint64_t begin,
 /// The 2^n cost vector c_x = f(x).
 class CostDiagonal {
  public:
+  /// The values' storage: streamed front to back by every phase and
+  /// reduction pass, so a mapped block asks for huge pages.
+  using Values = aligned_vector<double, PageUse::Streamed>;
+
   CostDiagonal();
 
   /// Precompute from polynomial terms (Eq. 1): precompute_costs over the
@@ -49,14 +53,13 @@ class CostDiagonal {
                                     Exec exec = Exec::Parallel);
 
   /// Wrap existing values (the `costs` constructor argument in Listing 1).
-  static CostDiagonal from_values(int num_qubits,
-                                  aligned_vector<double> values);
+  static CostDiagonal from_values(int num_qubits, Values values);
 
   int num_qubits() const noexcept { return n_; }
   std::uint64_t size() const noexcept { return values_.size(); }
   double operator[](std::uint64_t x) const noexcept { return values_[x]; }
   const double* data() const noexcept { return values_.data(); }
-  const aligned_vector<double>& values() const noexcept { return values_; }
+  const Values& values() const noexcept { return values_; }
 
   /// Minimum cost (the optimal objective value f(x*)). Computed together
   /// with the maximum in one scan on first use and cached; the values are
@@ -84,7 +87,7 @@ class CostDiagonal {
   Cache& ensure_extrema() const;
 
   int n_ = 0;
-  aligned_vector<double> values_;
+  Values values_;
   // Lazily filled derived values (extrema, sector minima). Shared between
   // copies — copies hold identical `values_`, so sharing is safe — and
   // guarded by std::once_flag, so concurrent readers race benignly.

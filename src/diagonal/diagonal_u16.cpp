@@ -9,7 +9,7 @@ DiagonalU16 DiagonalU16::encode(const CostDiagonal& d) {
   DiagonalU16 out;
   out.n_ = d.num_qubits();
   const std::uint64_t dim = d.size();
-  out.codes_.resize(dim);
+  out.codes_.resize(dim);  // unwritten: the quantizing loop fills it
 
   const double lo = d.min_value();
   const double hi = d.max_value();

@@ -64,7 +64,7 @@ class DiagonalU16 {
   /// capacity), so the per-layer phase application can run with zero
   /// steady-state allocations like every other hot path. The complex64
   /// overload computes each factor in double and narrows once — the
-  /// mixed-precision path's table build (256 KiB instead of 1 MiB).
+  /// mixed-precision path's table build (512 KiB instead of 1 MiB).
   void phase_table_into(double gamma,
                         aligned_vector<std::complex<double>>& lut) const;
   void phase_table_into(double gamma,
@@ -76,7 +76,8 @@ class DiagonalU16 {
   double scale_ = 1.0;
   bool exact_ = false;
   double max_err_ = 0.0;
-  aligned_vector<std::uint16_t> codes_;
+  /// Streamed like the f64 diagonal, so on the same huge-page advice.
+  aligned_vector<std::uint16_t, PageUse::Streamed> codes_;
 };
 
 }  // namespace qokit

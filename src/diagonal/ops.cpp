@@ -38,7 +38,7 @@ void apply_phase_slice(cfloat* amp, const double* costs, std::uint64_t count,
 void apply_phase(StateVector& sv, const DiagonalU16& diag, double gamma,
                  Exec exec) {
   check_dims(sv.size(), diag.size(), "apply_phase(u16)");
-  // Per-thread reusable tables (1 MiB f64 / 256 KiB f32): after a
+  // Per-thread reusable tables (1 MiB f64 / 512 KiB f32): after a
   // thread's first layer the u16 phase path performs zero allocations,
   // matching the other hot paths and keeping the scratch-reuse allocation
   // pins valid for the u16 backend too.

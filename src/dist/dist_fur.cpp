@@ -49,7 +49,7 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
   obs::Span span("precompute");
   span.attr("n", n);
   span.attr("ranks", cfg_.ranks);
-  aligned_vector<double> values(dim_of(n));
+  CostDiagonal::Values values(dim_of(n));  // unwritten until the ranks run
   double* out = values.data();
   const std::uint64_t local = values.size() >> log2_ranks_;
   world_.run([&](Communicator& comm) {

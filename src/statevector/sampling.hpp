@@ -3,13 +3,16 @@
 // Sampling closes the algorithmic loop the paper's applications need: the
 // quantum-speedup analysis on LABS (its Ref. [6]) and the sampling-
 // frequency study (its Ref. [5]) both reason about the distribution of
-// measured bitstrings, not just expectation values. Sampling uses an
-// O(2^n) cumulative table and O(n) binary search per shot.
+// measured bitstrings, not just expectation values. sample_states draws
+// a batch of shots in two passes over the state and O(shots) memory;
+// StateSampler keeps an O(2^n) cumulative table for callers that draw one
+// shot at a time. Both give the same outcome for the same variate.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -18,7 +21,8 @@
 
 namespace qokit {
 
-/// Sampler with a prebuilt cumulative distribution, reusable across shots.
+/// Sampler with a prebuilt cumulative distribution, reusable across shots:
+/// 8 bytes per amplitude, so batch callers use sample_states instead.
 class StateSampler {
  public:
   /// Builds the cumulative |amp|^2 table; the state need not be exactly
@@ -58,7 +62,21 @@ class StateSampler {
   std::uint64_t last_nonzero_ = 0;  ///< largest index with |amp|^2 > 0
 };
 
-/// Convenience wrapper: build a sampler and draw `shots` outcomes.
+/// The outcome StateSampler(sv).sample_from_uniform(u01[s]) gives, for
+/// every s, without the 2^n table: one pass sums the mass (in the table's
+/// order) and finds the last index with nonzero mass; then the targets
+/// u01[s] * total are sorted, and a second pass re-forms the same running
+/// sums and gives each target its upper_bound index, and the targets at or
+/// past the total the last nonzero index. Throws std::invalid_argument
+/// for a variate outside [0, 1] (NaN included), or when the total mass is
+/// zero or not finite.
+std::vector<std::uint64_t> sample_from_uniforms(const StateVector& sv,
+                                                std::span<const double> u01);
+
+/// `shots` outcomes, bit for bit what StateSampler(sv).sample(shots, rng)
+/// draws: the variates in the same order, then sample_from_uniforms, so a
+/// batch of shots costs two passes over the state and O(shots) memory.
+/// Throws std::invalid_argument for negative `shots`.
 std::vector<std::uint64_t> sample_states(const StateVector& sv, int shots,
                                          Rng& rng);
 

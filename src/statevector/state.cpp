@@ -1,6 +1,7 @@
 #include "statevector/state.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -20,13 +21,10 @@ void check_qubit_limit(int num_qubits, const char* who) {
                                 std::to_string(kMaxQubits) + "-qubit limit");
 }
 
-StateVector::StateVector(int num_qubits, Precision prec)
-    : n_(num_qubits), prec_(prec) {
-  check_qubit_limit(num_qubits, "StateVector");
-  if (prec_ == Precision::F32)
-    amp32_.assign(dim_of(num_qubits), cfloat(0.0f, 0.0f));
-  else
-    amp64_.assign(dim_of(num_qubits), cdouble(0.0, 0.0));
+StateVector::StateVector(int num_qubits, Precision prec) {
+  reshape(num_qubits, prec);
+  // All-zero bytes are +0.0 at both widths.
+  std::memset(amp_.data(), 0, amp_.size());
 }
 
 StateVector StateVector::basis_state(int num_qubits, std::uint64_t x,
@@ -34,9 +32,9 @@ StateVector StateVector::basis_state(int num_qubits, std::uint64_t x,
   StateVector sv(num_qubits, prec);
   if (x >= sv.size()) throw std::out_of_range("basis_state: index too large");
   if (prec == Precision::F32)
-    sv.amp32_[x] = cfloat(1.0f, 0.0f);
+    sv.amps<cfloat>()[x] = cfloat(1.0f, 0.0f);
   else
-    sv.amp64_[x] = cdouble(1.0, 0.0);
+    sv.amps<cdouble>()[x] = cdouble(1.0, 0.0);
   return sv;
 }
 
@@ -55,8 +53,13 @@ StateVector StateVector::dicke_state(int num_qubits, int weight,
 
 void StateVector::reshape(int num_qubits, Precision prec) {
   check_qubit_limit(num_qubits, "StateVector");
-  if (prec_ != prec || size() != dim_of(num_qubits))
-    *this = StateVector(num_qubits, prec);
+  const std::uint64_t bytes = dim_of(num_qubits) * amplitude_bytes(prec);
+  if (amp_.size() != bytes) {
+    amp_ = aligned_vector<std::byte>();  // free first: never hold two
+    amp_.resize(bytes);                  // default-initialized: unwritten
+  }
+  n_ = num_qubits;
+  prec_ = prec;
 }
 
 namespace {
@@ -109,22 +112,26 @@ void StateVector::assign_dicke(int num_qubits, int weight, Precision prec,
 
 StateVector StateVector::to_precision(Precision prec) const {
   if (prec == prec_) return *this;
-  StateVector out(n_, prec);
+  StateVector out;
+  out.reshape(n_, prec);
   if (prec == Precision::F32) {
+    const cdouble* in = data();
+    cfloat* o = out.data_f32();
     for (std::uint64_t i = 0; i < size(); ++i)
-      out.amp32_[i] = cfloat(static_cast<float>(amp64_[i].real()),
-                             static_cast<float>(amp64_[i].imag()));
+      o[i] = cfloat(static_cast<float>(in[i].real()),
+                    static_cast<float>(in[i].imag()));
   } else {
-    for (std::uint64_t i = 0; i < size(); ++i)
-      out.amp64_[i] = cdouble(amp32_[i]);
+    const cfloat* in = data_f32();
+    cdouble* o = out.data();
+    for (std::uint64_t i = 0; i < size(); ++i) o[i] = cdouble(in[i]);
   }
   return out;
 }
 
 double StateVector::norm_squared(Exec exec) const {
   if (prec_ == Precision::F32)
-    return simd::norm_squared(amp32_.data(), size(), exec);
-  return simd::norm_squared(amp64_.data(), size(), exec);
+    return simd::norm_squared(data_f32(), size(), exec);
+  return simd::norm_squared(data(), size(), exec);
 }
 
 void StateVector::normalize() {
@@ -133,9 +140,11 @@ void StateVector::normalize() {
   const double inv = 1.0 / std::sqrt(n2);
   if (prec_ == Precision::F32) {
     const float invf = static_cast<float>(inv);
-    for (auto& v : amp32_) v *= invf;
+    cfloat* a = data_f32();
+    for (std::uint64_t i = 0; i < size(); ++i) a[i] *= invf;
   } else {
-    for (auto& v : amp64_) v *= inv;
+    cdouble* a = data();
+    for (std::uint64_t i = 0; i < size(); ++i) a[i] *= inv;
   }
 }
 
@@ -146,18 +155,21 @@ cdouble StateVector::inner(const StateVector& other) const {
     throw std::invalid_argument("inner: precision mismatch (widen first)");
   cdouble acc(0.0, 0.0);
   if (prec_ == Precision::F32) {
+    const cfloat* a = data_f32();
+    const cfloat* b = other.data_f32();
     for (std::uint64_t i = 0; i < size(); ++i)
-      acc += std::conj(cdouble(amp32_[i])) * cdouble(other.amp32_[i]);
+      acc += std::conj(cdouble(a[i])) * cdouble(b[i]);
   } else {
-    for (std::uint64_t i = 0; i < size(); ++i)
-      acc += std::conj(amp64_[i]) * other.amp64_[i];
+    const cdouble* a = data();
+    const cdouble* b = other.data();
+    for (std::uint64_t i = 0; i < size(); ++i) acc += std::conj(a[i]) * b[i];
   }
   return acc;
 }
 
 void StateVector::probabilities_in_place(Exec exec) {
   if (prec_ == Precision::F32) {
-    cfloat* a = amp32_.data();
+    cfloat* a = data_f32();
     parallel_for(exec, 0, static_cast<std::int64_t>(size()),
                  [a](std::int64_t i) {
                    const cdouble w(a[i]);
@@ -165,19 +177,14 @@ void StateVector::probabilities_in_place(Exec exec) {
                  });
     return;
   }
-  cdouble* a = amp64_.data();
+  cdouble* a = data();
   parallel_for(exec, 0, static_cast<std::int64_t>(size()),
                [a](std::int64_t i) { a[i] = cdouble(std::norm(a[i]), 0.0); });
 }
 
 std::vector<double> StateVector::probabilities() const {
   std::vector<double> p(size());
-  if (prec_ == Precision::F32) {
-    for (std::uint64_t i = 0; i < size(); ++i)
-      p[i] = std::norm(cdouble(amp32_[i]));
-  } else {
-    for (std::uint64_t i = 0; i < size(); ++i) p[i] = std::norm(amp64_[i]);
-  }
+  for (std::uint64_t i = 0; i < size(); ++i) p[i] = std::norm(at(i));
   return p;
 }
 

@@ -8,17 +8,20 @@
 //
 // Precision is a runtime tag, not a template parameter, so the virtual
 // simulator API, the batch scratch pool, and the serving stack move
-// StateVector values around without caring which width is inside. The
-// initial states are in-place fills (assign_plus / assign_dicke) that reuse
-// a buffer of the right size and precision and reallocate any other, so a
-// scratch state is refilled without a cached copy to read from; the
-// plus_state / dicke_state factories are built on the same fills, so the
-// bits have one source. Everything numeric that *aggregates*
-// amplitudes (norms, expectations, the sampler CDF) accumulates in double
-// regardless of the amplitude width — see DESIGN.md "Mixed precision".
+// StateVector values around without caring which width is inside: one
+// untyped buffer holds the amplitudes at either width. The initial states
+// are in-place fills (assign_plus / assign_dicke) that reuse a buffer of
+// the right size and allocate any other unwritten, so a scratch state is
+// refilled without a cached copy to read from and the fill is the first
+// write to a fresh buffer's pages; the plus_state / dicke_state factories
+// are built on the same fills, so the bits have one source. Everything
+// numeric that *aggregates* amplitudes (norms, expectations, the sampler
+// CDF) accumulates in double regardless of the amplitude width — see
+// DESIGN.md "Mixed precision".
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -60,6 +63,8 @@ class StateVector {
   StateVector() = default;
 
   /// All-zero (invalid, norm 0) vector of n qubits; fill before use.
+  /// Writes every amplitude: the initial states skip that pass through
+  /// assign_plus / assign_dicke.
   explicit StateVector(int num_qubits, Precision prec = Precision::F64);
 
   /// |x> for a computational basis state x.
@@ -78,8 +83,9 @@ class StateVector {
 
   /// Overwrite this state with |+>^n at `prec`: every amplitude becomes
   /// 1/sqrt(2^n) (at F32, that double rounded once to float). The buffer
-  /// is reused when it already holds 2^n amplitudes at `prec` and
-  /// reallocated otherwise; the write is one parallel_for under `exec`.
+  /// is reused when it already holds 2^n amplitudes' worth of bytes at
+  /// `prec` and otherwise freed and reallocated unwritten; the write is
+  /// one parallel_for under `exec`.
   void assign_plus(int num_qubits, Precision prec, Exec exec);
 
   /// Overwrite this state with |D_n^k> at `prec`, reusing the buffer like
@@ -91,31 +97,38 @@ class StateVector {
   int num_qubits() const noexcept { return n_; }
   Precision precision() const noexcept { return prec_; }
   std::uint64_t size() const noexcept {
-    return prec_ == Precision::F32 ? amp32_.size() : amp64_.size();
+    return amp_.size() / amplitude_bytes(prec_);
   }
   /// Amplitude storage footprint (size() * width of one amplitude).
-  std::uint64_t bytes() const noexcept {
-    return size() * amplitude_bytes(prec_);
-  }
+  std::uint64_t bytes() const noexcept { return amp_.size(); }
 
-  /// F64 amplitude access. The legacy (and default) surface: every caller
-  /// predating the mixed-precision path reads through these, and they are
-  /// only valid on an F64 state (the f32 buffer is a different array —
-  /// callers on the f32 path use data_f32()/data_as<float>()).
-  cdouble* data() noexcept { return amp64_.data(); }
-  const cdouble* data() const noexcept { return amp64_.data(); }
-  cdouble& operator[](std::uint64_t i) noexcept { return amp64_[i]; }
+  /// F64 amplitude access (data() is null on an F32 state). The legacy
+  /// (and default) surface: every caller predating the mixed-precision
+  /// path reads through these; callers on the f32 path use data_f32().
+  /// operator[] is only valid on an F64 state.
+  cdouble* data() noexcept {
+    return prec_ == Precision::F64 ? amps<cdouble>() : nullptr;
+  }
+  const cdouble* data() const noexcept {
+    return prec_ == Precision::F64 ? amps<cdouble>() : nullptr;
+  }
+  cdouble& operator[](std::uint64_t i) noexcept { return amps<cdouble>()[i]; }
   const cdouble& operator[](std::uint64_t i) const noexcept {
-    return amp64_[i];
+    return amps<cdouble>()[i];
   }
 
   /// F32 amplitude access (null on an F64 state).
-  cfloat* data_f32() noexcept { return amp32_.data(); }
-  const cfloat* data_f32() const noexcept { return amp32_.data(); }
+  cfloat* data_f32() noexcept {
+    return prec_ == Precision::F32 ? amps<cfloat>() : nullptr;
+  }
+  const cfloat* data_f32() const noexcept {
+    return prec_ == Precision::F32 ? amps<cfloat>() : nullptr;
+  }
 
   /// Amplitude x widened to double regardless of storage precision.
   cdouble at(std::uint64_t i) const noexcept {
-    return prec_ == Precision::F32 ? cdouble(amp32_[i]) : amp64_[i];
+    return prec_ == Precision::F32 ? cdouble(amps<cfloat>()[i])
+                                   : amps<cdouble>()[i];
   }
 
   /// Converting copy; a same-precision request is a plain copy. F32->F64
@@ -154,15 +167,26 @@ class StateVector {
   double max_abs_diff(const StateVector& other) const;
 
  private:
-  /// Make this an n-qubit state at `prec`, keeping the buffer when its
-  /// size and precision already match (contents are then left as they
-  /// are) and allocating a zeroed one otherwise.
+  /// Make this an n-qubit state at `prec`, keeping the buffer when it
+  /// already holds that many bytes (contents are then left as they are)
+  /// and otherwise freeing it and allocating one unwritten: every caller
+  /// overwrites all of it.
   void reshape(int num_qubits, Precision prec);
+
+  template <class C>
+  C* amps() noexcept {
+    return reinterpret_cast<C*>(amp_.data());
+  }
+  template <class C>
+  const C* amps() const noexcept {
+    return reinterpret_cast<const C*>(amp_.data());
+  }
 
   int n_ = 0;
   Precision prec_ = Precision::F64;
-  aligned_vector<cdouble> amp64_;
-  aligned_vector<cfloat> amp32_;
+  /// size() amplitudes: cdouble at F64, cfloat at F32. Raw bytes, because
+  /// a complex element's default constructor would zero a fresh buffer.
+  aligned_vector<std::byte> amp_;
 };
 
 }  // namespace qokit

@@ -131,13 +131,13 @@ TEST(CostDiagonal, FromFunctionMatchesCallable) {
 }
 
 TEST(CostDiagonal, FromValuesValidatesSize) {
-  aligned_vector<double> v(7, 0.0);
+  CostDiagonal::Values v(7, 0.0);
   EXPECT_THROW(CostDiagonal::from_values(3, std::move(v)),
                std::invalid_argument);
 }
 
 TEST(CostDiagonal, MinMaxGroundCount) {
-  aligned_vector<double> v{3.0, -1.0, 4.0, -1.0};
+  CostDiagonal::Values v{3.0, -1.0, 4.0, -1.0};
   const CostDiagonal d = CostDiagonal::from_values(2, std::move(v));
   EXPECT_DOUBLE_EQ(d.min_value(), -1.0);
   EXPECT_DOUBLE_EQ(d.max_value(), 4.0);

@@ -79,7 +79,7 @@ TEST(DiagonalU16, ExpectationMatchesDoublePath) {
 }
 
 TEST(DiagonalU16, ConstantSpectrumHandled) {
-  aligned_vector<double> v(16, 5.0);
+  CostDiagonal::Values v(16, 5.0);
   const CostDiagonal d = CostDiagonal::from_values(4, std::move(v));
   const DiagonalU16 u = DiagonalU16::encode(d);
   EXPECT_TRUE(u.is_exact());

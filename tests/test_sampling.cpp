@@ -2,13 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <string>
+#include <utility>
 
 #include "api/session.hpp"
 #include "common/bitops.hpp"
 #include "fur/simulator.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
+
+namespace qokit {
+namespace {
+
+/// Largest single operator-new request since the last reset (the global
+/// replacement below): pins that batch sampling asks for no 2^n table.
+std::atomic<std::size_t> largest_new{0};
+
+}  // namespace
+}  // namespace qokit
+
+void* operator new(std::size_t bytes) {
+  std::size_t seen = qokit::largest_new.load(std::memory_order_relaxed);
+  while (bytes > seen && !qokit::largest_new.compare_exchange_weak(
+                             seen, bytes, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with the
+// operator new that produced the pointer (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace qokit {
 namespace {
@@ -180,6 +211,88 @@ TEST(SampledEstimator, ErrorShrinksWithShots) {
   const auto fine = estimate_expectation_sampled(
       r, [&terms](std::uint64_t x) { return terms.evaluate(x); }, 50000, rng);
   EXPECT_LT(fine.std_error, coarse.std_error);
+}
+
+/// An unnormalized n-qubit state with every fifth amplitude zero and
+/// every amplitude from `zero_from` on zero: repeated cumulative masses
+/// mid-table and trailing zero-probability states.
+StateVector ragged_state(int n, std::uint64_t zero_from, std::uint64_t seed) {
+  Rng rng(seed);
+  StateVector sv(n);
+  for (std::uint64_t x = 0; x < zero_from; ++x)
+    if (x % 5 != 3)
+      sv[x] = cdouble(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+  return sv;
+}
+
+TEST(Sampler, TwoPassDrawsEqualTheTableOverManySeeds) {
+  std::vector<std::pair<std::string, StateVector>> states;
+  states.emplace_back("ragged", ragged_state(9, 300, 1));
+  states.emplace_back("ragged f32",
+                      ragged_state(9, 300, 2).to_precision(Precision::F32));
+  states.emplace_back("plus f32", StateVector::plus_state(7, Precision::F32));
+  states.emplace_back("basis", StateVector::basis_state(6, 41));
+  for (const auto& [name, sv] : states) {
+    const StateSampler table(sv);
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      Rng a(seed), b(seed);
+      const std::vector<std::uint64_t> expected = table.sample(97, a);
+      ASSERT_EQ(sample_states(sv, 97, b), expected)
+          << name << " seed " << seed;
+      ASSERT_EQ(a.next_u64(), b.next_u64()) << name << ": streams diverged";
+    }
+  }
+}
+
+TEST(Sampler, TwoPassMatchesTheTableAtTiesAndTheClamp) {
+  // |+>^2 has cumulative masses 0.25, 0.5, 0.75 and 1 exactly: a variate
+  // landing on one takes the next index (upper_bound), and 1.0 clamps to
+  // the last index. The ragged state clamps to its last nonzero index.
+  const StateVector plus = StateVector::plus_state(2);
+  const std::vector<double> u01{0.75, 0.0, 1.0, 0.25, 0.5,
+                                std::nextafter(1.0, 0.0), 0.3, 0.25, 1.0};
+  const std::vector<std::uint64_t> got = sample_from_uniforms(plus, u01);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{3, 0, 3, 1, 2, 3, 1, 1, 3}));
+  const StateVector ragged = ragged_state(6, 40, 3);
+  for (const StateVector& sv :
+       {plus, ragged, ragged.to_precision(Precision::F32)}) {
+    const StateSampler table(sv);
+    const std::vector<std::uint64_t> drawn = sample_from_uniforms(sv, u01);
+    ASSERT_EQ(drawn.size(), u01.size());
+    for (std::size_t s = 0; s < u01.size(); ++s)
+      EXPECT_EQ(drawn[s], table.sample_from_uniform(u01[s]))
+          << "u01 = " << u01[s];
+  }
+  EXPECT_LT(sample_from_uniforms(ragged, std::vector<double>{1.0})[0], 40u);
+  EXPECT_THROW(sample_from_uniforms(
+                   plus, std::vector<double>{
+                             std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  EXPECT_THROW(sample_from_uniforms(plus, std::vector<double>{1.5}),
+               std::invalid_argument);
+  EXPECT_THROW(sample_from_uniforms(StateVector(3), std::vector<double>{0.5}),
+               std::invalid_argument);
+}
+
+TEST(Sampler, BatchSamplingAllocatesNoStateSizedTable) {
+  // 512 KiB of doubles would be the CDF; the shots' own vectors are tiny.
+  const int n = 16;
+  const TermList terms = maxcut_terms(Graph::random_regular(n, 3, 4));
+  const api::ProblemSession session(terms, SimulatorSpec::parse("auto"));
+  const QaoaParams schedule{{0.4}, {0.3}};
+  api::EvalRequest request;
+  request.shots = 256;
+  (void)session.evaluate(schedule, request);  // warm the pool slot
+  largest_new.store(0);
+  const api::EvalResult sampled = session.evaluate(schedule, request);
+  ASSERT_TRUE(sampled.samples.has_value());
+  EXPECT_LT(largest_new.load(), dim_of(n) * sizeof(double) / 8)
+      << "ProblemSession::evaluate";
+  largest_new.store(0);
+  (void)session.evaluate_batch(std::vector<QaoaParams>(3, schedule),
+                               request);
+  EXPECT_LT(largest_new.load(), dim_of(n) * sizeof(double) / 8)
+      << "BatchEvaluator";
 }
 
 TEST(SampledEstimator, ZeroVarianceOnBasisState) {

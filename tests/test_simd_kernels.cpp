@@ -44,10 +44,10 @@ StateVector random_state(int n, std::uint64_t seed) {
   return sv;
 }
 
-aligned_vector<double> random_costs(int n, std::uint64_t seed, double lo,
-                                    double hi) {
+CostDiagonal::Values random_costs(int n, std::uint64_t seed, double lo,
+                                  double hi) {
   Rng rng(seed);
-  aligned_vector<double> costs(dim_of(n));
+  CostDiagonal::Values costs(dim_of(n));
   for (double& c : costs) c = rng.uniform(lo, hi);
   return costs;
 }

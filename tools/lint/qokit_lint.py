@@ -62,6 +62,15 @@ pipeline-geometry
     Tests and perfbench/ may pin literals freely -- the rule scopes to
     src/pipeline/ only.
 
+os-mapping
+    mmap / munmap / madvise (and mremap / posix_madvise) are called only
+    in src/common/aligned.hpp. AlignedAllocator is the one place that
+    maps 2^n buffers from the OS, counts them (the live-bytes leak check
+    that LeakSanitizer cannot do for mapped blocks) and fixes their page
+    advice by buffer kind: huge pages for the streamed diagonals, small
+    ones for states, whose strided passes alias on 2 MiB pages. A
+    mapping made anywhere else escapes both the counters and the policy.
+
 Suppression: append `// qokit-lint: allow(<rule>) -- <reason>` to the
 flagged line. Reasons are mandatory by convention and reviewed.
 """
@@ -157,6 +166,16 @@ GEOMETRY_LITERAL_RE = re.compile(
 )
 GEOMETRY_DIR = "src/pipeline/"
 GEOMETRY_EXEMPT = "src/pipeline/geometry.hpp"  # Geometry::defaults()
+
+# ----------------------------------------------------------- os-mapping
+# A call of an OS mapping or page-advice function, qualified with `::` or
+# not; member functions (`x.mmap(`) and other namespaces' names do not
+# match.
+OS_MAPPING_RE = re.compile(
+    r"(?<![\w.>:])(?:::)?\b(mmap|mmap64|munmap|mremap|madvise|"
+    r"posix_madvise)\s*\("
+)
+OS_MAPPING_HOME = "src/common/aligned.hpp"
 
 # ----------------------------------------------------------- simd-flags
 ISA_FLAG_RE = re.compile(r"-m(avx2|avx512[a-z0-9]*|fma)\b|-march=")
@@ -389,6 +408,20 @@ def scan_source(rel: str, text: str) -> List[Finding]:
                     "src/pipeline/; the tiling knobs are spelled out only "
                     "in geometry.hpp (pipeline::Geometry::defaults) so "
                     "the fixed geometry is the one every plan runs",
+                )
+
+    # os-mapping
+    if rel != OS_MAPPING_HOME:
+        for idx, line in enumerate(code_lines):
+            m = OS_MAPPING_RE.search(line)
+            if m:
+                emit(
+                    idx,
+                    "os-mapping",
+                    f"{m.group(1)}() outside {OS_MAPPING_HOME}; 2^n "
+                    "buffers come from AlignedAllocator, which counts "
+                    "every mapped block and picks its page advice by "
+                    "buffer kind",
                 )
 
     # simd-flags: intrinsic headers / target attributes outside src/simd/
@@ -671,6 +704,35 @@ SELF_TEST_CASES = [
         "geometry literals outside src/pipeline/ are fine",
         "tests/test_pipeline_geom.cpp",
         "opts.geometry.tile_log2 = 4;\n",
+        None,
+    ),
+    (
+        "mmap outside aligned.hpp must be flagged",
+        "src/diagonal/bad_map.cpp",
+        "void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,\n"
+        "                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);\n",
+        "os-mapping",
+    ),
+    (
+        "page advice outside aligned.hpp must be flagged",
+        "src/statevector/bad_advice.cpp",
+        "void f(void* p, unsigned long n) {\n"
+        "  madvise(p, n, MADV_HUGEPAGE);\n"
+        "}\n",
+        "os-mapping",
+    ),
+    (
+        "aligned.hpp itself (the one mapping site) is exempt",
+        "src/common/aligned.hpp",
+        "void* p = ::mmap(nullptr, n, PROT_READ, MAP_PRIVATE, -1, 0);\n"
+        "::madvise(p, n, MADV_NOHUGEPAGE);\n::munmap(p, n);\n",
+        None,
+    ),
+    (
+        "comment mentions and member calls are not mappings",
+        "src/serve/map_words.cpp",
+        "// freed blocks go back through munmap(), not the heap\n"
+        "file.mmap(4096);\n",
         None,
     ),
 ]
