@@ -90,7 +90,7 @@ SatEvaluation qaoa_sat_evaluate(const SatInstance& inst,
 
 /// Batched multi-schedule expectation: precompute the diagonal once and
 /// evaluate <C> for every schedule through BatchEvaluator (shared scratch,
-/// schedule- or state-parallel by the cost heuristic). Results are
+/// schedule- or state-parallel by the plan's unit count). Results are
 /// bit-identical to calling simulate_qaoa per schedule in a loop.
 std::vector<double> qaoa_batch_expectation(
     const TermList& terms, std::span<const QaoaParams> schedules,

@@ -87,11 +87,14 @@ struct Timings {
   /// amortized over every subsequent call -- reported (unchanged) on each
   /// result so callers can see what the session saved them, never re-paid.
   std::uint64_t precompute_ns = 0;
-  std::uint64_t simulate_ns = 0;  ///< state evolution (whole batch when
-                                  ///< batched; evolution and scoring are
-                                  ///< interleaved there)
-  std::uint64_t reduce_ns = 0;    ///< scoring: expectation / overlap /
-                                  ///< sampling (0 for batched calls)
+  /// State evolution. For batched calls, this item's initial-state fill,
+  /// evolution and fused expectation, timed on the thread that evolved
+  /// it.
+  std::uint64_t simulate_ns = 0;
+  /// Scoring: expectation / overlap / sampling. For batched calls, this
+  /// item's overlap and sampling (its expectation rides simulate_ns),
+  /// timed on the same thread.
+  std::uint64_t reduce_ns = 0;
   /// Per-layer breakdown of simulate_ns (scalar evaluate() only; empty
   /// for batched calls): layer_ns[l] is the wall time of layer l's fused
   /// (or unfused) pass sequence, measured by chaining one-layer
@@ -104,7 +107,7 @@ struct Timings {
   /// Batched calls only: wall time of the whole evaluate_batch submission
   /// this item rode in (the same value on every item of one call; 0 for
   /// scalar evaluate()). simulate_ns / reduce_ns above are this item's
-  /// own evolution / scoring time.
+  /// own times (BatchOptions::record_timings).
   std::uint64_t batch_ns = 0;
 };
 
@@ -115,9 +118,12 @@ struct EvalRequest {
   int overlap_weight = -1;  ///< restrict the overlap minimum to this
                             ///< Hamming-weight sector; -1 = full space
   int shots = 0;            ///< >0: fill EvalResult::samples
-  bool timings = false;     ///< fill EvalResult::timings
+  /// Fill EvalResult::timings. In evaluate_batch each item's simulate_ns
+  /// covers its fill, evolution and fused expectation and its reduce_ns
+  /// its overlap and sampling, both on the thread that evolved it.
+  bool timings = false;
   /// Batched calls only: schedule- vs state-parallel execution (Auto lets
-  /// the BatchEvaluator cost heuristic decide). Ignored by evaluate().
+  /// the BatchEvaluator rule decide). Ignored by evaluate().
   BatchParallelism parallelism = BatchParallelism::Auto;
 };
 
@@ -198,7 +204,7 @@ class ProblemSession {
                       const EvalRequest& request = {}) const;
 
   /// Evaluate many schedules through the batch engine (shared diagonal,
-  /// per-thread scratch pool, outer/inner parallelism by cost heuristic).
+  /// scratch pool, outer/inner parallelism by the plan's unit count).
   /// Results are indexed like `schedules`; expectations and overlaps are
   /// bit-identical to calling evaluate() in a loop. Sampling draws
   /// schedule i from Rng(spec().sample_seed + i) -- independent of

@@ -21,24 +21,6 @@ std::uint64_t tick_ns() {
           .count());
 }
 
-/// Fill the requested per-schedule outputs from an evolved state. Always
-/// called on the submitting thread, in schedule order, so every reduction
-/// runs in the exact context a sequential simulate_qaoa loop would use.
-void score_one(const QaoaFastSimulatorBase& sim, const BatchOptions& opts,
-               std::size_t index, StateVector& state, BatchResult& out) {
-  if (!out.expectations.empty())
-    out.expectations[index] = sim.get_expectation(state);
-  if (!out.overlaps.empty())
-    out.overlaps[index] = sim.get_overlap(state, opts.overlap_weight);
-  if (!out.samples.empty()) {
-    // Seeded per schedule index, so the drawn bitstrings are independent
-    // of evaluation order and of the parallelism mode.
-    Rng rng(opts.sample_seed + index);
-    out.samples[index] = sample_states(state, opts.sample_shots, rng);
-  }
-  if (!out.states.empty()) out.states[index] = state;  // copy; slot lives on
-}
-
 }  // namespace
 
 BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim,
@@ -57,27 +39,19 @@ BatchParallelism BatchEvaluator::resolve_parallelism(std::size_t batch) const {
 BatchParallelism BatchEvaluator::resolve(BatchParallelism requested,
                                          std::size_t batch) const {
   if (requested != BatchParallelism::Auto) return requested;
+  // One schedule's layer already gives every thread a unit (always so on
+  // one thread, and for dist's rank threads): a team across schedules
+  // would hold a state per thread for no more parallelism.
   const int threads = max_threads();
-  if (threads <= 1 || batch < 2) return BatchParallelism::Inner;
-  // One simulate_qaoa call already employs the machine's threads itself
-  // (the virtual-rank distributed simulator): stacking an outer team on
-  // top would only oversubscribe.
-  if (sim_->prefers_sequential_batches()) return BatchParallelism::Inner;
+  if (batch < 2 || sim_->layer_units() >= threads)
+    return BatchParallelism::Inner;
   // Actual amplitude width (f32 states cost half), so the outer-scratch
   // budget admits twice the f32 slots it would f64 ones.
-  const std::uint64_t amps = dim_of(sim_->num_qubits());
-  const std::uint64_t bytes = amps * amplitude_bytes(sim_->precision());
+  const std::uint64_t bytes =
+      dim_of(sim_->num_qubits()) * amplitude_bytes(sim_->precision());
   if (static_cast<std::uint64_t>(threads) * bytes > kMaxOuterScratchBytes)
     return BatchParallelism::Inner;
-  // Sub-grain states get no inner parallelism at all (parallel_for runs
-  // them serially), so threading across schedules is the only parallelism
-  // available -- and it skips the per-kernel team dispatch entirely.
-  if (amps < static_cast<std::uint64_t>(kParallelGrain))
-    return BatchParallelism::Outer;
-  // Large states: outer only when the batch can fill every thread;
-  // otherwise the simulator's own kernels use the machine better.
-  return batch >= static_cast<std::size_t>(threads) ? BatchParallelism::Outer
-                                                    : BatchParallelism::Inner;
+  return BatchParallelism::Outer;
 }
 
 void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
@@ -118,70 +92,79 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
   span.attr("mode",
             out.used == BatchParallelism::Outer ? "outer" : "inner");
 
-  // Evolve schedule i in slot: the simulator writes its initial state
-  // into the slot in place (reusing the buffer, so no allocation after the
-  // slot's first use), then the consume-in-place evolution; the buffer
-  // round-trips through moves and comes back to the slot.
+  // Schedule i, start to finish, on the thread that runs it: refill the
+  // slot in place (no allocation after the slot's first use), evolve it
+  // with the expectation riding the final pass, then score the evolved
+  // slot. Every reduction sums fixed kReduceBlock / kSimdBlock partials in
+  // index order, so the bits do not depend on which thread, or how large
+  // a team, runs it.
   const std::uint64_t amps = dim_of(sim_->num_qubits());
   const Precision prec = sim_->precision();
-  auto evolve = [&](std::size_t i, StateVector& slot) {
+  auto run = [&](std::size_t i, StateVector& slot) {
     // A slot already sized (and precision-matched) like the initial state
     // refills in place; a fresh or mismatched slot pays an allocation.
     if (slot.size() == amps && slot.precision() == prec)
       scratch_hits.add();
     else scratch_allocs.add();
+    const QaoaParams& s = schedules[i];
     const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
     sim_->fill_initial_state(slot);
-    slot = sim_->simulate_qaoa_from(std::move(slot), schedules[i].gammas,
-                                    schedules[i].betas);
-    if (opts.record_timings) out.simulate_ns[i] = tick_ns() - t0;
-  };
-  auto score = [&](std::size_t i, StateVector& slot) {
-    const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
-    score_one(*sim_, opts, i, slot, out);
-    if (opts.record_timings) out.reduce_ns[i] = tick_ns() - t0;
+    if (opts.compute_expectation)
+      out.expectations[i] =
+          sim_->simulate_qaoa_expectation(slot, s.gammas, s.betas);
+    else
+      slot = sim_->simulate_qaoa_from(std::move(slot), s.gammas, s.betas);
+    const std::uint64_t t1 = opts.record_timings ? tick_ns() : 0;
+    if (opts.compute_overlap)
+      out.overlaps[i] = sim_->get_overlap(slot, opts.overlap_weight);
+    if (opts.sample_shots > 0) {
+      // Seeded per schedule index, so the drawn bitstrings are independent
+      // of evaluation order and of the parallelism mode.
+      Rng rng(opts.sample_seed + i);
+      out.samples[i] = sample_states(slot, opts.sample_shots, rng);
+    }
+    if (opts.keep_states) out.states[i] = slot;  // copy; the slot lives on
+    if (opts.record_timings) {
+      out.simulate_ns[i] = t1 - t0;
+      out.reduce_ns[i] = tick_ns() - t1;
+    }
   };
 
   if (out.used == BatchParallelism::Inner) {
     StateVector& slot = scratch_.front();
-    for (std::size_t i = 0; i < m; ++i) {
-      evolve(i, slot);
-      score(i, slot);
-    }
+    for (std::size_t i = 0; i < m; ++i) run(i, slot);
     return;
   }
 
-  // Outer: rounds of up to one schedule per scratch slot. Evolution
-  // threads across the round (schedule(static, 1) pins iteration c to one
-  // thread, so slot c is touched by exactly one thread; the kernels are
-  // elementwise, so partitioning cannot change their arithmetic). Scoring
-  // runs after the join on the calling thread, exactly where a sequential
-  // loop would score, which keeps the reductions bit-identical to the
-  // non-batched path at every state size.
-  const std::size_t slots = scratch_.size();
-  std::vector<std::exception_ptr> errors(slots);
-  for (std::size_t base = 0; base < m; base += slots) {
-    const std::int64_t chunk =
-        static_cast<std::int64_t>(std::min(slots, m - base));
-    QOKIT_OMP_PRAGMA(omp parallel for schedule(static, 1))
-    for (std::int64_t c = 0; c < chunk; ++c) {
-      // Exceptions (e.g. bad_alloc filling a scratch slot) must not
-      // escape the parallel region -- that would call std::terminate.
-      // Funnel them through per-slot pointers and rethrow after the join,
-      // so failure behaves like the sequential loop's.
-      try {
-        evolve(base + static_cast<std::size_t>(c),
-               scratch_[static_cast<std::size_t>(c)]);
-      } catch (...) {
-        errors[static_cast<std::size_t>(c)] = std::current_exception();
+  // Outer: one team across the batch, never larger than the pool; thread
+  // t works in slot t, and schedule(static, 1) gives it schedules t,
+  // t + team, ... The team does not shrink to a small batch: with
+  // libgomp a smaller team retires pool threads that the next full team
+  // (an Inner kernel's, or a larger batch's) must respawn, each with
+  // fresh thread-local scratch. Kernels inside run serially (OpenMP
+  // regions nest inactively). An exception must not escape the region
+  // (that would call std::terminate), so the lowest failing index keeps
+  // its exception and it is rethrown after the join, as the sequential
+  // loop would throw it.
+  [[maybe_unused]] const int team = static_cast<int>(
+      std::min(scratch_.size(), static_cast<std::size_t>(max_threads())));
+  const auto count = static_cast<std::int64_t>(m);
+  std::size_t failed = m;
+  std::exception_ptr error;
+  QOKIT_OMP_PRAGMA(omp parallel for schedule(static, 1) num_threads(team))
+  for (std::int64_t i = 0; i < count; ++i) {
+    const auto index = static_cast<std::size_t>(i);
+    try {
+      run(index, scratch_[static_cast<std::size_t>(thread_num())]);
+    } catch (...) {
+      QOKIT_OMP_PRAGMA(omp critical(qokit_batch_error))
+      if (index < failed) {
+        failed = index;
+        error = std::current_exception();
       }
     }
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
-    for (std::int64_t c = 0; c < chunk; ++c)
-      score(base + static_cast<std::size_t>(c),
-            scratch_[static_cast<std::size_t>(c)]);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 BatchResult BatchEvaluator::evaluate(

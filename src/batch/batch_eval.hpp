@@ -9,16 +9,20 @@
 // initial state per schedule, so evaluating a batch of schedules performs
 // zero steady-state allocations and holds no state beyond its pool.
 //
-// Parallelism is two-level and chosen by a cost heuristic (see DESIGN.md):
-//  - Outer: thread across schedules, one scratch state per thread. Wins
-//    for many small jobs, where the per-kernel OpenMP dispatch is pure
-//    overhead (sub-grain loops run serially anyway).
-//  - Inner: sequential over schedules; each simulate_qaoa uses the
-//    simulator's own Exec policy. Wins for few large jobs, and is forced
-//    for simulators that already own the machine's threads (dist:K).
-// Either way the per-schedule arithmetic is the exact code path of a
-// sequential simulate_qaoa loop, so results are bit-identical to it (the
-// cross-validation suite asserts equality, not tolerance).
+// Parallelism is two-level, and one rule read from the simulator picks
+// the level (see DESIGN.md "Outer vs inner parallelism"):
+//  - Inner: sequential over schedules in pool slot 0; each schedule's
+//    layers thread over their own units under the simulator's Exec. The
+//    default: one state, every thread.
+//  - Outer: one team across schedules, one scratch state per thread. Only
+//    when one schedule's layer has fewer units than there are threads
+//    (small states, whose one or two tiles would leave threads idle).
+// Either way each schedule is filled, evolved, scored (the expectation
+// riding its final pass) and sampled on the thread that runs it, with the
+// exact arithmetic of a sequential simulate_qaoa + get_expectation loop;
+// every reduction sums fixed partials in index order, so results are
+// bit-identical to that loop (the cross-validation suite asserts
+// equality, not tolerance).
 //
 // The fused layer pipeline (src/pipeline/) is inherited for free: the
 // LayerPlan lives in the wrapped simulator, built once at construction, so
@@ -39,7 +43,7 @@ namespace qokit {
 /// How BatchEvaluator::evaluate maps schedules onto the machine.
 enum class BatchParallelism {
   Auto,   ///< resolve_parallelism picks Outer or Inner per batch
-  Outer,  ///< thread across schedules, serial kernels inside each
+  Outer,  ///< one team across schedules, serial kernels inside each
   Inner,  ///< sequential over schedules, simulator's Exec inside each
 };
 
@@ -53,9 +57,10 @@ struct BatchOptions {
   int sample_shots = 0;      ///< >0: sample this many bitstrings/schedule
   std::uint64_t sample_seed = 1;  ///< schedule i samples with seed+i
   /// Fill BatchResult::simulate_ns / reduce_ns with per-schedule wall
-  /// times. Evolution is timed on whichever thread ran it (valid in Outer
-  /// mode: schedule(static, 1) pins each slot to one thread); scoring is
-  /// timed on the submitting thread where it always runs.
+  /// times, both taken on the thread that evolved the schedule:
+  /// simulate_ns covers the initial-state fill, the evolution and the
+  /// expectation fused into its final pass; reduce_ns covers the overlap,
+  /// the sampling and the kept-state copy.
   bool record_timings = false;
 };
 
@@ -65,8 +70,8 @@ struct BatchResult {
   std::vector<double> overlaps;      ///< empty unless compute_overlap
   std::vector<StateVector> states;   ///< empty unless keep_states
   std::vector<std::vector<std::uint64_t>> samples;  ///< empty unless shots
-  /// Per-schedule evolution / scoring wall time in nanoseconds; empty
-  /// unless record_timings.
+  /// Per-schedule wall times in nanoseconds (see
+  /// BatchOptions::record_timings); empty unless record_timings.
   std::vector<std::uint64_t> simulate_ns;
   std::vector<std::uint64_t> reduce_ns;
   BatchParallelism used = BatchParallelism::Inner;  ///< mode that ran
@@ -112,8 +117,10 @@ class BatchEvaluator {
   std::vector<double> expectations_packed(
       const std::vector<std::vector<double>>& points) const;
 
-  /// The Auto heuristic's decision for a batch of `batch` schedules
-  /// (exposed so tests and benches can see which mode will run).
+  /// The Auto rule's decision for a batch of `batch` schedules (exposed
+  /// so tests and benches can see which mode will run): Outer only for
+  /// two or more schedules whose layer has fewer units than there are
+  /// threads (QaoaFastSimulatorBase::layer_units), within the pool cap.
   BatchParallelism resolve_parallelism(std::size_t batch) const;
 
   const QaoaFastSimulatorBase& simulator() const { return *sim_; }
@@ -133,7 +140,7 @@ class BatchEvaluator {
   std::size_t pool_size() const { return scratch_.size(); }
 
   /// Outer mode keeps one scratch state per thread; above this total
-  /// footprint the Auto heuristic falls back to Inner.
+  /// footprint the Auto rule stays Inner.
   static constexpr std::uint64_t kMaxOuterScratchBytes = 1ull << 32;
 
  private:

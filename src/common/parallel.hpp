@@ -30,17 +30,40 @@ inline int max_threads() {
 #endif
 }
 
+/// This thread's index in the innermost enclosing OpenMP team (0 outside
+/// any parallel region, or without OpenMP).
+inline int thread_num() {
+#if defined(_OPENMP)
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
+
 /// Loops shorter than this run serially even under Exec::Parallel; OpenMP
 /// team dispatch costs ~10us, so threading pays off only once a loop does
 /// tens of thousands of element updates (important for gate-at-a-time
 /// baselines, which dispatch per gate).
 inline constexpr std::int64_t kParallelGrain = 1 << 15;
 
+/// How many units a loop over `units` independent pieces covering `count`
+/// elements in all hands to threads: `units`, or 1 where the loop runs
+/// serially (Exec::Serial, a single unit, or fewer than kParallelGrain
+/// elements). Every threaded loop in the library -- parallel_for (one
+/// unit per element), the blocked loops below and the pipeline's tile
+/// and row units -- decides by this one rule, and BatchEvaluator reads
+/// it to see whether one schedule can keep every thread busy.
+inline std::int64_t threaded_units(Exec exec, std::int64_t units,
+                                   std::int64_t count) {
+  return exec == Exec::Serial || units < 2 || count < kParallelGrain ? 1
+                                                                     : units;
+}
+
 /// Apply `f(i)` for i in [begin, end).
 template <class F>
 void parallel_for(Exec exec, std::int64_t begin, std::int64_t end, F&& f) {
   if (end <= begin) return;
-  if (exec == Exec::Serial || end - begin < kParallelGrain) {
+  if (threaded_units(exec, end - begin, end - begin) == 1) {
     for (std::int64_t i = begin; i < end; ++i) f(i);
     return;
   }
@@ -73,7 +96,7 @@ void parallel_for_blocks(Exec exec, std::int64_t count, std::int64_t block,
                          F&& f) {
   if (count <= 0) return;
   const std::int64_t nblocks = (count + block - 1) / block;
-  if (exec == Exec::Serial || count < kParallelGrain || nblocks < 2) {
+  if (threaded_units(exec, nblocks, count) == 1) {
     for (std::int64_t b = 0; b < nblocks; ++b)
       f(b * block, b + 1 < nblocks ? (b + 1) * block : count);
     return;
@@ -93,7 +116,7 @@ double parallel_reduce_blocks(Exec exec, std::int64_t count,
                               std::int64_t block, F&& f) {
   if (count <= 0) return 0.0;
   const std::int64_t nblocks = (count + block - 1) / block;
-  if (exec == Exec::Serial || count < kParallelGrain || nblocks < 2) {
+  if (threaded_units(exec, nblocks, count) == 1) {
     double acc = 0.0;
     for (std::int64_t b = 0; b < nblocks; ++b)
       acc += f(b * block, b + 1 < nblocks ? (b + 1) * block : count);
@@ -106,21 +129,6 @@ double parallel_reduce_blocks(Exec exec, std::int64_t count,
         f(b * block, b + 1 < nblocks ? (b + 1) * block : count);
   double acc = 0.0;
   for (double p : partials) acc += p;
-  return acc;
-}
-
-/// Sum of `f(i)` for i in [begin, end).
-template <class F>
-double parallel_reduce_sum(Exec exec, std::int64_t begin, std::int64_t end,
-                           F&& f) {
-  double acc = 0.0;
-  if (end <= begin) return acc;
-  if (exec == Exec::Serial || end - begin < kParallelGrain) {
-    for (std::int64_t i = begin; i < end; ++i) acc += f(i);
-    return acc;
-  }
-  QOKIT_OMP_PRAGMA(omp parallel for schedule(static) reduction(+ : acc))
-  for (std::int64_t i = begin; i < end; ++i) acc += f(i);
   return acc;
 }
 

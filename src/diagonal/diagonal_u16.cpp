@@ -2,14 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace qokit {
 
-DiagonalU16 DiagonalU16::encode(const CostDiagonal& d) {
+namespace {
+
+/// f(begin, end) over the kSimdBlock blocks of [0, count) under `exec`,
+/// one result per block, in block order.
+template <class R, class F>
+std::vector<R> per_block(Exec exec, std::int64_t count, F&& f) {
+  std::vector<R> out(
+      static_cast<std::size_t>((count + kSimdBlock - 1) / kSimdBlock));
+  parallel_for_blocks(exec, count, kSimdBlock,
+                      [&](std::int64_t b, std::int64_t e) {
+                        out[static_cast<std::size_t>(b / kSimdBlock)] =
+                            f(b, e);
+                      });
+  return out;
+}
+
+}  // namespace
+
+DiagonalU16 DiagonalU16::encode(const CostDiagonal& d, Exec exec) {
   DiagonalU16 out;
   out.n_ = d.num_qubits();
   const std::uint64_t dim = d.size();
-  out.codes_.resize(dim);  // unwritten: the quantizing loop fills it
+  out.codes_.resize(dim);  // unwritten: the quantizing pass fills it
+  const auto count = static_cast<std::int64_t>(dim);
+  const double* values = d.data();
 
   const double lo = d.min_value();
   const double hi = d.max_value();
@@ -17,26 +38,43 @@ DiagonalU16 DiagonalU16::encode(const CostDiagonal& d) {
 
   // Prefer scale 1 when the shifted spectrum already fits uint16 and is
   // integral -- the exact LABS case from the paper. Otherwise spread the
-  // range over all 65536 levels.
-  bool integral = true;
-  for (std::uint64_t x = 0; x < dim && integral; ++x) {
-    const double shifted = d[x] - lo;
-    integral = std::abs(shifted - std::round(shifted)) < 1e-9;
-  }
+  // range over all 65536 levels. The integrality test is an AND over
+  // per-block flags (char, not bool: threads write distinct elements).
+  const std::vector<char> integral_blocks =
+      per_block<char>(exec, count, [=](std::int64_t b, std::int64_t e) {
+        for (std::int64_t x = b; x < e; ++x) {
+          const double shifted = values[x] - lo;
+          if (!(std::abs(shifted - std::round(shifted)) < 1e-9))
+            return char{0};
+        }
+        return char{1};
+      });
+  const bool integral =
+      std::all_of(integral_blocks.begin(), integral_blocks.end(),
+                  [](char ok) { return ok != 0; });
   if (integral && hi - lo <= 65535.0) {
     out.scale_ = 1.0;
   } else {
     out.scale_ = (hi > lo) ? (hi - lo) / 65535.0 : 1.0;
   }
 
+  // Quantize block by block; each block reports its largest decode error
+  // and the blocks' maxima combine by max, which no order can change.
+  const double scale = out.scale_;
+  std::uint16_t* codes = out.codes_.data();
+  const std::vector<double> block_errors =
+      per_block<double>(exec, count, [=](std::int64_t b, std::int64_t e) {
+        double err = 0.0;
+        for (std::int64_t x = b; x < e; ++x) {
+          const double level = (values[x] - lo) / scale;
+          const double clamped = std::clamp(std::round(level), 0.0, 65535.0);
+          codes[x] = static_cast<std::uint16_t>(clamped);
+          err = std::max(err, std::abs(lo + scale * clamped - values[x]));
+        }
+        return err;
+      });
   double max_err = 0.0;
-  for (std::uint64_t x = 0; x < dim; ++x) {
-    const double level = (d[x] - lo) / out.scale_;
-    const double clamped = std::clamp(std::round(level), 0.0, 65535.0);
-    out.codes_[x] = static_cast<std::uint16_t>(clamped);
-    max_err = std::max(max_err,
-                       std::abs(out.offset_ + out.scale_ * clamped - d[x]));
-  }
+  for (const double err : block_errors) max_err = std::max(max_err, err);
   out.max_err_ = max_err;
   out.exact_ = max_err < 1e-12;
   return out;

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "common/aligned.hpp"
+#include "common/parallel.hpp"
 #include "diagonal/cost_diagonal.hpp"
 
 namespace qokit {
@@ -30,8 +31,11 @@ class DiagonalU16 {
   /// representable (integral spectrum with range < 2^16 after scaling),
   /// `is_exact()` is true and decode reproduces them bit-for-bit often
   /// enough for phase/expectation use; otherwise values are rounded to the
-  /// nearest level.
-  static DiagonalU16 encode(const CostDiagonal& d);
+  /// nearest level. Both passes over the diagonal (the integrality test
+  /// and the quantization) run under `exec`; codes, offset, scale and
+  /// max_abs_error() are the same under either policy.
+  static DiagonalU16 encode(const CostDiagonal& d,
+                            Exec exec = Exec::Parallel);
 
   int num_qubits() const noexcept { return n_; }
   std::uint64_t size() const noexcept { return codes_.size(); }

@@ -12,6 +12,8 @@
 // second exchange restores the canonical ordering. Requires n >= 2 log2 K.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <span>
 
 #include "diagonal/cost_diagonal.hpp"
@@ -77,9 +79,12 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
                      int restrict_weight = -1) const override;
   const CostDiagonal& get_cost_diagonal() const override { return diag_; }
 
-  /// The K rank threads are the parallelism here; tell batch engines not
-  /// to stack an outer schedule team on top of them.
-  bool prefers_sequential_batches() const override { return cfg_.ranks > 1; }
+  /// K > 1 rank threads are the parallelism here and count as filling
+  /// the machine, so batch engines never stack a schedule team on top of
+  /// them; one rank runs its layer serially (1 unit).
+  std::int64_t layer_units() const override {
+    return cfg_.ranks > 1 ? std::numeric_limits<std::int64_t>::max() : 1;
+  }
 
   /// Simulate and reduce <C> without gathering the state: each rank
   /// scores its own slice and the total comes back through one

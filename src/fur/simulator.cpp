@@ -1,5 +1,6 @@
 #include "fur/simulator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -118,7 +119,7 @@ FurQaoaSimulator::FurQaoaSimulator(const TermList& terms, FurConfig cfg)
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.geometry)) {
   check_config(cfg_, diag_.num_qubits());
-  if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
+  if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_, cfg_.exec);
 }
 
 FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
@@ -127,7 +128,7 @@ FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.geometry)) {
   check_config(cfg_, diag_.num_qubits());
-  if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
+  if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_, cfg_.exec);
 }
 
 void FurQaoaSimulator::fill_initial_state(StateVector& state) const {
@@ -232,6 +233,19 @@ double FurQaoaSimulator::get_overlap(const StateVector& result,
   if (restrict_weight < 0) return overlap_ground(result, diag_, 1e-9, cfg_.exec);
   return overlap_ground_sector(result, diag_, restrict_weight, 1e-9,
                                cfg_.exec);
+}
+
+std::int64_t FurQaoaSimulator::layer_units() const {
+  if (plan_.active())
+    return pipeline::fewest_threaded_units(plan_, cfg_.exec);
+  // The unfused xy loop: the phase over kSimdBlock blocks
+  // (parallel_for_blocks), then each XY rotation over the 2^(n-2) pair
+  // groups (parallel_for, one unit per group).
+  const auto amps = static_cast<std::int64_t>(dim_of(num_qubits()));
+  const std::int64_t groups = amps >> 2;
+  return std::min(
+      threaded_units(cfg_.exec, (amps + kSimdBlock - 1) / kSimdBlock, amps),
+      threaded_units(cfg_.exec, groups, groups));
 }
 
 const DiagonalU16& FurQaoaSimulator::diagonal_u16() const {

@@ -7,6 +7,7 @@
 // phase multiply and one mixer transform) is the heart of simulate_qaoa.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -121,11 +122,11 @@ class QaoaFastSimulatorBase {
   /// The precomputed diagonal (QOKit's get_cost_diagonal).
   virtual const CostDiagonal& get_cost_diagonal() const = 0;
 
-  /// True when one simulate_qaoa call already employs the machine's
-  /// parallelism by itself (e.g. the virtual-rank distributed simulator
-  /// spawns a thread per rank), so a batch engine should evaluate
-  /// schedules sequentially rather than thread across them on top.
-  virtual bool prefers_sequential_batches() const { return false; }
+  /// How many threads one layer of simulate_qaoa can keep busy: the
+  /// fewest units of work any of its passes hands to threads (1 for a
+  /// pass that runs serially). A batch engine threads across schedules
+  /// only when this is below its thread count.
+  virtual std::int64_t layer_units() const = 0;
 };
 
 /// CPU fast simulator implementing Algorithm 3 over the fur kernels.
@@ -153,6 +154,9 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
   double get_overlap(const StateVector& result,
                      int restrict_weight = -1) const override;
   const CostDiagonal& get_cost_diagonal() const override { return diag_; }
+  /// pipeline::fewest_threaded_units of the plan; for the xy mixers, the
+  /// fewer of the phase's kSimdBlock blocks and the mixer's pair groups.
+  std::int64_t layer_units() const override;
 
   const FurConfig& config() const { return cfg_; }
 

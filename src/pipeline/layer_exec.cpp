@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -72,14 +73,25 @@ int rx_triples(int levels) {
   return levels % 3 == 1 && levels > 1 ? (levels - 4) / 3 : levels / 3;
 }
 
-/// Parallelize over independent cache-units. Units touch disjoint
-/// amplitudes and carry no reductions, so any thread count (and Serial)
-/// produces the same bits; the grain check mirrors parallel_for_blocks.
+/// Units pass `p` splits a 2^n-amplitude array into: contiguous tiles,
+/// or (strided) one chunk column of 2^(q_end - q_begin) rows per unit.
+std::int64_t pass_units(const LayerPass& p, std::uint64_t n_amps) {
+  if (!p.strided)
+    return static_cast<std::int64_t>(
+        n_amps / std::min<std::uint64_t>(n_amps, 1ull << p.width_log2));
+  const std::uint64_t blocks = n_amps >> p.q_end;
+  const std::uint64_t cols = (1ull << p.q_begin) >> p.width_log2;
+  return static_cast<std::int64_t>(blocks * cols);
+}
+
+/// Parallelize over a pass's independent cache-units. Units touch
+/// disjoint amplitudes and carry no reductions, so any thread count (and
+/// Serial) produces the same bits; threaded_units decides, as for
+/// parallel_for_blocks.
 template <class F>
-void for_units(Exec exec, std::int64_t units, std::int64_t unit_amps, F&& f) {
+void for_units(Exec exec, std::int64_t units, std::uint64_t n_amps, F&& f) {
   if (units <= 0) return;
-  if (exec == Exec::Serial || units < 2 ||
-      units * unit_amps < kParallelGrain) {
+  if (threaded_units(exec, units, static_cast<std::int64_t>(n_amps)) == 1) {
     for (std::int64_t u = 0; u < units; ++u) f(u);
     return;
   }
@@ -129,8 +141,7 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
                    double* partials = nullptr) {
   const std::uint64_t tile =
       std::min<std::uint64_t>(n_amps, 1ull << p.width_log2);
-  const std::int64_t units = static_cast<std::int64_t>(n_amps / tile);
-  for_units(exec, units, static_cast<std::int64_t>(tile),
+  for_units(exec, pass_units(p, n_amps), n_amps,
             [&](std::int64_t u) {
               const std::uint64_t base =
                   static_cast<std::uint64_t>(u) * tile;
@@ -177,10 +188,8 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
   const std::uint64_t row = 1ull << a;               // row stride
   const std::uint64_t rows = 1ull << (b - a);
   const std::int64_t cols = static_cast<std::int64_t>(row >> p.width_log2);
-  const std::int64_t blocks = static_cast<std::int64_t>(n_amps >> b);
-  const std::int64_t unit_amps = static_cast<std::int64_t>(rows * chunk);
   for_units(
-      exec, blocks * cols, unit_amps, [&](std::int64_t u) {
+      exec, pass_units(p, n_amps), n_amps, [&](std::int64_t u) {
         const std::uint64_t blk = static_cast<std::uint64_t>(u / cols) << b;
         const std::uint64_t col = static_cast<std::uint64_t>(u % cols)
                                   << p.width_log2;
@@ -304,6 +313,16 @@ void run_layer(const LayerPlan& plan, cfloat* amp, std::uint64_t n_amps,
                Exec exec) {
   run_layer_impl(plan, amp, n_amps, phase, gamma, beta, exec, nullptr,
                  nullptr);
+}
+
+std::int64_t fewest_threaded_units(const LayerPlan& plan, Exec exec) {
+  const std::uint64_t n_amps = 1ull << plan.num_qubits();
+  std::int64_t fewest = std::numeric_limits<std::int64_t>::max();
+  for (const LayerPass& p : plan.passes())
+    fewest = std::min(fewest,
+                      threaded_units(exec, pass_units(p, n_amps),
+                                     static_cast<std::int64_t>(n_amps)));
+  return plan.passes().empty() ? 1 : fewest;
 }
 
 bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps) {

@@ -50,6 +50,11 @@ void run_layer(const LayerPlan& plan, cfloat* amp, std::uint64_t n_amps,
                const PhaseCtxF32& phase, double gamma, double beta,
                Exec exec);
 
+/// How many threads one layer of `plan` can keep busy under `exec`: the
+/// fewest units any of its passes hands to threads (threaded_units, so 1
+/// for a pass run serially and for every pass under Exec::Serial).
+std::int64_t fewest_threaded_units(const LayerPlan& plan, Exec exec);
+
 /// Cost source for the fused expectation reduction (run_layer_expectation).
 /// Exactly one of `costs` (double diagonal) or `codes` (+ offset/scale,
 /// the u16 codec) must be set — mirroring the expectation_slice /

@@ -2,10 +2,13 @@
 // problems and random schedule batches (fixed seeds), BatchEvaluator must
 // be *bit-identical* -- not merely close -- to a sequential simulate_qaoa
 // loop on the same simulator, for every backend (serial / auto / u16 /
-// dist:K / xy-ring) and in every parallelism mode.
+// dist:K / xy-ring) and in every parallelism mode, at sizes where the
+// reductions run serially and where they thread.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
+#include <string_view>
 
 #include "api/qokit.hpp"
 
@@ -46,14 +49,18 @@ std::vector<QaoaParams> random_batch(std::uint64_t seed, int count) {
 }
 
 /// Assert the batch engine reproduces the sequential per-schedule loop
-/// exactly: same expectation bits, same overlap bits, same state bits.
+/// exactly: same expectation bits, same overlap bits, same state bits,
+/// and, when `shots` > 0, the same samples.
 void expect_bit_identical(const QaoaFastSimulatorBase& sim,
                           std::span<const QaoaParams> batch,
-                          BatchParallelism mode, const char* label) {
+                          BatchParallelism mode, const char* label,
+                          int shots = 0) {
   BatchOptions opts;
   opts.parallelism = mode;
   opts.compute_overlap = true;
   opts.keep_states = true;
+  opts.sample_shots = shots;
+  opts.sample_seed = 17;
   const BatchResult r = BatchEvaluator(sim, opts).evaluate(batch);
   ASSERT_EQ(r.expectations.size(), batch.size()) << label;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -65,6 +72,10 @@ void expect_bit_identical(const QaoaFastSimulatorBase& sim,
         << label << " schedule " << i;
     EXPECT_EQ(r.states[i].max_abs_diff(ref), 0.0)
         << label << " schedule " << i;
+    if (shots > 0) {
+      EXPECT_EQ(r.samples[i], sample_states(ref, shots, opts.sample_seed + i))
+          << label << " schedule " << i;
+    }
   }
 }
 
@@ -103,6 +114,29 @@ TEST_P(BatchCrossValidationTest, MatchesSequentialLoopOnEveryBackend) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchCrossValidationTest,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+TEST(BatchCrossValidation, ThreadedSizesScoreOnTheEvolvingThread) {
+  // n = 12 fuses its expectation into a serial final pass; n = 16 is past
+  // kParallelGrain, so an Outer worker scores a one-tile plan while an
+  // Inner batch threads the same reductions. Nine schedules keep every
+  // worker of an 8-thread team busy with more than one. Every mode must
+  // still equal the sequential loop, samples included.
+  for (const int n : {12, 16}) {
+    const std::vector<QaoaParams> batch =
+        random_batch(static_cast<std::uint64_t>(n), 9);
+    const TermList labs = labs_terms(n);
+    const TermList sk = sk_terms(n, 5);
+    for (const char* name : {"auto", "serial", "u16", "auto:prec=f32"}) {
+      const TermList& terms = std::string_view(name) == "u16" ? labs : sk;
+      const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
+      const std::string label = std::string(name) + " n=" + std::to_string(n);
+      for (const auto mode :
+           {BatchParallelism::Auto, BatchParallelism::Outer,
+            BatchParallelism::Inner})
+        expect_bit_identical(*sim, batch, mode, label.c_str(), 32);
+    }
+  }
+}
 
 TEST(BatchCrossValidation, XyRingDickeInitialStateIsCachedCorrectly) {
   const PortfolioInstance inst = random_portfolio(7, 3, 0.5, 11);

@@ -3,12 +3,16 @@
 // these tests pin that (a) reuse never aliases results across schedules,
 // (b) repeated batches are bitwise deterministic, (c) the steady-state
 // evaluation loops perform zero statevector allocations (via the
-// instrumented AlignedAllocator counter), and (d) a slot refilled in
-// place holds exactly initial_state()'s bytes.
+// instrumented AlignedAllocator counter), (d) a slot refilled in place
+// holds exactly initial_state()'s bytes, and (e) Auto goes Outer only
+// when one schedule's layer has fewer units than there are threads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "api/qokit.hpp"
 
@@ -245,29 +249,161 @@ TEST(BatchScratch, U16PhaseTableIsReusedAcrossEvaluations) {
   EXPECT_EQ(aligned_allocation_count(), baseline);
 }
 
+/// Runs `f` with the OpenMP thread count set to `threads`, then restores
+/// it. Resolving a batch mode only reads the count; nothing starts.
+template <class F>
+void with_threads(int threads, F&& f) {
+#if defined(_OPENMP)
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  f();
+  omp_set_num_threads(saved);
+#else
+  (void)threads;
+  f();
+#endif
+}
+
+TEST(BatchScratch, LayerUnitsCountTheFewestThreadedUnitsOfAnyPass) {
+  // The default plan splits 2^n amplitudes into 2^(n-16) tiles of 2^16;
+  // a strided pass over g <= 6 qubits has 2^(n-g-10) chunk-column units,
+  // never fewer. A pass the executor runs serially counts 1.
+  for (const auto& [n, units] :
+       {std::pair{8, 1}, {14, 1}, {16, 1}, {17, 2}, {18, 4}, {20, 16}}) {
+    SCOPED_TRACE(n);
+    const TermList terms(n, {{1.0, 0b11}});  // the plan ignores the terms
+    EXPECT_EQ(FurQaoaSimulator(terms, {}).layer_units(), units);
+    EXPECT_EQ(FurQaoaSimulator(terms, {.exec = Exec::Serial}).layer_units(),
+              1);
+  }
+  // The unfused xy loop: the phase's 2^(n-13) kSimdBlock blocks, unless
+  // the 2^(n-2) pair groups of each XY rotation run serially (n < 17).
+  const TermList sixteen(16, {{1.0, 0b11}});
+  const TermList seventeen(17, {{1.0, 0b11}});
+  EXPECT_EQ(FurQaoaSimulator(sixteen, {.mixer = MixerType::XYRing})
+                .layer_units(),
+            1);
+  EXPECT_EQ(FurQaoaSimulator(seventeen, {.mixer = MixerType::XYRing})
+                .layer_units(),
+            16);
+  // dist's K rank threads count as filling the machine.
+  EXPECT_GE(DistributedFurSimulator(sixteen, {.ranks = 2}).layer_units(),
+            std::int64_t{1} << 40);
+}
+
 TEST(BatchScratch, HeuristicRespectsThreadCountAndSimulatorPreference) {
-  const TermList terms = labs_terms(8);
-  const FurQaoaSimulator sim(terms, {});
+  // Auto runs Outer only for two or more schedules whose layer cannot
+  // give every thread a unit. Each thread count is set in turn, so the
+  // rule is checked whatever the machine has.
+  const TermList small = labs_terms(8);
+  const FurQaoaSimulator sim(small, {});
   const BatchEvaluator evaluator(sim);
-  // Singleton batches never go outer.
-  EXPECT_EQ(evaluator.resolve_parallelism(1), BatchParallelism::Inner);
-  // Sub-grain states (2^8 amplitudes) have no inner parallelism, so any
-  // real batch threads across schedules -- when threads exist at all.
-  const BatchParallelism multi = evaluator.resolve_parallelism(16);
-  if (max_threads() > 1)
-    EXPECT_EQ(multi, BatchParallelism::Outer);
-  else
-    EXPECT_EQ(multi, BatchParallelism::Inner);
-  // The distributed simulator's rank threads are the parallelism; Auto
-  // must never stack an outer team on top.
-  const DistributedFurSimulator dist_sim(terms, {.ranks = 4});
-  EXPECT_EQ(BatchEvaluator(dist_sim).resolve_parallelism(16),
-            BatchParallelism::Inner);
+  const TermList sixteen = labs_terms(16);
+  const FurQaoaSimulator one_tile(sixteen, {});
+  // 2^8-amplitude tiles and 2-qubit groups of 2^4-amplitude chunks: every
+  // pass splits the n = 16 layer into at least 256 units.
+  const FurQaoaSimulator many_tiles(
+      sixteen, {.geometry = pipeline::Geometry{8, 2, 4}});
+  const DistributedFurSimulator dist_sim(small, {.ranks = 4});
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    with_threads(threads, [&] {
+      // A build without OpenMP always has one thread.
+      const int team = max_threads();
+      const BatchParallelism spread = team > 1 ? BatchParallelism::Outer
+                                               : BatchParallelism::Inner;
+      // Singleton batches never go outer.
+      EXPECT_EQ(evaluator.resolve_parallelism(1), BatchParallelism::Inner);
+      EXPECT_EQ(BatchEvaluator(one_tile).resolve_parallelism(1),
+                BatchParallelism::Inner);
+      // Sub-grain states (2^8 amplitudes) and the one-tile n = 16 plan
+      // leave threads idle, so any real batch threads across schedules.
+      EXPECT_EQ(evaluator.resolve_parallelism(16), spread);
+      EXPECT_EQ(BatchEvaluator(one_tile).resolve_parallelism(2), spread);
+      // A plan with a unit for every thread in every pass keeps one state
+      // and every thread on it, however large the batch.
+      ASSERT_GE(many_tiles.layer_units(), team);
+      EXPECT_EQ(BatchEvaluator(many_tiles).resolve_parallelism(16),
+                BatchParallelism::Inner);
+      // The distributed simulator's rank threads are the parallelism;
+      // Auto must never stack an outer team on top.
+      EXPECT_EQ(BatchEvaluator(dist_sim).resolve_parallelism(16),
+                BatchParallelism::Inner);
+    });
+  }
   // Forced modes are honored as stated.
   BatchOptions forced;
   forced.parallelism = BatchParallelism::Outer;
   EXPECT_EQ(BatchEvaluator(sim, forced).resolve_parallelism(1),
             BatchParallelism::Outer);
+  forced.parallelism = BatchParallelism::Inner;
+  EXPECT_EQ(BatchEvaluator(sim, forced).resolve_parallelism(16),
+            BatchParallelism::Inner);
+}
+
+TEST(BatchScratch, TimingsAreTakenOnTheEvolvingThreadInBothModes) {
+  // simulate_ns covers the fill, the evolution and the fused expectation;
+  // reduce_ns the overlap, the sampling and the kept-state copy. Both
+  // are filled for every schedule whichever mode runs it.
+  const TermList terms = labs_terms(12);
+  const FurQaoaSimulator sim(terms, {});
+  const std::vector<QaoaParams> batch = two_distinct_schedules();
+  BatchOptions opts;
+  opts.compute_overlap = true;
+  opts.keep_states = true;
+  opts.sample_shots = 16;
+  opts.record_timings = true;
+  for (const auto mode : {BatchParallelism::Outer, BatchParallelism::Inner}) {
+    opts.parallelism = mode;
+    const BatchResult r = BatchEvaluator(sim, opts).evaluate(batch);
+    EXPECT_EQ(r.used, mode);
+    ASSERT_EQ(r.simulate_ns.size(), batch.size());
+    ASSERT_EQ(r.reduce_ns.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_GT(r.simulate_ns[i], 0u) << "schedule " << i;
+      EXPECT_GT(r.reduce_ns[i], 0u) << "schedule " << i;
+    }
+  }
+  // The session surface reports the same per-item fields.
+  const api::ProblemSession session = api::ProblemSession::labs(12);
+  api::EvalRequest request;
+  request.overlap = true;
+  request.shots = 16;
+  request.timings = true;
+  for (const auto mode : {BatchParallelism::Outer, BatchParallelism::Inner}) {
+    request.parallelism = mode;
+    for (const api::EvalResult& item :
+         session.evaluate_batch(batch, request)) {
+      ASSERT_TRUE(item.timings.has_value());
+      EXPECT_GT(item.timings->simulate_ns, 0u);
+      EXPECT_GT(item.timings->reduce_ns, 0u);
+      EXPECT_GE(item.timings->batch_ns, item.timings->simulate_ns);
+    }
+  }
+}
+
+TEST(BatchScratch, AFailingScheduleThrowsAfterTheTeamJoins) {
+  // A NaN angle evolves into a NaN state, which the sampler refuses. In
+  // Outer mode that throw happens on a worker thread: it must surface
+  // after the join as the caller's exception (not std::terminate), as
+  // the sequential loop throws it, and leave the evaluator usable.
+  const TermList terms = labs_terms(8);
+  const FurQaoaSimulator sim(terms, {});
+  std::vector<QaoaParams> batch(6, two_distinct_schedules().front());
+  batch[3].gammas[1] = std::numeric_limits<double>::quiet_NaN();
+  BatchOptions opts;
+  opts.sample_shots = 4;
+  for (const auto mode : {BatchParallelism::Outer, BatchParallelism::Inner}) {
+    opts.parallelism = mode;
+    const BatchEvaluator evaluator(sim, opts);
+    EXPECT_THROW((void)evaluator.evaluate(batch), std::invalid_argument);
+    const std::vector<QaoaParams> good = two_distinct_schedules();
+    const BatchResult r = evaluator.evaluate(good);
+    for (std::size_t i = 0; i < good.size(); ++i)
+      EXPECT_EQ(r.expectations[i],
+                sim.get_expectation(
+                    sim.simulate_qaoa(good[i].gammas, good[i].betas)));
+  }
 }
 
 }  // namespace

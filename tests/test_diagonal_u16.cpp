@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/bitops.hpp"
 #include "diagonal/ops.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/portfolio.hpp"
+#include "problems/sk.hpp"
 
 namespace qokit {
 namespace {
@@ -94,6 +99,67 @@ TEST(DiagonalU16, WideIntegerRangeFallsBackToScaling) {
   EXPECT_GT(u.scale(), 1.0);
   for (std::uint64_t x = 0; x < 16; ++x)
     EXPECT_NEAR(u.decode(x), d[x], u.scale());
+}
+
+/// Element-by-element encode, the oracle for the blocked one: the
+/// integrality scan, then round, clamp and a running max of the decode
+/// error, both in index order.
+struct SerialCodes {
+  std::vector<std::uint16_t> codes;
+  double scale = 1.0;
+  double max_err = 0.0;
+};
+
+SerialCodes serial_encode(const CostDiagonal& d) {
+  SerialCodes out;
+  const double lo = d.min_value();
+  const double hi = d.max_value();
+  bool integral = true;
+  for (std::uint64_t x = 0; x < d.size() && integral; ++x) {
+    const double shifted = d[x] - lo;
+    integral = std::abs(shifted - std::round(shifted)) < 1e-9;
+  }
+  out.scale = integral && hi - lo <= 65535.0 ? 1.0
+              : hi > lo                      ? (hi - lo) / 65535.0
+                                             : 1.0;
+  out.codes.resize(d.size());
+  for (std::uint64_t x = 0; x < d.size(); ++x) {
+    const double clamped =
+        std::clamp(std::round((d[x] - lo) / out.scale), 0.0, 65535.0);
+    out.codes[x] = static_cast<std::uint16_t>(clamped);
+    out.max_err =
+        std::max(out.max_err, std::abs(lo + out.scale * clamped - d[x]));
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(DiagonalU16, ThreadedEncodeEqualsTheSerialOneBitForBit) {
+  // n = 17 holds 2^17 values, past kParallelGrain, so Exec::Parallel
+  // threads both passes. LABS encodes exactly at scale 1; SK's dense
+  // non-integral spectrum is rounded onto 65536 levels.
+  const int n = 17;
+  ASSERT_GE(dim_of(n), static_cast<std::uint64_t>(kParallelGrain));
+  for (const bool exact : {true, false}) {
+    SCOPED_TRACE(exact ? "labs" : "sk");
+    const CostDiagonal d = CostDiagonal::precompute(
+        exact ? labs_terms(n) : sk_terms(n, 3));
+    const SerialCodes ref = serial_encode(d);
+    for (const Exec exec : {Exec::Serial, Exec::Parallel}) {
+      const DiagonalU16 u = DiagonalU16::encode(d, exec);
+      EXPECT_EQ(u.is_exact(), exact);
+      EXPECT_TRUE(same_bits(u.offset(), d.min_value()));
+      EXPECT_TRUE(same_bits(u.scale(), ref.scale));
+      EXPECT_TRUE(same_bits(u.max_abs_error(), ref.max_err));
+      EXPECT_EQ(u.is_exact(), ref.max_err < 1e-12);
+      ASSERT_EQ(u.size(), ref.codes.size());
+      EXPECT_EQ(std::memcmp(u.codes(), ref.codes.data(), u.memory_bytes()),
+                0);
+    }
+  }
 }
 
 }  // namespace

@@ -346,6 +346,42 @@ TEST(ProblemSession, SecondOptimizeAllocatesNothing) {
   }
 }
 
+TEST(ProblemSession, AThreadFillingPlanHoldsOneStateOnEveryPath) {
+  // When one schedule's layer gives every thread a unit, Auto never fans
+  // out: evaluate, evaluate_batch and optimize all run in pool slot 0, so
+  // the session allocates its diagonal and exactly one state. The default
+  // plan has 2^(n-16) tiles at its narrowest, so n is the smallest size
+  // from 18 up that covers this machine's threads.
+  int n = 18;
+  while ((std::int64_t{1} << (n - 16)) < max_threads()) ++n;
+  if (n > 22) GTEST_SKIP() << max_threads() << " threads need n = " << n;
+  const std::vector<QaoaParams> schedules = random_schedules(
+      static_cast<int>(max_threads()) + 1, 2, 41);
+  const auto exercise = [&](const api::ProblemSession& session) {
+    api::EvalRequest request;
+    request.overlap = true;
+    request.shots = 8;
+    (void)session.evaluate(schedules.front(), request);
+    (void)session.evaluate_batch(schedules, request);
+    api::OptimizerSpec optimizer;
+    optimizer.p = 2;
+    optimizer.nelder_mead.max_evals = 30;
+    (void)session.optimize(optimizer);
+  };
+  // Warm this thread's fused-reduction scratch at this size, so only the
+  // session's own buffers are counted.
+  exercise(api::ProblemSession(labs_terms(n), {}));
+  const std::uint64_t before = aligned_allocation_bytes();
+  const api::ProblemSession session(labs_terms(n), {});
+  ASSERT_GE(session.simulator().layer_units(), max_threads());
+  EXPECT_EQ(session.batch().resolve_parallelism(schedules.size()),
+            BatchParallelism::Inner);
+  exercise(session);
+  EXPECT_EQ(aligned_allocation_bytes() - before,
+            dim_of(n) * (sizeof(double) +
+                         amplitude_bytes(session.simulator().precision())));
+}
+
 TEST(ProblemSession, EvaluateSharesPoolSlotZeroWithExpectations) {
   // A one-schedule batch runs Inner in pool slot 0, and scalar evaluate
   // borrows the same slot: after expectations({s}), evaluate(s) allocates
