@@ -8,10 +8,11 @@
 // seed, but no initial-state copy: every entry point refills a pool slot
 // with |+> (or the Dicke state) in place. Scalar evaluation, batched
 // evaluation, optimization and sampling all route through one typed
-// EvalRequest/EvalResult surface and one pool, with zero re-precompute and
-// zero steady-state statevector allocations. The one-line
-// free functions in api/qokit.hpp remain as the stable compatibility
-// layer; each is a thin wrapper over a throwaway session.
+// EvalRequest/EvalResult surface and one batch engine (a scalar evaluate
+// is a one-schedule batch), with zero re-precompute and zero steady-state
+// statevector allocations. The one-line free functions in api/qokit.hpp
+// remain as the stable compatibility layer; each is a thin wrapper over a
+// throwaway session.
 #pragma once
 
 #include <atomic>
@@ -87,27 +88,15 @@ struct Timings {
   /// amortized over every subsequent call -- reported (unchanged) on each
   /// result so callers can see what the session saved them, never re-paid.
   std::uint64_t precompute_ns = 0;
-  /// State evolution. For batched calls, this item's initial-state fill,
-  /// evolution and fused expectation, timed on the thread that evolved
-  /// it.
+  /// This schedule's initial-state fill, evolution and fused expectation,
+  /// timed on the thread that evolved it.
   std::uint64_t simulate_ns = 0;
-  /// Scoring: expectation / overlap / sampling. For batched calls, this
-  /// item's overlap and sampling (its expectation rides simulate_ns),
-  /// timed on the same thread.
+  /// This schedule's overlap and sampling (its expectation rides
+  /// simulate_ns), timed on the same thread.
   std::uint64_t reduce_ns = 0;
-  /// Per-layer breakdown of simulate_ns (scalar evaluate() only; empty
-  /// for batched calls): layer_ns[l] is the wall time of layer l's fused
-  /// (or unfused) pass sequence, measured by chaining one-layer
-  /// simulate_qaoa_from calls (bit-identical to the single call). Each
-  /// entry includes that call's dispatch overhead — in particular the
-  /// dist:K backend re-spawns its rank team per call, so its layer_ns is
-  /// team setup + compute; compare single-node numbers, not dist ones,
-  /// against perfbench's traced pipeline.layer_ms.
-  std::vector<std::uint64_t> layer_ns{};
-  /// Batched calls only: wall time of the whole evaluate_batch submission
-  /// this item rode in (the same value on every item of one call; 0 for
-  /// scalar evaluate()). simulate_ns / reduce_ns above are this item's
-  /// own times (BatchOptions::record_timings).
+  /// evaluate_batch only: wall time of the whole submission this item
+  /// rode in (the same value on every item of one call; 0 for scalar
+  /// evaluate()).
   std::uint64_t batch_ns = 0;
 };
 
@@ -118,13 +107,9 @@ struct EvalRequest {
   int overlap_weight = -1;  ///< restrict the overlap minimum to this
                             ///< Hamming-weight sector; -1 = full space
   int shots = 0;            ///< >0: fill EvalResult::samples
-  /// Fill EvalResult::timings. In evaluate_batch each item's simulate_ns
-  /// covers its fill, evolution and fused expectation and its reduce_ns
-  /// its overlap and sampling, both on the thread that evolved it.
+  /// Fill EvalResult::timings. Timing runs the same passes as an untimed
+  /// call, so it moves no bits.
   bool timings = false;
-  /// Batched calls only: schedule- vs state-parallel execution (Auto lets
-  /// the BatchEvaluator rule decide). Ignored by evaluate().
-  BatchParallelism parallelism = BatchParallelism::Auto;
 };
 
 /// Unified result shape: requested fields are engaged, everything else is
@@ -158,10 +143,10 @@ struct OptimizerSpec {
 /// A reusable handle over one problem: owns the simulator (and with it
 /// the precomputed cost diagonal), the batch scratch pool, and the
 /// sampling seed from its SimulatorSpec. Its 2^n buffers are exactly the
-/// diagonal and the pool slots in use: scalar evaluate borrows slot 0 and
-/// optimize runs its populations through the same pool. Repeated calls
-/// perform zero re-precompute and zero steady-state statevector
-/// allocations (pinned by tests/test_session_api.cpp via the
+/// diagonal and the pool slots in use: scalar evaluate is a one-schedule
+/// batch in slot 0 and optimize runs its populations through the same
+/// pool. Repeated calls perform zero re-precompute and zero steady-state
+/// statevector allocations (pinned by tests/test_session_api.cpp via the
 /// instrumented AlignedAllocator counter). Results are bit-identical to
 /// the legacy free functions on every backend.
 ///
@@ -193,13 +178,15 @@ class ProblemSession {
   static ProblemSession sk(int n, std::uint64_t seed,
                            SimulatorSpec spec = {});
 
-  /// Evaluate one schedule. Refills and evolves batch pool slot 0 (zero
-  /// steady-state statevector allocations) and scores exactly as a
-  /// freshly built simulator would -- bit-identical outputs.
+  /// Evaluate one schedule: a one-schedule batch, so it runs in pool
+  /// slot 0 (zero steady-state statevector allocations) and scores
+  /// exactly as a freshly built simulator would -- bit-identical outputs.
   ///
   /// Every schedule-taking method here (and optimize's initial point)
   /// runs QaoaParams::check() first: ragged or non-finite schedules throw
-  /// std::invalid_argument naming the layer before any state is touched.
+  /// std::invalid_argument naming the layer before any state is touched,
+  /// as do negative shots and a requested overlap whose weight fails
+  /// check_overlap_weight.
   EvalResult evaluate(const QaoaParams& schedule,
                       const EvalRequest& request = {}) const;
 
@@ -240,8 +227,8 @@ class ProblemSession {
   const CostDiagonal& cost_diagonal() const {
     return sim_->get_cost_diagonal();
   }
-  /// The session's batch engine (for BatchOptions-level control; the
-  /// compatibility wrappers use this).
+  /// The session's batch engine (for BatchOptions-level control, such as
+  /// keep_states; the compatibility wrappers use this).
   const BatchEvaluator& batch() const { return evaluator_; }
   int num_qubits() const { return sim_->num_qubits(); }
   /// Wall time of the one-time diagonal precompute at construction.
@@ -258,8 +245,8 @@ class ProblemSession {
   TermList terms_;
   std::uint64_t precompute_ns_ = 0;
   std::unique_ptr<QaoaFastSimulatorBase> sim_;
-  BatchEvaluator evaluator_;          ///< the pool; slot 0 serves evaluate
-  mutable BatchResult batch_scratch_; ///< reused across evaluate_batch calls
+  BatchEvaluator evaluator_;          ///< the pool every entry point uses
+  mutable BatchResult batch_scratch_; ///< reused across evaluate calls
   detail::ReentrancyGuard guard_;     ///< trips on concurrent entry
 };
 

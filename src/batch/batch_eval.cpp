@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitops.hpp"
 #include "common/parallel.hpp"
@@ -21,52 +22,56 @@ std::uint64_t tick_ns() {
           .count());
 }
 
-}  // namespace
-
-BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim,
-                               BatchOptions opts)
-    : sim_(&sim),
-      opts_(opts),
-      scratch_(static_cast<std::size_t>(max_threads())) {
-  if (opts_.sample_shots < 0)
-    throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
-}
-
-BatchParallelism BatchEvaluator::resolve_parallelism(std::size_t batch) const {
-  return resolve(opts_.parallelism, batch);
-}
-
-BatchParallelism BatchEvaluator::resolve(BatchParallelism requested,
-                                         std::size_t batch) const {
-  if (requested != BatchParallelism::Auto) return requested;
+std::size_t pool_slots(const QaoaFastSimulatorBase& sim) {
   // One schedule's layer already gives every thread a unit (always so on
-  // one thread, and for dist's rank threads): a team across schedules
-  // would hold a state per thread for no more parallelism.
+  // one thread, and for dist's rank threads): Outer never runs, so one
+  // slot is all the pool can fill.
   const int threads = max_threads();
-  if (batch < 2 || sim_->layer_units() >= threads)
-    return BatchParallelism::Inner;
+  if (sim.layer_units() >= threads) return 1;
   // Actual amplitude width (f32 states cost half), so the outer-scratch
   // budget admits twice the f32 slots it would f64 ones.
   const std::uint64_t bytes =
-      dim_of(sim_->num_qubits()) * amplitude_bytes(sim_->precision());
-  if (static_cast<std::uint64_t>(threads) * bytes > kMaxOuterScratchBytes)
-    return BatchParallelism::Inner;
+      dim_of(sim.num_qubits()) * amplitude_bytes(sim.precision());
+  if (static_cast<std::uint64_t>(threads) * bytes >
+      BatchEvaluator::kMaxOuterScratchBytes)
+    return 1;
+  return static_cast<std::size_t>(threads);
+}
+
+}  // namespace
+
+void check_overlap_weight(int weight, int num_qubits) {
+  if (weight < -1 || weight > num_qubits)
+    throw std::invalid_argument("overlap_weight " + std::to_string(weight) +
+                                " is outside [-1, " +
+                                std::to_string(num_qubits) + "]");
+}
+
+BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim)
+    : sim_(&sim), scratch_(pool_slots(sim)) {}
+
+BatchParallelism BatchEvaluator::resolve_parallelism(std::size_t batch) const {
+  // The Outer team is min(pool, threads now): a pool sized at one thread
+  // stays Inner when the caller later runs four.
+  const auto team = static_cast<std::int64_t>(
+      std::min(scratch_.size(), static_cast<std::size_t>(max_threads())));
+  if (batch < 2 || sim_->layer_units() >= team) return BatchParallelism::Inner;
   return BatchParallelism::Outer;
 }
 
 void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
                                    const BatchOptions& opts,
                                    BatchResult& out) const {
-  // Same guard the constructor applies to its own options: per-call
-  // options must not silently drop a nonsensical shot count.
   if (opts.sample_shots < 0)
     throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
+  if (opts.compute_overlap)
+    check_overlap_weight(opts.overlap_weight, sim_->num_qubits());
   for (const QaoaParams& s : schedules)
     if (s.gammas.size() != s.betas.size())
       throw std::invalid_argument(
           "BatchEvaluator: gammas/betas length mismatch");
   const std::size_t m = schedules.size();
-  out.used = resolve(opts.parallelism, m);
+  out.used = resolve_parallelism(m);
   // resize() reuses existing capacity (and, for states, the statevector
   // buffers inside surviving slots), so a reused `out` allocates nothing
   // in steady state; unrequested fields are cleared.
@@ -85,6 +90,7 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
       obs::counter("qokit_batch_scratch_hits_total");
   static const obs::Counter scratch_allocs =
       obs::counter("qokit_batch_scratch_allocs_total");
+  static const obs::Histogram reduce_hist = obs::histogram("qokit_reduce_ns");
   batch_calls.add();
   batch_schedules.add(m);
   obs::Span span("evaluate_batch");
@@ -115,15 +121,19 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
     else
       slot = sim_->simulate_qaoa_from(std::move(slot), s.gammas, s.betas);
     const std::uint64_t t1 = opts.record_timings ? tick_ns() : 0;
-    if (opts.compute_overlap)
-      out.overlaps[i] = sim_->get_overlap(slot, opts.overlap_weight);
-    if (opts.sample_shots > 0) {
-      // Seeded per schedule index, so the drawn bitstrings are independent
-      // of evaluation order and of the parallelism mode.
-      Rng rng(opts.sample_seed + i);
-      out.samples[i] = sample_states(slot, opts.sample_shots, rng);
+    {
+      obs::Span reduce("reduce");
+      const obs::HistTimer reduce_timer(reduce_hist);
+      if (opts.compute_overlap)
+        out.overlaps[i] = sim_->get_overlap(slot, opts.overlap_weight);
+      if (opts.sample_shots > 0) {
+        // Seeded per schedule index, so the drawn bitstrings are
+        // independent of evaluation order and of the parallelism mode.
+        Rng rng(opts.sample_seed + i);
+        out.samples[i] = sample_states(slot, opts.sample_shots, rng);
+      }
+      if (opts.keep_states) out.states[i] = slot;  // copy; the slot lives on
     }
-    if (opts.keep_states) out.states[i] = slot;  // copy; the slot lives on
     if (opts.record_timings) {
       out.simulate_ns[i] = t1 - t0;
       out.reduce_ns[i] = tick_ns() - t1;
@@ -167,11 +177,6 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
   if (error) std::rethrow_exception(error);
 }
 
-BatchResult BatchEvaluator::evaluate(
-    std::span<const QaoaParams> schedules) const {
-  return evaluate(schedules, opts_);
-}
-
 BatchResult BatchEvaluator::evaluate(std::span<const QaoaParams> schedules,
                                      const BatchOptions& opts) const {
   BatchResult out;
@@ -181,14 +186,7 @@ BatchResult BatchEvaluator::evaluate(std::span<const QaoaParams> schedules,
 
 std::vector<double> BatchEvaluator::expectations(
     std::span<const QaoaParams> schedules) const {
-  BatchOptions trimmed = opts_;  // keep the parallelism choice
-  trimmed.compute_expectation = true;
-  trimmed.compute_overlap = false;
-  trimmed.keep_states = false;
-  trimmed.sample_shots = 0;
-  BatchResult out;
-  evaluate_into(schedules, trimmed, out);
-  return std::move(out.expectations);
+  return std::move(evaluate(schedules).expectations);
 }
 
 std::vector<double> BatchEvaluator::expectations_packed(

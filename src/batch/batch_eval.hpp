@@ -10,19 +10,21 @@
 // zero steady-state allocations and holds no state beyond its pool.
 //
 // Parallelism is two-level, and one rule read from the simulator picks
-// the level (see DESIGN.md "Outer vs inner parallelism"):
+// the level (see DESIGN.md "Outer vs inner parallelism"); no option
+// overrides it:
 //  - Inner: sequential over schedules in pool slot 0; each schedule's
 //    layers thread over their own units under the simulator's Exec. The
 //    default: one state, every thread.
 //  - Outer: one team across schedules, one scratch state per thread. Only
-//    when one schedule's layer has fewer units than there are threads
+//    when one schedule's layer has fewer units than the team has threads
 //    (small states, whose one or two tiles would leave threads idle).
 // Either way each schedule is filled, evolved, scored (the expectation
 // riding its final pass) and sampled on the thread that runs it, with the
 // exact arithmetic of a sequential simulate_qaoa + get_expectation loop;
 // every reduction sums fixed partials in index order, so results are
 // bit-identical to that loop (the cross-validation suite asserts
-// equality, not tolerance).
+// equality, not tolerance). A session's scalar evaluate is a
+// one-schedule batch through the same engine.
 //
 // The fused layer pipeline (src/pipeline/) is inherited for free: the
 // LayerPlan lives in the wrapped simulator, built once at construction, so
@@ -40,16 +42,15 @@
 
 namespace qokit {
 
-/// How BatchEvaluator::evaluate maps schedules onto the machine.
+/// How BatchEvaluator::evaluate mapped schedules onto the machine
+/// (BatchEvaluator::resolve_parallelism decides; BatchResult::used says).
 enum class BatchParallelism {
-  Auto,   ///< resolve_parallelism picks Outer or Inner per batch
   Outer,  ///< one team across schedules, serial kernels inside each
   Inner,  ///< sequential over schedules, simulator's Exec inside each
 };
 
 /// What evaluate() computes per schedule.
 struct BatchOptions {
-  BatchParallelism parallelism = BatchParallelism::Auto;
   bool compute_expectation = true;  ///< fill BatchResult::expectations
   bool compute_overlap = false;     ///< fill BatchResult::overlaps
   int overlap_weight = -1;   ///< restrict the overlap to this HW sector
@@ -60,9 +61,16 @@ struct BatchOptions {
   /// times, both taken on the thread that evolved the schedule:
   /// simulate_ns covers the initial-state fill, the evolution and the
   /// expectation fused into its final pass; reduce_ns covers the overlap,
-  /// the sampling and the kept-state copy.
+  /// the sampling and the kept-state copy (the "reduce" span).
   bool record_timings = false;
 };
+
+/// Throws std::invalid_argument unless `weight` names an overlap on a
+/// `num_qubits`-qubit problem: -1 (the full space) or a Hamming-weight
+/// sector in [0, num_qubits]. BatchEvaluator checks a requested overlap
+/// with it before filling any slot; the server checks it before its
+/// cache checkout.
+void check_overlap_weight(int weight, int num_qubits);
 
 /// Per-schedule outputs, indexed like the submitted schedule span.
 struct BatchResult {
@@ -84,19 +92,16 @@ struct BatchResult {
 /// scratch pool is per-instance); distinct instances are independent.
 class BatchEvaluator {
  public:
-  /// `sim` must outlive the evaluator. Sizes the pool (one empty slot per
-  /// thread) and allocates nothing: a slot's buffer appears on its first
-  /// use.
-  explicit BatchEvaluator(const QaoaFastSimulatorBase& sim,
-                          BatchOptions opts = {});
+  /// `sim` must outlive the evaluator. Sizes the pool and allocates
+  /// nothing: a slot's buffer appears on its first use. The pool has one
+  /// slot per OpenMP thread when Outer could run (one schedule's layer has
+  /// fewer units than there are threads, and that many states fit
+  /// kMaxOuterScratchBytes), and one slot otherwise.
+  explicit BatchEvaluator(const QaoaFastSimulatorBase& sim);
 
   /// Evaluate every schedule; results are indexed like `schedules`.
-  BatchResult evaluate(std::span<const QaoaParams> schedules) const;
-
-  /// Same, with per-call options (construction options are ignored; the
-  /// parallelism choice comes from `opts`).
   BatchResult evaluate(std::span<const QaoaParams> schedules,
-                       const BatchOptions& opts) const;
+                       const BatchOptions& opts = {}) const;
 
   /// Evaluate into a caller-owned result, reusing its buffers: the output
   /// vectors are resized (which reuses capacity) and kept states are
@@ -107,8 +112,7 @@ class BatchEvaluator {
   void evaluate_into(std::span<const QaoaParams> schedules,
                      const BatchOptions& opts, BatchResult& out) const;
 
-  /// Expectations only (the optimizer-population fast path); ignores the
-  /// compute_* options.
+  /// Expectations only (the optimizer-population fast path).
   std::vector<double> expectations(std::span<const QaoaParams> schedules)
       const;
 
@@ -117,39 +121,34 @@ class BatchEvaluator {
   std::vector<double> expectations_packed(
       const std::vector<std::vector<double>>& points) const;
 
-  /// The Auto rule's decision for a batch of `batch` schedules (exposed
-  /// so tests and benches can see which mode will run): Outer only for
-  /// two or more schedules whose layer has fewer units than there are
-  /// threads (QaoaFastSimulatorBase::layer_units), within the pool cap.
+  /// The mode a batch of `batch` schedules runs in (exposed so tests and
+  /// benches can see it before the call): Outer only for two or more
+  /// schedules whose layer has fewer units
+  /// (QaoaFastSimulatorBase::layer_units) than the Outer team would have
+  /// threads, min(pool_size(), max_threads()).
   BatchParallelism resolve_parallelism(std::size_t batch) const;
 
   const QaoaFastSimulatorBase& simulator() const { return *sim_; }
-  const BatchOptions& options() const { return opts_; }
 
   /// The simulator's initial state as a fresh allocation (by value: the
   /// evaluator keeps no copy; each schedule's slot is refilled in place).
   StateVector initial_state() const { return sim_->initial_state(); }
 
-  /// Pool slot 0: the slot an Inner batch evolves in, lent to the
-  /// session's scalar evaluate so that one state serves both paths. Like
-  /// the rest of the pool, not safe for concurrent use.
+  /// Pool slot 0: the slot every Inner batch, and so every one-schedule
+  /// batch, evolves in. Like the rest of the pool, not safe for
+  /// concurrent use.
   StateVector& scratch_slot() const { return scratch_.front(); }
 
-  /// Number of pool slots, one per OpenMP thread at construction: the
-  /// most states the evaluator can hold at once.
+  /// Number of pool slots: the most states the evaluator can hold at once.
   std::size_t pool_size() const { return scratch_.size(); }
 
-  /// Outer mode keeps one scratch state per thread; above this total
-  /// footprint the Auto rule stays Inner.
+  /// Outer mode keeps one scratch state per thread; a pool above this
+  /// total footprint gets one slot, so its batches stay Inner.
   static constexpr std::uint64_t kMaxOuterScratchBytes = 1ull << 32;
 
  private:
-  BatchParallelism resolve(BatchParallelism requested,
-                           std::size_t batch) const;
-
   const QaoaFastSimulatorBase* sim_;
-  BatchOptions opts_;
-  mutable std::vector<StateVector> scratch_;  ///< one reusable state/thread
+  mutable std::vector<StateVector> scratch_;  ///< the pool (see pool_size)
 };
 
 }  // namespace qokit

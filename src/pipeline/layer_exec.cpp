@@ -52,6 +52,13 @@ const obs::Counter& strided_pass_counter() {
   return c;
 }
 
+/// Wall time of every layer the executor runs, recorded like the pass
+/// counters: once per layer, outside the per-unit loops.
+const obs::Histogram& layer_histogram() {
+  static const obs::Histogram h = obs::histogram("qokit_layer_ns");
+  return h;
+}
+
 /// Select the active kernel family for the amplitude scalar. Both share
 /// one dispatch level, so a mixed-precision run never mixes families.
 template <class T>
@@ -254,9 +261,10 @@ void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
   const simd::detail::KernelsT<T>& k = active_family<T>();
   const double c = std::cos(beta);
   const double s = std::sin(beta);
-  obs::Span span("pipeline_layer");
+  obs::Span span("layer");
   span.attr("n", plan.num_qubits());
   span.attr("passes", static_cast<std::int64_t>(plan.passes().size()));
+  const obs::HistTimer layer_timer(layer_histogram());
   const LayerPass* last = plan.passes().empty() ? nullptr
                                                 : &plan.passes().back();
   for (const LayerPass& p : plan.passes()) {

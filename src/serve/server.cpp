@@ -11,6 +11,7 @@
 #include <system_error>
 #include <utility>
 
+#include "batch/batch_eval.hpp"
 #include "obs/obs.hpp"
 #include "statevector/state.hpp"
 
@@ -197,9 +198,12 @@ Response ScheduleServer::handle(Request& request,
   try {
     if (request.terms.num_qubits() < 1)
       throw std::invalid_argument("serve: request carries no problem terms");
-    // Before the checkout, so a bad schedule or an oversized problem never
-    // pays a miss's precompute or allocation.
+    // Before the checkout, so a bad schedule, an out-of-range overlap
+    // weight or an oversized problem never pays a miss's precompute or
+    // allocation.
     for (const QaoaParams& s : request.schedules) s.check();
+    if (request.overlap)
+      check_overlap_weight(request.overlap_weight, request.terms.num_qubits());
     check_fits(request.terms, config_.cache_bytes);
     SessionLease lease = cache_.checkout(request.terms, request.spec);
     response.cache_hit = lease.hit();

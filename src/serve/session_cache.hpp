@@ -58,12 +58,13 @@ std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
                                       std::size_t states = 1);
 
 /// Footprint of a *built* session: the estimate above with one state per
-/// slot of the session's own pool (batch().pool_size(): in Outer mode
-/// every thread fills its slot), plus the buffers only a live session
-/// reveals -- the LayerPlan's pass schedule and, for u16-diagonal specs,
-/// the uint16 code array and the per-gamma 65536-entry phase-factor
-/// table. The cache charges this overload after a build, so the LRU
-/// budget bounds what the cached sessions can actually hold.
+/// slot of the session's own pool (batch().pool_size(): one per thread
+/// where an Outer batch can fill them, else one), plus the buffers only a
+/// live session reveals -- the LayerPlan's pass schedule and, for
+/// u16-diagonal specs, the uint16 code array and the per-gamma
+/// 65536-entry phase-factor table. The cache charges this overload after
+/// a build, so the LRU budget bounds what the cached sessions can
+/// actually hold.
 std::uint64_t session_footprint_bytes(const api::ProblemSession& session);
 
 class SessionCache;

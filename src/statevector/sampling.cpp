@@ -159,10 +159,4 @@ std::vector<std::uint64_t> sample_states(const StateVector& sv, int shots,
   return sample_from_uniforms(sv, u01);
 }
 
-std::vector<std::uint64_t> sample_states(const StateVector& sv, int shots,
-                                         std::uint64_t seed) {
-  Rng rng(seed);
-  return sample_states(sv, shots, rng);
-}
-
 }  // namespace qokit

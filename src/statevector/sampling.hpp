@@ -80,10 +80,6 @@ std::vector<std::uint64_t> sample_from_uniforms(const StateVector& sv,
 std::vector<std::uint64_t> sample_states(const StateVector& sv, int shots,
                                          Rng& rng);
 
-/// Seeded convenience wrapper (fresh Rng(seed) per call).
-std::vector<std::uint64_t> sample_states(const StateVector& sv, int shots,
-                                         std::uint64_t seed);
-
 /// Shot-based objective estimate (what a real device or a sampling-based
 /// workflow would report instead of the exact inner product).
 struct SampledExpectation {

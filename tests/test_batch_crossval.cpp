@@ -2,8 +2,9 @@
 // problems and random schedule batches (fixed seeds), BatchEvaluator must
 // be *bit-identical* -- not merely close -- to a sequential simulate_qaoa
 // loop on the same simulator, for every backend (serial / auto / u16 /
-// dist:K / xy-ring) and in every parallelism mode, at sizes where the
-// reductions run serially and where they thread.
+// dist:K / xy-ring) and in both parallelism modes, at sizes where the
+// reductions run serially and where they thread. The mode follows the
+// thread count: each check runs at four threads and at one.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,6 +12,7 @@
 #include <string_view>
 
 #include "api/qokit.hpp"
+#include "support/threads.hpp"
 
 namespace qokit {
 namespace {
@@ -50,31 +52,41 @@ std::vector<QaoaParams> random_batch(std::uint64_t seed, int count) {
 
 /// Assert the batch engine reproduces the sequential per-schedule loop
 /// exactly: same expectation bits, same overlap bits, same state bits,
-/// and, when `shots` > 0, the same samples.
+/// and, when `shots` > 0, the same samples. Runs at four threads and at
+/// one; a batch that can spread (`spreads`: two or more schedules on a
+/// layer of one unit) then runs Outer and Inner, any other batch Inner
+/// both times.
 void expect_bit_identical(const QaoaFastSimulatorBase& sim,
-                          std::span<const QaoaParams> batch,
-                          BatchParallelism mode, const char* label,
-                          int shots = 0) {
+                          std::span<const QaoaParams> batch, bool spreads,
+                          const char* label, int shots = 0) {
   BatchOptions opts;
-  opts.parallelism = mode;
   opts.compute_overlap = true;
   opts.keep_states = true;
   opts.sample_shots = shots;
   opts.sample_seed = 17;
-  const BatchResult r = BatchEvaluator(sim, opts).evaluate(batch);
-  ASSERT_EQ(r.expectations.size(), batch.size()) << label;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const StateVector ref =
-        sim.simulate_qaoa(batch[i].gammas, batch[i].betas);
-    EXPECT_EQ(r.expectations[i], sim.get_expectation(ref))
-        << label << " schedule " << i;
-    EXPECT_EQ(r.overlaps[i], sim.get_overlap(ref))
-        << label << " schedule " << i;
-    EXPECT_EQ(r.states[i].max_abs_diff(ref), 0.0)
-        << label << " schedule " << i;
-    if (shots > 0) {
-      EXPECT_EQ(r.samples[i], sample_states(ref, shots, opts.sample_seed + i))
-          << label << " schedule " << i;
+  for (const int threads : {4, 1}) {
+    BatchResult r;
+    testing::with_threads(threads, [&] {
+      r = BatchEvaluator(sim).evaluate(batch, opts);
+      EXPECT_EQ(r.used, spreads ? testing::spread_mode()
+                                : BatchParallelism::Inner)
+          << label << " threads=" << threads;
+    });
+    ASSERT_EQ(r.expectations.size(), batch.size()) << label;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const StateVector ref =
+          sim.simulate_qaoa(batch[i].gammas, batch[i].betas);
+      EXPECT_EQ(r.expectations[i], sim.get_expectation(ref))
+          << label << " schedule " << i << " threads=" << threads;
+      EXPECT_EQ(r.overlaps[i], sim.get_overlap(ref))
+          << label << " schedule " << i << " threads=" << threads;
+      EXPECT_EQ(r.states[i].max_abs_diff(ref), 0.0)
+          << label << " schedule " << i << " threads=" << threads;
+      if (shots > 0) {
+        Rng rng(opts.sample_seed + i);
+        EXPECT_EQ(r.samples[i], sample_states(ref, shots, rng))
+            << label << " schedule " << i << " threads=" << threads;
+      }
     }
   }
 }
@@ -89,26 +101,17 @@ TEST_P(BatchCrossValidationTest, MatchesSequentialLoopOnEveryBackend) {
   const std::vector<QaoaParams> batch =
       random_batch(seed, 5 + static_cast<int>(seed % 4));
 
-  for (const char* name : {"serial", "auto", "u16"}) {
-    const auto sim = choose_simulator(terms, name);
-    for (const auto mode :
-         {BatchParallelism::Auto, BatchParallelism::Outer,
-          BatchParallelism::Inner})
-      expect_bit_identical(*sim, batch, mode, name);
-  }
+  // n = 6..10: every pass of a layer runs as one unit.
+  for (const char* name : {"serial", "auto", "u16"})
+    expect_bit_identical(*choose_simulator(terms, name), batch, true, name);
 
   for (const int ranks : {2, 4}) {
     if (2 * std::countr_zero(static_cast<unsigned>(ranks)) >
         terms.num_qubits())
       continue;
     const DistributedFurSimulator dist_sim(terms, {.ranks = ranks});
-    // Auto must resolve to Inner for the distributed simulator (its rank
-    // threads are the parallelism), but even the forced modes must agree.
-    EXPECT_EQ(BatchEvaluator(dist_sim).resolve_parallelism(batch.size()),
-              BatchParallelism::Inner)
-        << "K=" << ranks;
-    for (const auto mode : {BatchParallelism::Auto, BatchParallelism::Inner})
-      expect_bit_identical(dist_sim, batch, mode, "dist");
+    // The rank threads are the parallelism: dist batches stay Inner.
+    expect_bit_identical(dist_sim, batch, false, "dist");
   }
 }
 
@@ -117,10 +120,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchCrossValidationTest,
 
 TEST(BatchCrossValidation, ThreadedSizesScoreOnTheEvolvingThread) {
   // n = 12 fuses its expectation into a serial final pass; n = 16 is past
-  // kParallelGrain, so an Outer worker scores a one-tile plan while an
-  // Inner batch threads the same reductions. Nine schedules keep every
-  // worker of an 8-thread team busy with more than one. Every mode must
-  // still equal the sequential loop, samples included.
+  // kParallelGrain, so an Outer worker of a 4-thread team scores a
+  // one-tile plan serially while a one-schedule batch, Inner on the same
+  // four threads, threads the same reductions. Nine schedules keep every
+  // worker busy with more than one. Both must still equal the sequential
+  // loop, samples included.
   for (const int n : {12, 16}) {
     const std::vector<QaoaParams> batch =
         random_batch(static_cast<std::uint64_t>(n), 9);
@@ -130,10 +134,11 @@ TEST(BatchCrossValidation, ThreadedSizesScoreOnTheEvolvingThread) {
       const TermList& terms = std::string_view(name) == "u16" ? labs : sk;
       const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
       const std::string label = std::string(name) + " n=" + std::to_string(n);
-      for (const auto mode :
-           {BatchParallelism::Auto, BatchParallelism::Outer,
-            BatchParallelism::Inner})
-        expect_bit_identical(*sim, batch, mode, label.c_str(), 32);
+      ASSERT_EQ(sim->layer_units(), 1) << label;
+      expect_bit_identical(*sim, batch, true, label.c_str(), 32);
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        expect_bit_identical(*sim, std::span(batch).subspan(i, 1), false,
+                             label.c_str(), 32);
     }
   }
 }
@@ -143,7 +148,7 @@ TEST(BatchCrossValidation, XyRingDickeInitialStateIsCachedCorrectly) {
   const auto sim = choose_simulator_xyring(portfolio_terms(inst), "serial",
                                            inst.budget);
   const std::vector<QaoaParams> batch = random_batch(21, 4);
-  expect_bit_identical(*sim, batch, BatchParallelism::Auto, "xyring");
+  expect_bit_identical(*sim, batch, true, "xyring");
 }
 
 TEST(BatchCrossValidation, ApiBatchExpectationMatchesOneLineApi) {
@@ -168,7 +173,7 @@ TEST(BatchCrossValidation, SamplesMatchPerScheduleSamplingContract) {
   BatchOptions opts;
   opts.sample_shots = 64;
   opts.sample_seed = 99;
-  const BatchResult r = BatchEvaluator(sim, opts).evaluate(batch);
+  const BatchResult r = BatchEvaluator(sim).evaluate(batch, opts);
   ASSERT_EQ(r.samples.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     // The documented contract: schedule i samples with seed sample_seed+i,

@@ -1,9 +1,10 @@
 // Optimizer plumbing tests: routing grid search, Nelder-Mead, and SPSA
 // through BatchEvaluator must not change a single bit of their
 // trajectories. The scalar entry points delegate to the batched cores, so
-// these tests compare (a) scalar-objective runs against batch-objective
-// runs end to end, and (b) the rewired grid search against a hand-rolled
-// sequential double loop replicating the pre-batch implementation.
+// these tests compare (a) scalar-objective runs (one-point populations)
+// against batch-objective runs end to end, and (b) the rewired grid
+// search against a hand-rolled sequential double loop replicating the
+// pre-batch implementation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,11 +31,11 @@ TEST(BatchOptimizers, NelderMeadTrajectoryUnchangedByBatching) {
   for (const int max_evals : {9, 40, 200}) {
     NelderMeadOptions opts;
     opts.max_evals = max_evals;
-    const QaoaObjective scalar(sim, 2);
-    const OptResult a = nelder_mead(
-        [&scalar](const std::vector<double>& x) { return scalar(x); }, x0,
-        opts);
     const BatchEvaluator evaluator(sim);
+    const QaoaBatchObjective scalar(evaluator, 2);
+    const OptResult a = nelder_mead(
+        [&scalar](const std::vector<double>& x) { return scalar({x})[0]; },
+        x0, opts);
     const QaoaBatchObjective batched(evaluator, 2);
     const OptResult b = nelder_mead_batched(
         [&batched](const std::vector<std::vector<double>>& points) {
@@ -55,11 +56,11 @@ TEST(BatchOptimizers, SpsaTrajectoryUnchangedByBatching) {
   SpsaOptions opts;
   opts.max_iterations = 40;
   opts.seed = 2024;
-  const QaoaObjective scalar(sim, 2);
-  const OptResult a = spsa(
-      [&scalar](const std::vector<double>& x) { return scalar(x); }, x0,
-      opts);
   const BatchEvaluator evaluator(sim);
+  const QaoaBatchObjective scalar(evaluator, 2);
+  const OptResult a = spsa(
+      [&scalar](const std::vector<double>& x) { return scalar({x})[0]; }, x0,
+      opts);
   const QaoaBatchObjective batched(evaluator, 2);
   const OptResult b = spsa_batched(
       [&batched](const std::vector<std::vector<double>>& points) {

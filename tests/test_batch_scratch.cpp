@@ -1,23 +1,35 @@
 // Scratch-pool and consume-in-place regression tests: the batch engine
-// and the objective functor reuse statevector buffers across evaluations;
-// these tests pin that (a) reuse never aliases results across schedules,
-// (b) repeated batches are bitwise deterministic, (c) the steady-state
-// evaluation loops perform zero statevector allocations (via the
-// instrumented AlignedAllocator counter), (d) a slot refilled in place
-// holds exactly initial_state()'s bytes, and (e) Auto goes Outer only
-// when one schedule's layer has fewer units than there are threads.
+// reuses statevector buffers across evaluations; these tests pin that
+// (a) reuse never aliases results across schedules, (b) repeated batches
+// are bitwise deterministic, (c) the steady-state evaluation loops
+// perform zero statevector allocations (via the instrumented
+// AlignedAllocator counter), (d) a slot refilled in place holds exactly
+// initial_state()'s bytes, and (e) a batch goes Outer only when one
+// schedule's layer has fewer units than the Outer team has threads, and
+// the pool holds a slot per thread only then. Each mode is reached
+// through the thread count (support/threads.hpp): a one-unit layer runs
+// a batch Outer at four threads and Inner at one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "api/qokit.hpp"
+#include "support/threads.hpp"
 
 namespace qokit {
 namespace {
+
+using testing::spread_mode;
+using testing::with_threads;
+
+/// Thread counts that reach both modes for a one-unit layer: Outer at
+/// four (where OpenMP is built in), Inner at one.
+constexpr int kModeThreads[] = {4, 1};
 
 std::vector<QaoaParams> two_distinct_schedules() {
   QaoaParams a;
@@ -35,19 +47,22 @@ TEST(BatchScratch, DifferentSchedulesNeverShareOutputState) {
   const std::vector<QaoaParams> batch = two_distinct_schedules();
   BatchOptions opts;
   opts.keep_states = true;
-  for (const auto mode : {BatchParallelism::Outer, BatchParallelism::Inner}) {
-    opts.parallelism = mode;
-    const BatchResult r = BatchEvaluator(sim, opts).evaluate(batch);
-    ASSERT_EQ(r.states.size(), 2u);
-    // The two outputs must be the two distinct per-schedule states, not
-    // one scratch buffer reported twice.
-    EXPECT_GT(r.states[0].max_abs_diff(r.states[1]), 1e-3);
-    EXPECT_NE(r.states[0].data(), r.states[1].data());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const StateVector ref =
-          sim.simulate_qaoa(batch[i].gammas, batch[i].betas);
-      EXPECT_EQ(r.states[i].max_abs_diff(ref), 0.0) << "schedule " << i;
-    }
+  for (const int threads : kModeThreads) {
+    SCOPED_TRACE(threads);
+    with_threads(threads, [&] {
+      const BatchResult r = BatchEvaluator(sim).evaluate(batch, opts);
+      EXPECT_EQ(r.used, spread_mode());
+      ASSERT_EQ(r.states.size(), 2u);
+      // The two outputs must be the two distinct per-schedule states, not
+      // one scratch buffer reported twice.
+      EXPECT_GT(r.states[0].max_abs_diff(r.states[1]), 1e-3);
+      EXPECT_NE(r.states[0].data(), r.states[1].data());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const StateVector ref =
+            sim.simulate_qaoa(batch[i].gammas, batch[i].betas);
+        EXPECT_EQ(r.states[i].max_abs_diff(ref), 0.0) << "schedule " << i;
+      }
+    });
   }
 }
 
@@ -59,10 +74,10 @@ TEST(BatchScratch, RepeatedBatchCallsAreBitwiseDeterministic) {
   opts.compute_overlap = true;
   opts.keep_states = true;
   opts.sample_shots = 32;
-  const BatchEvaluator evaluator(sim, opts);
-  const BatchResult first = evaluator.evaluate(batch);
+  const BatchEvaluator evaluator(sim);
+  const BatchResult first = evaluator.evaluate(batch, opts);
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const BatchResult again = evaluator.evaluate(batch);
+    const BatchResult again = evaluator.evaluate(batch, opts);
     EXPECT_EQ(again.expectations, first.expectations);
     EXPECT_EQ(again.overlaps, first.overlaps);
     EXPECT_EQ(again.samples, first.samples);
@@ -141,22 +156,6 @@ TEST(BatchScratch, RefilledSlotEqualsInitialStateBitForBit) {
       EXPECT_TRUE(same_bytes(other, expected));
     }
   }
-}
-
-TEST(BatchScratch, ObjectiveSteadyStateAllocatesNoStatevectors) {
-  const TermList terms = maxcut_terms(Graph::random_regular(10, 3, 11));
-  const FurQaoaSimulator sim(terms, {});
-  const QaoaObjective objective(sim, 2);
-  const std::vector<double> x{0.3, -0.2, 0.7, 0.4};
-  (void)objective(x);  // warm-up: first call may allocate the scratch
-  const std::uint64_t baseline = aligned_allocation_count();
-  double value = 0.0;
-  for (int i = 0; i < 5; ++i) value = objective(x);
-  EXPECT_EQ(aligned_allocation_count(), baseline);
-  // And the reused scratch still computes the right number.
-  const StateVector ref = sim.simulate_qaoa(
-      std::vector<double>{0.3, -0.2}, std::vector<double>{0.7, 0.4});
-  EXPECT_EQ(value, sim.get_expectation(ref));
 }
 
 TEST(BatchScratch, BatchSteadyStateAllocatesNoStatevectors) {
@@ -249,21 +248,6 @@ TEST(BatchScratch, U16PhaseTableIsReusedAcrossEvaluations) {
   EXPECT_EQ(aligned_allocation_count(), baseline);
 }
 
-/// Runs `f` with the OpenMP thread count set to `threads`, then restores
-/// it. Resolving a batch mode only reads the count; nothing starts.
-template <class F>
-void with_threads(int threads, F&& f) {
-#if defined(_OPENMP)
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  f();
-  omp_set_num_threads(saved);
-#else
-  (void)threads;
-  f();
-#endif
-}
-
 TEST(BatchScratch, LayerUnitsCountTheFewestThreadedUnitsOfAnyPass) {
   // The default plan splits 2^n amplitudes into 2^(n-16) tiles of 2^16;
   // a strided pass over g <= 6 qubits has 2^(n-g-10) chunk-column units,
@@ -292,12 +276,12 @@ TEST(BatchScratch, LayerUnitsCountTheFewestThreadedUnitsOfAnyPass) {
 }
 
 TEST(BatchScratch, HeuristicRespectsThreadCountAndSimulatorPreference) {
-  // Auto runs Outer only for two or more schedules whose layer cannot
-  // give every thread a unit. Each thread count is set in turn, so the
-  // rule is checked whatever the machine has.
+  // A batch runs Outer only for two or more schedules whose layer cannot
+  // give every thread of the Outer team a unit, and the pool holds a slot
+  // per thread only where that can happen. Each thread count is set in
+  // turn, so the rule is checked whatever the machine has.
   const TermList small = labs_terms(8);
   const FurQaoaSimulator sim(small, {});
-  const BatchEvaluator evaluator(sim);
   const TermList sixteen = labs_terms(16);
   const FurQaoaSimulator one_tile(sixteen, {});
   // 2^8-amplitude tiles and 2-qubit groups of 2^4-amplitude chunks: every
@@ -309,36 +293,42 @@ TEST(BatchScratch, HeuristicRespectsThreadCountAndSimulatorPreference) {
     SCOPED_TRACE(threads);
     with_threads(threads, [&] {
       // A build without OpenMP always has one thread.
-      const int team = max_threads();
-      const BatchParallelism spread = team > 1 ? BatchParallelism::Outer
-                                               : BatchParallelism::Inner;
+      const auto team = static_cast<std::size_t>(max_threads());
+      const BatchEvaluator evaluator(sim);
       // Singleton batches never go outer.
       EXPECT_EQ(evaluator.resolve_parallelism(1), BatchParallelism::Inner);
       EXPECT_EQ(BatchEvaluator(one_tile).resolve_parallelism(1),
                 BatchParallelism::Inner);
       // Sub-grain states (2^8 amplitudes) and the one-tile n = 16 plan
-      // leave threads idle, so any real batch threads across schedules.
-      EXPECT_EQ(evaluator.resolve_parallelism(16), spread);
-      EXPECT_EQ(BatchEvaluator(one_tile).resolve_parallelism(2), spread);
+      // leave threads idle, so any real batch threads across schedules,
+      // each thread in its own slot.
+      EXPECT_EQ(evaluator.resolve_parallelism(16), spread_mode());
+      EXPECT_EQ(BatchEvaluator(one_tile).resolve_parallelism(2),
+                spread_mode());
+      EXPECT_EQ(evaluator.pool_size(), team);
       // A plan with a unit for every thread in every pass keeps one state
       // and every thread on it, however large the batch.
-      ASSERT_GE(many_tiles.layer_units(), team);
-      EXPECT_EQ(BatchEvaluator(many_tiles).resolve_parallelism(16),
-                BatchParallelism::Inner);
-      // The distributed simulator's rank threads are the parallelism;
-      // Auto must never stack an outer team on top.
-      EXPECT_EQ(BatchEvaluator(dist_sim).resolve_parallelism(16),
-                BatchParallelism::Inner);
+      ASSERT_GE(many_tiles.layer_units(), static_cast<std::int64_t>(team));
+      const BatchEvaluator filling(many_tiles);
+      EXPECT_EQ(filling.resolve_parallelism(16), BatchParallelism::Inner);
+      EXPECT_EQ(filling.pool_size(), 1u);
+      // The distributed simulator's rank threads are the parallelism; an
+      // outer team must never stack on top.
+      const BatchEvaluator ranks(dist_sim);
+      EXPECT_EQ(ranks.resolve_parallelism(16), BatchParallelism::Inner);
+      EXPECT_EQ(ranks.pool_size(), 1u);
     });
   }
-  // Forced modes are honored as stated.
-  BatchOptions forced;
-  forced.parallelism = BatchParallelism::Outer;
-  EXPECT_EQ(BatchEvaluator(sim, forced).resolve_parallelism(1),
-            BatchParallelism::Outer);
-  forced.parallelism = BatchParallelism::Inner;
-  EXPECT_EQ(BatchEvaluator(sim, forced).resolve_parallelism(16),
-            BatchParallelism::Inner);
+  // A pool sized at one thread has one slot, so the Outer team it could
+  // give has one thread: run at four threads, its batches stay Inner.
+  std::optional<BatchEvaluator> narrow;
+  with_threads(1, [&] { narrow.emplace(sim); });
+  with_threads(4, [&] {
+    EXPECT_EQ(narrow->pool_size(), 1u);
+    EXPECT_EQ(narrow->resolve_parallelism(16), BatchParallelism::Inner);
+    const BatchResult r = narrow->evaluate(two_distinct_schedules());
+    EXPECT_EQ(r.used, BatchParallelism::Inner);
+  });
 }
 
 TEST(BatchScratch, TimingsAreTakenOnTheEvolvingThreadInBothModes) {
@@ -353,32 +343,33 @@ TEST(BatchScratch, TimingsAreTakenOnTheEvolvingThreadInBothModes) {
   opts.keep_states = true;
   opts.sample_shots = 16;
   opts.record_timings = true;
-  for (const auto mode : {BatchParallelism::Outer, BatchParallelism::Inner}) {
-    opts.parallelism = mode;
-    const BatchResult r = BatchEvaluator(sim, opts).evaluate(batch);
-    EXPECT_EQ(r.used, mode);
-    ASSERT_EQ(r.simulate_ns.size(), batch.size());
-    ASSERT_EQ(r.reduce_ns.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_GT(r.simulate_ns[i], 0u) << "schedule " << i;
-      EXPECT_GT(r.reduce_ns[i], 0u) << "schedule " << i;
-    }
-  }
-  // The session surface reports the same per-item fields.
-  const api::ProblemSession session = api::ProblemSession::labs(12);
   api::EvalRequest request;
   request.overlap = true;
   request.shots = 16;
   request.timings = true;
-  for (const auto mode : {BatchParallelism::Outer, BatchParallelism::Inner}) {
-    request.parallelism = mode;
-    for (const api::EvalResult& item :
-         session.evaluate_batch(batch, request)) {
-      ASSERT_TRUE(item.timings.has_value());
-      EXPECT_GT(item.timings->simulate_ns, 0u);
-      EXPECT_GT(item.timings->reduce_ns, 0u);
-      EXPECT_GE(item.timings->batch_ns, item.timings->simulate_ns);
-    }
+  for (const int threads : kModeThreads) {
+    SCOPED_TRACE(threads);
+    with_threads(threads, [&] {
+      const BatchResult r = BatchEvaluator(sim).evaluate(batch, opts);
+      EXPECT_EQ(r.used, spread_mode());
+      ASSERT_EQ(r.simulate_ns.size(), batch.size());
+      ASSERT_EQ(r.reduce_ns.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_GT(r.simulate_ns[i], 0u) << "schedule " << i;
+        EXPECT_GT(r.reduce_ns[i], 0u) << "schedule " << i;
+      }
+      // The session surface reports the same per-item fields.
+      const api::ProblemSession session = api::ProblemSession::labs(12);
+      ASSERT_EQ(session.batch().resolve_parallelism(batch.size()),
+                spread_mode());
+      for (const api::EvalResult& item :
+           session.evaluate_batch(batch, request)) {
+        ASSERT_TRUE(item.timings.has_value());
+        EXPECT_GT(item.timings->simulate_ns, 0u);
+        EXPECT_GT(item.timings->reduce_ns, 0u);
+        EXPECT_GE(item.timings->batch_ns, item.timings->simulate_ns);
+      }
+    });
   }
 }
 
@@ -393,16 +384,21 @@ TEST(BatchScratch, AFailingScheduleThrowsAfterTheTeamJoins) {
   batch[3].gammas[1] = std::numeric_limits<double>::quiet_NaN();
   BatchOptions opts;
   opts.sample_shots = 4;
-  for (const auto mode : {BatchParallelism::Outer, BatchParallelism::Inner}) {
-    opts.parallelism = mode;
-    const BatchEvaluator evaluator(sim, opts);
-    EXPECT_THROW((void)evaluator.evaluate(batch), std::invalid_argument);
-    const std::vector<QaoaParams> good = two_distinct_schedules();
-    const BatchResult r = evaluator.evaluate(good);
-    for (std::size_t i = 0; i < good.size(); ++i)
-      EXPECT_EQ(r.expectations[i],
-                sim.get_expectation(
-                    sim.simulate_qaoa(good[i].gammas, good[i].betas)));
+  for (const int threads : kModeThreads) {
+    SCOPED_TRACE(threads);
+    with_threads(threads, [&] {
+      const BatchEvaluator evaluator(sim);
+      ASSERT_EQ(evaluator.resolve_parallelism(batch.size()), spread_mode());
+      EXPECT_THROW((void)evaluator.evaluate(batch, opts),
+                   std::invalid_argument);
+      const std::vector<QaoaParams> good = two_distinct_schedules();
+      const BatchResult r = evaluator.evaluate(good, opts);
+      EXPECT_EQ(r.used, spread_mode());
+      for (std::size_t i = 0; i < good.size(); ++i)
+        EXPECT_EQ(r.expectations[i],
+                  sim.get_expectation(
+                      sim.simulate_qaoa(good[i].gammas, good[i].betas)));
+    });
   }
 }
 

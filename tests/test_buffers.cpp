@@ -76,17 +76,21 @@ bool unmapped(const void* p) {
          errno == ENOMEM;
 }
 
-/// Scalar evaluate (pool slot 0), an Outer batch (every slot) and a
-/// sampled evaluate: everything a served session fills.
+/// A sampled scalar evaluate (pool slot 0) and a batch as wide as the
+/// pool (every slot): everything a served session fills.
 void exercise(const api::ProblemSession& session) {
   const std::vector<QaoaParams> batch = schedules(
       static_cast<int>(session.batch().pool_size()), 3);
   api::EvalRequest request;
   request.shots = 64;
   (void)session.evaluate(batch.front(), request);
-  api::EvalRequest wide;
-  wide.parallelism = BatchParallelism::Outer;
-  (void)session.evaluate_batch(batch, wide);
+  // An SK-16 layer is one tile, so a pool-wide batch spreads over every
+  // slot wherever the pool has more than one.
+  if (batch.size() > 1) {
+    EXPECT_EQ(session.batch().resolve_parallelism(batch.size()),
+              BatchParallelism::Outer);
+  }
+  (void)session.evaluate_batch(batch);
 }
 
 TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
@@ -123,10 +127,11 @@ TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
   {
     const BatchEvaluator evaluator(sim);
     BatchOptions opts;
-    opts.parallelism = BatchParallelism::Outer;
     opts.sample_shots = 16;
-    (void)evaluator.evaluate(
+    const BatchResult r = evaluator.evaluate(
         schedules(static_cast<int>(evaluator.pool_size()), 4), opts);
+    EXPECT_EQ(r.used, evaluator.pool_size() > 1 ? BatchParallelism::Outer
+                                                : BatchParallelism::Inner);
     EXPECT_GT(aligned_live_bytes(), with_sim);
     slot = first_amplitude(evaluator.scratch_slot());
   }

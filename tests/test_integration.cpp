@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "support/gate_oracle.hpp"
 
 namespace qokit {
@@ -40,15 +42,15 @@ TEST(Api, OptimizedLabsQaoaLowersEnergyWellBelowUniform) {
   const int n = 10;
   const TermList terms = labs_terms(n);
   const auto sim = choose_simulator(terms);
-  QaoaObjective obj(*sim, 2);
+  const BatchEvaluator evaluator(*sim);
+  const QaoaBatchObjective obj(evaluator, 2);
   double best = 1e300;
   // Multi-start: LABS is rugged, a single Nelder-Mead run can stall.
   for (const double gscale : {0.05, 0.1, 0.2}) {
     QaoaParams init = linear_ramp(2, 0.9);
     for (double& g : init.gammas) g *= gscale;  // gamma ~ 1/range(C)
-    const OptResult r = nelder_mead(
-        [&obj](const std::vector<double>& x) { return obj(x); },
-        init.flatten(), {.max_evals = 250});
+    const OptResult r = nelder_mead_batched(std::cref(obj), init.flatten(),
+                                            {.max_evals = 250});
     best = std::min(best, r.fval);
   }
   const double uniform_energy = terms.offset();  // <+|C|+> = 45 at n = 10
@@ -85,8 +87,9 @@ TEST(Api, OptimizeQaoaImprovesObjective) {
   const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 21));
   const int p = 2;
   const auto sim = choose_simulator(terms);
-  QaoaObjective probe(*sim, p);
-  const double ramp_value = probe(linear_ramp(p).flatten());
+  const BatchEvaluator evaluator(*sim);
+  const QaoaBatchObjective probe(evaluator, p);
+  const double ramp_value = probe({linear_ramp(p).flatten()}).front();
   const api::OptimizeOutcome out =
       api::optimize_qaoa(terms, p, {.max_evals = 300});
   EXPECT_LT(out.fval, ramp_value);
@@ -98,13 +101,13 @@ TEST(Api, DeeperQaoaDoesNotHurtLabsWithInterp) {
   // INTERP ladder p=1 -> 3: optimized value must be non-increasing in p.
   const TermList terms = labs_terms(8);
   const auto sim = choose_simulator(terms);
+  const BatchEvaluator evaluator(*sim);
   double prev = 1e300;
   QaoaParams params = linear_ramp(1, 0.8);
   for (int p = 1; p <= 3; ++p) {
-    QaoaObjective obj(*sim, p);
-    const OptResult r = nelder_mead(
-        [&obj](const std::vector<double>& x) { return obj(x); },
-        params.flatten(), {.max_evals = 400});
+    const QaoaBatchObjective obj(evaluator, p);
+    const OptResult r = nelder_mead_batched(std::cref(obj), params.flatten(),
+                                            {.max_evals = 400});
     EXPECT_LE(r.fval, prev + 1e-6) << "p=" << p;
     prev = r.fval;
     params = interp_to_next_depth(QaoaParams::unflatten(r.x));

@@ -251,8 +251,9 @@ TEST_F(ObsTest, SpanNestingAndAttributes) {
   const std::string trace = obs::trace_json();
   EXPECT_TRUE(JsonValidator(trace).valid()) << trace.substr(0, 400);
 
-  // Nesting depths recorded at open: evaluate (0) > layer (1) >
-  // simulate (2) > pipeline_layer (3); reduce reopens at depth 1.
+  // Nesting depths recorded at open: evaluate (0) > evaluate_batch (1) >
+  // simulate_expectation (2) > layer (3), the executor's own span; reduce
+  // reopens at depth 2, after the schedule's evolution.
   const std::string evaluate = event_line(trace, "evaluate");
   ASSERT_FALSE(evaluate.empty());
   EXPECT_NE(evaluate.find("\"depth\":0"), std::string::npos) << evaluate;
@@ -261,17 +262,31 @@ TEST_F(ObsTest, SpanNestingAndAttributes) {
   EXPECT_NE(evaluate.find("\"backend\":\"serial\""), std::string::npos)
       << evaluate;
 
-  const std::string layer = event_line(trace, "layer");
-  ASSERT_FALSE(layer.empty());
-  EXPECT_NE(layer.find("\"depth\":1"), std::string::npos) << layer;
+  const std::string batch = event_line(trace, "evaluate_batch");
+  ASSERT_FALSE(batch.empty());
+  EXPECT_NE(batch.find("\"depth\":1"), std::string::npos) << batch;
+  EXPECT_NE(batch.find("\"mode\":\"inner\""), std::string::npos) << batch;
 
-  const std::string simulate = event_line(trace, "simulate");
+  const std::string simulate = event_line(trace, "simulate_expectation");
   ASSERT_FALSE(simulate.empty());
   EXPECT_NE(simulate.find("\"depth\":2"), std::string::npos) << simulate;
 
+  const std::string layer = event_line(trace, "layer");
+  ASSERT_FALSE(layer.empty());
+  EXPECT_NE(layer.find("\"depth\":3"), std::string::npos) << layer;
+  EXPECT_NE(layer.find("\"n\":10"), std::string::npos) << layer;
+
   const std::string reduce = event_line(trace, "reduce");
   ASSERT_FALSE(reduce.empty());
-  EXPECT_NE(reduce.find("\"depth\":1"), std::string::npos) << reduce;
+  EXPECT_NE(reduce.find("\"depth\":2"), std::string::npos) << reduce;
+
+  // One qokit_layer_ns sample per layer, one qokit_reduce_ns per schedule.
+  const obs::Snapshot snap = obs::snapshot();
+  const auto* layers = find_histogram(snap, "qokit_layer_ns");
+  const auto* reduces = find_histogram(snap, "qokit_reduce_ns");
+  ASSERT_TRUE(layers && reduces);
+  EXPECT_EQ(layers->count, 3u);
+  EXPECT_EQ(reduces->count, 1u);
 
   // The precompute span from construction is there too, at top level.
   const std::string precompute = event_line(trace, "precompute");
@@ -400,7 +415,7 @@ TEST_F(ObsTest, BatchTimingsArePerItem) {
   const api::EvalResult scalar = s.evaluate(linear_ramp(2), scalar_req);
   ASSERT_TRUE(scalar.timings.has_value());
   EXPECT_EQ(scalar.timings->batch_ns, 0u);
-  EXPECT_EQ(scalar.timings->layer_ns.size(), 2u);
+  EXPECT_GT(scalar.timings->simulate_ns, 0u);
 
   // The engine-level switch: timing vectors only materialize on request.
   BatchOptions opts;
@@ -411,6 +426,37 @@ TEST_F(ObsTest, BatchTimingsArePerItem) {
   const BatchResult timed = s.batch().evaluate(batch, opts);
   EXPECT_EQ(timed.simulate_ns.size(), batch.size());
   EXPECT_EQ(timed.reduce_ns.size(), batch.size());
+}
+
+TEST_F(ObsTest, TimedEvaluateRunsTheUntimedPasses) {
+  // Measuring must not change what runs: a timed evaluate issues exactly
+  // the passes of an untimed one -- the fused final reduction included --
+  // and gives the same bits. n = 12 has a tile pass and can fuse.
+  obs::set_enabled(true);
+  const obs::Counter counters[] = {
+      obs::counter("qokit_pipeline_tile_passes_total"),
+      obs::counter("qokit_pipeline_strided_passes_total"),
+      obs::counter("qokit_pipeline_fused_reductions_total"),
+  };
+  for (const char* spec : {"auto", "serial", "u16"}) {
+    const api::ProblemSession s =
+        api::ProblemSession::labs(12, SimulatorSpec::parse(spec));
+    api::EvalRequest req;
+    req.overlap = true;
+    std::vector<std::uint64_t> moved[2];
+    double energy[2] = {};
+    for (const int timed : {0, 1}) {
+      req.timings = timed == 1;
+      std::uint64_t before[3];
+      for (int i = 0; i < 3; ++i) before[i] = counters[i].value();
+      energy[timed] = s.evaluate(linear_ramp(3), req).expectation.value();
+      for (int i = 0; i < 3; ++i)
+        moved[timed].push_back(counters[i].value() - before[i]);
+    }
+    EXPECT_EQ(moved[1], moved[0]) << spec;
+    EXPECT_EQ(moved[0][2], 1u) << spec;  // one fused reduction per evaluate
+    EXPECT_EQ(energy[1], energy[0]) << spec;
+  }
 }
 
 TEST_F(ObsTest, KernelCallsCountAgainstTheActiveSimdLevel) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "optimize/objective.hpp"
 #include "optimize/params.hpp"
@@ -116,45 +117,37 @@ TEST(Params, InterpPreservesEndpointsAndLength) {
   for (int l = 0; l + 1 < 4; ++l) EXPECT_LE(q.gammas[l], q.gammas[l + 1]);
 }
 
-TEST(Objective, CountsEvaluations) {
-  const TermList terms = maxcut_terms(Graph::random_regular(6, 3, 5));
-  const FurQaoaSimulator sim(terms, {});
-  QaoaObjective obj(sim, 2);
-  EXPECT_EQ(obj.evaluations(), 0);
-  obj({0.1, 0.2, 0.3, 0.4});
-  obj({0.1, 0.2, 0.3, 0.4});
-  EXPECT_EQ(obj.evaluations(), 2);
-  obj.reset_count();
-  EXPECT_EQ(obj.evaluations(), 0);
-}
-
 TEST(Objective, MatchesDirectSimulation) {
   const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 9));
   const FurQaoaSimulator sim(terms, {});
-  QaoaObjective obj(sim, 1);
-  const double via_obj = obj({0.4, 0.8});
+  const BatchEvaluator evaluator(sim);
+  const QaoaBatchObjective obj(evaluator, 1);
+  const double via_obj = obj({{0.4, 0.8}}).front();
   const std::vector<double> gs{0.4}, bs{0.8};
   const double direct = sim.get_expectation(sim.simulate_qaoa(gs, bs));
-  EXPECT_DOUBLE_EQ(via_obj, direct);
+  EXPECT_EQ(via_obj, direct);
+  EXPECT_EQ(obj.evaluations(), 1);
 }
 
 TEST(Objective, RejectsWrongParameterCount) {
   const TermList terms = maxcut_terms(Graph::random_regular(6, 3, 5));
   const FurQaoaSimulator sim(terms, {});
-  QaoaObjective obj(sim, 2);
-  EXPECT_THROW(obj({0.1, 0.2, 0.3}), std::invalid_argument);
+  const BatchEvaluator evaluator(sim);
+  const QaoaBatchObjective obj(evaluator, 2);
+  EXPECT_THROW(obj({{0.1, 0.2, 0.3}}), std::invalid_argument);
+  EXPECT_EQ(obj.evaluations(), 0);
 }
 
 TEST(Objective, OptimizationImprovesOverRampStart) {
   const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 13));
   const FurQaoaSimulator sim(terms, {});
   const int p = 2;
-  QaoaObjective obj(sim, p);
+  const BatchEvaluator evaluator(sim);
+  const QaoaBatchObjective obj(evaluator, p);
   const auto x0 = linear_ramp(p).flatten();
-  const double f0 = obj(x0);
-  const OptResult r = nelder_mead(
-      [&obj](const std::vector<double>& x) { return obj(x); }, x0,
-      {.max_evals = 250});
+  const double f0 = obj({x0}).front();
+  const OptResult r =
+      nelder_mead_batched(std::cref(obj), x0, {.max_evals = 250});
   EXPECT_LE(r.fval, f0 + 1e-12);
   EXPECT_LT(r.fval, f0 - 1e-3);  // strictly better than the ramp for MaxCut
 }

@@ -328,91 +328,49 @@ TEST(PipelineFallback, RunLayerRejectsMisuse) {
 
 // ------------------------------------------------- spec/session plumbing
 
-TEST(PipelineSession, SessionsReuseOnePlanAndReportLayerTimings) {
-  const Graph g = Graph::random_regular(8, 3, 5);
-  const api::ProblemSession session =
-      api::ProblemSession::maxcut(g, SimulatorSpec{});
-  const auto* fur =
-      dynamic_cast<const FurQaoaSimulator*>(&session.simulator());
-  ASSERT_NE(fur, nullptr);
-  EXPECT_TRUE(fur->layer_plan().active());
-  api::EvalRequest request;
-  request.timings = true;
-  const QaoaParams sched = test_schedule();
-  const api::EvalResult timed = session.evaluate(sched, request);
-  ASSERT_TRUE(timed.timings.has_value());
-  ASSERT_EQ(timed.timings->layer_ns.size(), sched.gammas.size());
-  std::uint64_t total = 0;
-  for (const std::uint64_t ns : timed.timings->layer_ns) total += ns;
-  EXPECT_LE(total, timed.timings->simulate_ns);
-  // The layer-by-layer timed evolution is bit-identical to the untimed
-  // single-call one.
-  const api::EvalResult untimed = session.evaluate(sched);
-  EXPECT_EQ(timed.expectation, untimed.expectation);
-  // The timed path must reject mismatched schedules exactly like the
-  // untimed one (regression: it once sliced per layer without checking).
-  QaoaParams ragged;
-  ragged.gammas = {0.1, 0.2};
-  ragged.betas = {0.3};
-  EXPECT_THROW(session.evaluate(ragged, request), std::invalid_argument);
-  EXPECT_THROW(session.evaluate(ragged), std::invalid_argument);
-}
-
 // ------------------------------------------------- fused expectation
 
-TEST(PipelineFusedExpectation, UntimedSessionMatchesTheTwoPassOracle) {
-  // n = 11: 2^11 amplitudes is wide enough for the fused final-pass
-  // reduction (can_fuse_expectation needs the last pass to cover at
-  // least one kReduceBlock). The untimed evaluate() takes the fused
-  // simulate+reduce route; the timed one keeps the explicit two-pass
-  // split so layer timings stay pure simulation. Expectation AND the
+TEST(PipelineFusedExpectation, SessionMatchesTheTwoPassOracle) {
+  // Every session evaluate, timed or not, takes the fused simulate+reduce
+  // route where the plan allows it: at n = 11 (the final pass covers a
+  // whole kReduceBlock), not at n = 8, where the simulator silently runs
+  // the two-pass default. The oracle is the simulator's own two passes,
+  // simulate_qaoa then get_expectation; expectation AND the
   // post-evolution reductions (overlap here) must agree bitwise.
   const QaoaParams sched = test_schedule();
   SimdLevelGuard guard;
   for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
-    for (const char* name : {"auto", "serial", "u16", "u16:exec=serial"}) {
-      const TermList terms = sk_terms(11, 9);
-      const api::ProblemSession session(terms, SimulatorSpec::parse(name));
-      const auto* fur =
-          dynamic_cast<const FurQaoaSimulator*>(&session.simulator());
-      ASSERT_NE(fur, nullptr) << name;
-      ASSERT_TRUE(fur->layer_plan().active()) << name;
-      // The setup must actually engage the fused reduction, or this test
-      // would compare two-pass against itself.
-      ASSERT_TRUE(pipeline::can_fuse_expectation(fur->layer_plan(),
-                                                 std::uint64_t{1} << 11))
-          << name;
-      api::EvalRequest fused_req;
-      fused_req.overlap = true;  // expectation defaults to true
-      const api::EvalResult fused = session.evaluate(sched, fused_req);
-      api::EvalRequest two_pass_req = fused_req;
-      two_pass_req.timings = true;
-      const api::EvalResult two_pass = session.evaluate(sched, two_pass_req);
-      ASSERT_TRUE(fused.expectation.has_value()) << name;
-      ASSERT_TRUE(two_pass.expectation.has_value()) << name;
-      EXPECT_EQ(*fused.expectation, *two_pass.expectation) << name;
-      ASSERT_TRUE(fused.overlap.has_value()) << name;
-      EXPECT_EQ(*fused.overlap, *two_pass.overlap) << name;
+    for (const int n : {11, 8}) {
+      for (const char* name : {"auto", "serial", "u16", "u16:exec=serial"}) {
+        const std::string label = std::string(name) + " n=" + std::to_string(n);
+        const api::ProblemSession session(sk_terms(n, 9),
+                                          SimulatorSpec::parse(name));
+        const auto* fur =
+            dynamic_cast<const FurQaoaSimulator*>(&session.simulator());
+        ASSERT_NE(fur, nullptr) << label;
+        ASSERT_TRUE(fur->layer_plan().active()) << label;
+        // The n = 11 setup must actually engage the fused reduction, or
+        // this test would compare two-pass against itself.
+        ASSERT_EQ(pipeline::can_fuse_expectation(fur->layer_plan(),
+                                                 std::uint64_t{1} << n),
+                  n == 11)
+            << label;
+        const StateVector two_pass =
+            fur->simulate_qaoa(sched.gammas, sched.betas);
+        api::EvalRequest request;
+        request.overlap = true;  // expectation defaults to true
+        for (const bool timed : {false, true}) {
+          request.timings = timed;
+          const api::EvalResult fused = session.evaluate(sched, request);
+          EXPECT_EQ(fused.expectation, fur->get_expectation(two_pass))
+              << label << " timed=" << timed;
+          EXPECT_EQ(fused.overlap, fur->get_overlap(two_pass))
+              << label << " timed=" << timed;
+        }
+      }
     }
   }
-}
-
-TEST(PipelineFusedExpectation, SmallStatesFallBackToTwoPass) {
-  // Below one reduce block the fused route must decline (and the
-  // simulator silently run the two-pass default).
-  const TermList terms = sk_terms(8, 9);
-  const api::ProblemSession session(terms, SimulatorSpec::parse("auto"));
-  const auto* fur =
-      dynamic_cast<const FurQaoaSimulator*>(&session.simulator());
-  ASSERT_NE(fur, nullptr);
-  EXPECT_FALSE(pipeline::can_fuse_expectation(fur->layer_plan(),
-                                              std::uint64_t{1} << 8));
-  const QaoaParams sched = test_schedule();
-  api::EvalRequest timed;
-  timed.timings = true;
-  EXPECT_EQ(session.evaluate(sched).expectation,
-            session.evaluate(sched, timed).expectation);
 }
 
 TEST(PipelineDist, DistPlansTheLocalSliceAndMatchesOracleAtTheBoundary) {

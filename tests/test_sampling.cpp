@@ -140,7 +140,6 @@ TEST(Sampler, SeededOverloadsMatchExplicitRngStreams) {
   Rng rng(99);
   const auto explicit_stream = sampler.sample(40, rng);
   EXPECT_EQ(sampler.sample(40, std::uint64_t{99}), explicit_stream);
-  EXPECT_EQ(sample_states(sv, 40, std::uint64_t{99}), explicit_stream);
   Rng rng2(99);
   EXPECT_EQ(sampler.sample_counts(40, std::uint64_t{99}),
             sampler.sample_counts(40, rng2));

@@ -27,11 +27,13 @@
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "problems/graph.hpp"
+#include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/session_cache.hpp"
 #include "serve/work_queue.hpp"
+#include "support/threads.hpp"
 
 namespace qokit::serve {
 namespace {
@@ -415,10 +417,11 @@ TEST(ServeSessionCache, FootprintCoversEveryBufferASessionAllocates) {
   // thread, and it also cached |+> -- at 4 threads it held 88 B/amp. A
   // session's 2^n buffers are its diagonal and its pool, and the charge
   // is the diagonal plus one state per pool slot. Drive a fresh session
-  // through evaluate (slot 0), a batch as wide as its pool (every slot)
-  // and optimize (the same pool), and hold every aligned byte it
-  // allocated to its charge. The pool has one slot per thread, so the
-  // 1-thread and the multi-thread legs each check their own width.
+  // through evaluate (slot 0), a batch as wide as its pool (every slot:
+  // the n = 12 layer is one unit, so it runs Outer on more than one
+  // thread) and optimize (the same pool), and hold every aligned byte it
+  // allocated to its charge. The pool has one slot per thread here, so
+  // the 1-thread and the multi-thread legs each check their own width.
   const int n = 12;
   for (const char* name : {"auto", "serial"}) {
     SCOPED_TRACE(name);
@@ -427,9 +430,11 @@ TEST(ServeSessionCache, FootprintCoversEveryBufferASessionAllocates) {
       const std::vector<QaoaParams> schedules = random_schedules(
           static_cast<int>(session.batch().pool_size()), 2, 31);
       (void)session.evaluate(schedules.front());
-      api::EvalRequest wide;
-      wide.parallelism = BatchParallelism::Outer;
-      (void)session.evaluate_batch(schedules, wide);
+      if (schedules.size() > 1) {
+        EXPECT_EQ(session.batch().resolve_parallelism(schedules.size()),
+                  BatchParallelism::Outer);
+      }
+      (void)session.evaluate_batch(schedules);
       api::OptimizerSpec optimizer;
       optimizer.p = 2;
       optimizer.nelder_mead.max_evals = 30;
@@ -450,6 +455,22 @@ TEST(ServeSessionCache, FootprintCoversEveryBufferASessionAllocates) {
     EXPECT_GE(allocated, dim_of(n) * sizeof(double) +
                              session.batch().pool_size() * state_bytes);
   }
+}
+
+TEST(ServeSessionCache, FootprintChargesOneStateWhereBatchesStayInner) {
+  // A LABS-18 layer has four tiles, so at four threads every batch runs
+  // Inner in one state: the pool has one slot and the charge is the
+  // diagonal plus that one state, not one state per thread.
+  testing::with_threads(4, [] {
+    const TermList terms = labs_terms(18);
+    const api::ProblemSession session(terms, {});
+    ASSERT_GE(session.simulator().layer_units(), max_threads());
+    EXPECT_EQ(session.batch().pool_size(), 1u);
+    const Precision prec = session.simulator().precision();
+    const std::uint64_t charge = session_footprint_bytes(session);
+    EXPECT_GE(charge, session_footprint_bytes(18, terms.size(), prec, 1));
+    EXPECT_LT(charge, session_footprint_bytes(18, terms.size(), prec, 2));
+  });
 }
 
 // ------------------------------------------------------------ server
@@ -615,6 +636,23 @@ TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
       server.submit_blocking(make_request(8, 1, random_schedules(1, 1, 4)));
   EXPECT_EQ(ok.status, Status::Ok);
   ASSERT_EQ(ok.expectations.size(), 1u);
+}
+
+TEST(ScheduleServer, OutOfRangeOverlapWeightsAreBadRequestsBeforeTheCache) {
+  // The sector must exist (-1 through n): weight n + 1 is refused next to
+  // the schedule checks, so no cache miss pays the precompute.
+  ServerConfig config;
+  config.workers = 1;
+  ScheduleServer server(config);
+  Request request = make_request(8, 3, random_schedules(2, 1, 4));
+  request.overlap = true;
+  request.overlap_weight = 9;
+  const Response r = server.submit_blocking(request);
+  EXPECT_EQ(r.status, Status::BadRequest);
+  EXPECT_NE(r.error.find("overlap_weight 9"), std::string::npos) << r.error;
+  EXPECT_EQ(server.cache_stats().misses, 0u);
+  request.overlap_weight = 8;
+  EXPECT_EQ(server.submit_blocking(std::move(request)).overlaps.size(), 2u);
 }
 
 TEST(ScheduleServer, OversizedProblemsAreBadRequestsBeforeTheCache) {

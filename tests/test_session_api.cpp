@@ -376,6 +376,7 @@ TEST(ProblemSession, AThreadFillingPlanHoldsOneStateOnEveryPath) {
   ASSERT_GE(session.simulator().layer_units(), max_threads());
   EXPECT_EQ(session.batch().resolve_parallelism(schedules.size()),
             BatchParallelism::Inner);
+  EXPECT_EQ(session.batch().pool_size(), 1u);
   exercise(session);
   EXPECT_EQ(aligned_allocation_bytes() - before,
             dim_of(n) * (sizeof(double) +
@@ -420,6 +421,39 @@ TEST(ProblemSession, RefusesOversizedProblemsBeforeAllocating) {
     }
   }
   EXPECT_EQ(aligned_allocation_count(), before);
+}
+
+TEST(ProblemSession, RefusesAnOutOfRangeOverlapWeightBeforeAllocating) {
+  // The overlap's Hamming-weight sector must exist: -1 (the full space)
+  // through n. Anything else is refused before a pool slot is filled, on
+  // a fresh session whose first call would otherwise allocate one --
+  // through the session and through its engine (the compatibility
+  // wrappers' route) alike.
+  const std::vector<QaoaParams> batch = random_schedules(2, 2, 17);
+  for (const char* name : {"auto", "dist:2", "auto:mixer=xyring"}) {
+    const api::ProblemSession session(labs_terms(10),
+                                      SimulatorSpec::parse(name));
+    api::EvalRequest request;
+    request.overlap = true;
+    BatchOptions opts;
+    opts.compute_overlap = true;
+    for (const int weight : {11, -2}) {
+      request.overlap_weight = weight;
+      opts.overlap_weight = weight;
+      const std::uint64_t before = aligned_allocation_count();
+      EXPECT_THROW((void)session.evaluate(batch[0], request),
+                   std::invalid_argument);
+      EXPECT_THROW((void)session.evaluate_batch(batch, request),
+                   std::invalid_argument);
+      EXPECT_THROW((void)session.batch().evaluate(batch, opts),
+                   std::invalid_argument);
+      EXPECT_EQ(aligned_allocation_count(), before) << name << weight;
+    }
+    for (const int weight : {-1, 0, 10}) {  // both ends are sectors
+      request.overlap_weight = weight;
+      EXPECT_TRUE(session.evaluate(batch[0], request).overlap) << name;
+    }
+  }
 }
 
 TEST(ProblemSession, EvaluateBatchMatchesScalarEvaluateAndLegacyBatch) {
