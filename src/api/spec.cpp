@@ -227,6 +227,21 @@ void record_precision(Precision prec) {
 
 std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     const TermList& terms, const SimulatorSpec& spec) {
+  // A field the built simulator would ignore is refused, not dropped:
+  // otherwise two spellings of one simulator would compare unequal and
+  // cost a serve cache two precomputes and two diagonals.
+  if (spec.backend != Backend::Dist && spec.ranks != 2)
+    throw std::invalid_argument("make_simulator: ranks=" +
+                                std::to_string(spec.ranks) +
+                                " applies to the dist backend only");
+  if (spec.backend == Backend::Dist && spec.exec == Exec::Serial)
+    throw std::invalid_argument(
+        "make_simulator: exec=serial does not apply to the dist backend "
+        "(its rank threads are the parallelism)");
+  if (spec.mixer == MixerType::X && spec.initial_weight >= 0)
+    throw std::invalid_argument("make_simulator: weight=" +
+                                std::to_string(spec.initial_weight) +
+                                " applies to the xy mixers only");
   const Precision prec = resolve_precision(spec);
   if (prec == Precision::F32 && !supports_f32(spec))
     throw std::invalid_argument(

@@ -66,16 +66,19 @@ enum class Prec {
 /// Any other token throws std::invalid_argument naming the offending
 /// token -- no spelling silently falls back to a default simulator.
 /// parse() validates tokens only; semantic constraints (e.g. dist with an
-/// XY mixer) are enforced by make_simulator.
+/// XY mixer, or a field the backend ignores) are enforced by
+/// make_simulator.
 struct SimulatorSpec {
   Backend backend = Backend::Auto;
   MixerType mixer = MixerType::X;
   /// Kernel execution policy. parse() defaults this per backend (Serial
-  /// for "serial", Parallel otherwise); ignored by Backend::Dist, whose
-  /// rank threads are the parallelism.
+  /// for "serial", Parallel otherwise); Backend::Dist, whose rank threads
+  /// are the parallelism, accepts only Parallel.
   Exec exec = Exec::Parallel;
-  int ranks = 2;  ///< virtual rank count (Backend::Dist only)
-  int initial_weight = -1;  ///< Dicke weight for xy mixers; -1 = n/2
+  int ranks = 2;  ///< virtual rank count (Backend::Dist only; else 2)
+  /// Dicke weight for xy mixers; -1 = n/2 (and the only value the X mixer
+  /// accepts).
+  int initial_weight = -1;
   std::uint64_t sample_seed = 1;  ///< base seed for drawn bitstrings
   /// Amplitude scalar width (see enum Prec). Auto = QOKIT_PREC env, else
   /// f64; to_string() elides Auto so default spellings are unchanged.
@@ -98,8 +101,10 @@ struct SimulatorSpec {
 /// and the session API. Throws std::invalid_argument on semantically
 /// invalid combinations: dist with a non-X mixer, or a rank count that is
 /// not a power of two, exceeds the 2^n amplitudes, or exceeds kMaxRanks
-/// (checked by VirtualRankWorld). Every check runs before a thread starts
-/// or the diagonal allocates.
+/// (checked by VirtualRankWorld); and, naming the field, on a field the
+/// built simulator would ignore: ranks != 2 off dist, exec=serial on
+/// dist, or a weight with the X mixer. Every check runs before a thread
+/// starts or the diagonal allocates.
 ///
 /// Every fur and dist simulator it builds runs the fixed pipeline
 /// geometry, pipeline::Geometry::defaults(). It changes no process-wide

@@ -189,13 +189,4 @@ std::vector<double> BatchEvaluator::expectations(
   return std::move(evaluate(schedules).expectations);
 }
 
-std::vector<double> BatchEvaluator::expectations_packed(
-    const std::vector<std::vector<double>>& points) const {
-  std::vector<QaoaParams> schedules;
-  schedules.reserve(points.size());
-  for (const std::vector<double>& x : points)
-    schedules.push_back(QaoaParams::unflatten(x));
-  return expectations(schedules);
-}
-
 }  // namespace qokit

@@ -116,11 +116,6 @@ class BatchEvaluator {
   std::vector<double> expectations(std::span<const QaoaParams> schedules)
       const;
 
-  /// Expectations of packed optimizer points x = (gamma_1..gamma_p,
-  /// beta_1..beta_p); each point may be any even length.
-  std::vector<double> expectations_packed(
-      const std::vector<std::vector<double>>& points) const;
-
   /// The mode a batch of `batch` schedules runs in (exposed so tests and
   /// benches can see it before the call): Outer only for two or more
   /// schedules whose layer has fewer units
@@ -133,11 +128,6 @@ class BatchEvaluator {
   /// The simulator's initial state as a fresh allocation (by value: the
   /// evaluator keeps no copy; each schedule's slot is refilled in place).
   StateVector initial_state() const { return sim_->initial_state(); }
-
-  /// Pool slot 0: the slot every Inner batch, and so every one-schedule
-  /// batch, evolves in. Like the rest of the pool, not safe for
-  /// concurrent use.
-  StateVector& scratch_slot() const { return scratch_.front(); }
 
   /// Number of pool slots: the most states the evaluator can hold at once.
   std::size_t pool_size() const { return scratch_.size(); }

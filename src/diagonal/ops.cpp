@@ -19,20 +19,11 @@ void apply_phase(StateVector& sv, const CostDiagonal& diag, double gamma,
                  Exec exec) {
   check_dims(sv.size(), diag.size(), "apply_phase");
   if (sv.precision() == Precision::F32) {
-    apply_phase_slice(sv.data_f32(), diag.data(), sv.size(), gamma, exec);
+    simd::apply_phase_slice(sv.data_f32(), diag.data(), sv.size(), gamma,
+                            exec);
     return;
   }
-  apply_phase_slice(sv.data(), diag.data(), sv.size(), gamma, exec);
-}
-
-void apply_phase_slice(cdouble* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec) {
-  simd::apply_phase_slice(amp, costs, count, gamma, exec);
-}
-
-void apply_phase_slice(cfloat* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec) {
-  simd::apply_phase_slice(amp, costs, count, gamma, exec);
+  simd::apply_phase_slice(sv.data(), diag.data(), sv.size(), gamma, exec);
 }
 
 void apply_phase(StateVector& sv, const DiagonalU16& diag, double gamma,
@@ -59,18 +50,9 @@ double expectation(const StateVector& sv, const CostDiagonal& diag,
                    Exec exec) {
   check_dims(sv.size(), diag.size(), "expectation");
   if (sv.precision() == Precision::F32)
-    return expectation_slice(sv.data_f32(), diag.data(), sv.size(), exec);
-  return expectation_slice(sv.data(), diag.data(), sv.size(), exec);
-}
-
-double expectation_slice(const cdouble* amp, const double* costs,
-                         std::uint64_t count, Exec exec) {
-  return simd::expectation_slice(amp, costs, count, exec);
-}
-
-double expectation_slice(const cfloat* amp, const double* costs,
-                         std::uint64_t count, Exec exec) {
-  return simd::expectation_slice(amp, costs, count, exec);
+    return simd::expectation_slice(sv.data_f32(), diag.data(), sv.size(),
+                                   exec);
+  return simd::expectation_slice(sv.data(), diag.data(), sv.size(), exec);
 }
 
 double expectation(const StateVector& sv, const DiagonalU16& diag,

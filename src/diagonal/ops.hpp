@@ -13,15 +13,6 @@ namespace qokit {
 void apply_phase(StateVector& sv, const CostDiagonal& diag, double gamma,
                  Exec exec = Exec::Parallel);
 
-/// Raw-slice phase kernel shared by the full-vector overload above and the
-/// distributed simulator's per-rank slices, so the sharded evolution tracks
-/// the single-node one bit-for-bit by construction. Both amplitude
-/// precisions (the costs stay double either way).
-void apply_phase_slice(cdouble* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec = Exec::Parallel);
-void apply_phase_slice(cfloat* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec = Exec::Parallel);
-
 /// Phase operator through the uint16 codec: a 65536-entry phase lookup
 /// table is built once per call and gathered per amplitude.
 void apply_phase(StateVector& sv, const DiagonalU16& diag, double gamma,
@@ -31,14 +22,6 @@ void apply_phase(StateVector& sv, const DiagonalU16& diag, double gamma,
 /// product; O(2^n), independent of |T|).
 double expectation(const StateVector& sv, const CostDiagonal& diag,
                    Exec exec = Exec::Parallel);
-
-/// Raw-slice objective kernel (one rank's partial sum in the distributed
-/// simulator); the full-vector overload above reduces over it. The f32
-/// overload accumulates in double like every reduction.
-double expectation_slice(const cdouble* amp, const double* costs,
-                         std::uint64_t count, Exec exec = Exec::Parallel);
-double expectation_slice(const cfloat* amp, const double* costs,
-                         std::uint64_t count, Exec exec = Exec::Parallel);
 
 /// Objective through the uint16 codec.
 double expectation(const StateVector& sv, const DiagonalU16& diag,

@@ -102,22 +102,6 @@ void Communicator::alltoall(cfloat* buf, std::uint64_t block) {
   alltoall_pairwise(*state_, rank_, buf, block);
 }
 
-double Communicator::allreduce_sum(double value) {
-  static const obs::Counter allreduces =
-      obs::counter("qokit_allreduce_total");
-  allreduces.add();
-  auto& st = *state_;
-  st.reduce_slots[rank_] = value;
-  st.barrier.arrive_and_wait();
-  // Every rank sums in rank order, so all ranks see the identical total
-  // regardless of thread scheduling.
-  double total = 0.0;
-  for (int r = 0; r < st.size; ++r) total += st.reduce_slots[r];
-  // Exit barrier so the slots can be re-published immediately afterwards.
-  st.barrier.arrive_and_wait();
-  return total;
-}
-
 VirtualRankWorld::VirtualRankWorld(int size) : size_(size) {
   if (size < 1 || !std::has_single_bit(static_cast<unsigned>(size)))
     throw std::invalid_argument(

@@ -1,9 +1,9 @@
 // Virtual-rank execution world for the distributed simulator (paper
 // Sec. III-C). K virtual ranks stand in for the paper's GPUs/MPI ranks:
 // each rank is a thread owning one 2^(n - log2 K)-amplitude slice of the
-// state vector, and cross-rank traffic goes through the Communicator's
-// collectives exactly where a production deployment would place
-// MPI_Alltoall / cuStateVec p2p calls (see DESIGN.md for the mapping).
+// state vector, and cross-rank traffic goes through Communicator::alltoall
+// exactly where a production deployment would place MPI_Alltoall /
+// cuStateVec p2p calls (see DESIGN.md for the mapping).
 #pragma once
 
 #include <atomic>
@@ -35,8 +35,7 @@ struct WorldState {
   explicit WorldState(int size)
       : size(size),
         barrier(size),
-        windows(static_cast<std::size_t>(size), nullptr),
-        reduce_slots(static_cast<std::size_t>(size), 0.0) {}
+        windows(static_cast<std::size_t>(size), nullptr) {}
 
   const int size;
   std::barrier<> barrier;
@@ -46,8 +45,6 @@ struct WorldState {
   /// of one exchange publish the same element type, restored by alltoall
   /// before dereferencing.
   std::vector<void*> windows;
-  /// Per-rank slots for allreduce_sum.
-  std::vector<double> reduce_slots;
   /// Set (before arrive_and_drop) by a rank whose closure threw. alltoall
   /// checks it after every barrier and bails out so survivors never
   /// dereference a dead rank's window; run() re-throws the original
@@ -58,20 +55,13 @@ struct WorldState {
 }  // namespace detail
 
 /// Per-rank handle passed to the closure of VirtualRankWorld::run. Mirrors
-/// the slice of an MPI communicator a rank would see: identity, barrier,
-/// and the two collectives Algorithm 4 needs.
+/// the slice of an MPI communicator a rank would see: identity and the one
+/// collective Algorithm 4's evolution needs. Scoring needs none: the
+/// slices share one buffer, so <C> is the single-node reduction over it.
 class Communicator {
  public:
   int rank() const noexcept { return rank_; }
   int size() const noexcept { return state_->size; }
-
-  /// Block until every rank has arrived.
-  void barrier() { state_->barrier.arrive_and_wait(); }
-
-  /// Sum `value` over all ranks; every rank receives the same total
-  /// (summed in rank order, so the result is scheduling-independent).
-  /// Safe to call repeatedly back-to-back.
-  double allreduce_sum(double value);
 
   /// In-place block exchange over `buf`, which holds size() blocks of
   /// `block` complex amplitudes. Afterwards block b holds what rank b held

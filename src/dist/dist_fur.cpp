@@ -13,22 +13,6 @@
 
 namespace qokit {
 
-namespace dist {
-
-double expectation_slice(Communicator& comm, const cdouble* local,
-                         const double* costs, std::uint64_t count) {
-  return comm.allreduce_sum(
-      qokit::expectation_slice(local, costs, count, Exec::Serial));
-}
-
-double expectation_slice(Communicator& comm, const cfloat* local,
-                         const double* costs, std::uint64_t count) {
-  return comm.allreduce_sum(
-      qokit::expectation_slice(local, costs, count, Exec::Serial));
-}
-
-}  // namespace dist
-
 DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
                                                  DistConfig cfg)
     : cfg_(cfg),
@@ -132,36 +116,6 @@ StateVector DistributedFurSimulator::simulate_qaoa_from(
   // The slices live in one contiguous buffer and the exchange is undone
   // every layer, so the "gather" is free.
   return state;
-}
-
-double DistributedFurSimulator::simulate_and_expectation(
-    std::span<const double> gammas, std::span<const double> betas) const {
-  const StateVector state = simulate_qaoa(gammas, betas);
-  // Score the evolved slices in place: each rank reduces its own slice and
-  // the total comes back through one allreduce -- the state is never
-  // traversed as a whole.
-  const std::uint64_t local = state.size() >> log2_ranks_;
-  const double* costs = diag_.data();
-  double result = 0.0;
-  if (state.precision() == Precision::F32) {
-    const cfloat* data = state.data_f32();
-    world_.run([&](Communicator& comm) {
-      const std::uint64_t base =
-          static_cast<std::uint64_t>(comm.rank()) * local;
-      const double total =
-          dist::expectation_slice(comm, data + base, costs + base, local);
-      if (comm.rank() == 0) result = total;
-    });
-    return result;
-  }
-  const cdouble* data = state.data();
-  world_.run([&](Communicator& comm) {
-    const std::uint64_t base = static_cast<std::uint64_t>(comm.rank()) * local;
-    const double total =
-        dist::expectation_slice(comm, data + base, costs + base, local);
-    if (comm.rank() == 0) result = total;
-  });
-  return result;
 }
 
 double DistributedFurSimulator::get_expectation(

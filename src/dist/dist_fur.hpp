@@ -24,18 +24,6 @@
 
 namespace qokit {
 
-namespace dist {
-
-/// <C> contribution of one local slice: sum_i |amp_i|^2 costs_i, reduced
-/// over all ranks; every rank returns the same total. The per-slice
-/// partial and the allreduce are double at both amplitude precisions.
-double expectation_slice(Communicator& comm, const cdouble* local,
-                         const double* costs, std::uint64_t count);
-double expectation_slice(Communicator& comm, const cfloat* local,
-                         const double* costs, std::uint64_t count);
-
-}  // namespace dist
-
 /// Construction-time options for DistributedFurSimulator. The rank count
 /// names the topology; the alltoall transport is always the in-place
 /// pairwise exchange (Communicator::alltoall).
@@ -47,7 +35,7 @@ struct DistConfig {
   pipeline::Geometry geometry = pipeline::Geometry::defaults();
   /// Amplitude scalar width for the sharded state. F32 halves both the
   /// per-rank slice memory and every alltoall's exchanged bytes; the
-  /// diagonal and the allreduce stay double.
+  /// diagonal and the expectation stay double.
   Precision prec = Precision::F64;
 };
 
@@ -74,6 +62,8 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
                                  std::span<const double> betas) const override;
   using QaoaFastSimulatorBase::get_expectation;  // keep the costs overloads
   using QaoaFastSimulatorBase::get_overlap;
+  /// The ranks' slices are one buffer, so <C> is the single-node
+  /// reduction over it: the same bits as FurQaoaSimulator's at any K.
   double get_expectation(const StateVector& result) const override;
   double get_overlap(const StateVector& result,
                      int restrict_weight = -1) const override;
@@ -85,13 +75,6 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
   std::int64_t layer_units() const override {
     return cfg_.ranks > 1 ? std::numeric_limits<std::int64_t>::max() : 1;
   }
-
-  /// Simulate and reduce <C> without gathering the state: each rank
-  /// scores its own slice and the total comes back through one
-  /// allreduce -- the objective-evaluation path of the paper's
-  /// distributed optimization runs.
-  double simulate_and_expectation(std::span<const double> gammas,
-                                  std::span<const double> betas) const;
 
   const DistConfig& config() const { return cfg_; }
 

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fur/su2.hpp"
 #include "fur/su4.hpp"
+#include "simd/kernels.hpp"
 
 namespace qokit {
 
@@ -13,11 +13,11 @@ void apply_mixer_x(StateVector& sv, double beta, Exec exec) {
   const double s = std::sin(beta);
   if (sv.precision() == Precision::F32) {
     for (int q = 0; q < sv.num_qubits(); ++q)
-      kern::rx(sv.data_f32(), sv.size(), q, c, s, exec);
+      simd::rx(sv.data_f32(), sv.size(), q, c, s, exec);
     return;
   }
   for (int q = 0; q < sv.num_qubits(); ++q)
-    kern::rx(sv.data(), sv.size(), q, c, s, exec);
+    simd::rx(sv.data(), sv.size(), q, c, s, exec);
 }
 
 void apply_mixer_x_multiangle(StateVector& sv, std::span<const double> betas,
@@ -30,7 +30,7 @@ void apply_mixer_x_multiangle(StateVector& sv, std::span<const double> betas,
     throw std::invalid_argument(
         "apply_mixer_x_multiangle: need one beta per qubit");
   for (int q = 0; q < sv.num_qubits(); ++q)
-    kern::rx(sv.data(), sv.size(), q, std::cos(betas[q]), std::sin(betas[q]),
+    simd::rx(sv.data(), sv.size(), q, std::cos(betas[q]), std::sin(betas[q]),
              exec);
 }
 

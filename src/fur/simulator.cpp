@@ -25,8 +25,7 @@ void fused_schedule(const pipeline::LayerPlan& plan, std::complex<T>* amp,
                     const CostDiagonal& diag, const DiagonalU16& diag16,
                     std::span<const double> gammas,
                     std::span<const double> betas, Exec exec,
-                    const pipeline::ExpectationCtx* red = nullptr,
-                    double* partials = nullptr) {
+                    const pipeline::ExpectationCtx* red, double* partials) {
   thread_local aligned_vector<std::complex<T>> lut;  // u16 per-gamma factors
   for (std::size_t l = 0; l < gammas.size(); ++l) {
     pipeline::PhaseCtxT<T> ctx;
@@ -141,53 +140,65 @@ void FurQaoaSimulator::fill_initial_state(StateVector& state) const {
   state.assign_dicke(n, k, cfg_.prec, cfg_.exec);
 }
 
-StateVector FurQaoaSimulator::simulate_qaoa_from(
-    StateVector state, std::span<const double> gammas,
-    std::span<const double> betas) const {
+void FurQaoaSimulator::evolve(StateVector& state,
+                              std::span<const double> gammas,
+                              std::span<const double> betas,
+                              double* partials) const {
   if (gammas.size() != betas.size())
     throw std::invalid_argument("simulate_qaoa: gammas/betas length mismatch");
   if (state.num_qubits() != num_qubits())
     throw std::invalid_argument("simulate_qaoa: state size mismatch");
+  if (!plan_.active()) {
+    // Algorithm 3, unfused, for the xy mixers (ordered two-qubit products
+    // that no tile can fuse): per layer, one elementwise phase multiply
+    // from the cached diagonal and one in-place mixer transform.
+    for (std::size_t l = 0; l < gammas.size(); ++l) {
+      if (cfg_.use_u16)
+        apply_phase(state, diag16_, gammas[l], cfg_.exec);
+      else
+        apply_phase(state, diag_, gammas[l], cfg_.exec);
+      apply_mixer(state, cfg_.mixer, betas[l], cfg_.exec);
+    }
+    return;
+  }
+  // Fused layer pipeline: the phase multiply rides the first mixer sweep
+  // and butterflies run in cache-blocked tiles, cutting full sweeps per
+  // layer from n + 1 to plan_.full_sweeps() — bit-identical to the
+  // unfused loop (the traversal changes, the per-amplitude arithmetic
+  // does not). Dispatch on the state's own precision so a caller-provided
+  // f64 state through an f32 simulator still evolves correctly (and vice
+  // versa).
+  pipeline::ExpectationCtx red;
+  if (cfg_.use_u16) {
+    red.codes = diag16_.codes();
+    red.offset = diag16_.offset();
+    red.scale = diag16_.scale();
+  } else {
+    red.costs = diag_.data();
+  }
+  const pipeline::ExpectationCtx* reduce = partials ? &red : nullptr;
+  if (state.precision() == Precision::F32)
+    fused_schedule(plan_, state.data_f32(), state.size(), cfg_.use_u16, diag_,
+                   diag16_, gammas, betas, cfg_.exec, reduce, partials);
+  else
+    fused_schedule(plan_, state.data(), state.size(), cfg_.use_u16, diag_,
+                   diag16_, gammas, betas, cfg_.exec, reduce, partials);
+}
+
+StateVector FurQaoaSimulator::simulate_qaoa_from(
+    StateVector state, std::span<const double> gammas,
+    std::span<const double> betas) const {
   obs::Span span("simulate");
   span.attr("n", num_qubits());
   span.attr("p", static_cast<std::int64_t>(gammas.size()));
   span.attr("fused", plan_.active() ? 1 : 0);
-  if (plan_.active()) {
-    // Fused layer pipeline: the phase multiply rides the first mixer
-    // sweep and butterflies run in cache-blocked tiles, cutting full
-    // sweeps per layer from n + 1 to plan_.full_sweeps() — bit-identical
-    // to the unfused loop (the traversal changes, the per-amplitude
-    // arithmetic does not). Dispatch on the state's own precision so a
-    // caller-provided f64 state through an f32 simulator still evolves
-    // correctly (and vice versa).
-    if (state.precision() == Precision::F32)
-      fused_schedule(plan_, state.data_f32(), state.size(), cfg_.use_u16,
-                     diag_, diag16_, gammas, betas, cfg_.exec);
-    else
-      fused_schedule(plan_, state.data(), state.size(), cfg_.use_u16, diag_,
-                     diag16_, gammas, betas, cfg_.exec);
-    return state;
-  }
-  // Algorithm 3, unfused, for the xy mixers (ordered two-qubit products
-  // that no tile can fuse): per layer, one elementwise phase multiply
-  // from the cached diagonal and one in-place mixer transform.
-  for (std::size_t l = 0; l < gammas.size(); ++l) {
-    if (cfg_.use_u16)
-      apply_phase(state, diag16_, gammas[l], cfg_.exec);
-    else
-      apply_phase(state, diag_, gammas[l], cfg_.exec);
-    apply_mixer(state, cfg_.mixer, betas[l], cfg_.exec);
-  }
+  evolve(state, gammas, betas);
   return state;
 }
 
 double FurQaoaSimulator::simulate_qaoa_expectation(
     StateVector& state, std::span<const double> gammas,
     std::span<const double> betas) const {
-  if (gammas.size() != betas.size())
-    throw std::invalid_argument("simulate_qaoa: gammas/betas length mismatch");
-  if (state.num_qubits() != num_qubits())
-    throw std::invalid_argument("simulate_qaoa: state size mismatch");
   if (gammas.empty() || !plan_.active() ||
       !pipeline::can_fuse_expectation(plan_, state.size())) {
     // Two-pass path: xy mixers, tiny states, empty schedules.
@@ -197,25 +208,10 @@ double FurQaoaSimulator::simulate_qaoa_expectation(
   obs::Span span("simulate_expectation");
   span.attr("n", num_qubits());
   span.attr("p", static_cast<std::int64_t>(gammas.size()));
-  pipeline::ExpectationCtx red;
-  if (cfg_.use_u16) {
-    red.codes = diag16_.codes();
-    red.offset = diag16_.offset();
-    red.scale = diag16_.scale();
-  } else {
-    red.costs = diag_.data();
-  }
   thread_local aligned_vector<double> partials;
   partials.assign(state.size() / static_cast<std::uint64_t>(kReduceBlock),
                   0.0);
-  if (state.precision() == Precision::F32)
-    fused_schedule(plan_, state.data_f32(), state.size(), cfg_.use_u16,
-                   diag_, diag16_, gammas, betas, cfg_.exec, &red,
-                   partials.data());
-  else
-    fused_schedule(plan_, state.data(), state.size(), cfg_.use_u16, diag_,
-                   diag16_, gammas, betas, cfg_.exec, &red,
-                   partials.data());
+  evolve(state, gammas, betas, partials.data());
   // Sequential sum in block-index order: parallel_reduce_blocks'
   // combination order, hence bit-identical to get_expectation(state).
   double acc = 0.0;

@@ -170,6 +170,17 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
   const pipeline::LayerPlan& layer_plan() const { return plan_; }
 
  private:
+  /// The body of simulate_qaoa_from and simulate_qaoa_expectation: throws
+  /// std::invalid_argument unless gammas and betas have equal length and
+  /// `state` has num_qubits() qubits, then evolves `state` in place — the
+  /// fused plan at the state's own precision, or the unfused loop for the
+  /// xy mixers. With `partials` (fused plans that can_fuse_expectation
+  /// only), the final layer's last pass also writes the expectation's
+  /// kReduceBlock partials into it.
+  void evolve(StateVector& state, std::span<const double> gammas,
+              std::span<const double> betas,
+              double* partials = nullptr) const;
+
   FurConfig cfg_;
   CostDiagonal diag_;
   DiagonalU16 diag16_;  ///< populated iff cfg_.use_u16

@@ -28,19 +28,6 @@ void su2(cdouble* x, std::uint64_t n_amps, int qubit, const Su2& u,
   });
 }
 
-void rx(cdouble* x, std::uint64_t n_amps, int qubit, double c, double s,
-        Exec exec) {
-  // e^{-i beta X}: y0 = c x0 - i s x1, y1 = -i s x0 + c x1. Routed through
-  // the dispatched butterfly kernels (simd/kernels.hpp): in-register
-  // shuffles for qubit 0, contiguous dual-pointer streams above.
-  simd::rx(x, n_amps, qubit, c, s, exec);
-}
-
-void rx(cfloat* x, std::uint64_t n_amps, int qubit, double c, double s,
-        Exec exec) {
-  simd::rx(x, n_amps, qubit, c, s, exec);
-}
-
 }  // namespace kern
 
 namespace {
@@ -59,7 +46,7 @@ void apply_su2(StateVector& sv, int qubit, const Su2& u, Exec exec) {
 
 void apply_rx(StateVector& sv, int qubit, double beta, Exec exec) {
   check_qubit(sv, qubit, "apply_rx");
-  kern::rx(sv.data(), sv.size(), qubit, std::cos(beta), std::sin(beta), exec);
+  simd::rx(sv.data(), sv.size(), qubit, std::cos(beta), std::sin(beta), exec);
 }
 
 void apply_su2_product(StateVector& sv, const Su2* us, int count, Exec exec) {

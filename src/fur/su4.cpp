@@ -24,7 +24,7 @@ void xy(cdouble* x, std::uint64_t n_amps, int q1, int q2, double c, double s,
     const std::uint64_t iB = (base | b2) << 1;  // |..q2=1..q1=0..>
     const double are = d[iA], aim = d[iA + 1];
     const double bre = d[iB], bim = d[iB + 1];
-    // yA = c a - i s b ; yB = -i s a + c b (same butterfly as kern::rx).
+    // yA = c a - i s b ; yB = -i s a + c b (same butterfly as simd::rx).
     d[iA] = c * are + s * bim;
     d[iA + 1] = c * aim - s * bre;
     d[iB] = c * bre + s * aim;

@@ -11,13 +11,17 @@ QaoaBatchObjective::QaoaBatchObjective(const BatchEvaluator& evaluator, int p)
 
 std::vector<double> QaoaBatchObjective::operator()(
     const std::vector<std::vector<double>>& points) const {
-  for (const std::vector<double>& x : points)
+  std::vector<QaoaParams> schedules;
+  schedules.reserve(points.size());
+  for (const std::vector<double>& x : points) {
     if (static_cast<int>(x.size()) != 2 * p_)
       throw std::invalid_argument(
           "QaoaBatchObjective: expected 2p parameters");
+    schedules.push_back(QaoaParams::unflatten(x));
+  }
   evals_ += static_cast<int>(points.size());
   ++batches_;
-  return evaluator_->expectations_packed(points);
+  return evaluator_->expectations(schedules);
 }
 
 }  // namespace qokit

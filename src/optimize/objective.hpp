@@ -27,8 +27,10 @@ class QaoaBatchObjective {
   /// layout.
   QaoaBatchObjective(const BatchEvaluator& evaluator, int p);
 
-  /// Objective values of a population of packed points (each size 2p),
-  /// in submission order.
+  /// Objective values of a population of packed points x = (gamma_1..
+  /// gamma_p, beta_1..beta_p), in submission order: one batch through the
+  /// evaluator. Throws std::invalid_argument, evaluating nothing, unless
+  /// every point has 2p entries.
   std::vector<double> operator()(
       const std::vector<std::vector<double>>& points) const;
 
@@ -37,11 +39,6 @@ class QaoaBatchObjective {
 
   /// Number of batches submitted so far.
   int batches() const { return batches_; }
-
-  void reset_count() { evals_ = batches_ = 0; }
-
-  int p() const { return p_; }
-  const BatchEvaluator& evaluator() const { return *evaluator_; }
 
  private:
   const BatchEvaluator* evaluator_;

@@ -52,6 +52,12 @@ const obs::Counter& strided_pass_counter() {
   return c;
 }
 
+const obs::Counter& fused_reduction_counter() {
+  static const obs::Counter c =
+      obs::counter("qokit_pipeline_fused_reductions_total");
+  return c;
+}
+
 /// Wall time of every layer the executor runs, recorded like the pass
 /// counters: once per layer, outside the per-unit loops.
 const obs::Histogram& layer_histogram() {
@@ -242,14 +248,25 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
       });
 }
 
-/// Shared body of run_layer / run_layer_expectation. When `red` is set the
-/// FINAL pass also reduces each unit into `partials` (see the header's
-/// determinism argument).
+/// Shared body of run_layer / run_layer_expectation, at either precision.
+/// When `red` is set the FINAL pass also reduces each unit into `partials`
+/// (see the header's determinism argument).
 template <class T>
 void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
                     std::uint64_t n_amps, const PhaseCtxT<T>& phase,
                     double gamma, double beta, Exec exec,
                     const ExpectationCtx* red, double* partials) {
+  if (red) {
+    if (!can_fuse_expectation(plan, n_amps))
+      throw std::logic_error(
+          "pipeline::run_layer_expectation: plan cannot carry a fused "
+          "expectation (see can_fuse_expectation)");
+    if (!red->costs && !red->codes)
+      throw std::invalid_argument(
+          "pipeline::run_layer_expectation: ExpectationCtx needs costs or "
+          "codes");
+    fused_reduction_counter().add();
+  }
   if (!plan.active())
     throw std::logic_error("pipeline::run_layer: plan is not active: " +
                            plan.fallback_reason());
@@ -347,17 +364,6 @@ void run_layer_expectation(const LayerPlan& plan, cdouble* amp,
                            std::uint64_t n_amps, const PhaseCtx& phase,
                            double gamma, double beta, Exec exec,
                            const ExpectationCtx& reduce, double* partials) {
-  if (!can_fuse_expectation(plan, n_amps))
-    throw std::logic_error(
-        "pipeline::run_layer_expectation: plan cannot carry a fused "
-        "expectation (see can_fuse_expectation)");
-  if (!reduce.costs && !reduce.codes)
-    throw std::invalid_argument(
-        "pipeline::run_layer_expectation: ExpectationCtx needs costs or "
-        "codes");
-  static const obs::Counter fused_reductions =
-      obs::counter("qokit_pipeline_fused_reductions_total");
-  fused_reductions.add();
   run_layer_impl(plan, amp, n_amps, phase, gamma, beta, exec, &reduce,
                  partials);
 }
@@ -366,17 +372,6 @@ void run_layer_expectation(const LayerPlan& plan, cfloat* amp,
                            std::uint64_t n_amps, const PhaseCtxF32& phase,
                            double gamma, double beta, Exec exec,
                            const ExpectationCtx& reduce, double* partials) {
-  if (!can_fuse_expectation(plan, n_amps))
-    throw std::logic_error(
-        "pipeline::run_layer_expectation: plan cannot carry a fused "
-        "expectation (see can_fuse_expectation)");
-  if (!reduce.costs && !reduce.codes)
-    throw std::invalid_argument(
-        "pipeline::run_layer_expectation: ExpectationCtx needs costs or "
-        "codes");
-  static const obs::Counter fused_reductions =
-      obs::counter("qokit_pipeline_fused_reductions_total");
-  fused_reductions.add();
   run_layer_impl(plan, amp, n_amps, phase, gamma, beta, exec, &reduce,
                  partials);
 }

@@ -57,8 +57,8 @@ std::int64_t fewest_threaded_units(const LayerPlan& plan, Exec exec);
 
 /// Cost source for the fused expectation reduction (run_layer_expectation).
 /// Exactly one of `costs` (double diagonal) or `codes` (+ offset/scale,
-/// the u16 codec) must be set — mirroring the expectation_slice /
-/// expectation_u16 dispatch pair.
+/// the u16 codec) must be set — mirroring the simd::expectation_slice /
+/// simd::expectation_u16 dispatch pair.
 struct ExpectationCtx {
   const double* costs = nullptr;
   const std::uint16_t* codes = nullptr;
@@ -70,7 +70,7 @@ struct ExpectationCtx {
 /// the plan is active and non-empty, the array holds at least one
 /// kReduceBlock, and the final pass's unit width is a whole number of
 /// kReduceBlocks (so the fused partial blocks land at exactly the
-/// absolute offsets the two-pass expectation_slice uses). With the
+/// absolute offsets the two-pass simd::expectation_slice uses). With the
 /// default Geometry every X-mixer plan for n >= 10 qualifies.
 bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps);
 
@@ -82,7 +82,7 @@ bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps);
 /// partials[0, n_amps / kReduceBlock) sequentially in index order, which
 /// reproduces parallel_reduce_blocks' combination order — making
 /// fused-expectation results bit-identical to running run_layer followed
-/// by expectation_slice / expectation_u16. Requires
+/// by simd::expectation_slice / simd::expectation_u16. Requires
 /// can_fuse_expectation(plan, n_amps).
 /// `partials` is double at both precisions (reductions never accumulate
 /// at float width — see DESIGN.md "Mixed precision").

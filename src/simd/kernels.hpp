@@ -30,9 +30,11 @@
 // serial and parallel execution stay bit-identical to each other at
 // every dispatch level, at either precision.
 //
-// Callers (diagonal/ops.cpp, fur/su2.cpp, statevector/state.cpp) keep
-// their public signatures, so the dist:K rank-local slices and the batch
-// engine's scratch states inherit the vectorization with zero API change.
+// The whole-state operations call these entry points directly:
+// diagonal/ops.cpp (phase, expectation, overlap), fur/su2.cpp and
+// fur/mixers.cpp (RX), statevector/state.cpp (norm). The layer executor
+// calls the family tables per unit, and the dist:K ranks run it on their
+// slices (pipeline::run_layer), so no caller keeps a forwarder of its own.
 //
 // Two drivers decompose work over these families: the flat kSimdBlock
 // blocking below, and the cache-blocked layer pipeline

@@ -6,7 +6,7 @@
 // ZPhase -- and the gates update the state one at a time. The objective
 // is summed term by term, with no diagonal. The phase layers therefore
 // share no code with the production path, which is what makes the oracle
-// independent of it. The RX and XY gates run the production kern::rx and
+// independent of it. The RX and XY gates run the production simd::rx and
 // kern::xy butterflies, so the mixers realize the same unitaries.
 //
 // Everything runs serially, on f64 states only: an f32 state throws
@@ -24,8 +24,8 @@
 
 #include "common/bitops.hpp"
 #include "fur/mixers.hpp"
-#include "fur/su2.hpp"
 #include "fur/su4.hpp"
+#include "simd/kernels.hpp"
 #include "statevector/state.hpp"
 #include "terms/term.hpp"
 
@@ -201,7 +201,7 @@ inline void apply_gate(StateVector& sv, const Gate& g) {
       return;
     }
     case GateKind::RX:
-      kern::rx(x, sv.size(), g.q0, std::cos(g.param / 2),
+      simd::rx(x, sv.size(), g.q0, std::cos(g.param / 2),
                std::sin(g.param / 2), Exec::Serial);
       return;
     case GateKind::CX:

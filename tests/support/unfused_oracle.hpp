@@ -11,7 +11,7 @@
 //
 //  - Algorithm 3: apply_phase on the f64 or u16 diagonal, then apply_mixer
 //    with the simulator's Exec policy and mixer;
-//  - Algorithm 4: apply_phase_slice, then dist_mixer_x, over a
+//  - Algorithm 4: simd::apply_phase_slice, then dist_mixer_x, over a
 //    VirtualRankWorld with the simulator's ranks.
 #pragma once
 
@@ -26,13 +26,13 @@
 #include "dist/dist_fur.hpp"
 #include "fur/mixers.hpp"
 #include "fur/simulator.hpp"
-#include "fur/su2.hpp"
+#include "simd/kernels.hpp"
 
 namespace qokit::testing {
 
 /// The mixer step of Algorithm 4, unfused: e^{-i beta sum X} over a
 /// sharded state. `local` is this rank's slice of `local_size` =
-/// 2^(num_qubits - log2 K) amplitudes, of either precision. One kern::rx
+/// 2^(num_qubits - log2 K) amplitudes, of either precision. One simd::rx
 /// sweep per local qubit, then alltoall -> one sweep per former-global
 /// qubit -> alltoall. Collective: every rank of `comm` calls it with the
 /// same num_qubits and beta.
@@ -50,14 +50,14 @@ void dist_mixer_x(Communicator& comm, C* local, std::uint64_t local_size,
   const double s = std::sin(beta);
   // Exec::Serial: the K rank threads are the parallelism.
   for (int q = 0; q < nl; ++q)
-    kern::rx(local, local_size, q, c, s, Exec::Serial);
+    simd::rx(local, local_size, q, c, s, Exec::Serial);
   if (g == 0) return;
   // Alltoall with block 2^(nl - g) swaps qubit ranges [nl-g, nl) and
   // [nl, n): the former global qubits land on the top g local positions.
   const std::uint64_t block = local_size >> g;
   comm.alltoall(local, block);
   for (int q = nl - g; q < nl; ++q)
-    kern::rx(local, local_size, q, c, s, Exec::Serial);
+    simd::rx(local, local_size, q, c, s, Exec::Serial);
   // The exchange is an involution; undo it to restore canonical order.
   comm.alltoall(local, block);
 }
@@ -97,8 +97,8 @@ inline StateVector unfused_evolve(const DistributedFurSimulator& sim,
       const std::uint64_t base = static_cast<std::uint64_t>(comm.rank()) *
                                  local;
       for (std::size_t l = 0; l < gammas.size(); ++l) {
-        apply_phase_slice(data + base, costs + base, local, gammas[l],
-                          Exec::Serial);
+        simd::apply_phase_slice(data + base, costs + base, local, gammas[l],
+                                Exec::Serial);
         dist_mixer_x(comm, data + base, local, n, betas[l]);
       }
     });

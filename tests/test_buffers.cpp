@@ -2,9 +2,9 @@
 // every block of kMapThreshold bytes or more and unmaps it on free, and no
 // 2^n buffer is zero-filled before its one writer runs. Pinned here:
 //  - every owner gives its blocks back: aligned_live_bytes() returns to its
-//    baseline and the blocks' pages are unmapped once a session, a
-//    BatchEvaluator and a serve-cache eviction drop them (LeakSanitizer
-//    does not track mapped blocks, so this is their leak check);
+//    baseline once a session, a BatchEvaluator and a serve-cache eviction
+//    drop them (LeakSanitizer does not track mapped blocks, so this is
+//    their leak check), and a dropped diagonal or state is unmapped;
 //  - an evicted session's pages leave the process (/proc/self/statm), the
 //    second time too, where a heap allocator keeps them;
 //  - storage nothing zeroes any more is written in full: the diagonals
@@ -106,7 +106,7 @@ TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
   const std::uint64_t baseline = aligned_live_bytes();
 
   const void* diagonal = nullptr;
-  const void* slot = nullptr;
+  const void* state = nullptr;
   {
     const api::ProblemSession session(problem(n, 2), spec);
     exercise(session);
@@ -114,11 +114,16 @@ TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
               dim_of(n) * sizeof(double) +
                   session.batch().pool_size() * dim_of(n) *
                       amplitude_bytes(session.simulator().precision()));
+    {
+      // A StateVector buffer, the same kind as a pool slot: it leaves
+      // the process when it is dropped.
+      const StateVector evolved = session.simulate(schedules(1, 8).front());
+      state = first_amplitude(evolved);
+    }
+    EXPECT_TRUE(unmapped(state)) << "dropped state";
     diagonal = session.cost_diagonal().data();
-    slot = first_amplitude(session.batch().scratch_slot());
   }
   EXPECT_TRUE(unmapped(diagonal)) << "session diagonal";
-  EXPECT_TRUE(unmapped(slot)) << "session pool slot";
   EXPECT_EQ(aligned_live_bytes(), baseline) << "session";
 
   const TermList terms = problem(n, 3);
@@ -133,9 +138,7 @@ TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
     EXPECT_EQ(r.used, evaluator.pool_size() > 1 ? BatchParallelism::Outer
                                                 : BatchParallelism::Inner);
     EXPECT_GT(aligned_live_bytes(), with_sim);
-    slot = first_amplitude(evaluator.scratch_slot());
   }
-  EXPECT_TRUE(unmapped(slot)) << "batch pool slot";
   EXPECT_EQ(aligned_live_bytes(), with_sim) << "batch evaluator";
 
   {
@@ -150,13 +153,11 @@ TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
       serve::SessionLease lease = cache.checkout(problem(n, 5), spec);
       exercise(lease.session());
       diagonal = lease->cost_diagonal().data();
-      slot = first_amplitude(lease->batch().scratch_slot());
       with_first = aligned_live_bytes();
     }
     serve::SessionLease lease = cache.checkout(problem(n, 6), spec);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_TRUE(unmapped(diagonal)) << "evicted diagonal";
-    EXPECT_TRUE(unmapped(slot)) << "evicted pool slot";
     exercise(lease.session());
     // Same shape, so the survivor holds what the evicted one held.
     EXPECT_EQ(aligned_live_bytes(), with_first) << "serve-cache eviction";

@@ -251,21 +251,17 @@ TEST(PrecisionSampler, F32CdfAccumulatesInDoubleAndClamps) {
   StateVector sv(3, Precision::F32);
   sv.data_f32()[1] = cfloat(std::sqrt(0.5f), 0.0f);
   sv.data_f32()[3] = cfloat(0.0f, std::sqrt(0.5f));
-  const StateSampler sampler(sv);
-  EXPECT_EQ(sampler.sample_from_uniform(1.0), 3u);
-  EXPECT_EQ(sampler.sample_from_uniform(std::nextafter(1.0, 0.0)), 3u);
-  EXPECT_EQ(sampler.sample_from_uniform(0.0), 1u);
+  const std::vector<double> u01{1.0, std::nextafter(1.0, 0.0), 0.0};
+  EXPECT_EQ(sample_from_uniforms(sv, u01),
+            (std::vector<std::uint64_t>{3, 3, 1}));
   Rng rng(73);
-  for (int s = 0; s < 2000; ++s) {
-    const std::uint64_t x = sampler.sample(rng);
+  for (const std::uint64_t x : sample_states(sv, 2000, rng))
     EXPECT_TRUE(x == 1u || x == 3u) << x;
-  }
   // A uniform f32 state samples every bin; the double-accumulated CDF
   // reaches each one despite 2^10 float squares summing up.
   const StateVector plus = StateVector::plus_state(10, Precision::F32);
-  const StateSampler psampler(plus);
-  EXPECT_EQ(psampler.sample_from_uniform(0.0), 0u);
-  EXPECT_EQ(psampler.sample_from_uniform(1.0), plus.size() - 1);
+  EXPECT_EQ(sample_from_uniforms(plus, std::vector<double>{0.0, 1.0}),
+            (std::vector<std::uint64_t>{0, plus.size() - 1}));
 }
 
 // ------------------------------------------------- serve footprint (sat. 2)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -15,6 +16,8 @@
 #include "fur/simulator.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
+#include "problems/sk.hpp"
+#include "support/table_sampler.hpp"
 
 namespace qokit {
 namespace {
@@ -44,6 +47,13 @@ void* operator new(std::size_t bytes) {
 namespace qokit {
 namespace {
 
+/// How often sample_states drew each basis state in `shots` shots.
+std::vector<int> sample_counts(const StateVector& sv, int shots, Rng& rng) {
+  std::vector<int> counts(sv.size(), 0);
+  for (const std::uint64_t x : sample_states(sv, shots, rng)) ++counts[x];
+  return counts;
+}
+
 TEST(Sampler, BasisStateAlwaysSamplesItself) {
   const StateVector sv = StateVector::basis_state(5, 19);
   Rng rng(1);
@@ -64,18 +74,18 @@ TEST(Sampler, FrequenciesTrackProbabilities) {
   sv[0] = cdouble(std::sqrt(0.7), 0.0);
   sv[3] = cdouble(0.0, std::sqrt(0.3));
   Rng rng(3);
-  const auto counts = StateSampler(sv).sample_counts(20000, rng);
-  EXPECT_NEAR(counts.at(0) / 20000.0, 0.7, 0.02);
-  EXPECT_NEAR(counts.at(3) / 20000.0, 0.3, 0.02);
-  EXPECT_EQ(counts.size(), 2u);
+  const auto counts = sample_counts(sv, 20000, rng);
+  EXPECT_NEAR(counts[0] / 20000.0, 0.7, 0.02);
+  EXPECT_NEAR(counts[3] / 20000.0, 0.3, 0.02);
+  EXPECT_EQ(counts[0] + counts[3], 20000);
 }
 
 TEST(Sampler, UniformStateCoversSpace) {
   const StateVector sv = StateVector::plus_state(4);
   Rng rng(4);
-  const auto counts = StateSampler(sv).sample_counts(16000, rng);
-  EXPECT_EQ(counts.size(), 16u);  // every outcome seen
-  for (const auto& [x, c] : counts) EXPECT_NEAR(c, 1000, 200) << x;
+  const auto counts = sample_counts(sv, 16000, rng);
+  for (std::size_t x = 0; x < counts.size(); ++x)
+    EXPECT_NEAR(counts[x], 1000, 200) << x;
 }
 
 TEST(Sampler, DeterministicPerSeed) {
@@ -89,14 +99,18 @@ TEST(Sampler, UnnormalizedStatesHandled) {
   sv[1] = cdouble(2.0, 0.0);  // norm 4
   sv[6] = cdouble(2.0, 0.0);
   Rng rng(8);
-  const auto counts = StateSampler(sv).sample_counts(4000, rng);
-  EXPECT_NEAR(counts.at(1), 2000, 200);
-  EXPECT_NEAR(counts.at(6), 2000, 200);
+  const auto counts = sample_counts(sv, 4000, rng);
+  EXPECT_NEAR(counts[1], 2000, 200);
+  EXPECT_NEAR(counts[6], 2000, 200);
 }
 
 TEST(Sampler, ThrowsOnZeroState) {
   StateVector sv(3);
-  EXPECT_THROW(StateSampler{sv}, std::invalid_argument);
+  Rng rng(10);
+  EXPECT_THROW((void)sample_states(sv, 1, rng), std::invalid_argument);
+  const auto f = [](std::uint64_t) { return 1.0; };
+  EXPECT_THROW((void)estimate_expectation_sampled(sv, f, 1, rng),
+               std::invalid_argument);
 }
 
 TEST(Sampler, TrailingZeroAmplitudesNeverSampled) {
@@ -106,25 +120,19 @@ TEST(Sampler, TrailingZeroAmplitudesNeverSampled) {
   StateVector sv(4);
   sv[2] = cdouble(0.8, 0.0);
   sv[5] = cdouble(0.0, 0.6);  // indices 6..15 stay zero
-  const StateSampler sampler(sv);
-  EXPECT_EQ(sampler.sample_from_uniform(1.0), 5u);
-  EXPECT_EQ(sampler.sample_from_uniform(std::nextafter(1.0, 0.0)), 5u);
+  const std::vector<double> top{1.0, std::nextafter(1.0, 0.0)};
+  EXPECT_EQ(sample_from_uniforms(sv, top),
+            (std::vector<std::uint64_t>{5, 5}));
   Rng rng(11);
-  for (int s = 0; s < 1000; ++s) {
-    const std::uint64_t x = sampler.sample(rng);
+  for (const std::uint64_t x : sample_states(sv, 1000, rng))
     EXPECT_TRUE(x == 2u || x == 5u) << x;
-  }
 }
 
 TEST(Sampler, ShotCountsValidated) {
   const StateVector sv = StateVector::plus_state(3);
-  const StateSampler sampler(sv);
   Rng rng(12);
-  EXPECT_THROW(sampler.sample(-1, rng), std::invalid_argument);
-  EXPECT_THROW(sampler.sample_counts(-1, rng), std::invalid_argument);
   EXPECT_THROW(sample_states(sv, -3, rng), std::invalid_argument);
-  EXPECT_TRUE(sampler.sample(0, rng).empty());
-  EXPECT_TRUE(sampler.sample_counts(0, rng).empty());
+  EXPECT_TRUE(sample_states(sv, 0, rng).empty());
   const auto f = [](std::uint64_t) { return 1.0; };
   EXPECT_THROW(estimate_expectation_sampled(sv, f, -1, rng),
                std::invalid_argument);
@@ -134,19 +142,8 @@ TEST(Sampler, ShotCountsValidated) {
   EXPECT_EQ(z.std_error, 0.0);
 }
 
-TEST(Sampler, SeededOverloadsMatchExplicitRngStreams) {
-  const StateVector sv = StateVector::plus_state(6);
-  const StateSampler sampler(sv);
-  Rng rng(99);
-  const auto explicit_stream = sampler.sample(40, rng);
-  EXPECT_EQ(sampler.sample(40, std::uint64_t{99}), explicit_stream);
-  Rng rng2(99);
-  EXPECT_EQ(sampler.sample_counts(40, std::uint64_t{99}),
-            sampler.sample_counts(40, rng2));
-}
-
 TEST(Sampler, SessionSeedYieldsIdenticalStreamsAcrossExecModes) {
-  // The SimulatorSpec sampling seed threads through StateSampler, and the
+  // The SimulatorSpec sampling seed threads through sample_states, and the
   // evolved amplitudes are Exec-independent (the SIMD layer's determinism
   // guarantee), so sessions differing only in execution policy draw the
   // same bitstrings -- the spec alone determines the stream.
@@ -232,10 +229,11 @@ TEST(Sampler, TwoPassDrawsEqualTheTableOverManySeeds) {
   states.emplace_back("plus f32", StateVector::plus_state(7, Precision::F32));
   states.emplace_back("basis", StateVector::basis_state(6, 41));
   for (const auto& [name, sv] : states) {
-    const StateSampler table(sv);
+    const testing::StateSampler table(sv);
     for (std::uint64_t seed = 0; seed < 200; ++seed) {
       Rng a(seed), b(seed);
-      const std::vector<std::uint64_t> expected = table.sample(97, a);
+      std::vector<std::uint64_t> expected(97);
+      for (std::uint64_t& x : expected) x = table.sample(a);
       ASSERT_EQ(sample_states(sv, 97, b), expected)
           << name << " seed " << seed;
       ASSERT_EQ(a.next_u64(), b.next_u64()) << name << ": streams diverged";
@@ -255,7 +253,7 @@ TEST(Sampler, TwoPassMatchesTheTableAtTiesAndTheClamp) {
   const StateVector ragged = ragged_state(6, 40, 3);
   for (const StateVector& sv :
        {plus, ragged, ragged.to_precision(Precision::F32)}) {
-    const StateSampler table(sv);
+    const testing::StateSampler table(sv);
     const std::vector<std::uint64_t> drawn = sample_from_uniforms(sv, u01);
     ASSERT_EQ(drawn.size(), u01.size());
     for (std::size_t s = 0; s < u01.size(); ++s)
@@ -292,6 +290,37 @@ TEST(Sampler, BatchSamplingAllocatesNoStateSizedTable) {
                                request);
   EXPECT_LT(largest_new.load(), dim_of(n) * sizeof(double) / 8)
       << "BatchEvaluator";
+}
+
+TEST(SampledEstimator, MeanIsTheTableOraclesDrawsBitForBit) {
+  // Same seed, same shots: the estimate averages exactly the outcomes the
+  // table oracle draws, in shot order, and leaves the stream where the
+  // oracle's draws leave it. SK's non-integral costs make the sums depend
+  // on the order they are added in.
+  const TermList terms = sk_terms(9, 4);
+  const FurQaoaSimulator sim(terms, {});
+  const std::vector<double> gs{0.3, -0.15}, bs{-0.6, 0.25};
+  const StateVector r = sim.simulate_qaoa(gs, bs);
+  const auto f = [&terms](std::uint64_t x) { return terms.evaluate(x); };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const StateVector& sv : {r, r.to_precision(Precision::F32)}) {
+    const int shots = 777;
+    Rng a(31), b(31);
+    const SampledExpectation est = estimate_expectation_sampled(sv, f, shots, a);
+    const testing::StateSampler table(sv);
+    double sum = 0.0, sum_sq = 0.0;
+    for (int s = 0; s < shots; ++s) {
+      const double v = f(table.sample(b));
+      sum += v;
+      sum_sq += v * v;
+    }
+    const double mean = sum / shots;
+    EXPECT_EQ(est.shots, shots);
+    EXPECT_EQ(bits(est.mean), bits(mean));
+    EXPECT_EQ(bits(est.std_error),
+              bits(std::sqrt((sum_sq / shots - mean * mean) / shots)));
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
 }
 
 TEST(SampledEstimator, ZeroVarianceOnBasisState) {

@@ -638,6 +638,27 @@ TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
   ASSERT_EQ(ok.expectations.size(), 1u);
 }
 
+TEST(ScheduleServer, SpecFieldsTheSimulatorIgnoresAreBadRequests) {
+  ServerConfig config;
+  config.workers = 1;
+  ScheduleServer server(config);
+  for (const char* name :
+       {"auto:ranks=8", "dist:2:exec=serial", "auto:weight=3"}) {
+    Request request = make_request(8, 1, random_schedules(1, 1, 4));
+    request.spec = SimulatorSpec::parse(name);
+    const Response r = server.submit_blocking(std::move(request));
+    EXPECT_EQ(r.status, Status::BadRequest) << name;
+    const std::string field = std::string(name).substr(
+        std::string(name).rfind(':') + 1);
+    EXPECT_NE(r.error.find(field), std::string::npos)
+        << name << " -> " << r.error;
+  }
+  EXPECT_EQ(server.cache_stats().sessions, 0u);
+  const Response ok =
+      server.submit_blocking(make_request(8, 1, random_schedules(1, 1, 4)));
+  EXPECT_EQ(ok.status, Status::Ok);
+}
+
 TEST(ScheduleServer, OutOfRangeOverlapWeightsAreBadRequestsBeforeTheCache) {
   // The sector must exist (-1 through n): weight n + 1 is refused next to
   // the schedule checks, so no cache miss pays the precompute.

@@ -211,6 +211,38 @@ TEST(MakeSimulator, EnforcesSemanticConstraints) {
   EXPECT_THROW((void)make_simulator(terms, dist_xy), std::invalid_argument);
 }
 
+TEST(MakeSimulator, RefusesFieldsTheBuiltSimulatorIgnores) {
+  // Each spelling used to build the same simulator as its plain form under
+  // an unequal spec: a second cache entry, precompute and diagonal for one
+  // simulator. A session build now refuses it, naming the field, while the
+  // spec still round-trips.
+  const TermList terms = labs_terms(6);
+  struct Case {
+    const char* name;
+    const char* field;  ///< what the error message must contain
+  };
+  for (const Case c : {Case{"auto:ranks=8", "ranks=8"},
+                       Case{"u16:ranks=1", "ranks=1"},
+                       Case{"dist:2:exec=serial", "exec=serial"},
+                       Case{"auto:weight=3", "weight=3"},
+                       Case{"dist:2:weight=0", "weight=0"}}) {
+    const SimulatorSpec spec = SimulatorSpec::parse(c.name);
+    EXPECT_EQ(SimulatorSpec::parse(spec.to_string()), spec) << c.name;
+    try {
+      const api::ProblemSession session(terms, spec);
+      ADD_FAILURE() << "built a session for '" << c.name << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.name << " -> " << e.what();
+    }
+  }
+  // The fields where they apply still build.
+  for (const char* name :
+       {"dist:8", "dist:2:exec=parallel", "auto:mixer=xyring:weight=3"})
+    EXPECT_NO_THROW(api::ProblemSession(terms, SimulatorSpec::parse(name)))
+        << name;
+}
+
 TEST(MakeSimulator, ValidatesDistRankCounts) {
   const TermList terms = labs_terms(6);
   // Rank counts must be a power of two; the error names the value.

@@ -96,9 +96,9 @@ TEST(SimdPhase, DispatchedMatchesScalar) {
         StateVector a = random_state(n, 21);
         StateVector b = a;
         force_simd_level(SimdLevel::Scalar);
-        apply_phase_slice(a.data(), costs.data(), a.size(), gamma, exec);
+        simd::apply_phase_slice(a.data(), costs.data(), a.size(), gamma, exec);
         force_simd_level(detect_simd_level());
-        apply_phase_slice(b.data(), costs.data(), b.size(), gamma, exec);
+        simd::apply_phase_slice(b.data(), costs.data(), b.size(), gamma, exec);
         expect_states_close(a, b, 1e-12, "phase");
       }
     }
@@ -115,18 +115,18 @@ TEST(SimdPhase, HugeAnglesFallBackToLibm) {
   StateVector a = random_state(10, 23);
   StateVector b = a;
   force_simd_level(SimdLevel::Scalar);
-  apply_phase_slice(a.data(), huge.data(), a.size(), 1.0, Exec::Serial);
+  simd::apply_phase_slice(a.data(), huge.data(), a.size(), 1.0, Exec::Serial);
   force_simd_level(detect_simd_level());
-  apply_phase_slice(b.data(), huge.data(), b.size(), 1.0, Exec::Serial);
+  simd::apply_phase_slice(b.data(), huge.data(), b.size(), 1.0, Exec::Serial);
   EXPECT_EQ(a.max_abs_diff(b), 0.0);
 
   const auto mixed = random_costs(10, 15, -3.0e9, 3.0e9);
   StateVector c = random_state(10, 25);
   StateVector d = c;
   force_simd_level(SimdLevel::Scalar);
-  apply_phase_slice(c.data(), mixed.data(), c.size(), 1.0, Exec::Serial);
+  simd::apply_phase_slice(c.data(), mixed.data(), c.size(), 1.0, Exec::Serial);
   force_simd_level(detect_simd_level());
-  apply_phase_slice(d.data(), mixed.data(), d.size(), 1.0, Exec::Serial);
+  simd::apply_phase_slice(d.data(), mixed.data(), d.size(), 1.0, Exec::Serial);
   expect_states_close(c, d, 1e-12, "phase-mixed-huge");
 }
 
@@ -161,9 +161,9 @@ TEST(SimdButterflies, RxMatchesScalarAtEveryQubit) {
       StateVector a = random_state(n, 37 + q);
       StateVector b = a;
       force_simd_level(SimdLevel::Scalar);
-      kern::rx(a.data(), a.size(), q, c, s, exec);
+      simd::rx(a.data(), a.size(), q, c, s, exec);
       force_simd_level(detect_simd_level());
-      kern::rx(b.data(), b.size(), q, c, s, exec);
+      simd::rx(b.data(), b.size(), q, c, s, exec);
       expect_states_close(a, b, 1e-12, "rx");
     }
   }
@@ -461,25 +461,19 @@ TEST(SamplerRegression, FullMassVariateClampsToLastNonzeroState) {
   StateVector sv(3);
   sv[1] = cdouble(std::sqrt(0.5), 0.0);
   sv[3] = cdouble(0.0, std::sqrt(0.5));
-  const StateSampler sampler(sv);
-  EXPECT_EQ(sampler.sample_from_uniform(1.0), 3u);
-  EXPECT_EQ(sampler.sample_from_uniform(std::nextafter(1.0, 0.0)), 3u);
-  EXPECT_EQ(sampler.sample_from_uniform(0.0), 1u);
+  const std::vector<double> u01{1.0, std::nextafter(1.0, 0.0), 0.0};
+  EXPECT_EQ(sample_from_uniforms(sv, u01),
+            (std::vector<std::uint64_t>{3, 3, 1}));
   Rng rng(73);
-  for (int s = 0; s < 2000; ++s) {
-    const std::uint64_t x = sampler.sample(rng);
+  for (const std::uint64_t x : sample_states(sv, 2000, rng))
     EXPECT_TRUE(x == 1u || x == 3u) << x;
-  }
 }
 
 TEST(SamplerRegression, ShotCountValidation) {
   const StateVector sv = StateVector::plus_state(4);
-  const StateSampler sampler(sv);
   Rng rng(79);
-  EXPECT_THROW(sampler.sample(-1, rng), std::invalid_argument);
-  EXPECT_THROW(sampler.sample_counts(-5, rng), std::invalid_argument);
-  EXPECT_TRUE(sampler.sample(0, rng).empty());
-  EXPECT_TRUE(sampler.sample_counts(0, rng).empty());
+  EXPECT_THROW(sample_states(sv, -1, rng), std::invalid_argument);
+  EXPECT_TRUE(sample_states(sv, 0, rng).empty());
   const auto f = [](std::uint64_t x) { return static_cast<double>(x); };
   EXPECT_THROW(estimate_expectation_sampled(sv, f, -2, rng),
                std::invalid_argument);
