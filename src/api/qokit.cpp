@@ -87,7 +87,10 @@ BatchResult qaoa_batch_evaluate(const TermList& terms,
                                 std::span<const QaoaParams> schedules,
                                 const BatchOptions& opts,
                                 std::string_view simulator) {
-  const ProblemSession session(terms, SimulatorSpec::parse(simulator));
+  const SimulatorSpec spec = SimulatorSpec::parse(simulator);
+  // Before the throwaway session pays its precompute.
+  check_batch(schedules, opts, terms.num_qubits());
+  const ProblemSession session(terms, spec);
   return session.batch().evaluate(schedules, opts);
 }
 

@@ -44,8 +44,9 @@ namespace qokit::api {
 
 // The `simulator` argument of every wrapper below is parsed by
 // SimulatorSpec::parse (see api/spec.hpp for the full grammar): "auto",
-// "serial", "u16", the distributed spellings "dist" and "dist:K", plus
-// key=value options such as "seed=7". Unknown spellings throw
+// "u16", the distributed spellings "dist" and "dist:K", plus key=value
+// options such as "exec=serial" or "seed=7" ("serial" is an alias of
+// "auto:exec=serial"). Unknown spellings throw
 // std::invalid_argument naming the offending token -- no entry point
 // falls back to a default.
 
@@ -97,7 +98,9 @@ std::vector<double> qaoa_batch_expectation(
     std::string_view simulator = "auto");
 
 /// Full batched evaluation: expectations plus optional ground-state
-/// overlaps and sampled bitstrings per schedule, per `opts`.
+/// overlaps and sampled bitstrings per schedule, per `opts`. A bad
+/// schedule, negative shots or an out-of-range overlap weight throws
+/// std::invalid_argument before the simulator is built.
 BatchResult qaoa_batch_evaluate(const TermList& terms,
                                 std::span<const QaoaParams> schedules,
                                 const BatchOptions& opts,

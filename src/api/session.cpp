@@ -97,29 +97,30 @@ ProblemSession ProblemSession::sk(int n, std::uint64_t seed,
 
 EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
                                     const EvalRequest& request) const {
-  schedule.check();
   const detail::ReentrancyGuard::Scope scope(guard_,
                                              "ProblemSession::evaluate");
-  static const obs::Counter evaluates =
-      obs::counter("qokit_evaluates_total");
-  evaluates.add();
   obs::Span span("evaluate");
   span.attr("n", num_qubits());
   span.attr("p", static_cast<std::int64_t>(schedule.gammas.size()));
   span.attr("backend", qokit::to_string(spec_.backend).data());
+  span.attr("exec", spec_.exec == Exec::Serial ? "serial" : "parallel");
   span.attr("prec_bits",
             static_cast<std::int64_t>(precision_bits(sim_->precision())));
-  // A one-schedule batch: it runs Inner in pool slot 0, with the
-  // expectation fused into the final pass, timed or not.
+  // A one-schedule batch: the engine checks the schedule, then runs it
+  // Inner in pool slot 0, with the expectation fused into the final pass,
+  // timed or not.
   evaluator_.evaluate_into(std::span<const QaoaParams>(&schedule, 1),
                            batch_options_for(request, spec_.sample_seed),
                            batch_scratch_);
+  // Counted once it ran: a schedule the engine refuses is no evaluate.
+  static const obs::Counter evaluates =
+      obs::counter("qokit_evaluates_total");
+  evaluates.add();
   return item_result(batch_scratch_, 0, request, precompute_ns_, 0);
 }
 
 std::vector<EvalResult> ProblemSession::evaluate_batch(
     std::span<const QaoaParams> schedules, const EvalRequest& request) const {
-  for (const QaoaParams& s : schedules) s.check();
   const detail::ReentrancyGuard::Scope scope(
       guard_, "ProblemSession::evaluate_batch");
   const steady::time_point t0 = steady::now();
@@ -137,7 +138,6 @@ std::vector<EvalResult> ProblemSession::evaluate_batch(
 
 std::vector<double> ProblemSession::expectations(
     std::span<const QaoaParams> schedules) const {
-  for (const QaoaParams& s : schedules) s.check();
   const detail::ReentrancyGuard::Scope scope(
       guard_, "ProblemSession::expectations");
   return evaluator_.expectations(schedules);

@@ -183,10 +183,11 @@ class ProblemSession {
   /// exactly as a freshly built simulator would -- bit-identical outputs.
   ///
   /// Every schedule-taking method here (and optimize's initial point)
-  /// runs QaoaParams::check() first: ragged or non-finite schedules throw
-  /// std::invalid_argument naming the layer before any state is touched,
-  /// as do negative shots and a requested overlap whose weight fails
-  /// check_overlap_weight.
+  /// runs QaoaParams::check() first -- evaluate, evaluate_batch and
+  /// expectations through the batch engine's check_batch: ragged or
+  /// non-finite schedules throw std::invalid_argument naming the layer
+  /// before any state is touched, as do negative shots and a requested
+  /// overlap whose weight fails check_overlap_weight.
   EvalResult evaluate(const QaoaParams& schedule,
                       const EvalRequest& request = {}) const;
 

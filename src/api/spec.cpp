@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <charconv>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "dist/dist_fur.hpp"
@@ -17,18 +16,15 @@ namespace {
                               std::string(name) + "'");
 }
 
-/// Execution policy parse() assumes when no exec= option is given; also
-/// the policy to_string() elides, so the canonical spelling stays short.
-Exec default_exec(Backend backend) {
-  return backend == Backend::Serial ? Exec::Serial : Exec::Parallel;
-}
-
-bool parse_backend(std::string_view token, Backend* out) {
-  if (token == "auto") *out = Backend::Auto;
-  else if (token == "serial") *out = Backend::Serial;
-  else if (token == "u16") *out = Backend::U16;
-  else if (token == "dist") *out = Backend::Dist;
+/// The backend head of a spelling. "serial" is kept only as an alias of
+/// "auto:exec=serial": exec= is the one Exec switch, so the alias parses
+/// into the same spec and to_string() never writes it.
+bool parse_backend(std::string_view token, SimulatorSpec* spec) {
+  if (token == "auto" || token == "serial") spec->backend = Backend::Auto;
+  else if (token == "u16") spec->backend = Backend::U16;
+  else if (token == "dist") spec->backend = Backend::Dist;
   else return false;
+  if (token == "serial") spec->exec = Exec::Serial;
   return true;
 }
 
@@ -116,9 +112,8 @@ void apply_option(std::string_view token, std::string_view name,
   } else if (key == "seed") {
     ok = parse_int_option(value, name, &spec->sample_seed);
   } else if (key == "prec") {
-    if (value == "auto") spec->prec = Prec::Auto, ok = true;
-    else if (value == "f32") spec->prec = Prec::F32, ok = true;
-    else if (value == "f64") spec->prec = Prec::F64, ok = true;
+    ok = value == "f32" || value == "f64";
+    if (ok) spec->prec = value == "f32" ? Precision::F32 : Precision::F64;
   }
   if (!ok) bad_token(token, name);
 }
@@ -128,7 +123,6 @@ void apply_option(std::string_view token, std::string_view name,
 std::string_view to_string(Backend backend) {
   switch (backend) {
     case Backend::Auto: return "auto";
-    case Backend::Serial: return "serial";
     case Backend::U16: return "u16";
     default: return "dist";
   }
@@ -138,8 +132,7 @@ SimulatorSpec SimulatorSpec::parse(std::string_view name) {
   SimulatorSpec spec;
   std::size_t pos = name.find(':');
   const std::string_view head = name.substr(0, pos);
-  if (!parse_backend(head, &spec.backend)) bad_token(head, name);
-  spec.exec = default_exec(spec.backend);
+  if (!parse_backend(head, &spec)) bad_token(head, name);
 
   // Remaining colon-separated tokens: the rank count of "dist:K" is the
   // one positional token; everything else is key=value.
@@ -179,45 +172,19 @@ std::string SimulatorSpec::to_string() const {
     out += ":mixer=";
     out += mixer_token(mixer);
   }
-  if (exec != default_exec(backend))
-    out += exec == Exec::Serial ? ":exec=serial" : ":exec=parallel";
+  if (exec == Exec::Serial) out += ":exec=serial";
   if (initial_weight >= 0)
     out += ":weight=" + std::to_string(initial_weight);
   if (sample_seed != 1) out += ":seed=" + std::to_string(sample_seed);
-  if (prec != Prec::Auto)
-    out += prec == Prec::F32 ? ":prec=f32" : ":prec=f64";
+  if (prec == Precision::F32) out += ":prec=f32";
   return out;
 }
 
 namespace {
 
-/// True when the combination a spec resolves to can evolve f32 amplitudes:
-/// the X mixer, on every backend. The xy mixers stay f64-only.
-bool supports_f32(const SimulatorSpec& spec) {
-  return spec.mixer == MixerType::X;
-}
-
-/// Resolve the effective amplitude precision. Explicit f32/f64 win (an
-/// explicit f32 on an unsupported combination is validated by the caller
-/// and throws); Auto consults QOKIT_PREC, where "f32" opts the whole
-/// process into float amplitudes *where supported* — unsupported
-/// combinations silently stay f64, so an env-driven f32 run (the CI
-/// prec=f32 leg) still passes suites that exercise the xy mixers.
-Precision resolve_precision(const SimulatorSpec& spec) {
-  switch (spec.prec) {
-    case Prec::F32: return Precision::F32;
-    case Prec::F64: return Precision::F64;
-    default: break;
-  }
-  const char* env = std::getenv("QOKIT_PREC");
-  if (env && std::string_view(env) == "f32" && supports_f32(spec))
-    return Precision::F32;
-  return Precision::F64;
-}
-
-/// Last-resolution precision gauge (bits of the amplitude scalar), set on
-/// every make_simulator call so dashboards can tell mixed-precision runs
-/// apart without parsing spec strings.
+/// Precision gauge (bits of the amplitude scalar), set on every
+/// make_simulator call so dashboards can tell mixed-precision runs apart
+/// without parsing spec strings.
 void record_precision(Precision prec) {
   static const obs::Gauge bits = obs::gauge("qokit_precision_bits");
   bits.set(static_cast<double>(precision_bits(prec)));
@@ -242,12 +209,7 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     throw std::invalid_argument("make_simulator: weight=" +
                                 std::to_string(spec.initial_weight) +
                                 " applies to the xy mixers only");
-  const Precision prec = resolve_precision(spec);
-  if (prec == Precision::F32 && !supports_f32(spec))
-    throw std::invalid_argument(
-        "make_simulator: prec=f32 supports the X mixer only (the xy "
-        "mixers are f64-only)");
-  record_precision(prec);
+  record_precision(spec.prec);
   switch (spec.backend) {
     case Backend::Dist:
       if (spec.mixer != MixerType::X)
@@ -271,13 +233,13 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
             " amplitudes of a " + std::to_string(terms.num_qubits()) +
             "-qubit problem");
       return std::make_unique<DistributedFurSimulator>(
-          terms, DistConfig{.ranks = spec.ranks, .prec = prec});
+          terms, DistConfig{.ranks = spec.ranks, .prec = spec.prec});
     default: {
       FurConfig cfg;
       cfg.exec = spec.exec;
       cfg.mixer = spec.mixer;
       cfg.initial_weight = spec.initial_weight;
-      cfg.prec = prec;
+      cfg.prec = spec.prec;
       if (spec.backend == Backend::U16) cfg.use_u16 = true;
       return std::make_unique<FurQaoaSimulator>(terms, cfg);
     }

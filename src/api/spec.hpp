@@ -24,30 +24,18 @@ namespace qokit {
 /// Which topology a spec selects: FurQaoaSimulator on one node, or
 /// DistributedFurSimulator over `ranks` virtual ranks.
 enum class Backend {
-  Auto,    ///< the default: threaded fused-kernel FurQaoaSimulator
-  Serial,  ///< single-threaded FurQaoaSimulator (portable reference)
-  U16,     ///< FurQaoaSimulator over the uint16-compressed diagonal
-  Dist,    ///< DistributedFurSimulator over `ranks` virtual ranks
+  Auto,  ///< the default: fused-kernel FurQaoaSimulator
+  U16,   ///< FurQaoaSimulator over the uint16-compressed diagonal
+  Dist,  ///< DistributedFurSimulator over `ranks` virtual ranks
 };
 
-/// Canonical backend token ("auto", "serial", ..., "dist").
+/// Canonical backend token ("auto", "u16" or "dist").
 std::string_view to_string(Backend backend);
 
-/// Amplitude precision a spec requests. Auto defers to the QOKIT_PREC
-/// environment variable ("f32" selects float amplitudes when the resolved
-/// backend supports them; anything else means f64) and otherwise means
-/// f64 — so default spec spellings, cache keys, and results are untouched
-/// by this knob. Explicit F32 with an xy mixer throws from make_simulator
-/// instead of silently widening.
-enum class Prec {
-  Auto,  ///< QOKIT_PREC env, else f64; downgrades silently if unsupported
-  F32,   ///< float amplitudes (X mixer only)
-  F64,   ///< double amplitudes (the pre-existing behavior)
-};
-
-/// Typed construction-time configuration for every simulator backend. A
-/// spec configures the one simulator built from it and nothing else:
-/// process-wide settings have one switch each -- the kernel family
+/// Typed construction-time configuration for every simulator backend. The
+/// spec alone decides which simulator make_simulator builds: no
+/// environment variable changes its meaning. Process-wide settings choose
+/// how the machine runs a spec, one switch each -- the kernel family
 /// QOKIT_SIMD / force_simd_level, instrumentation QOKIT_OBS /
 /// obs::set_enabled. X-mixer layers always run the fused pipeline, so no
 /// option selects it.
@@ -55,34 +43,34 @@ enum class Prec {
 /// String grammar (SimulatorSpec::parse):
 ///
 ///   spec    := backend (":" option)*
-///   backend := "auto" | "serial" | "u16" | "dist" [":" K]
+///   backend := "auto" | "u16" | "dist" [":" K]
+///            | "serial"                       (alias of "auto:exec=serial")
 ///   option  := "mixer="  ("x" | "xyring" | "xycomplete")
 ///            | "exec="   ("serial" | "parallel")
 ///            | "ranks="  <int >= 1>           (dist only)
 ///            | "weight=" <int >= 0>           (Dicke weight, xy mixers)
 ///            | "seed="   <uint64>             (sampling seed)
-///            | "prec="   ("auto" | "f32" | "f64")
+///            | "prec="   ("f32" | "f64")
 ///
 /// Any other token throws std::invalid_argument naming the offending
 /// token -- no spelling silently falls back to a default simulator.
 /// parse() validates tokens only; semantic constraints (e.g. dist with an
 /// XY mixer, or a field the backend ignores) are enforced by
-/// make_simulator.
+/// make_simulator and the simulator it builds.
 struct SimulatorSpec {
   Backend backend = Backend::Auto;
   MixerType mixer = MixerType::X;
-  /// Kernel execution policy. parse() defaults this per backend (Serial
-  /// for "serial", Parallel otherwise); Backend::Dist, whose rank threads
-  /// are the parallelism, accepts only Parallel.
+  /// Kernel execution policy. Backend::Dist, whose rank threads are the
+  /// parallelism, accepts only Parallel.
   Exec exec = Exec::Parallel;
   int ranks = 2;  ///< virtual rank count (Backend::Dist only; else 2)
   /// Dicke weight for xy mixers; -1 = n/2 (and the only value the X mixer
   /// accepts).
   int initial_weight = -1;
   std::uint64_t sample_seed = 1;  ///< base seed for drawn bitstrings
-  /// Amplitude scalar width (see enum Prec). Auto = QOKIT_PREC env, else
-  /// f64; to_string() elides Auto so default spellings are unchanged.
-  Prec prec = Prec::Auto;
+  /// Amplitude scalar width. F32 runs the X mixer only (the xy mixers
+  /// refuse it); to_string() elides the F64 default.
+  Precision prec = Precision::F64;
 
   /// Parse a spelling per the grammar above. Throws std::invalid_argument
   /// naming the offending token on anything unrecognized.
@@ -101,10 +89,12 @@ struct SimulatorSpec {
 /// and the session API. Throws std::invalid_argument on semantically
 /// invalid combinations: dist with a non-X mixer, or a rank count that is
 /// not a power of two, exceeds the 2^n amplitudes, or exceeds kMaxRanks
-/// (checked by VirtualRankWorld); and, naming the field, on a field the
-/// built simulator would ignore: ranks != 2 off dist, exec=serial on
-/// dist, or a weight with the X mixer. Every check runs before a thread
-/// starts or the diagonal allocates.
+/// (checked by VirtualRankWorld); naming the field, on a field the built
+/// simulator would ignore: ranks != 2 off dist, exec=serial on dist, or a
+/// weight with the X mixer; and, from the simulator's own config check,
+/// on prec=f32 with an xy mixer, an xy mixer below its minimum size, or a
+/// Dicke weight above n. Every check runs before a thread starts or the
+/// diagonal allocates.
 ///
 /// Every fur and dist simulator it builds runs the fixed pipeline
 /// geometry, pipeline::Geometry::defaults(). It changes no process-wide

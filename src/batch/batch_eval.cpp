@@ -47,6 +47,15 @@ void check_overlap_weight(int weight, int num_qubits) {
                                 std::to_string(num_qubits) + "]");
 }
 
+void check_batch(std::span<const QaoaParams> schedules,
+                 const BatchOptions& opts, int num_qubits) {
+  if (opts.sample_shots < 0)
+    throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
+  if (opts.compute_overlap)
+    check_overlap_weight(opts.overlap_weight, num_qubits);
+  for (const QaoaParams& s : schedules) s.check();
+}
+
 BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim)
     : sim_(&sim), scratch_(pool_slots(sim)) {}
 
@@ -62,14 +71,7 @@ BatchParallelism BatchEvaluator::resolve_parallelism(std::size_t batch) const {
 void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
                                    const BatchOptions& opts,
                                    BatchResult& out) const {
-  if (opts.sample_shots < 0)
-    throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
-  if (opts.compute_overlap)
-    check_overlap_weight(opts.overlap_weight, sim_->num_qubits());
-  for (const QaoaParams& s : schedules)
-    if (s.gammas.size() != s.betas.size())
-      throw std::invalid_argument(
-          "BatchEvaluator: gammas/betas length mismatch");
+  check_batch(schedules, opts, sim_->num_qubits());
   const std::size_t m = schedules.size();
   out.used = resolve_parallelism(m);
   // resize() reuses existing capacity (and, for states, the statevector

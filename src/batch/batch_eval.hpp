@@ -67,10 +67,17 @@ struct BatchOptions {
 
 /// Throws std::invalid_argument unless `weight` names an overlap on a
 /// `num_qubits`-qubit problem: -1 (the full space) or a Hamming-weight
-/// sector in [0, num_qubits]. BatchEvaluator checks a requested overlap
-/// with it before filling any slot; the server checks it before its
-/// cache checkout.
+/// sector in [0, num_qubits]. check_batch runs it on a requested overlap;
+/// the server runs it before its cache checkout.
 void check_overlap_weight(int weight, int num_qubits);
+
+/// The batch engine's one input check, run before any slot fills: throws
+/// std::invalid_argument on negative shots, a requested overlap whose
+/// weight fails check_overlap_weight, or a schedule that fails
+/// QaoaParams::check(). qaoa_batch_evaluate runs it before it builds its
+/// simulator.
+void check_batch(std::span<const QaoaParams> schedules,
+                 const BatchOptions& opts, int num_qubits);
 
 /// Per-schedule outputs, indexed like the submitted schedule span.
 struct BatchResult {
@@ -108,7 +115,8 @@ class BatchEvaluator {
   /// copy-assigned into existing slots (which reuses their statevector
   /// allocations when sizes match). Repeated same-shape calls therefore
   /// perform zero steady-state statevector allocations even with
-  /// keep_states on. Fields not requested by `opts` are cleared.
+  /// keep_states on. Fields not requested by `opts` are cleared. Runs
+  /// check_batch first.
   void evaluate_into(std::span<const QaoaParams> schedules,
                      const BatchOptions& opts, BatchResult& out) const;
 

@@ -97,36 +97,43 @@ std::vector<double> per_layer_expectations(const QaoaFastSimulatorBase& sim,
 
 namespace {
 
-/// Refuses configurations no initial state or kernel can serve, at
-/// construction rather than at the first evaluate's fill.
-void check_config(const FurConfig& cfg, int num_qubits) {
+/// Refuses configurations no initial state or kernel can serve. Both
+/// constructors run it on cfg_, their first member, so a refused config
+/// never pays the precompute, the plan or the u16 encode.
+const FurConfig& checked(const FurConfig& cfg, int num_qubits) {
   if (cfg.prec != Precision::F64 && cfg.mixer != MixerType::X)
     throw std::invalid_argument(
         "FurQaoaSimulator: prec=f32 supports the X mixer only");
+  const int min_qubits = cfg.mixer == MixerType::XYRing       ? 3
+                         : cfg.mixer == MixerType::XYComplete ? 2
+                                                              : 0;
+  if (num_qubits < min_qubits)
+    throw std::invalid_argument("FurQaoaSimulator: this xy mixer needs n >= " +
+                                std::to_string(min_qubits) + ", got n = " +
+                                std::to_string(num_qubits));
   if (cfg.mixer != MixerType::X && cfg.initial_weight > num_qubits)
     throw std::invalid_argument(
         "FurQaoaSimulator: Dicke weight " +
         std::to_string(cfg.initial_weight) + " exceeds " +
         std::to_string(num_qubits) + " qubits");
+  return cfg;
 }
 
 }  // namespace
 
 FurQaoaSimulator::FurQaoaSimulator(const TermList& terms, FurConfig cfg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg, terms.num_qubits())),
       diag_(CostDiagonal::precompute(terms, cfg.exec)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.geometry)) {
-  check_config(cfg_, diag_.num_qubits());
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_, cfg_.exec);
 }
 
 FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg, costs.num_qubits())),
       diag_(std::move(costs)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.geometry)) {
-  check_config(cfg_, diag_.num_qubits());
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_, cfg_.exec);
 }
 

@@ -36,7 +36,7 @@ struct FurConfig {
   /// Amplitude scalar width. F32 halves state memory and DRAM traffic per
   /// sweep; the diagonal, all angles, and every reduction stay double (see
   /// DESIGN.md "Mixed precision"). X mixer only — the ctor rejects F32
-  /// with xy mixers.
+  /// with xy mixers before it precomputes.
   Precision prec = Precision::F64;
 };
 
@@ -190,8 +190,8 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
 /// Factory mirroring qokit.fur.choose_simulator: a thin wrapper over
 /// make_simulator(terms, SimulatorSpec::parse(name)) — see api/spec.hpp
 /// for the full grammar. Recognized base names: "auto" (threaded
-/// fused-kernel, the default), "serial", "u16", and the distributed
-/// spellings "dist" and "dist:K".
+/// fused-kernel, the default), "u16", and the distributed spellings
+/// "dist" and "dist:K"; "serial" is an alias of "auto:exec=serial".
 /// Unknown names throw std::invalid_argument naming the offending token.
 std::unique_ptr<QaoaFastSimulatorBase> choose_simulator(
     const TermList& terms, std::string_view name = "auto");

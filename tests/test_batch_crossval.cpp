@@ -102,7 +102,8 @@ TEST_P(BatchCrossValidationTest, MatchesSequentialLoopOnEveryBackend) {
       random_batch(seed, 5 + static_cast<int>(seed % 4));
 
   // n = 6..10: every pass of a layer runs as one unit.
-  for (const char* name : {"serial", "auto", "u16"})
+  for (const char* name : {"serial", "auto", "u16", "serial:prec=f32",
+                           "auto:prec=f32", "u16:prec=f32"})
     expect_bit_identical(*choose_simulator(terms, name), batch, true, name);
 
   for (const int ranks : {2, 4}) {
@@ -130,8 +131,10 @@ TEST(BatchCrossValidation, ThreadedSizesScoreOnTheEvolvingThread) {
         random_batch(static_cast<std::uint64_t>(n), 9);
     const TermList labs = labs_terms(n);
     const TermList sk = sk_terms(n, 5);
-    for (const char* name : {"auto", "serial", "u16", "auto:prec=f32"}) {
-      const TermList& terms = std::string_view(name) == "u16" ? labs : sk;
+    for (const char* name : {"auto", "serial", "u16", "auto:prec=f32",
+                             "serial:prec=f32", "u16:prec=f32"}) {
+      const TermList& terms =
+          std::string_view(name).starts_with("u16") ? labs : sk;
       const auto sim = make_simulator(terms, SimulatorSpec::parse(name));
       const std::string label = std::string(name) + " n=" + std::to_string(n);
       ASSERT_EQ(sim->layer_units(), 1) << label;
@@ -155,7 +158,9 @@ TEST(BatchCrossValidation, ApiBatchExpectationMatchesOneLineApi) {
   const Graph g = Graph::random_regular(8, 3, 5);
   const TermList terms = maxcut_terms(g);
   const std::vector<QaoaParams> batch = random_batch(33, 6);
-  for (const char* name : {"serial", "auto", "u16", "dist:2"}) {
+  for (const char* name :
+       {"serial", "auto", "u16", "dist:2", "serial:prec=f32", "auto:prec=f32",
+        "u16:prec=f32", "dist:2:prec=f32"}) {
     const std::vector<double> values =
         api::qaoa_batch_expectation(terms, batch, name);
     ASSERT_EQ(values.size(), batch.size());

@@ -150,7 +150,8 @@ TEST(BatchOptimizers, WrongSizedCallbackReturnsThrow) {
 
 TEST(BatchOptimizers, GridSearchMatchesSequentialDoubleLoop) {
   const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 23));
-  for (const char* name : {"serial", "auto", "u16"}) {
+  for (const char* name : {"serial", "auto", "u16", "serial:prec=f32",
+                           "auto:prec=f32", "u16:prec=f32"}) {
     const auto sim = choose_simulator(terms, name);
     const GridResult r =
         grid_search_p1(*sim, 7, 5, -0.8, 0.8, -1.0, 1.0);
@@ -179,23 +180,26 @@ TEST(BatchOptimizers, OptimizeQaoaApiMatchesManualBatchedRun) {
   const TermList terms = labs_terms(7);
   NelderMeadOptions opts;
   opts.max_evals = 60;
-  const auto outcome = api::optimize_qaoa(terms, 2, opts, "serial");
+  for (const char* name : {"serial", "serial:prec=f32"}) {
+    SCOPED_TRACE(name);
+    const auto outcome = api::optimize_qaoa(terms, 2, opts, name);
 
-  // Same factory spelling as the api:: call above, so both sides resolve
-  // identical configuration (including prec=auto) and stay bit-equal.
-  const auto sim = choose_simulator(terms, "serial");
-  const BatchEvaluator evaluator(*sim);
-  const QaoaBatchObjective objective(evaluator, 2);
-  const OptResult manual = nelder_mead_batched(
-      [&objective](const std::vector<std::vector<double>>& points) {
-        return objective(points);
-      },
-      linear_ramp(2).flatten(), opts);
-  EXPECT_EQ(outcome.params.flatten(), manual.x);
-  EXPECT_EQ(outcome.fval, manual.fval);
-  EXPECT_EQ(outcome.evaluations, manual.evaluations);
-  EXPECT_GT(outcome.batches, 0);
-  EXPECT_LT(outcome.batches, outcome.evaluations);
+    // Same factory spelling as the api:: call above, so both sides build
+    // the same simulator and stay bit-equal.
+    const auto sim = choose_simulator(terms, name);
+    const BatchEvaluator evaluator(*sim);
+    const QaoaBatchObjective objective(evaluator, 2);
+    const OptResult manual = nelder_mead_batched(
+        [&objective](const std::vector<std::vector<double>>& points) {
+          return objective(points);
+        },
+        linear_ramp(2).flatten(), opts);
+    EXPECT_EQ(outcome.params.flatten(), manual.x);
+    EXPECT_EQ(outcome.fval, manual.fval);
+    EXPECT_EQ(outcome.evaluations, manual.evaluations);
+    EXPECT_GT(outcome.batches, 0);
+    EXPECT_LT(outcome.batches, outcome.evaluations);
+  }
 }
 
 }  // namespace

@@ -13,8 +13,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -127,7 +128,7 @@ TEST(BatchScratch, RefilledSlotEqualsInitialStateBitForBit) {
     const TermList terms = labs_terms(n);
     std::vector<std::string> specs = {
         "auto", "auto:prec=f32", "serial", "serial:prec=f32", "u16",
-        "dist:2", "dist:2:prec=f32"};
+        "u16:prec=f32", "dist:2", "dist:2:prec=f32"};
     for (const char* mixer : {"xyring", "xycomplete"})
       for (const int k : {0, 1, n / 2, n - 1})
         for (const char* exec : {"auto", "serial"})
@@ -211,41 +212,48 @@ TEST(BatchScratch, SessionBatchSteadyStateAllocatesNoStatevectors) {
   // The session wrapper behind qaoa_batch_evaluate reserves once via its
   // scratch pool and reused BatchResult: repeated evaluate_batch calls
   // (expectations + overlaps + samples) allocate no aligned memory.
-  const api::ProblemSession session = api::ProblemSession::labs(9);
-  const std::vector<QaoaParams> batch = two_distinct_schedules();
-  api::EvalRequest request;
-  request.overlap = true;
-  request.shots = 8;
-  const std::vector<api::EvalResult> first =
-      session.evaluate_batch(batch, request);
-  const std::uint64_t baseline = aligned_allocation_count();
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const std::vector<api::EvalResult> again =
+  for (const char* name : {"auto", "auto:prec=f32"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session =
+        api::ProblemSession::labs(9, SimulatorSpec::parse(name));
+    const std::vector<QaoaParams> batch = two_distinct_schedules();
+    api::EvalRequest request;
+    request.overlap = true;
+    request.shots = 8;
+    const std::vector<api::EvalResult> first =
         session.evaluate_batch(batch, request);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(*again[i].expectation, *first[i].expectation);
-      EXPECT_EQ(*again[i].overlap, *first[i].overlap);
-      EXPECT_EQ(*again[i].samples, *first[i].samples);
+    const std::uint64_t baseline = aligned_allocation_count();
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const std::vector<api::EvalResult> again =
+          session.evaluate_batch(batch, request);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(*again[i].expectation, *first[i].expectation);
+        EXPECT_EQ(*again[i].overlap, *first[i].overlap);
+        EXPECT_EQ(*again[i].samples, *first[i].samples);
+      }
     }
+    EXPECT_EQ(aligned_allocation_count(), baseline);
   }
-  EXPECT_EQ(aligned_allocation_count(), baseline);
 }
 
 TEST(BatchScratch, U16PhaseTableIsReusedAcrossEvaluations) {
   // The u16 phase path builds a 65536-entry factor table per layer; it
   // must come from the per-thread reusable scratch, not a fresh aligned
   // allocation, so the u16 backend meets the same zero-steady-state-
-  // allocation contract as every other backend.
-  const api::ProblemSession session =
-      api::ProblemSession::labs(9, SimulatorSpec::parse("u16"));
-  const std::vector<QaoaParams> batch = two_distinct_schedules();
-  const std::vector<double> first = session.expectations(batch);
-  (void)session.evaluate(batch.front());  // warm the scalar scratch too
-  const std::uint64_t baseline = aligned_allocation_count();
-  for (int repeat = 0; repeat < 3; ++repeat)
-    EXPECT_EQ(session.expectations(batch), first);
-  (void)session.evaluate(batch.front());
-  EXPECT_EQ(aligned_allocation_count(), baseline);
+  // allocation contract as every other backend, at either width.
+  for (const char* name : {"u16", "u16:prec=f32"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session =
+        api::ProblemSession::labs(9, SimulatorSpec::parse(name));
+    const std::vector<QaoaParams> batch = two_distinct_schedules();
+    const std::vector<double> first = session.expectations(batch);
+    (void)session.evaluate(batch.front());  // warm the scalar scratch too
+    const std::uint64_t baseline = aligned_allocation_count();
+    for (int repeat = 0; repeat < 3; ++repeat)
+      EXPECT_EQ(session.expectations(batch), first);
+    (void)session.evaluate(batch.front());
+    EXPECT_EQ(aligned_allocation_count(), baseline);
+  }
 }
 
 TEST(BatchScratch, LayerUnitsCountTheFewestThreadedUnitsOfAnyPass) {
@@ -373,15 +381,49 @@ TEST(BatchScratch, TimingsAreTakenOnTheEvolvingThreadInBothModes) {
   }
 }
 
+/// A FurQaoaSimulator that throws while evolving any schedule whose first
+/// gamma is kFailGamma: the engine refuses a bad schedule before the team
+/// starts, so this is how a worker fails mid-batch.
+struct FailingSimulator final : QaoaFastSimulatorBase {
+  static constexpr double kFailGamma = 0.125;
+  explicit FailingSimulator(const TermList& terms) : inner(terms) {}
+  int num_qubits() const override { return inner.num_qubits(); }
+  Precision precision() const override { return inner.precision(); }
+  void fill_initial_state(StateVector& state) const override {
+    inner.fill_initial_state(state);
+  }
+  StateVector simulate_qaoa_from(StateVector state,
+                                 std::span<const double> gammas,
+                                 std::span<const double> betas)
+      const override {
+    if (!gammas.empty() && gammas[0] == kFailGamma)
+      throw std::invalid_argument("FailingSimulator: failing schedule");
+    return inner.simulate_qaoa_from(std::move(state), gammas, betas);
+  }
+  using QaoaFastSimulatorBase::get_expectation;
+  using QaoaFastSimulatorBase::get_overlap;
+  double get_expectation(const StateVector& result) const override {
+    return inner.get_expectation(result);
+  }
+  double get_overlap(const StateVector& result,
+                     int restrict_weight) const override {
+    return inner.get_overlap(result, restrict_weight);
+  }
+  const CostDiagonal& get_cost_diagonal() const override {
+    return inner.get_cost_diagonal();
+  }
+  std::int64_t layer_units() const override { return inner.layer_units(); }
+  FurQaoaSimulator inner;
+};
+
 TEST(BatchScratch, AFailingScheduleThrowsAfterTheTeamJoins) {
-  // A NaN angle evolves into a NaN state, which the sampler refuses. In
-  // Outer mode that throw happens on a worker thread: it must surface
-  // after the join as the caller's exception (not std::terminate), as
-  // the sequential loop throws it, and leave the evaluator usable.
-  const TermList terms = labs_terms(8);
-  const FurQaoaSimulator sim(terms, {});
+  // In Outer mode a schedule that throws does so on a worker thread: it
+  // must surface after the join as the caller's exception (not
+  // std::terminate), as the sequential loop throws it, and leave the
+  // evaluator usable.
+  const FailingSimulator sim(labs_terms(8));
   std::vector<QaoaParams> batch(6, two_distinct_schedules().front());
-  batch[3].gammas[1] = std::numeric_limits<double>::quiet_NaN();
+  batch[3].gammas[0] = FailingSimulator::kFailGamma;
   BatchOptions opts;
   opts.sample_shots = 4;
   for (const int threads : kModeThreads) {

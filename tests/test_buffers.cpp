@@ -99,70 +99,74 @@ TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
   // else allocates, since a new mapping may reuse the freed range.
   const int n = 16;
   static_assert(std::uint64_t{8} << 16 == kMapThreshold);
-  const SimulatorSpec spec = SimulatorSpec::parse("auto");
-  // Per-thread scratch (the fused reduction's partials) outlives any one
-  // session: warm it, so the baseline already holds it.
-  exercise(api::ProblemSession(problem(n, 1), spec));
-  const std::uint64_t baseline = aligned_live_bytes();
+  // At f32 a state is 512 KiB, still mapped.
+  for (const char* name : {"auto", "auto:prec=f32"}) {
+    SCOPED_TRACE(name);
+    const SimulatorSpec spec = SimulatorSpec::parse(name);
+    // Per-thread scratch (the fused reduction's partials) outlives any one
+    // session: warm it, so the baseline already holds it.
+    exercise(api::ProblemSession(problem(n, 1), spec));
+    const std::uint64_t baseline = aligned_live_bytes();
 
-  const void* diagonal = nullptr;
-  const void* state = nullptr;
-  {
-    const api::ProblemSession session(problem(n, 2), spec);
-    exercise(session);
-    EXPECT_GE(aligned_live_bytes() - baseline,
-              dim_of(n) * sizeof(double) +
-                  session.batch().pool_size() * dim_of(n) *
-                      amplitude_bytes(session.simulator().precision()));
+    const void* diagonal = nullptr;
+    const void* state = nullptr;
     {
-      // A StateVector buffer, the same kind as a pool slot: it leaves
-      // the process when it is dropped.
-      const StateVector evolved = session.simulate(schedules(1, 8).front());
-      state = first_amplitude(evolved);
+      const api::ProblemSession session(problem(n, 2), spec);
+      exercise(session);
+      EXPECT_GE(aligned_live_bytes() - baseline,
+                dim_of(n) * sizeof(double) +
+                    session.batch().pool_size() * dim_of(n) *
+                        amplitude_bytes(spec.prec));
+      {
+        // A StateVector buffer, the same kind as a pool slot: it leaves
+        // the process when it is dropped.
+        const StateVector evolved = session.simulate(schedules(1, 8).front());
+        state = first_amplitude(evolved);
+      }
+      EXPECT_TRUE(unmapped(state)) << "dropped state";
+      diagonal = session.cost_diagonal().data();
     }
-    EXPECT_TRUE(unmapped(state)) << "dropped state";
-    diagonal = session.cost_diagonal().data();
-  }
-  EXPECT_TRUE(unmapped(diagonal)) << "session diagonal";
-  EXPECT_EQ(aligned_live_bytes(), baseline) << "session";
+    EXPECT_TRUE(unmapped(diagonal)) << "session diagonal";
+    EXPECT_EQ(aligned_live_bytes(), baseline) << "session";
 
-  const TermList terms = problem(n, 3);
-  const FurQaoaSimulator sim(terms, {});
-  const std::uint64_t with_sim = aligned_live_bytes();
-  {
-    const BatchEvaluator evaluator(sim);
-    BatchOptions opts;
-    opts.sample_shots = 16;
-    const BatchResult r = evaluator.evaluate(
-        schedules(static_cast<int>(evaluator.pool_size()), 4), opts);
-    EXPECT_EQ(r.used, evaluator.pool_size() > 1 ? BatchParallelism::Outer
-                                                : BatchParallelism::Inner);
-    EXPECT_GT(aligned_live_bytes(), with_sim);
-  }
-  EXPECT_EQ(aligned_live_bytes(), with_sim) << "batch evaluator";
-
-  {
-    // Room for one session: building the second evicts the first.
-    const std::uint64_t one = [&] {
-      const api::ProblemSession probe(problem(n, 4), spec);
-      return serve::session_footprint_bytes(probe);
-    }();
-    serve::SessionCache cache(one + one / 2);
-    std::uint64_t with_first = 0;
+    const TermList terms = problem(n, 3);
+    const FurQaoaSimulator sim(terms, {.prec = spec.prec});
+    const std::uint64_t with_sim = aligned_live_bytes();
     {
-      serve::SessionLease lease = cache.checkout(problem(n, 5), spec);
+      const BatchEvaluator evaluator(sim);
+      BatchOptions opts;
+      opts.sample_shots = 16;
+      const BatchResult r = evaluator.evaluate(
+          schedules(static_cast<int>(evaluator.pool_size()), 4), opts);
+      EXPECT_EQ(r.used, evaluator.pool_size() > 1 ? BatchParallelism::Outer
+                                                  : BatchParallelism::Inner);
+      EXPECT_GT(aligned_live_bytes(), with_sim);
+    }
+    EXPECT_EQ(aligned_live_bytes(), with_sim) << "batch evaluator";
+
+    {
+      // Room for one session: building the second evicts the first.
+      const std::uint64_t one = [&] {
+        const api::ProblemSession probe(problem(n, 4), spec);
+        return serve::session_footprint_bytes(probe);
+      }();
+      serve::SessionCache cache(one + one / 2);
+      std::uint64_t with_first = 0;
+      {
+        serve::SessionLease lease = cache.checkout(problem(n, 5), spec);
+        exercise(lease.session());
+        diagonal = lease->cost_diagonal().data();
+        with_first = aligned_live_bytes();
+      }
+      serve::SessionLease lease = cache.checkout(problem(n, 6), spec);
+      EXPECT_EQ(cache.stats().evictions, 1u);
+      EXPECT_TRUE(unmapped(diagonal)) << "evicted diagonal";
       exercise(lease.session());
-      diagonal = lease->cost_diagonal().data();
-      with_first = aligned_live_bytes();
+      // Same shape, so the survivor holds what the evicted one held.
+      EXPECT_EQ(aligned_live_bytes(), with_first) << "serve-cache eviction";
     }
-    serve::SessionLease lease = cache.checkout(problem(n, 6), spec);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(unmapped(diagonal)) << "evicted diagonal";
-    exercise(lease.session());
-    // Same shape, so the survivor holds what the evicted one held.
-    EXPECT_EQ(aligned_live_bytes(), with_first) << "serve-cache eviction";
+    EXPECT_EQ(aligned_live_bytes(), with_sim) << "serve cache";
   }
-  EXPECT_EQ(aligned_live_bytes(), with_sim) << "serve cache";
 }
 
 /// Resident bytes of this process, or -1 without /proc.
@@ -175,30 +179,32 @@ std::int64_t resident_bytes() {
 
 TEST(AlignedBuffers, EvictedSessionsLeaveTheProcess) {
   if (resident_bytes() < 0) GTEST_SKIP() << "no /proc/self/statm";
-  const int n = 20;  // 8 MiB diagonal, 16 MiB f64 states
-  const SimulatorSpec spec = SimulatorSpec::parse("auto");
-  // Budget below one session: every check-in evicts eagerly.
-  serve::SessionCache cache(1);
-  // Twice: a heap allocator that raises its mmap threshold to a freed
-  // mapped chunk's size (glibc does) gives the first session's pages back
-  // but keeps the second's.
-  for (int round = 0; round < 2; ++round) {
-    SCOPED_TRACE(round);
-    std::int64_t held = 0;
-    std::uint64_t footprint = 0;
-    {
-      serve::SessionLease lease = cache.checkout(problem(n, 10 + round), spec);
-      (void)lease->evaluate(schedules(1, 7).front());
-      // The diagonal and pool slot 0, both written in full.
-      footprint = dim_of(n) * (sizeof(double) +
-                               amplitude_bytes(lease->simulator().precision()));
-      held = resident_bytes();
+  const int n = 20;  // 8 MiB diagonal, 16 MiB f64 or 8 MiB f32 states
+  for (const char* name : {"auto", "auto:prec=f32"}) {
+    const SimulatorSpec spec = SimulatorSpec::parse(name);
+    // Budget below one session: every check-in evicts eagerly.
+    serve::SessionCache cache(1);
+    // Twice: a heap allocator that raises its mmap threshold to a freed
+    // mapped chunk's size (glibc does) gives the first session's pages back
+    // but keeps the second's.
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE(::testing::Message() << name << " round " << round);
+      std::int64_t held = 0;
+      std::uint64_t footprint = 0;
+      {
+        serve::SessionLease lease =
+            cache.checkout(problem(n, 10 + round), spec);
+        (void)lease->evaluate(schedules(1, 7).front());
+        // The diagonal and pool slot 0, both written in full.
+        footprint = dim_of(n) * (sizeof(double) + amplitude_bytes(spec.prec));
+        held = resident_bytes();
+      }
+      const std::int64_t after = resident_bytes();
+      EXPECT_EQ(cache.stats().sessions, 0u);
+      EXPECT_GE(held - after, static_cast<std::int64_t>(footprint * 3 / 4))
+          << "resident " << held << " B with the session, " << after
+          << " B after its eviction; it held " << footprint << " B";
     }
-    const std::int64_t after = resident_bytes();
-    EXPECT_EQ(cache.stats().sessions, 0u);
-    EXPECT_GE(held - after, static_cast<std::int64_t>(footprint * 3 / 4))
-        << "resident " << held << " B with the session, " << after
-        << " B after its eviction; it held " << footprint << " B";
   }
 }
 

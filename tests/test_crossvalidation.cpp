@@ -116,7 +116,9 @@ TEST_P(SessionLegacyAgreementTest, SessionApiIsBitIdenticalToFreeFunctions) {
   params.betas = b;
   const std::vector<QaoaParams> batch{params, params};
 
-  for (const char* name : {"serial", "auto", "u16", "dist:2"}) {
+  for (const char* name :
+       {"serial", "auto", "u16", "dist:2", "serial:prec=f32", "auto:prec=f32",
+        "u16:prec=f32", "dist:2:prec=f32"}) {
     SCOPED_TRACE(name);
     const api::ProblemSession session(terms, SimulatorSpec::parse(name));
     const auto legacy = choose_simulator(terms, name);
@@ -145,8 +147,7 @@ TEST_P(PrecisionAgreementTest, F32BackendsTrackTheirF64Twins) {
   // run must stay within a pinned drift tolerance of its own f64 twin
   // (same backend, so the comparison isolates the amplitude width), the
   // double-accumulated objectives must agree to reduction scale, and the
-  // f32 bits themselves must be Exec-independent. Explicit prec= tokens
-  // keep the test meaningful under a QOKIT_PREC=f32 environment leg.
+  // f32 bits themselves must be Exec-independent.
   const std::uint64_t seed = GetParam();
   int n = 0;
   const TermList terms = random_problem(seed, &n);

@@ -102,9 +102,7 @@ class DistSimulatorTest : public ::testing::TestWithParam<int> {};
 TEST_P(DistSimulatorTest, MatchesSingleNodeSimulator) {
   // Bit for bit: the ranks run the single-node per-amplitude arithmetic
   // in the single-node qubit order, the exchanges only move data, and
-  // <C> is the single-node reduction over the ranks' one buffer. Both
-  // simulators are built directly at f64, so QOKIT_PREC does not reach
-  // them.
+  // <C> is the single-node reduction over the ranks' one buffer.
   const int k = GetParam();
   const TermList terms = labs_terms(9);
   const std::vector<double> gs{0.3, -0.2}, bs{0.8, 0.4};

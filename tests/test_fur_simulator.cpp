@@ -156,11 +156,7 @@ TEST(ChooseSimulator, NamesProduceWorkingSimulators) {
   for (const char* name : {"auto", "serial", "u16"}) {
     const auto sim = choose_simulator(terms, name);
     const StateVector r = sim->simulate_qaoa(kGammas, kBetas);
-    // Under QOKIT_PREC=f32 the names resolve to float amplitudes, where
-    // unitarity holds to rounding scale rather than 1e-10.
-    const double tol =
-        sim->precision() == Precision::F32 ? 1e-5 : 1e-10;
-    EXPECT_NEAR(r.norm_squared(), 1.0, tol) << name;
+    EXPECT_NEAR(r.norm_squared(), 1.0, 1e-10) << name;
   }
 }
 
@@ -168,15 +164,10 @@ TEST(ChooseSimulator, AllNamesAgreeNumerically) {
   const TermList terms = labs_terms(8);
   const auto reference = choose_simulator(terms, "serial");
   const StateVector ref = reference->simulate_qaoa(kGammas, kBetas);
-  // Every name resolves to the same amplitude precision (they share the
-  // prec=auto rules), so the agreement bound only widens when the whole
-  // matrix runs at f32 (QOKIT_PREC=f32 leg).
-  const double tol =
-      reference->precision() == Precision::F32 ? 1e-5 : 1e-10;
   for (const char* name : {"auto", "u16"}) {
     const auto sim = choose_simulator(terms, name);
     const StateVector r = sim->simulate_qaoa(kGammas, kBetas);
-    EXPECT_LT(r.max_abs_diff(ref), tol) << name;
+    EXPECT_LT(r.max_abs_diff(ref), 1e-10) << name;
   }
 }
 

@@ -15,8 +15,7 @@ TEST(Api, MaxCutExpectationIsMinusExpectedCut) {
   const Graph g = Graph::complete(8, 0.3);
   const std::vector<double> gs{0.2}, bs{0.4};
   const double e = api::qaoa_maxcut_expectation(g, gs, bs);
-  // Cross-check against the raw pipeline, built through the same factory
-  // so both sides resolve the same amplitude precision (prec=auto).
+  // Cross-check against the raw pipeline, built through the same factory.
   const TermList terms = maxcut_terms(g);
   const auto sim = choose_simulator(terms);
   EXPECT_NEAR(e, sim->get_expectation(sim->simulate_qaoa(gs, bs)), 1e-10);
@@ -119,13 +118,8 @@ TEST(Api, DistributedSimulatorPluggedIntoSameWorkflow) {
   const std::vector<double> gs{0.3}, bs{0.6};
   const DistributedFurSimulator dist_sim(terms, {.ranks = 4});
   const auto single = choose_simulator(terms);
-  // The directly-constructed dist simulator stays f64; under the
-  // QOKIT_PREC=f32 leg the factory-built one runs float amplitudes, so
-  // the agreement bound widens to f32 drift scale.
-  const double tol =
-      single->precision() == Precision::F32 ? 1e-4 : 1e-9;
   EXPECT_NEAR(dist_sim.get_expectation(dist_sim.simulate_qaoa(gs, bs)),
-              single->get_expectation(single->simulate_qaoa(gs, bs)), tol);
+              single->get_expectation(single->simulate_qaoa(gs, bs)), 1e-9);
 }
 
 TEST(Api, GateBaselineAgreesWithFastPathEndToEnd) {
@@ -134,12 +128,7 @@ TEST(Api, GateBaselineAgreesWithFastPathEndToEnd) {
   const std::vector<double> gs{0.35, 0.15}, bs{0.65, 0.25};
   const testing::GateQaoaSimulator gate_sim(terms, {});
   const double gate_e = gate_sim.get_expectation(gate_sim.simulate_qaoa(gs, bs));
-  // The gate baseline is f64-only; the fast path follows prec=auto, so
-  // under QOKIT_PREC=f32 the cross-check runs at f32 drift scale.
-  const double tol = choose_simulator(terms)->precision() == Precision::F32
-                         ? 1e-4
-                         : 1e-9;
-  EXPECT_NEAR(gate_e, api::qaoa_maxcut_expectation(g, gs, bs), tol);
+  EXPECT_NEAR(gate_e, api::qaoa_maxcut_expectation(g, gs, bs), 1e-9);
 }
 
 }  // namespace

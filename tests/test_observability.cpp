@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -217,22 +218,23 @@ class ObsTest : public ::testing::Test {
 
 TEST_F(ObsTest, DisabledIsFreeAfterWarmup) {
   // Warm pass with observability on: registers every metric on these code
-  // paths and creates the thread shards, the only obs-internal heap
-  // activity there is.
+  // paths, at both amplitude widths, and creates the thread shards, the
+  // only obs-internal heap activity there is.
   obs::set_enabled(true);
-  const api::ProblemSession warm = labs_session("auto");
-  run_queries(warm);
+  const api::ProblemSession warm[] = {labs_session("auto"),
+                                      labs_session("auto:prec=f32")};
+  for (const api::ProblemSession& s : warm) run_queries(s);
 
   obs::set_enabled(false);
   const std::uint64_t allocs = obs::detail::allocation_count();
   const std::uint64_t events = obs::trace_event_count();
   const obs::Snapshot before = obs::snapshot();
 
-  // Same workload, plus a fresh session (construction paths included):
+  // Same workload, plus fresh sessions (construction paths included):
   // with observability off nothing may allocate, count, or trace.
-  run_queries(warm);
-  const api::ProblemSession cold = labs_session("auto");
-  run_queries(cold);
+  for (const api::ProblemSession& s : warm) run_queries(s);
+  for (const char* spec : {"auto", "auto:prec=f32"})
+    run_queries(labs_session(spec));
 
   const obs::Snapshot after = obs::snapshot();
   EXPECT_EQ(obs::detail::allocation_count(), allocs);
@@ -259,7 +261,11 @@ TEST_F(ObsTest, SpanNestingAndAttributes) {
   EXPECT_NE(evaluate.find("\"depth\":0"), std::string::npos) << evaluate;
   EXPECT_NE(evaluate.find("\"n\":10"), std::string::npos) << evaluate;
   EXPECT_NE(evaluate.find("\"p\":3"), std::string::npos) << evaluate;
-  EXPECT_NE(evaluate.find("\"backend\":\"serial\""), std::string::npos)
+  // "serial" is auto:exec=serial: the backend is the topology, and the
+  // exec attribute says which path ran.
+  EXPECT_NE(evaluate.find("\"backend\":\"auto\""), std::string::npos)
+      << evaluate;
+  EXPECT_NE(evaluate.find("\"exec\":\"serial\""), std::string::npos)
       << evaluate;
 
   const std::string batch = event_line(trace, "evaluate_batch");
@@ -350,8 +356,19 @@ TEST_F(ObsTest, CounterTotalsExecInvariant) {
   const obs::Snapshot serial = workload("serial");
   const obs::Snapshot parallel = workload("auto");
   EXPECT_EQ(serial.counters, parallel.counters);
+  EXPECT_EQ(workload("serial:prec=f32").counters,
+            workload("auto:prec=f32").counters);
   EXPECT_GT(counter_value(serial, "qokit_evaluates_total"), 0u);
   EXPECT_GT(counter_value(serial, "qokit_sampler_draws_total"), 0u);
+  // A schedule the batch engine refuses is not counted as an evaluate.
+  QaoaParams nan_gamma = linear_ramp(2);
+  nan_gamma.gammas[0] = std::nan("");
+  const std::uint64_t evaluates =
+      counter_value(obs::snapshot(), "qokit_evaluates_total");
+  EXPECT_THROW((void)labs_session("auto").evaluate(nan_gamma),
+               std::invalid_argument);
+  EXPECT_EQ(counter_value(obs::snapshot(), "qokit_evaluates_total"),
+            evaluates);
   EXPECT_GT(counter_value(serial, "qokit_batch_schedules_total"), 0u);
 }
 
@@ -438,7 +455,8 @@ TEST_F(ObsTest, TimedEvaluateRunsTheUntimedPasses) {
       obs::counter("qokit_pipeline_strided_passes_total"),
       obs::counter("qokit_pipeline_fused_reductions_total"),
   };
-  for (const char* spec : {"auto", "serial", "u16"}) {
+  for (const char* spec : {"auto", "serial", "u16", "auto:prec=f32",
+                           "serial:prec=f32", "u16:prec=f32"}) {
     const api::ProblemSession s =
         api::ProblemSession::labs(12, SimulatorSpec::parse(spec));
     api::EvalRequest req;

@@ -342,7 +342,9 @@ TEST(PipelineFusedExpectation, SessionMatchesTheTwoPassOracle) {
   for (const SimdLevel level : testing::installable_simd_levels()) {
     force_simd_level(level);
     for (const int n : {11, 8}) {
-      for (const char* name : {"auto", "serial", "u16", "u16:exec=serial"}) {
+      for (const char* name :
+           {"auto", "serial", "u16", "u16:exec=serial", "auto:prec=f32",
+            "serial:prec=f32", "u16:prec=f32", "u16:exec=serial:prec=f32"}) {
         const std::string label = std::string(name) + " n=" + std::to_string(n);
         const api::ProblemSession session(sk_terms(n, 9),
                                           SimulatorSpec::parse(name));

@@ -3,20 +3,19 @@
 // Pins the three promises the f32 amplitude path makes (DESIGN.md "Mixed
 // precision"): (1) determinism — at a fixed dispatch level and precision,
 // the evolved bits never depend on Exec policy, thread count, or
-// pipeline fusion; (2) containment — every reduction and the sampler CDF
-// accumulate in double, so f32 drift stays at amplitude-rounding scale
-// and never compounds through objectives; (3) an explicit error budget —
+// pipeline fusion (the last pinned by test_pipeline's prec=f32 rows);
+// (2) containment — every reduction and the sampler CDF accumulate in
+// double, so f32 drift stays at amplitude-rounding scale and never
+// compounds through objectives; (3) an explicit error budget —
 // the layer-by-layer drift of an f32 evolution against the f64 oracle on
 // a deep (p = 100) schedule stays under pinned tolerances. Plus the
-// satellite surfaces: spec grammar round-trip, QOKIT_PREC resolution,
-// f32 sampler clamp, session footprint halving, the precision gauge, and
-// the unsupported-combination throws.
+// satellite surfaces: spec grammar round-trip, f32 sampler clamp, session
+// footprint halving, the precision gauge, and the unsupported-combination
+// throws.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
-#include <optional>
-#include <string>
 
 #include "api/qokit.hpp"
 #include "common/bitops.hpp"
@@ -25,26 +24,11 @@
 #include "serve/session_cache.hpp"
 #include "statevector/sampling.hpp"
 #include "support/simd_levels.hpp"
-#include "support/unfused_oracle.hpp"
 
 namespace qokit {
 namespace {
 
 using testing::SimdLevelGuard;
-
-/// Saves and restores one environment variable across a test that has to
-/// own it (the CI prec=f32 leg exports QOKIT_PREC for the whole binary).
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) saved_ = v;
-  }
-  ~EnvGuard() {
-    if (saved_) ::setenv(name_.c_str(), saved_->c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-  std::string name_;
-  std::optional<std::string> saved_;
-};
 
 StateVector random_state(int n, std::uint64_t seed) {
   Rng rng(seed);
@@ -67,20 +51,17 @@ std::pair<std::vector<double>, std::vector<double>> ramp_schedule(int p) {
 
 // ------------------------------------------------------------ spec grammar
 
-TEST(PrecisionSpec, TokenRoundTripsAndAutoIsElided) {
+TEST(PrecisionSpec, TokenRoundTripsAndF64IsElided) {
   EXPECT_EQ(SimulatorSpec::parse("auto:prec=f32").to_string(),
             "auto:prec=f32");
+  // F64 is the default and renders as nothing, so an explicit prec=f64
+  // is the default spec and its cache key.
+  EXPECT_EQ(SimulatorSpec::parse("auto:prec=f64").to_string(), "auto");
   EXPECT_EQ(SimulatorSpec::parse("serial:prec=f64").to_string(),
-            "serial:prec=f64");
-  // Auto is the default and renders as nothing: pre-existing spellings
-  // (and therefore serve cache keys) are byte-identical to before.
-  EXPECT_EQ(SimulatorSpec::parse("auto").to_string(), "auto");
-  EXPECT_EQ(SimulatorSpec::parse("auto:prec=auto").to_string(), "auto");
-  EXPECT_EQ(SimulatorSpec{}.prec, Prec::Auto);
-
-  const SimulatorSpec spec = SimulatorSpec::parse("u16:prec=f32:seed=9");
-  EXPECT_EQ(spec.prec, Prec::F32);
-  EXPECT_EQ(SimulatorSpec::parse(spec.to_string()), spec);
+            "auto:exec=serial");
+  EXPECT_EQ(SimulatorSpec{}.prec, Precision::F64);
+  EXPECT_EQ(SimulatorSpec::parse("u16:prec=f32:seed=9").prec,
+            Precision::F32);
 
   EXPECT_THROW(SimulatorSpec::parse("auto:prec=half"),
                std::invalid_argument);
@@ -198,24 +179,6 @@ TEST(PrecisionDeterminism, ExecPolicyNeverChangesF32Bits) {
   EXPECT_EQ(a.norm_squared(Exec::Serial), c.norm_squared(Exec::Parallel));
 }
 
-TEST(PrecisionDeterminism, FusedPipelineIsBitIdenticalAtF32) {
-  // The pipeline's bit-identity contract (same kernels over the same
-  // absolute index ranges, only the traversal order differs) is
-  // precision-agnostic; pin that it actually holds for float amplitudes.
-  const TermList terms = labs_terms(12);
-  const auto [g, b] = ramp_schedule(3);
-  FurConfig cfg;
-  cfg.prec = Precision::F32;
-  const FurQaoaSimulator fused(terms, cfg);
-  const StateVector oracle = testing::unfused_simulate(fused, g, b);
-  EXPECT_EQ(fused.simulate_qaoa(g, b).max_abs_diff(oracle), 0.0);
-  // The fused simulate+reduce path returns the same double as the
-  // two-pass split on the f32 oracle state.
-  StateVector scratch = fused.initial_state();
-  EXPECT_EQ(fused.simulate_qaoa_expectation(scratch, g, b),
-            fused.get_expectation(oracle));
-}
-
 TEST(PrecisionDeterminism, SimdLevelsAgreeAndAreInternallyBitStable) {
   if (detect_simd_level() == SimdLevel::Scalar)
     GTEST_SKIP() << "scalar-only build/host";
@@ -304,82 +267,17 @@ TEST(PrecisionObs, GaugeTracksTheLastBuiltSimulator) {
   EXPECT_EQ(bits.value(), 64.0);
 }
 
-// ---------------------------------------------- resolution & refusal rules
-
-TEST(PrecisionResolution, AutoFollowsEnvOnlyWhereSupported) {
-  const EnvGuard guard("QOKIT_PREC");
-  const TermList terms = labs_terms(8);
-  ::unsetenv("QOKIT_PREC");
-  EXPECT_EQ(make_simulator(terms, SimulatorSpec::parse("auto"))->precision(),
-            Precision::F64);
-  ::setenv("QOKIT_PREC", "f32", 1);
-  EXPECT_EQ(make_simulator(terms, SimulatorSpec::parse("auto"))->precision(),
-            Precision::F32);
-  EXPECT_EQ(
-      make_simulator(terms, SimulatorSpec::parse("dist:2"))->precision(),
-      Precision::F32);
-  // Unsupported combinations downgrade silently under Auto (so a
-  // QOKIT_PREC=f32 full-suite run still passes everywhere)...
-  EXPECT_EQ(make_simulator(terms, SimulatorSpec::parse("auto:mixer=xyring"))
-                ->precision(),
-            Precision::F64);
-  // ...and an explicit prec=f64 wins over the environment.
-  EXPECT_EQ(
-      make_simulator(terms, SimulatorSpec::parse("auto:prec=f64"))
-          ->precision(),
-      Precision::F64);
-}
+// ----------------------------------------------------------- refusal rules
 
 TEST(PrecisionResolution, ExplicitF32OnUnsupportedCombosThrows) {
-  const TermList terms = labs_terms(8);
-  EXPECT_THROW(
-      make_simulator(terms, SimulatorSpec::parse("auto:prec=f32:mixer=xyring")),
-      std::invalid_argument);
-  EXPECT_THROW(make_simulator(
-                   terms, SimulatorSpec::parse("auto:prec=f32:mixer=xycomplete")),
-               std::invalid_argument);
-  FurConfig cfg;
-  cfg.prec = Precision::F32;
-  cfg.mixer = MixerType::XYRing;
-  EXPECT_THROW(FurQaoaSimulator(terms, cfg), std::invalid_argument);
-  // The f64-only ma-QAOA mixer refuses float states instead of reading
-  // the wrong buffer.
+  // f32 with an xy mixer is refused before the precompute
+  // (ProblemSession.RefusesOversizedProblemsBeforeAllocating). The
+  // f64-only ma-QAOA mixer refuses float states instead of reading the
+  // wrong buffer.
   StateVector f32 = StateVector::plus_state(4, Precision::F32);
   const std::vector<double> betas(4, 0.3);
   EXPECT_THROW(apply_mixer_x_multiangle(f32, betas, Exec::Serial),
                std::invalid_argument);
-}
-
-// -------------------------------------------------------- session surface
-
-TEST(PrecisionSession, F32EvaluateMatchesTheRawSimulator) {
-  // The precision-erased session path (in-place initial-state refill,
-  // batch scratch, fused expectation) returns the same bits as a fresh f32
-  // simulator -- nothing in the session layer re-rounds or widens.
-  const TermList terms = labs_terms(9);
-  const auto [g, b] = ramp_schedule(3);
-  QaoaParams params;
-  params.gammas = g;
-  params.betas = b;
-  const api::ProblemSession session(terms,
-                                    SimulatorSpec::parse("auto:prec=f32"));
-  const auto raw = make_simulator(terms, SimulatorSpec::parse("auto:prec=f32"));
-  const StateVector ref = raw->simulate_qaoa(g, b);
-  EXPECT_EQ(ref.precision(), Precision::F32);
-
-  api::EvalRequest request;
-  request.overlap = true;
-  request.shots = 64;
-  const api::EvalResult r = session.evaluate(params, request);
-  EXPECT_EQ(*r.expectation, raw->get_expectation(ref));
-  EXPECT_EQ(*r.overlap, raw->get_overlap(ref));
-  ASSERT_TRUE(r.samples.has_value());
-  EXPECT_EQ(r.samples->size(), 64u);
-  EXPECT_EQ(session.simulate(params).max_abs_diff(ref), 0.0);
-  // Batch evaluation reuses precision-matched scratch slots and agrees.
-  const std::vector<QaoaParams> batch{params, params, params};
-  const std::vector<double> es = session.expectations(batch);
-  for (const double e : es) EXPECT_EQ(e, raw->get_expectation(ref));
 }
 
 }  // namespace

@@ -142,25 +142,6 @@ TEST(Sampler, ShotCountsValidated) {
   EXPECT_EQ(z.std_error, 0.0);
 }
 
-TEST(Sampler, SessionSeedYieldsIdenticalStreamsAcrossExecModes) {
-  // The SimulatorSpec sampling seed threads through sample_states, and the
-  // evolved amplitudes are Exec-independent (the SIMD layer's determinism
-  // guarantee), so sessions differing only in execution policy draw the
-  // same bitstrings -- the spec alone determines the stream.
-  const QaoaParams params{{0.4, -0.3}, {0.7, 0.2}};
-  const api::ProblemSession serial =
-      api::ProblemSession::labs(8, SimulatorSpec::parse("serial:seed=7"));
-  const api::ProblemSession parallel =
-      api::ProblemSession::labs(8, SimulatorSpec::parse("auto:seed=7"));
-  const auto a = serial.sample(params, 50);
-  EXPECT_EQ(parallel.sample(params, 50), a);
-
-  api::EvalRequest request;
-  request.shots = 50;
-  EXPECT_EQ(*serial.evaluate(params, request).samples,
-            *parallel.evaluate(params, request).samples);
-}
-
 TEST(Sampler, QaoaSamplesConcentrateOnGoodCuts) {
   // After a few optimized-ish layers, sampled cuts must on average beat
   // the random-assignment baseline |E|/2 -- the sampling-based estimator
@@ -272,24 +253,28 @@ TEST(Sampler, TwoPassMatchesTheTableAtTiesAndTheClamp) {
 }
 
 TEST(Sampler, BatchSamplingAllocatesNoStateSizedTable) {
-  // 512 KiB of doubles would be the CDF; the shots' own vectors are tiny.
+  // 512 KiB of doubles would be the CDF (at either amplitude width); the
+  // shots' own vectors are tiny.
   const int n = 16;
   const TermList terms = maxcut_terms(Graph::random_regular(n, 3, 4));
-  const api::ProblemSession session(terms, SimulatorSpec::parse("auto"));
-  const QaoaParams schedule{{0.4}, {0.3}};
-  api::EvalRequest request;
-  request.shots = 256;
-  (void)session.evaluate(schedule, request);  // warm the pool slot
-  largest_new.store(0);
-  const api::EvalResult sampled = session.evaluate(schedule, request);
-  ASSERT_TRUE(sampled.samples.has_value());
-  EXPECT_LT(largest_new.load(), dim_of(n) * sizeof(double) / 8)
-      << "ProblemSession::evaluate";
-  largest_new.store(0);
-  (void)session.evaluate_batch(std::vector<QaoaParams>(3, schedule),
-                               request);
-  EXPECT_LT(largest_new.load(), dim_of(n) * sizeof(double) / 8)
-      << "BatchEvaluator";
+  for (const char* name : {"auto", "auto:prec=f32"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+    const QaoaParams schedule{{0.4}, {0.3}};
+    api::EvalRequest request;
+    request.shots = 256;
+    (void)session.evaluate(schedule, request);  // warm the pool slot
+    largest_new.store(0);
+    const api::EvalResult sampled = session.evaluate(schedule, request);
+    ASSERT_TRUE(sampled.samples.has_value());
+    EXPECT_LT(largest_new.load(), dim_of(n) * sizeof(double) / 8)
+        << "ProblemSession::evaluate";
+    largest_new.store(0);
+    (void)session.evaluate_batch(std::vector<QaoaParams>(3, schedule),
+                                 request);
+    EXPECT_LT(largest_new.load(), dim_of(n) * sizeof(double) / 8)
+        << "BatchEvaluator";
+  }
 }
 
 TEST(SampledEstimator, MeanIsTheTableOraclesDrawsBitForBit) {

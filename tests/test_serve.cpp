@@ -19,6 +19,7 @@
 #include <future>
 #include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -298,6 +299,17 @@ TEST(ServeSessionCache, HitsMissesAndCollisionSafety) {
   EXPECT_GE(stats.bytes, 3 * session_footprint_bytes(6, 1));
 }
 
+TEST(ServeSessionCache, EqualSpellingsShareOneSession) {
+  // auto, auto:prec=f64 and serial:exec=parallel all parse to the default
+  // spec, so the cache builds one session (one precompute) for them.
+  SessionCache cache(std::uint64_t{1} << 30);
+  for (const char* name : {"auto", "auto:prec=f64", "serial:exec=parallel"})
+    cache.checkout(labs_terms(10), SimulatorSpec::parse(name)).release();
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().sessions, 1u);
+}
+
 TEST(ServeSessionCache, ExclusiveCheckoutBlocksSecondCaller) {
   SessionCache cache(std::uint64_t{1} << 30);
   const TermList problem = test_problem(6, 1);
@@ -327,8 +339,8 @@ TEST(ServeSessionCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   const TermList problem_c = test_problem(6, 3);
   const SimulatorSpec spec = SimulatorSpec::parse("serial");
   // Size the budget from a built session's actual footprint (the same
-  // overload the cache charges), so the two-of-three arithmetic holds at
-  // whatever amplitude precision the spec resolves to (QOKIT_PREC leg).
+  // overload the cache charges), so the two-of-three arithmetic holds
+  // whatever the pool size at this thread count.
   const std::uint64_t one = [&] {
     const api::ProblemSession probe(problem_a, spec);
     return session_footprint_bytes(probe);
@@ -392,23 +404,24 @@ TEST(ServeSessionCache, BuiltSessionFootprintChargesPlanAndU16Buffers) {
   // session reveals -- the LayerPlan's passes and, for u16 specs, the
   // uint16 code array plus the 65536-entry phase table -- so u16 sessions
   // were undercounted by over a MiB and evictions lagged the budget.
+  // At f32 the phase table and the statevectors cost half.
   const TermList problem = test_problem(10, 1);
-  const api::ProblemSession u16_session(problem,
-                                        SimulatorSpec::parse("u16"));
-  // Charge at the precision the session actually resolved (prec=auto may
-  // mean f32 under the QOKIT_PREC leg; the phase table and statevectors
-  // then cost half).
-  const Precision prec = u16_session.simulator().precision();
-  const std::uint64_t base =
-      session_footprint_bytes(10, problem.size(), prec);
-  const std::uint64_t dim = std::uint64_t{1} << 10;
-  EXPECT_GE(session_footprint_bytes(u16_session),
-            base + dim * 2 + std::uint64_t{65536} * amplitude_bytes(prec));
-  // Plain f64-diagonal sessions charge at least the estimate (plus plan).
-  const api::ProblemSession plain(problem, SimulatorSpec::parse("serial"));
-  EXPECT_GE(session_footprint_bytes(plain),
-            session_footprint_bytes(10, problem.size(),
-                                    plain.simulator().precision()));
+  for (const std::string suffix : {"", ":prec=f32"}) {
+    SCOPED_TRACE(suffix);
+    const api::ProblemSession u16_session(
+        problem, SimulatorSpec::parse("u16" + suffix));
+    const Precision prec = u16_session.spec().prec;
+    const std::uint64_t base =
+        session_footprint_bytes(10, problem.size(), prec);
+    const std::uint64_t dim = std::uint64_t{1} << 10;
+    EXPECT_GE(session_footprint_bytes(u16_session),
+              base + dim * 2 + std::uint64_t{65536} * amplitude_bytes(prec));
+    // Plain sessions charge at least the estimate (plus plan).
+    const api::ProblemSession plain(problem,
+                                    SimulatorSpec::parse("serial" + suffix));
+    EXPECT_GE(session_footprint_bytes(plain),
+              session_footprint_bytes(10, problem.size(), prec));
+  }
 }
 
 TEST(ServeSessionCache, FootprintCoversEveryBufferASessionAllocates) {
@@ -423,7 +436,8 @@ TEST(ServeSessionCache, FootprintCoversEveryBufferASessionAllocates) {
   // allocated to its charge. The pool has one slot per thread here, so
   // the 1-thread and the multi-thread legs each check their own width.
   const int n = 12;
-  for (const char* name : {"auto", "serial"}) {
+  for (const char* name :
+       {"auto", "serial", "auto:prec=f32", "serial:prec=f32"}) {
     SCOPED_TRACE(name);
     const SimulatorSpec spec = SimulatorSpec::parse(name);
     const auto exercise = [](const api::ProblemSession& session) {
@@ -450,8 +464,7 @@ TEST(ServeSessionCache, FootprintCoversEveryBufferASessionAllocates) {
     const std::uint64_t allocated = aligned_allocation_bytes() - before;
     EXPECT_LE(allocated, session_footprint_bytes(session));
     // And the pool really was filled: the diagonal plus every slot.
-    const std::uint64_t state_bytes =
-        dim_of(n) * amplitude_bytes(session.simulator().precision());
+    const std::uint64_t state_bytes = dim_of(n) * amplitude_bytes(spec.prec);
     EXPECT_GE(allocated, dim_of(n) * sizeof(double) +
                              session.batch().pool_size() * state_bytes);
   }
@@ -463,13 +476,17 @@ TEST(ServeSessionCache, FootprintChargesOneStateWhereBatchesStayInner) {
   // diagonal plus that one state, not one state per thread.
   testing::with_threads(4, [] {
     const TermList terms = labs_terms(18);
-    const api::ProblemSession session(terms, {});
-    ASSERT_GE(session.simulator().layer_units(), max_threads());
-    EXPECT_EQ(session.batch().pool_size(), 1u);
-    const Precision prec = session.simulator().precision();
-    const std::uint64_t charge = session_footprint_bytes(session);
-    EXPECT_GE(charge, session_footprint_bytes(18, terms.size(), prec, 1));
-    EXPECT_LT(charge, session_footprint_bytes(18, terms.size(), prec, 2));
+    for (const Precision prec : {Precision::F64, Precision::F32}) {
+      SCOPED_TRACE(precision_bits(prec));
+      SimulatorSpec spec;
+      spec.prec = prec;
+      const api::ProblemSession session(terms, spec);
+      ASSERT_GE(session.simulator().layer_units(), max_threads());
+      EXPECT_EQ(session.batch().pool_size(), 1u);
+      const std::uint64_t charge = session_footprint_bytes(session);
+      EXPECT_GE(charge, session_footprint_bytes(18, terms.size(), prec, 1));
+      EXPECT_LT(charge, session_footprint_bytes(18, terms.size(), prec, 2));
+    }
   });
 }
 
@@ -477,15 +494,21 @@ TEST(ServeSessionCache, FootprintChargesOneStateWhereBatchesStayInner) {
 
 TEST(ScheduleServer, SoakIsBitIdenticalToDirectSessions) {
   constexpr int kN = 10;
-  constexpr int kProblems = 3;
+  // Three problems, each at f64 and at f32: six sessions, keyed apart by
+  // the spec's precision.
+  constexpr int kProblems = 6;
   constexpr int kClients = 4;
   constexpr int kRequestsPerClient = 24;
   const std::vector<QaoaParams> schedules = random_schedules(3, 2, 7);
+  const auto spec_of = [](int problem) {
+    return SimulatorSpec::parse(problem % 2 ? "auto:prec=f32" : "auto");
+  };
 
   // Ground truth: direct single-threaded session evaluation per problem.
   std::vector<std::vector<double>> expected(kProblems);
   for (int i = 0; i < kProblems; ++i) {
-    const api::ProblemSession session(test_problem(kN, 100 + i));
+    const api::ProblemSession session(test_problem(kN, 100 + i / 2),
+                                      spec_of(i));
     api::EvalRequest eval;
     eval.expectation = true;
     eval.overlap = true;
@@ -514,7 +537,8 @@ TEST(ScheduleServer, SoakIsBitIdenticalToDirectSessions) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kRequestsPerClient; ++i) {
         const int problem = (c + i) % kProblems;
-        Request request = make_request(kN, 100 + problem, schedules);
+        Request request = make_request(kN, 100 + problem / 2, schedules);
+        request.spec = spec_of(problem);
         request.overlap = true;
         const Response response = server.submit_blocking(std::move(request));
         if (response.status != Status::Ok) {
@@ -550,13 +574,16 @@ TEST(ScheduleServer, SocketSoakIsBitIdenticalToDirectSessions) {
   constexpr int kClients = 2;
   constexpr int kRequestsPerClient = 10;
   const std::vector<QaoaParams> schedules = random_schedules(2, 2, 9);
-  const api::ProblemSession direct(test_problem(kN, 42));
-  const std::vector<double> expected = [&] {
-    std::vector<double> out;
+  // Requests alternate between the f64 and the f32 simulator.
+  const std::vector<SimulatorSpec> specs = {
+      SimulatorSpec::parse("auto"), SimulatorSpec::parse("auto:prec=f32")};
+  std::vector<std::vector<double>> expected;
+  for (const SimulatorSpec& spec : specs) {
+    const api::ProblemSession direct(test_problem(kN, 42), spec);
+    std::vector<double>& out = expected.emplace_back();
     for (const api::EvalResult& r : direct.evaluate_batch(schedules))
       out.push_back(r.expectation.value());
-    return out;
-  }();
+  }
 
   ServerConfig config;
   config.workers = 2;
@@ -568,17 +595,19 @@ TEST(ScheduleServer, SocketSoakIsBitIdenticalToDirectSessions) {
     clients.emplace_back([&] {
       Client client(server.config().listen_path);
       for (int i = 0; i < kRequestsPerClient; ++i) {
-        const Response response =
-            client.call(make_request(kN, 42, schedules));
+        Request request = make_request(kN, 42, schedules);
+        request.spec = specs[i % 2];
+        const Response response = client.call(std::move(request));
         if (response.status != Status::Ok ||
-            response.expectations != expected)
+            response.expectations != expected[i % 2])
           failures.fetch_add(1);
       }
     });
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   const SessionCache::Stats stats = server.cache_stats();
-  EXPECT_EQ(stats.misses, 1u);  // one precompute across both connections
+  // One precompute per spec across both connections.
+  EXPECT_EQ(stats.misses, 2u);
   server.shutdown();
 }
 
@@ -639,21 +668,43 @@ TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
 }
 
 TEST(ScheduleServer, SpecFieldsTheSimulatorIgnoresAreBadRequests) {
+  // A spec field the built simulator would ignore, or a config it cannot
+  // run (a Dicke weight above n, an xy mixer below its minimum size), is
+  // a BadRequest naming it. The build refuses it before the precompute,
+  // so no session stays resident and no precompute is paid.
   ServerConfig config;
   config.workers = 1;
   ScheduleServer server(config);
-  for (const char* name :
-       {"auto:ranks=8", "dist:2:exec=serial", "auto:weight=3"}) {
-    Request request = make_request(8, 1, random_schedules(1, 1, 4));
-    request.spec = SimulatorSpec::parse(name);
+  const TermList eight = test_problem(8, 1);
+  const TermList one(1, {{1.0, 0b1}}), two(2, {{1.0, 0b11}});
+  struct Case {
+    const TermList& terms;
+    const char* name;
+    const char* what;  ///< what the error must contain
+  };
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t precomputes_before = precomputes_total();
+  for (const Case c : {Case{eight, "auto:ranks=8", "ranks=8"},
+                       Case{eight, "dist:2:exec=serial", "exec=serial"},
+                       Case{eight, "auto:weight=3", "weight=3"},
+                       Case{eight, "auto:mixer=xyring:weight=99", "weight 99"},
+                       Case{two, "auto:mixer=xyring", "n >= 3"},
+                       Case{one, "auto:mixer=xycomplete", "n >= 2"}}) {
+    Request request;
+    request.terms = c.terms;
+    request.schedules = random_schedules(1, 1, 4);
+    request.spec = SimulatorSpec::parse(c.name);
     const Response r = server.submit_blocking(std::move(request));
-    EXPECT_EQ(r.status, Status::BadRequest) << name;
-    const std::string field = std::string(name).substr(
-        std::string(name).rfind(':') + 1);
-    EXPECT_NE(r.error.find(field), std::string::npos)
-        << name << " -> " << r.error;
+    EXPECT_EQ(r.status, Status::BadRequest) << c.name;
+    EXPECT_NE(r.error.find(c.what), std::string::npos)
+        << c.name << " -> " << r.error;
   }
+  const std::uint64_t precomputes = precomputes_total() - precomputes_before;
+  obs::set_enabled(obs_was_enabled);
+  EXPECT_EQ(precomputes, 0u);
   EXPECT_EQ(server.cache_stats().sessions, 0u);
+  EXPECT_EQ(server.cache_stats().bytes, 0u);
   const Response ok =
       server.submit_blocking(make_request(8, 1, random_schedules(1, 1, 4)));
   EXPECT_EQ(ok.status, Status::Ok);

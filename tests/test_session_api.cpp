@@ -39,32 +39,36 @@ TEST(SimulatorSpec, RoundTripsOverTheFullGrid) {
   // parse(to_string(spec)) must reproduce every field, for every
   // combination -- including ones make_simulator would reject (parse and
   // to_string are string-level; semantic validation happens at build).
-  for (const Backend backend :
-       {Backend::Auto, Backend::Serial, Backend::U16, Backend::Dist})
+  for (const Backend backend : {Backend::Auto, Backend::U16, Backend::Dist})
     for (const MixerType mixer :
          {MixerType::X, MixerType::XYRing, MixerType::XYComplete})
       for (const Exec exec : {Exec::Serial, Exec::Parallel})
         for (const int ranks : {2, 8})
           for (const int weight : {-1, 3})
-            for (const std::uint64_t seed : {1ull, 42ull}) {
-              SimulatorSpec spec;
-              spec.backend = backend;
-              spec.mixer = mixer;
-              spec.exec = exec;
-              spec.ranks = ranks;
-              spec.initial_weight = weight;
-              spec.sample_seed = seed;
-              const std::string name = spec.to_string();
-              EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
-            }
+            for (const std::uint64_t seed : {1ull, 42ull})
+              for (const Precision prec : {Precision::F32, Precision::F64}) {
+                SimulatorSpec spec;
+                spec.backend = backend;
+                spec.mixer = mixer;
+                spec.exec = exec;
+                spec.ranks = ranks;
+                spec.initial_weight = weight;
+                spec.sample_seed = seed;
+                spec.prec = prec;
+                const std::string name = spec.to_string();
+                EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
+              }
 }
 
 TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
-  EXPECT_EQ(SimulatorSpec::parse("auto"), SimulatorSpec{});
+  // One simulator, one spec: a serve cache keys these as one session.
+  for (const char* name : {"auto", "auto:prec=f64", "serial:exec=parallel"})
+    EXPECT_EQ(SimulatorSpec::parse(name), SimulatorSpec{}) << name;
 
+  // "serial" is an alias of auto:exec=serial, never written back.
   const SimulatorSpec serial = SimulatorSpec::parse("serial");
-  EXPECT_EQ(serial.backend, Backend::Serial);
-  EXPECT_EQ(serial.exec, Exec::Serial);
+  EXPECT_EQ(serial, SimulatorSpec::parse("auto:exec=serial"));
+  EXPECT_EQ(serial.to_string(), "auto:exec=serial");
 
   const SimulatorSpec dist = SimulatorSpec::parse("dist:4");
   EXPECT_EQ(dist.backend, Backend::Dist);
@@ -81,6 +85,7 @@ TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
       SimulatorSpec::parse("serial:mixer=xyring:weight=3");
   EXPECT_EQ(mixed.mixer, MixerType::XYRing);
   EXPECT_EQ(mixed.initial_weight, 3);
+  EXPECT_EQ(mixed.exec, Exec::Serial);
 
   const SimulatorSpec dist_opts = SimulatorSpec::parse("dist:4:seed=7");
   EXPECT_EQ(dist_opts.ranks, 4);
@@ -126,7 +131,13 @@ TEST(SimulatorSpec, RejectsUnknownTokensNamingThem) {
         Case{"dist:4:pairwise", "pairwise"},
         Case{"dist:4:direct", "direct"},
         Case{"auto:alltoall=pairwise", "alltoall=pairwise"},
-        Case{"dist:alltoall=direct", "alltoall=direct"}}) {
+        Case{"dist:alltoall=direct", "alltoall=direct"},
+        // The spec alone fixes the amplitude width: no prec= value defers
+        // to the environment. (The one kept alias is the "serial" head,
+        // spelled auto:exec=serial, because the benchmark's output check
+        // parses it.)
+        Case{"auto:prec=auto", "prec=auto"},
+        Case{"dist:4:prec=auto", "prec=auto"}}) {
     try {
       (void)SimulatorSpec::parse(c.name);
       FAIL() << "parse accepted '" << c.name << "'";
@@ -203,19 +214,11 @@ TEST(SimulatorSpec, EveryEntryPointRejectsUnknownNames) {
                std::invalid_argument);
 }
 
-TEST(MakeSimulator, EnforcesSemanticConstraints) {
-  const TermList terms = labs_terms(6);
-  SimulatorSpec dist_xy;
-  dist_xy.backend = Backend::Dist;
-  dist_xy.mixer = MixerType::XYComplete;
-  EXPECT_THROW((void)make_simulator(terms, dist_xy), std::invalid_argument);
-}
-
 TEST(MakeSimulator, RefusesFieldsTheBuiltSimulatorIgnores) {
   // Each spelling used to build the same simulator as its plain form under
   // an unequal spec: a second cache entry, precompute and diagonal for one
   // simulator. A session build now refuses it, naming the field, while the
-  // spec still round-trips.
+  // spec still round-trips. dist runs the X mixer only.
   const TermList terms = labs_terms(6);
   struct Case {
     const char* name;
@@ -225,7 +228,8 @@ TEST(MakeSimulator, RefusesFieldsTheBuiltSimulatorIgnores) {
                        Case{"u16:ranks=1", "ranks=1"},
                        Case{"dist:2:exec=serial", "exec=serial"},
                        Case{"auto:weight=3", "weight=3"},
-                       Case{"dist:2:weight=0", "weight=0"}}) {
+                       Case{"dist:2:weight=0", "weight=0"},
+                       Case{"dist:2:mixer=xycomplete", "X mixer"}}) {
     const SimulatorSpec spec = SimulatorSpec::parse(c.name);
     EXPECT_EQ(SimulatorSpec::parse(spec.to_string()), spec) << c.name;
     try {
@@ -312,8 +316,10 @@ TEST(ProblemSession, SweepDoesOnePrecomputeAndZeroSteadyStateAllocations) {
 
   // The xy-ring session refills a Dicke state per schedule: in place, or
   // the counter moves.
-  for (const char* name : {"serial", "auto", "u16", "dist:2", "dist:4",
-                           "auto:mixer=xyring:weight=3"}) {
+  for (const char* name :
+       {"serial", "auto", "u16", "dist:2", "dist:4", "serial:prec=f32",
+        "auto:prec=f32", "u16:prec=f32", "dist:2:prec=f32", "dist:4:prec=f32",
+        "auto:mixer=xyring:weight=3"}) {
     SCOPED_TRACE(name);
     std::vector<double> legacy(schedules.size());
     for (std::size_t i = 0; i < schedules.size(); ++i)
@@ -345,7 +351,9 @@ TEST(ProblemSession, BuildAllocatesOnlyTheDiagonal) {
   // every pool slot stays empty until a call fills it.
   const int n = 12;
   const TermList terms = maxcut_terms(Graph::random_regular(n, 3, 5));
-  for (const char* name : {"auto", "serial", "u16", "dist:2", "dist:4"}) {
+  for (const char* name : {"auto", "serial", "u16", "dist:2", "dist:4",
+                           "auto:prec=f32", "u16:prec=f32",
+                           "dist:2:prec=f32"}) {
     SCOPED_TRACE(name);
     const SimulatorSpec spec = SimulatorSpec::parse(name);
     const bool u16 = spec.backend == Backend::U16;
@@ -363,7 +371,8 @@ TEST(ProblemSession, SecondOptimizeAllocatesNothing) {
   // a first run has filled the slots it needs, an identical second run
   // allocates no aligned memory at all.
   const TermList terms = labs_terms(10);
-  for (const char* name : {"auto", "serial", "dist:2"}) {
+  for (const char* name : {"auto", "serial", "dist:2", "auto:prec=f32",
+                           "dist:2:prec=f32"}) {
     SCOPED_TRACE(name);
     const api::ProblemSession session(terms, SimulatorSpec::parse(name));
     api::OptimizerSpec optimizer;
@@ -400,19 +409,23 @@ TEST(ProblemSession, AThreadFillingPlanHoldsOneStateOnEveryPath) {
     optimizer.nelder_mead.max_evals = 30;
     (void)session.optimize(optimizer);
   };
-  // Warm this thread's fused-reduction scratch at this size, so only the
-  // session's own buffers are counted.
-  exercise(api::ProblemSession(labs_terms(n), {}));
-  const std::uint64_t before = aligned_allocation_bytes();
-  const api::ProblemSession session(labs_terms(n), {});
-  ASSERT_GE(session.simulator().layer_units(), max_threads());
-  EXPECT_EQ(session.batch().resolve_parallelism(schedules.size()),
-            BatchParallelism::Inner);
-  EXPECT_EQ(session.batch().pool_size(), 1u);
-  exercise(session);
-  EXPECT_EQ(aligned_allocation_bytes() - before,
-            dim_of(n) * (sizeof(double) +
-                         amplitude_bytes(session.simulator().precision())));
+  for (const Precision prec : {Precision::F64, Precision::F32}) {
+    SCOPED_TRACE(precision_bits(prec));
+    SimulatorSpec spec;
+    spec.prec = prec;
+    // Warm this thread's fused-reduction scratch at this size, so only the
+    // session's own buffers are counted.
+    exercise(api::ProblemSession(labs_terms(n), spec));
+    const std::uint64_t before = aligned_allocation_bytes();
+    const api::ProblemSession session(labs_terms(n), spec);
+    ASSERT_GE(session.simulator().layer_units(), max_threads());
+    EXPECT_EQ(session.batch().resolve_parallelism(schedules.size()),
+              BatchParallelism::Inner);
+    EXPECT_EQ(session.batch().pool_size(), 1u);
+    exercise(session);
+    EXPECT_EQ(aligned_allocation_bytes() - before,
+              dim_of(n) * (sizeof(double) + amplitude_bytes(prec)));
+  }
 }
 
 TEST(ProblemSession, EvaluateSharesPoolSlotZeroWithExpectations) {
@@ -425,8 +438,9 @@ TEST(ProblemSession, EvaluateSharesPoolSlotZeroWithExpectations) {
   // Warm the per-thread fused-reduction scratch at this size, so only the
   // session's own buffers can move the counter.
   (void)api::ProblemSession(labs_terms(n), {}).evaluate(one[0]);
-  for (const char* name : {"auto", "serial", "u16", "dist:2",
-                           "auto:mixer=xyring"}) {
+  for (const char* name :
+       {"auto", "serial", "u16", "dist:2", "auto:prec=f32", "u16:prec=f32",
+        "dist:2:prec=f32", "auto:mixer=xyring"}) {
     SCOPED_TRACE(name);
     const api::ProblemSession session(terms, SimulatorSpec::parse(name));
     const std::vector<double> batched = session.expectations(one);
@@ -439,20 +453,46 @@ TEST(ProblemSession, EvaluateSharesPoolSlotZeroWithExpectations) {
 
 TEST(ProblemSession, RefusesOversizedProblemsBeforeAllocating) {
   // A session allocates nothing but its diagonal at construction, so the
-  // diagonal's own check is the one that has to fire.
-  const TermList terms(40, {{1.0, 1ull << 39}, {0.5, 0b11}});
+  // diagonal's qubit limit and the simulator's config check (an xy mixer
+  // below its minimum size, a Dicke weight above n, f32 with an xy mixer)
+  // have to fire before it.
+  const TermList huge(40, {{1.0, 1ull << 39}, {0.5, 0b11}});
+  const TermList one(1, {{1.0, 0b1}}), two(2, {{1.0, 0b11}});
+  const TermList labs = labs_terms(12);
+  struct Case {
+    const TermList& terms;
+    const char* name;
+    const char* what;  ///< what the error message must contain
+  };
   const std::uint64_t before = aligned_allocation_count();
-  for (const char* name : {"auto", "serial", "u16", "dist:4"}) {
+  const std::uint64_t live = aligned_live_bytes();
+  for (const Case c :
+       {Case{huge, "auto", "34-qubit limit"},
+        Case{huge, "serial", "34-qubit limit"},
+        Case{huge, "u16", "34-qubit limit"},
+        Case{huge, "dist:4", "34-qubit limit"},
+        Case{labs, "auto:mixer=xyring:weight=99", "weight 99"},
+        Case{labs, "u16:mixer=xycomplete:weight=13", "weight 13"},
+        Case{two, "auto:mixer=xyring", "n >= 3"},
+        Case{one, "auto:mixer=xycomplete", "n >= 2"},
+        Case{labs, "auto:mixer=xyring:prec=f32", "prec=f32"},
+        Case{labs, "auto:mixer=xycomplete:prec=f32", "prec=f32"}}) {
     try {
-      const api::ProblemSession session(terms, SimulatorSpec::parse(name));
-      ADD_FAILURE() << name << " built a 40-qubit session";
+      const api::ProblemSession session(c.terms, SimulatorSpec::parse(c.name));
+      ADD_FAILURE() << c.name << " built a session";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("34-qubit limit"),
-                std::string::npos)
-          << name << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos)
+          << c.name << ": " << e.what();
     }
   }
   EXPECT_EQ(aligned_allocation_count(), before);
+  EXPECT_EQ(aligned_live_bytes(), live);
+  // Each xy mixer still builds at its smallest size.
+  const TermList three(3, {{1.0, 0b111}});
+  EXPECT_NO_THROW(
+      api::ProblemSession(three, SimulatorSpec::parse("auto:mixer=xyring")));
+  EXPECT_NO_THROW(
+      api::ProblemSession(two, SimulatorSpec::parse("auto:mixer=xycomplete")));
 }
 
 TEST(ProblemSession, RefusesAnOutOfRangeOverlapWeightBeforeAllocating) {
@@ -479,6 +519,10 @@ TEST(ProblemSession, RefusesAnOutOfRangeOverlapWeightBeforeAllocating) {
                    std::invalid_argument);
       EXPECT_THROW((void)session.batch().evaluate(batch, opts),
                    std::invalid_argument);
+      // The one-line wrapper refuses before it builds its own session.
+      EXPECT_THROW(
+          (void)api::qaoa_batch_evaluate(session.terms(), batch, opts, name),
+          std::invalid_argument);
       EXPECT_EQ(aligned_allocation_count(), before) << name << weight;
     }
     for (const int weight : {-1, 0, 10}) {  // both ends are sectors
@@ -491,32 +535,35 @@ TEST(ProblemSession, RefusesAnOutOfRangeOverlapWeightBeforeAllocating) {
 TEST(ProblemSession, EvaluateBatchMatchesScalarEvaluateAndLegacyBatch) {
   const TermList terms = labs_terms(9);
   const std::vector<QaoaParams> schedules = random_schedules(6, 2, 11);
-  const api::ProblemSession session(terms, {});
-  api::EvalRequest request;
-  request.overlap = true;
-  request.shots = 16;
+  for (const char* name : {"auto", "auto:prec=f32"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+    api::EvalRequest request;
+    request.overlap = true;
+    request.shots = 16;
 
-  const std::vector<api::EvalResult> batch =
-      session.evaluate_batch(schedules, request);
-  ASSERT_EQ(batch.size(), schedules.size());
+    const std::vector<api::EvalResult> batch =
+        session.evaluate_batch(schedules, request);
+    ASSERT_EQ(batch.size(), schedules.size());
 
-  const BatchOptions legacy_opts{.compute_overlap = true,
-                                 .sample_shots = 16};
-  const BatchResult legacy =
-      api::qaoa_batch_evaluate(terms, schedules, legacy_opts);
+    const BatchOptions legacy_opts{.compute_overlap = true,
+                                   .sample_shots = 16};
+    const BatchResult legacy =
+        api::qaoa_batch_evaluate(terms, schedules, legacy_opts, name);
 
-  for (std::size_t i = 0; i < schedules.size(); ++i) {
-    EXPECT_EQ(*batch[i].expectation, legacy.expectations[i]) << i;
-    EXPECT_EQ(*batch[i].overlap, legacy.overlaps[i]) << i;
-    EXPECT_EQ(*batch[i].samples, legacy.samples[i]) << i;
-    // Scalar path agrees bit for bit (same seed: batch index 0 and the
-    // scalar call both draw from Rng(sample_seed + 0)).
-    const api::EvalResult scalar = session.evaluate(schedules[i], request);
-    EXPECT_EQ(*scalar.expectation, *batch[i].expectation) << i;
-    EXPECT_EQ(*scalar.overlap, *batch[i].overlap) << i;
+    for (std::size_t i = 0; i < schedules.size(); ++i) {
+      EXPECT_EQ(*batch[i].expectation, legacy.expectations[i]) << i;
+      EXPECT_EQ(*batch[i].overlap, legacy.overlaps[i]) << i;
+      EXPECT_EQ(*batch[i].samples, legacy.samples[i]) << i;
+      // Scalar path agrees bit for bit (same seed: batch index 0 and the
+      // scalar call both draw from Rng(sample_seed + 0)).
+      const api::EvalResult scalar = session.evaluate(schedules[i], request);
+      EXPECT_EQ(*scalar.expectation, *batch[i].expectation) << i;
+      EXPECT_EQ(*scalar.overlap, *batch[i].overlap) << i;
+    }
+    const api::EvalResult first = session.evaluate(schedules[0], request);
+    EXPECT_EQ(*first.samples, *batch[0].samples);
   }
-  const api::EvalResult first = session.evaluate(schedules[0], request);
-  EXPECT_EQ(*first.samples, *batch[0].samples);
 }
 
 TEST(ProblemSession, RequestFlagsControlResultFields) {
@@ -562,23 +609,27 @@ TEST(ProblemSession, RequestFlagsControlResultFields) {
 TEST(ProblemSession, OptimizeMatchesLegacyOneLineOptimizer) {
   const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 9));
   const NelderMeadOptions nm{.max_evals = 120};
-  const api::OptimizeOutcome legacy =
-      api::optimize_qaoa(terms, 2, nm, "serial");
+  for (const char* name : {"serial", "serial:prec=f32"}) {
+    SCOPED_TRACE(name);
+    const api::OptimizeOutcome legacy =
+        api::optimize_qaoa(terms, 2, nm, name);
+
+    const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+    api::OptimizerSpec optimizer;
+    optimizer.p = 2;
+    optimizer.nelder_mead = nm;
+    const api::EvalResult r = session.optimize(optimizer);
+
+    EXPECT_EQ(*r.expectation, legacy.fval);
+    EXPECT_EQ(r.params->gammas, legacy.params.gammas);
+    EXPECT_EQ(r.params->betas, legacy.params.betas);
+    EXPECT_EQ(*r.evaluations, legacy.evaluations);
+    EXPECT_EQ(*r.batches, legacy.batches);
+    EXPECT_TRUE(r.iterations.has_value());
+    EXPECT_TRUE(r.converged.has_value());
+  }
 
   const api::ProblemSession session(terms, SimulatorSpec::parse("serial"));
-  api::OptimizerSpec optimizer;
-  optimizer.p = 2;
-  optimizer.nelder_mead = nm;
-  const api::EvalResult r = session.optimize(optimizer);
-
-  EXPECT_EQ(*r.expectation, legacy.fval);
-  EXPECT_EQ(r.params->gammas, legacy.params.gammas);
-  EXPECT_EQ(r.params->betas, legacy.params.betas);
-  EXPECT_EQ(*r.evaluations, legacy.evaluations);
-  EXPECT_EQ(*r.batches, legacy.batches);
-  EXPECT_TRUE(r.iterations.has_value());
-  EXPECT_TRUE(r.converged.has_value());
-
   api::OptimizerSpec invalid_depth;
   invalid_depth.p = 0;
   EXPECT_THROW((void)session.optimize(invalid_depth), std::invalid_argument);
@@ -616,6 +667,12 @@ TEST(ProblemSession, NonFiniteOrRaggedSchedulesAreRejectedNamingTheLayer) {
       expect_rejected([&] { (void)session.evaluate(sched); }, what);
       expect_rejected([&] { (void)session.evaluate_batch(batch); }, what);
       expect_rejected([&] { (void)session.expectations(batch); }, what);
+      // The engine checks the schedules itself, so its raw callers and
+      // the one-line batch wrapper refuse them too.
+      expect_rejected([&] { (void)session.batch().evaluate(batch); }, what);
+      expect_rejected(
+          [&] { (void)api::qaoa_batch_evaluate(session.terms(), batch, {}); },
+          what);
       expect_rejected([&] { (void)session.simulate(sched); }, what);
       expect_rejected([&] { (void)session.sample(sched, 4); }, what);
       api::OptimizerSpec optimizer;
@@ -635,23 +692,24 @@ TEST(ProblemSession, NonFiniteOrRaggedSchedulesAreRejectedNamingTheLayer) {
 TEST(ProblemSession, EqualSpecsProduceIdenticalSampleStreamsAcrossExec) {
   // The sampling seed travels in the spec, and the evolved amplitudes are
   // Exec-independent (the SIMD layer's determinism guarantee), so serial
-  // and parallel sessions with the same seed draw identical streams.
+  // and parallel sessions with the same seed draw identical streams,
+  // through sample() and through a sampled evaluate() alike.
   const QaoaParams params = random_schedules(1, 2, 19).front();
-  api::ProblemSession serial =
-      api::ProblemSession::labs(9, SimulatorSpec::parse("serial:seed=123"));
-  api::ProblemSession parallel =
-      api::ProblemSession::labs(9, SimulatorSpec::parse("auto:seed=123"));
-  const auto a = serial.sample(params, 64);
-  const auto b = parallel.sample(params, 64);
-  EXPECT_EQ(a, b);
-  // And a fresh session with the same spec reproduces the stream.
-  api::ProblemSession again =
-      api::ProblemSession::labs(9, SimulatorSpec::parse("serial:seed=123"));
-  EXPECT_EQ(again.sample(params, 64), a);
-  // A different seed must (with overwhelming probability) differ.
-  api::ProblemSession other =
-      api::ProblemSession::labs(9, SimulatorSpec::parse("serial:seed=124"));
-  EXPECT_NE(other.sample(params, 64), a);
+  for (const std::string prec : {"", ":prec=f32"}) {
+    SCOPED_TRACE(prec);
+    const auto session = [&](const std::string& name) {
+      return api::ProblemSession::labs(9, SimulatorSpec::parse(name + prec));
+    };
+    const auto a = session("serial:seed=123").sample(params, 64);
+    EXPECT_EQ(session("auto:seed=123").sample(params, 64), a);
+    api::EvalRequest request;
+    request.shots = 64;
+    EXPECT_EQ(*session("auto:seed=123").evaluate(params, request).samples, a);
+    // And a fresh session with the same spec reproduces the stream.
+    EXPECT_EQ(session("serial:seed=123").sample(params, 64), a);
+    // A different seed must (with overwhelming probability) differ.
+    EXPECT_NE(session("serial:seed=124").sample(params, 64), a);
+  }
 }
 
 TEST(ProblemSession, PortfolioBuilderDefaultsToInSectorXyMixer) {

@@ -399,7 +399,8 @@ TEST(SimdEndToEnd, SimulatorBackendsMatchScalarDispatch) {
   const TermList terms = labs_terms(10);
   const std::vector<double> gammas = {0.3, -0.8, 0.45};
   const std::vector<double> betas = {0.7, 0.2, -0.55};
-  for (const char* name : {"serial", "auto", "u16"}) {
+  for (const char* name : {"serial", "auto", "u16", "serial:prec=f32",
+                           "auto:prec=f32", "u16:prec=f32"}) {
     force_simd_level(SimdLevel::Scalar);
     const auto sim_s = choose_simulator(terms, name);
     const StateVector r_s = sim_s->simulate_qaoa(gammas, betas);
@@ -408,8 +409,8 @@ TEST(SimdEndToEnd, SimulatorBackendsMatchScalarDispatch) {
     force_simd_level(detect_simd_level());
     const auto sim_v = choose_simulator(terms, name);
     const StateVector r_v = sim_v->simulate_qaoa(gammas, betas);
-    // Under QOKIT_PREC=f32 the names resolve to float amplitudes, where
-    // the scalar and vector families agree to float-rounding scale.
+    // At f32 the scalar and vector families agree to float-rounding
+    // scale.
     const bool f32 = sim_s->precision() == Precision::F32;
     EXPECT_LE(r_s.max_abs_diff(r_v), f32 ? 5e-6 : 1e-11) << name;
     EXPECT_NEAR(sim_v->get_expectation(r_v), e_s, f32 ? 1e-4 : 1e-10)
