@@ -187,7 +187,7 @@ class ProblemSession {
   /// expectations through the batch engine's check_batch: ragged or
   /// non-finite schedules throw std::invalid_argument naming the layer
   /// before any state is touched, as do negative shots and a requested
-  /// overlap whose weight fails check_overlap_weight.
+  /// overlap whose weight is outside [-1, n].
   EvalResult evaluate(const QaoaParams& schedule,
                       const EvalRequest& request = {}) const;
 

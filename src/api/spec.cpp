@@ -182,9 +182,9 @@ std::string SimulatorSpec::to_string() const {
 
 namespace {
 
-/// Precision gauge (bits of the amplitude scalar), set on every
-/// make_simulator call so dashboards can tell mixed-precision runs apart
-/// without parsing spec strings.
+/// Precision gauge (bits of the amplitude scalar) of the last simulator
+/// make_simulator built, so dashboards can tell mixed-precision runs
+/// apart without parsing spec strings. A refused spec leaves it alone.
 void record_precision(Precision prec) {
   static const obs::Gauge bits = obs::gauge("qokit_precision_bits");
   bits.set(static_cast<double>(precision_bits(prec)));
@@ -209,7 +209,7 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     throw std::invalid_argument("make_simulator: weight=" +
                                 std::to_string(spec.initial_weight) +
                                 " applies to the xy mixers only");
-  record_precision(spec.prec);
+  std::unique_ptr<QaoaFastSimulatorBase> sim;
   switch (spec.backend) {
     case Backend::Dist:
       if (spec.mixer != MixerType::X)
@@ -232,8 +232,9 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
             " dist ranks exceed the 2^" + std::to_string(terms.num_qubits()) +
             " amplitudes of a " + std::to_string(terms.num_qubits()) +
             "-qubit problem");
-      return std::make_unique<DistributedFurSimulator>(
+      sim = std::make_unique<DistributedFurSimulator>(
           terms, DistConfig{.ranks = spec.ranks, .prec = spec.prec});
+      break;
     default: {
       FurConfig cfg;
       cfg.exec = spec.exec;
@@ -241,9 +242,11 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
       cfg.initial_weight = spec.initial_weight;
       cfg.prec = spec.prec;
       if (spec.backend == Backend::U16) cfg.use_u16 = true;
-      return std::make_unique<FurQaoaSimulator>(terms, cfg);
+      sim = std::make_unique<FurQaoaSimulator>(terms, cfg);
     }
   }
+  record_precision(sim->precision());
+  return sim;
 }
 
 // The choose_simulator family (declared in fur/simulator.hpp) is defined

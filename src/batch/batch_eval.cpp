@@ -40,19 +40,16 @@ std::size_t pool_slots(const QaoaFastSimulatorBase& sim) {
 
 }  // namespace
 
-void check_overlap_weight(int weight, int num_qubits) {
-  if (weight < -1 || weight > num_qubits)
-    throw std::invalid_argument("overlap_weight " + std::to_string(weight) +
-                                " is outside [-1, " +
-                                std::to_string(num_qubits) + "]");
-}
-
 void check_batch(std::span<const QaoaParams> schedules,
                  const BatchOptions& opts, int num_qubits) {
   if (opts.sample_shots < 0)
     throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
-  if (opts.compute_overlap)
-    check_overlap_weight(opts.overlap_weight, num_qubits);
+  // -1 is the full space; any other weight names a Hamming-weight sector.
+  if (opts.compute_overlap &&
+      (opts.overlap_weight < -1 || opts.overlap_weight > num_qubits))
+    throw std::invalid_argument(
+        "overlap_weight " + std::to_string(opts.overlap_weight) +
+        " is outside [-1, " + std::to_string(num_qubits) + "]");
   for (const QaoaParams& s : schedules) s.check();
 }
 

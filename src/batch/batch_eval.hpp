@@ -65,17 +65,12 @@ struct BatchOptions {
   bool record_timings = false;
 };
 
-/// Throws std::invalid_argument unless `weight` names an overlap on a
-/// `num_qubits`-qubit problem: -1 (the full space) or a Hamming-weight
-/// sector in [0, num_qubits]. check_batch runs it on a requested overlap;
-/// the server runs it before its cache checkout.
-void check_overlap_weight(int weight, int num_qubits);
-
 /// The batch engine's one input check, run before any slot fills: throws
 /// std::invalid_argument on negative shots, a requested overlap whose
-/// weight fails check_overlap_weight, or a schedule that fails
-/// QaoaParams::check(). qaoa_batch_evaluate runs it before it builds its
-/// simulator.
+/// weight is outside [-1, num_qubits] (-1 is the full space), or a
+/// schedule that fails QaoaParams::check(). qaoa_batch_evaluate runs it
+/// before it builds its simulator, and the server before its cache
+/// checkout.
 void check_batch(std::span<const QaoaParams> schedules,
                  const BatchOptions& opts, int num_qubits);
 

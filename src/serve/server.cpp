@@ -83,14 +83,13 @@ int bind_unix_listener(const std::string& path, int backlog) {
   return fd;
 }
 
-/// Refuse a problem whose smallest possible session (the diagonal plus
-/// one f32 state) exceeds the state-vector limit or the cache budget, so
-/// an oversized request never reaches an allocation.
-void check_fits(const TermList& terms, std::uint64_t budget) {
+/// Refuse a problem whose smallest possible session at the spec's width
+/// (the diagonal plus one state) exceeds the state-vector limit or the
+/// cache budget, so an oversized request never reaches an allocation.
+void check_fits(const TermList& terms, Precision prec, std::uint64_t budget) {
   const int n = terms.num_qubits();
   check_qubit_limit(n, "serve");
-  const std::uint64_t bytes =
-      session_footprint_bytes(n, terms.size(), Precision::F32);
+  const std::uint64_t bytes = session_footprint_bytes(n, terms.size(), prec);
   if (bytes > budget)
     throw std::invalid_argument(
         "serve: a " + std::to_string(n) + "-qubit session needs at least " +
@@ -201,10 +200,11 @@ Response ScheduleServer::handle(Request& request,
     // Before the checkout, so a bad schedule, an out-of-range overlap
     // weight or an oversized problem never pays a miss's precompute or
     // allocation.
-    for (const QaoaParams& s : request.schedules) s.check();
-    if (request.overlap)
-      check_overlap_weight(request.overlap_weight, request.terms.num_qubits());
-    check_fits(request.terms, config_.cache_bytes);
+    check_batch(request.schedules,
+                BatchOptions{.compute_overlap = request.overlap,
+                             .overlap_weight = request.overlap_weight},
+                request.terms.num_qubits());
+    check_fits(request.terms, request.spec.prec, config_.cache_bytes);
     SessionLease lease = cache_.checkout(request.terms, request.spec);
     response.cache_hit = lease.hit();
     span.attr("cache_hit", static_cast<std::int64_t>(lease.hit() ? 1 : 0));

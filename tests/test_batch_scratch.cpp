@@ -13,8 +13,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -381,49 +381,17 @@ TEST(BatchScratch, TimingsAreTakenOnTheEvolvingThreadInBothModes) {
   }
 }
 
-/// A FurQaoaSimulator that throws while evolving any schedule whose first
-/// gamma is kFailGamma: the engine refuses a bad schedule before the team
-/// starts, so this is how a worker fails mid-batch.
-struct FailingSimulator final : QaoaFastSimulatorBase {
-  static constexpr double kFailGamma = 0.125;
-  explicit FailingSimulator(const TermList& terms) : inner(terms) {}
-  int num_qubits() const override { return inner.num_qubits(); }
-  Precision precision() const override { return inner.precision(); }
-  void fill_initial_state(StateVector& state) const override {
-    inner.fill_initial_state(state);
-  }
-  StateVector simulate_qaoa_from(StateVector state,
-                                 std::span<const double> gammas,
-                                 std::span<const double> betas)
-      const override {
-    if (!gammas.empty() && gammas[0] == kFailGamma)
-      throw std::invalid_argument("FailingSimulator: failing schedule");
-    return inner.simulate_qaoa_from(std::move(state), gammas, betas);
-  }
-  using QaoaFastSimulatorBase::get_expectation;
-  using QaoaFastSimulatorBase::get_overlap;
-  double get_expectation(const StateVector& result) const override {
-    return inner.get_expectation(result);
-  }
-  double get_overlap(const StateVector& result,
-                     int restrict_weight) const override {
-    return inner.get_overlap(result, restrict_weight);
-  }
-  const CostDiagonal& get_cost_diagonal() const override {
-    return inner.get_cost_diagonal();
-  }
-  std::int64_t layer_units() const override { return inner.layer_units(); }
-  FurQaoaSimulator inner;
-};
-
 TEST(BatchScratch, AFailingScheduleThrowsAfterTheTeamJoins) {
-  // In Outer mode a schedule that throws does so on a worker thread: it
-  // must surface after the join as the caller's exception (not
+  // A finite gamma so large that gamma * C overflows passes the engine's
+  // schedule check but evolves into a NaN state, which the sampler
+  // refuses. In Outer mode that throw happens on a worker thread: it must
+  // surface after the join as the caller's exception (not
   // std::terminate), as the sequential loop throws it, and leave the
   // evaluator usable.
-  const FailingSimulator sim(labs_terms(8));
+  const TermList terms = labs_terms(8);
+  const FurQaoaSimulator sim(terms, {});
   std::vector<QaoaParams> batch(6, two_distinct_schedules().front());
-  batch[3].gammas[0] = FailingSimulator::kFailGamma;
+  batch[3].gammas[1] = std::numeric_limits<double>::max();
   BatchOptions opts;
   opts.sample_shots = 4;
   for (const int threads : kModeThreads) {

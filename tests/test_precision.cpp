@@ -265,6 +265,12 @@ TEST(PrecisionObs, GaugeTracksTheLastBuiltSimulator) {
   auto f64 = make_simulator(terms, SimulatorSpec::parse("serial:prec=f64"));
   EXPECT_EQ(f64->precision(), Precision::F64);
   EXPECT_EQ(bits.value(), 64.0);
+  // A refused spec builds nothing, so the gauge keeps the last build.
+  EXPECT_THROW(
+      make_simulator(terms,
+                     SimulatorSpec::parse("auto:mixer=xyring:prec=f32")),
+      std::invalid_argument);
+  EXPECT_EQ(bits.value(), 64.0);
 }
 
 // ----------------------------------------------------------- refusal rules

@@ -749,22 +749,28 @@ TEST(ScheduleServer, OversizedProblemsAreBadRequestsBeforeTheCache) {
   EXPECT_EQ(session_footprint_bytes(63, 1, Precision::F32),
             std::numeric_limits<std::uint64_t>::max());
 
-  // Within the qubit limit but over the budget: the message names the
-  // bytes and the budget.
+  // Within the qubit limit but over the budget. Admission charges the
+  // smallest session at the spec's width: with the budget at the f32
+  // floor, the default (f64) request is refused, naming its bytes and the
+  // budget, and the same problem at prec=f32 is served.
+  const std::size_t terms12 = test_problem(12, 1).size();
   ServerConfig small = config;
-  small.cache_bytes = session_footprint_bytes(10, 1, Precision::F32);
+  small.cache_bytes = session_footprint_bytes(12, terms12, Precision::F32);
   ScheduleServer tight(small);
-  const Response over =
-      tight.submit_blocking(make_request(12, 1, random_schedules(1, 1, 4)));
+  Request request = make_request(12, 1, random_schedules(1, 1, 4));
+  const Response over = tight.submit_blocking(request);
   EXPECT_EQ(over.status, Status::BadRequest);
-  EXPECT_NE(over.error.find(std::to_string(session_footprint_bytes(
-                12, test_problem(12, 1).size(), Precision::F32))),
+  EXPECT_NE(over.error.find(std::to_string(
+                session_footprint_bytes(12, terms12, Precision::F64))),
             std::string::npos)
       << over.error;
   EXPECT_NE(over.error.find(std::to_string(small.cache_bytes)),
             std::string::npos)
       << over.error;
   EXPECT_EQ(tight.cache_stats().misses, 0u);
+  request.spec = SimulatorSpec::parse("auto:prec=f32");
+  EXPECT_EQ(tight.submit_blocking(std::move(request)).status, Status::Ok);
+  EXPECT_EQ(tight.cache_stats().misses, 1u);
 
   // A request that fits, sent to the same server, is still served.
   const Response ok =
