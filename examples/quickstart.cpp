@@ -30,20 +30,19 @@ int main() {
   const QaoaParams params = linear_ramp(/*p=*/3, /*dt=*/0.8);
   api::EvalRequest request;
   request.overlap = true;
-  request.timings = true;
   const api::EvalResult r = session.evaluate(params, request);
 
   std::printf("QAOA objective <C> = %.6f (expected cut %.6f)\n",
               *r.expectation, -*r.expectation);
   std::printf("ground-state overlap = %.6f\n", *r.overlap);
   std::printf("simulate %.3f ms, score %.3f ms (no re-precompute)\n",
-              r.timings->simulate_ns / 1e6, r.timings->reduce_ns / 1e6);
+              r.timings.simulate_ns / 1e6, r.timings.reduce_ns / 1e6);
 
   // Repeat queries are cheap: the second evaluation reuses the diagonal
   // and the scratch statevector, refilled with |+> in place.
   const api::EvalResult again = session.evaluate(params, request);
   std::printf("second call simulate %.3f ms (identical result: %s)\n",
-              again.timings->simulate_ns / 1e6,
+              again.timings.simulate_ns / 1e6,
               *again.expectation == *r.expectation ? "yes" : "no");
 
   // With QOKIT_OBS=1 in the environment (or obs::set_enabled), write the

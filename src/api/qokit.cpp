@@ -83,15 +83,14 @@ std::vector<double> qaoa_batch_expectation(
   return session.expectations(schedules);
 }
 
-BatchResult qaoa_batch_evaluate(const TermList& terms,
-                                std::span<const QaoaParams> schedules,
-                                const BatchOptions& opts,
-                                std::string_view simulator) {
+std::vector<EvalResult> qaoa_batch_evaluate(
+    const TermList& terms, std::span<const QaoaParams> schedules,
+    const EvalRequest& request, std::string_view simulator) {
   const SimulatorSpec spec = SimulatorSpec::parse(simulator);
   // Before the throwaway session pays its precompute.
-  check_batch(schedules, opts, terms.num_qubits());
+  check_batch(schedules, request, terms.num_qubits());
   const ProblemSession session(terms, spec);
-  return session.batch().evaluate(schedules, opts);
+  return session.evaluate_batch(schedules, request);
 }
 
 OptimizeOutcome optimize_qaoa(const TermList& terms, int p,

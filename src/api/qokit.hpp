@@ -97,14 +97,14 @@ std::vector<double> qaoa_batch_expectation(
     const TermList& terms, std::span<const QaoaParams> schedules,
     std::string_view simulator = "auto");
 
-/// Full batched evaluation: expectations plus optional ground-state
-/// overlaps and sampled bitstrings per schedule, per `opts`. A bad
-/// schedule, negative shots or an out-of-range overlap weight throws
-/// std::invalid_argument before the simulator is built.
-BatchResult qaoa_batch_evaluate(const TermList& terms,
-                                std::span<const QaoaParams> schedules,
-                                const BatchOptions& opts,
-                                std::string_view simulator = "auto");
+/// Full batched evaluation: per schedule, the fields `request` asks for
+/// (expectation, overlap, samples), drawn with the spec's `seed=`
+/// (schedule i samples from Rng(seed + i)). A bad schedule, negative
+/// shots or an out-of-range overlap weight throws std::invalid_argument
+/// before the simulator is built.
+std::vector<EvalResult> qaoa_batch_evaluate(
+    const TermList& terms, std::span<const QaoaParams> schedules,
+    const EvalRequest& request, std::string_view simulator = "auto");
 
 /// One-call parameter optimization: build the fast simulator for `terms`,
 /// start from a linear-ramp schedule at depth p, run Nelder-Mead. The

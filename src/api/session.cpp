@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/timer.hpp"
 #include "optimize/objective.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
@@ -13,13 +14,6 @@ namespace qokit::api {
 namespace {
 
 using steady = std::chrono::steady_clock;
-
-std::uint64_t elapsed_ns(steady::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(steady::now() -
-                                                           since)
-          .count());
-}
 
 /// Build the simulator for the session's member-init list while timing
 /// the construction (which is where the diagonal precompute happens).
@@ -32,40 +26,13 @@ std::unique_ptr<QaoaFastSimulatorBase> build_timed(
   return sim;
 }
 
-BatchOptions batch_options_for(const EvalRequest& request,
-                               std::uint64_t sample_seed) {
-  BatchOptions opts;
-  opts.compute_expectation = request.expectation;
-  opts.compute_overlap = request.overlap;
-  opts.overlap_weight = request.overlap_weight;
-  opts.sample_shots = request.shots;
-  opts.sample_seed = sample_seed;
-  opts.record_timings = request.timings;
-  return opts;
-}
-
-/// Item i of the batch the engine just evaluated, shaped by the request.
-/// Samples move out: the next call refills them.
-EvalResult item_result(BatchResult& batch, std::size_t i,
-                       const EvalRequest& request,
-                       std::uint64_t precompute_ns, std::uint64_t batch_ns) {
-  EvalResult out;
-  if (request.expectation) out.expectation = batch.expectations[i];
-  if (request.overlap) out.overlap = batch.overlaps[i];
-  if (request.shots > 0) out.samples = std::move(batch.samples[i]);
-  if (request.timings)
-    out.timings = Timings{precompute_ns, batch.simulate_ns[i],
-                          batch.reduce_ns[i], batch_ns};
-  return out;
-}
-
 }  // namespace
 
 ProblemSession::ProblemSession(const TermList& terms, SimulatorSpec spec)
     : spec_(spec),
       terms_(terms),
       sim_(build_timed(terms_, spec_, &precompute_ns_)),
-      evaluator_(*sim_) {}
+      evaluator_(*sim_, spec_.sample_seed) {}
 
 ProblemSession ProblemSession::maxcut(const Graph& g, SimulatorSpec spec) {
   return ProblemSession(maxcut_terms(g), spec);
@@ -107,16 +74,15 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
   span.attr("prec_bits",
             static_cast<std::int64_t>(precision_bits(sim_->precision())));
   // A one-schedule batch: the engine checks the schedule, then runs it
-  // Inner in pool slot 0, with the expectation fused into the final pass,
-  // timed or not.
-  evaluator_.evaluate_into(std::span<const QaoaParams>(&schedule, 1),
-                           batch_options_for(request, spec_.sample_seed),
-                           batch_scratch_);
+  // Inner in pool slot 0, with the expectation fused into the final pass.
+  EvalResult out = std::move(evaluator_.evaluate(
+      std::span<const QaoaParams>(&schedule, 1), request)[0]);
   // Counted once it ran: a schedule the engine refuses is no evaluate.
   static const obs::Counter evaluates =
       obs::counter("qokit_evaluates_total");
   evaluates.add();
-  return item_result(batch_scratch_, 0, request, precompute_ns_, 0);
+  out.timings.precompute_ns = precompute_ns_;
+  return out;
 }
 
 std::vector<EvalResult> ProblemSession::evaluate_batch(
@@ -124,15 +90,12 @@ std::vector<EvalResult> ProblemSession::evaluate_batch(
   const detail::ReentrancyGuard::Scope scope(
       guard_, "ProblemSession::evaluate_batch");
   const steady::time_point t0 = steady::now();
-  evaluator_.evaluate_into(schedules,
-                           batch_options_for(request, spec_.sample_seed),
-                           batch_scratch_);
+  std::vector<EvalResult> out = evaluator_.evaluate(schedules, request);
   const std::uint64_t batch_ns = elapsed_ns(t0);
-  std::vector<EvalResult> out;
-  out.reserve(schedules.size());
-  for (std::size_t i = 0; i < schedules.size(); ++i)
-    out.push_back(
-        item_result(batch_scratch_, i, request, precompute_ns_, batch_ns));
+  for (EvalResult& r : out) {
+    r.timings.precompute_ns = precompute_ns_;
+    r.timings.batch_ns = batch_ns;
+  }
   return out;
 }
 
@@ -175,7 +138,8 @@ EvalResult ProblemSession::optimize(const OptimizerSpec& optimizer) const {
   out.batches = objective.batches();
   out.iterations = r.iterations;
   out.converged = r.converged;
-  out.timings = Timings{precompute_ns_, elapsed_ns(t0), 0};
+  out.timings.precompute_ns = precompute_ns_;
+  out.timings.simulate_ns = elapsed_ns(t0);
   return out;
 }
 

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -41,8 +40,8 @@ namespace qokit::api {
 namespace detail {
 
 /// Cheap exclusive-entry guard for the session's single-caller contract.
-/// The reused pool slots and batch_scratch_ make concurrent calls on one
-/// ProblemSession silent data corruption; Scope turns that misuse into an
+/// The reused pool slots make concurrent calls on one ProblemSession
+/// silent data corruption; Scope turns that misuse into an
 /// immediate std::logic_error instead (one uncontended atomic exchange on
 /// entry, a store on exit). Not a lock: the second caller fails, it never
 /// waits -- callers that want serialized access to one session go through
@@ -82,53 +81,11 @@ class ReentrancyGuard {
 
 }  // namespace detail
 
-/// Where an evaluation's time went, in nanoseconds.
-struct Timings {
-  /// The session's one-time diagonal precompute. Paid at construction and
-  /// amortized over every subsequent call -- reported (unchanged) on each
-  /// result so callers can see what the session saved them, never re-paid.
-  std::uint64_t precompute_ns = 0;
-  /// This schedule's initial-state fill, evolution and fused expectation,
-  /// timed on the thread that evolved it.
-  std::uint64_t simulate_ns = 0;
-  /// This schedule's overlap and sampling (its expectation rides
-  /// simulate_ns), timed on the same thread.
-  std::uint64_t reduce_ns = 0;
-  /// evaluate_batch only: wall time of the whole submission this item
-  /// rode in (the same value on every item of one call; 0 for scalar
-  /// evaluate()).
-  std::uint64_t batch_ns = 0;
-};
-
-/// What an evaluate() / evaluate_batch() call should compute.
-struct EvalRequest {
-  bool expectation = true;  ///< fill EvalResult::expectation
-  bool overlap = false;     ///< fill EvalResult::overlap
-  int overlap_weight = -1;  ///< restrict the overlap minimum to this
-                            ///< Hamming-weight sector; -1 = full space
-  int shots = 0;            ///< >0: fill EvalResult::samples
-  /// Fill EvalResult::timings. Timing runs the same passes as an untimed
-  /// call, so it moves no bits.
-  bool timings = false;
-};
-
-/// Unified result shape: requested fields are engaged, everything else is
-/// nullopt. Subsumes the historical LabsEvaluation / SatEvaluation /
-/// BatchResult / OptimizeOutcome shapes (which remain in the
-/// compatibility layer, populated from this).
-struct EvalResult {
-  std::optional<double> expectation;  ///< <C> over the evolved state
-  std::optional<double> overlap;      ///< ground-state probability mass
-  std::optional<std::vector<std::uint64_t>> samples;  ///< drawn bitstrings
-  std::optional<Timings> timings;
-
-  // Engaged by ProblemSession::optimize only:
-  std::optional<QaoaParams> params;  ///< optimized schedule
-  std::optional<int> evaluations;    ///< simulator calls spent
-  std::optional<int> batches;        ///< batch submissions those arrived in
-  std::optional<int> iterations;     ///< optimizer iterations
-  std::optional<bool> converged;     ///< tolerance met within budget
-};
+// The request and result types are the batch engine's own
+// (batch/batch_eval.hpp); these keep their api:: spellings.
+using qokit::EvalRequest;
+using qokit::EvalResult;
+using qokit::Timings;
 
 /// Which optimizer ProblemSession::optimize runs and how.
 struct OptimizerSpec {
@@ -228,8 +185,8 @@ class ProblemSession {
   const CostDiagonal& cost_diagonal() const {
     return sim_->get_cost_diagonal();
   }
-  /// The session's batch engine (for BatchOptions-level control, such as
-  /// keep_states; the compatibility wrappers use this).
+  /// The session's batch engine, sampling with spec().sample_seed (its
+  /// pool size and batch mode are what tests and benches read).
   const BatchEvaluator& batch() const { return evaluator_; }
   int num_qubits() const { return sim_->num_qubits(); }
   /// Wall time of the one-time diagonal precompute at construction.
@@ -246,9 +203,8 @@ class ProblemSession {
   TermList terms_;
   std::uint64_t precompute_ns_ = 0;
   std::unique_ptr<QaoaFastSimulatorBase> sim_;
-  BatchEvaluator evaluator_;          ///< the pool every entry point uses
-  mutable BatchResult batch_scratch_; ///< reused across evaluate calls
-  detail::ReentrancyGuard guard_;     ///< trips on concurrent entry
+  BatchEvaluator evaluator_;       ///< the pool every entry point uses
+  detail::ReentrancyGuard guard_;  ///< trips on concurrent entry
 };
 
 }  // namespace qokit::api

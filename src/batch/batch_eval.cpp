@@ -9,18 +9,12 @@
 #include "common/bitops.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "obs/obs.hpp"
 #include "statevector/sampling.hpp"
 
 namespace qokit {
 namespace {
-
-std::uint64_t tick_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::size_t pool_slots(const QaoaFastSimulatorBase& sim) {
   // One schedule's layer already gives every thread a unit (always so on
@@ -41,20 +35,21 @@ std::size_t pool_slots(const QaoaFastSimulatorBase& sim) {
 }  // namespace
 
 void check_batch(std::span<const QaoaParams> schedules,
-                 const BatchOptions& opts, int num_qubits) {
-  if (opts.sample_shots < 0)
-    throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
+                 const EvalRequest& request, int num_qubits) {
+  if (request.shots < 0)
+    throw std::invalid_argument("BatchEvaluator: shots must be >= 0");
   // -1 is the full space; any other weight names a Hamming-weight sector.
-  if (opts.compute_overlap &&
-      (opts.overlap_weight < -1 || opts.overlap_weight > num_qubits))
+  if (request.overlap &&
+      (request.overlap_weight < -1 || request.overlap_weight > num_qubits))
     throw std::invalid_argument(
-        "overlap_weight " + std::to_string(opts.overlap_weight) +
+        "overlap_weight " + std::to_string(request.overlap_weight) +
         " is outside [-1, " + std::to_string(num_qubits) + "]");
   for (const QaoaParams& s : schedules) s.check();
 }
 
-BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim)
-    : sim_(&sim), scratch_(pool_slots(sim)) {}
+BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim,
+                               std::uint64_t sample_seed)
+    : sim_(&sim), sample_seed_(sample_seed), scratch_(pool_slots(sim)) {}
 
 BatchParallelism BatchEvaluator::resolve_parallelism(std::size_t batch) const {
   // The Outer team is min(pool, threads now): a pool sized at one thread
@@ -65,21 +60,12 @@ BatchParallelism BatchEvaluator::resolve_parallelism(std::size_t batch) const {
   return BatchParallelism::Outer;
 }
 
-void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
-                                   const BatchOptions& opts,
-                                   BatchResult& out) const {
-  check_batch(schedules, opts, sim_->num_qubits());
+std::vector<EvalResult> BatchEvaluator::evaluate(
+    std::span<const QaoaParams> schedules, const EvalRequest& request) const {
+  check_batch(schedules, request, sim_->num_qubits());
   const std::size_t m = schedules.size();
-  out.used = resolve_parallelism(m);
-  // resize() reuses existing capacity (and, for states, the statevector
-  // buffers inside surviving slots), so a reused `out` allocates nothing
-  // in steady state; unrequested fields are cleared.
-  out.expectations.resize(opts.compute_expectation ? m : 0);
-  out.overlaps.resize(opts.compute_overlap ? m : 0);
-  out.states.resize(opts.keep_states ? m : 0);
-  out.samples.resize(opts.sample_shots > 0 ? m : 0);
-  out.simulate_ns.resize(opts.record_timings ? m : 0);
-  out.reduce_ns.resize(opts.record_timings ? m : 0);
+  const BatchParallelism mode = resolve_parallelism(m);
+  std::vector<EvalResult> out(m);
 
   static const obs::Counter batch_calls =
       obs::counter("qokit_batch_calls_total");
@@ -94,8 +80,7 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
   batch_schedules.add(m);
   obs::Span span("evaluate_batch");
   span.attr("schedules", static_cast<std::int64_t>(m));
-  span.attr("mode",
-            out.used == BatchParallelism::Outer ? "outer" : "inner");
+  span.attr("mode", mode == BatchParallelism::Outer ? "outer" : "inner");
 
   // Schedule i, start to finish, on the thread that runs it: refill the
   // slot in place (no allocation after the slot's first use), evolve it
@@ -112,37 +97,34 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
       scratch_hits.add();
     else scratch_allocs.add();
     const QaoaParams& s = schedules[i];
-    const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
+    EvalResult& r = out[i];
+    const auto t0 = std::chrono::steady_clock::now();
     sim_->fill_initial_state(slot);
-    if (opts.compute_expectation)
-      out.expectations[i] =
-          sim_->simulate_qaoa_expectation(slot, s.gammas, s.betas);
+    if (request.expectation)
+      r.expectation = sim_->simulate_qaoa_expectation(slot, s.gammas, s.betas);
     else
       slot = sim_->simulate_qaoa_from(std::move(slot), s.gammas, s.betas);
-    const std::uint64_t t1 = opts.record_timings ? tick_ns() : 0;
+    const auto t1 = std::chrono::steady_clock::now();
     {
       obs::Span reduce("reduce");
       const obs::HistTimer reduce_timer(reduce_hist);
-      if (opts.compute_overlap)
-        out.overlaps[i] = sim_->get_overlap(slot, opts.overlap_weight);
-      if (opts.sample_shots > 0) {
+      if (request.overlap)
+        r.overlap = sim_->get_overlap(slot, request.overlap_weight);
+      if (request.shots > 0) {
         // Seeded per schedule index, so the drawn bitstrings are
         // independent of evaluation order and of the parallelism mode.
-        Rng rng(opts.sample_seed + i);
-        out.samples[i] = sample_states(slot, opts.sample_shots, rng);
+        Rng rng(sample_seed_ + i);
+        r.samples = sample_states(slot, request.shots, rng);
       }
-      if (opts.keep_states) out.states[i] = slot;  // copy; the slot lives on
     }
-    if (opts.record_timings) {
-      out.simulate_ns[i] = t1 - t0;
-      out.reduce_ns[i] = tick_ns() - t1;
-    }
+    r.timings.simulate_ns = elapsed_ns(t0, t1);
+    r.timings.reduce_ns = elapsed_ns(t1);
   };
 
-  if (out.used == BatchParallelism::Inner) {
+  if (mode == BatchParallelism::Inner) {
     StateVector& slot = scratch_.front();
     for (std::size_t i = 0; i < m; ++i) run(i, slot);
-    return;
+    return out;
   }
 
   // Outer: one team across the batch, never larger than the pool; thread
@@ -174,18 +156,16 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
     }
   }
   if (error) std::rethrow_exception(error);
-}
-
-BatchResult BatchEvaluator::evaluate(std::span<const QaoaParams> schedules,
-                                     const BatchOptions& opts) const {
-  BatchResult out;
-  evaluate_into(schedules, opts, out);
   return out;
 }
 
 std::vector<double> BatchEvaluator::expectations(
     std::span<const QaoaParams> schedules) const {
-  return std::move(evaluate(schedules).expectations);
+  std::vector<double> values;
+  values.reserve(schedules.size());
+  for (const EvalResult& r : evaluate(schedules))
+    values.push_back(*r.expectation);
+  return values;
 }
 
 }  // namespace qokit

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,27 +43,57 @@
 
 namespace qokit {
 
-/// How BatchEvaluator::evaluate mapped schedules onto the machine
-/// (BatchEvaluator::resolve_parallelism decides; BatchResult::used says).
+/// How BatchEvaluator::evaluate maps schedules onto the machine
+/// (BatchEvaluator::resolve_parallelism decides).
 enum class BatchParallelism {
   Outer,  ///< one team across schedules, serial kernels inside each
   Inner,  ///< sequential over schedules, simulator's Exec inside each
 };
 
-/// What evaluate() computes per schedule.
-struct BatchOptions {
-  bool compute_expectation = true;  ///< fill BatchResult::expectations
-  bool compute_overlap = false;     ///< fill BatchResult::overlaps
-  int overlap_weight = -1;   ///< restrict the overlap to this HW sector
-  bool keep_states = false;  ///< fill BatchResult::states (copies; test aid)
-  int sample_shots = 0;      ///< >0: sample this many bitstrings/schedule
-  std::uint64_t sample_seed = 1;  ///< schedule i samples with seed+i
-  /// Fill BatchResult::simulate_ns / reduce_ns with per-schedule wall
-  /// times, both taken on the thread that evolved the schedule:
-  /// simulate_ns covers the initial-state fill, the evolution and the
-  /// expectation fused into its final pass; reduce_ns covers the overlap,
-  /// the sampling and the kept-state copy (the "reduce" span).
-  bool record_timings = false;
+/// Where an evaluation's time went, in nanoseconds.
+struct Timings {
+  /// The session's one-time diagonal precompute. Paid at construction and
+  /// amortized over every subsequent call -- reported (unchanged) on each
+  /// session result so callers can see what the session saved them, never
+  /// re-paid. 0 from a bare BatchEvaluator.
+  std::uint64_t precompute_ns = 0;
+  /// This schedule's initial-state fill, evolution and fused expectation,
+  /// timed on the thread that evolved it.
+  std::uint64_t simulate_ns = 0;
+  /// This schedule's overlap and sampling (its expectation rides
+  /// simulate_ns), timed on the same thread.
+  std::uint64_t reduce_ns = 0;
+  /// ProblemSession::evaluate_batch only: wall time of the whole
+  /// submission this item rode in (the same value on every item of one
+  /// call; 0 for a scalar evaluate()).
+  std::uint64_t batch_ns = 0;
+};
+
+/// What an evaluation computes per schedule.
+struct EvalRequest {
+  bool expectation = true;  ///< fill EvalResult::expectation
+  bool overlap = false;     ///< fill EvalResult::overlap
+  int overlap_weight = -1;  ///< restrict the overlap minimum to this
+                            ///< Hamming-weight sector; -1 = full space
+  int shots = 0;            ///< >0: fill EvalResult::samples
+};
+
+/// One schedule's result: requested fields are engaged, everything else
+/// is nullopt; timings are always filled. Subsumes the historical
+/// LabsEvaluation / SatEvaluation / OptimizeOutcome shapes (which remain
+/// in the compatibility layer, populated from this).
+struct EvalResult {
+  std::optional<double> expectation;  ///< <C> over the evolved state
+  std::optional<double> overlap;      ///< ground-state probability mass
+  std::optional<std::vector<std::uint64_t>> samples;  ///< drawn bitstrings
+  Timings timings;
+
+  // Engaged by ProblemSession::optimize only:
+  std::optional<QaoaParams> params;  ///< optimized schedule
+  std::optional<int> evaluations;    ///< simulator calls spent
+  std::optional<int> batches;        ///< batch submissions those arrived in
+  std::optional<int> iterations;     ///< optimizer iterations
+  std::optional<bool> converged;     ///< tolerance met within budget
 };
 
 /// The batch engine's one input check, run before any slot fills: throws
@@ -72,20 +103,7 @@ struct BatchOptions {
 /// before it builds its simulator, and the server before its cache
 /// checkout.
 void check_batch(std::span<const QaoaParams> schedules,
-                 const BatchOptions& opts, int num_qubits);
-
-/// Per-schedule outputs, indexed like the submitted schedule span.
-struct BatchResult {
-  std::vector<double> expectations;  ///< empty unless compute_expectation
-  std::vector<double> overlaps;      ///< empty unless compute_overlap
-  std::vector<StateVector> states;   ///< empty unless keep_states
-  std::vector<std::vector<std::uint64_t>> samples;  ///< empty unless shots
-  /// Per-schedule wall times in nanoseconds (see
-  /// BatchOptions::record_timings); empty unless record_timings.
-  std::vector<std::uint64_t> simulate_ns;
-  std::vector<std::uint64_t> reduce_ns;
-  BatchParallelism used = BatchParallelism::Inner;  ///< mode that ran
-};
+                 const EvalRequest& request, int num_qubits);
 
 /// Evaluates batches of QAOA schedules against one simulator, sharing the
 /// precomputed diagonal and reusing scratch statevectors across schedules
@@ -94,26 +112,19 @@ struct BatchResult {
 /// scratch pool is per-instance); distinct instances are independent.
 class BatchEvaluator {
  public:
-  /// `sim` must outlive the evaluator. Sizes the pool and allocates
-  /// nothing: a slot's buffer appears on its first use. The pool has one
-  /// slot per OpenMP thread when Outer could run (one schedule's layer has
-  /// fewer units than there are threads, and that many states fit
+  /// `sim` must outlive the evaluator. Schedule i of every batch samples
+  /// from Rng(sample_seed + i). Sizes the pool and allocates nothing: a
+  /// slot's buffer appears on its first use. The pool has one slot per
+  /// OpenMP thread when Outer could run (one schedule's layer has fewer
+  /// units than there are threads, and that many states fit
   /// kMaxOuterScratchBytes), and one slot otherwise.
-  explicit BatchEvaluator(const QaoaFastSimulatorBase& sim);
+  explicit BatchEvaluator(const QaoaFastSimulatorBase& sim,
+                          std::uint64_t sample_seed = 1);
 
-  /// Evaluate every schedule; results are indexed like `schedules`.
-  BatchResult evaluate(std::span<const QaoaParams> schedules,
-                       const BatchOptions& opts = {}) const;
-
-  /// Evaluate into a caller-owned result, reusing its buffers: the output
-  /// vectors are resized (which reuses capacity) and kept states are
-  /// copy-assigned into existing slots (which reuses their statevector
-  /// allocations when sizes match). Repeated same-shape calls therefore
-  /// perform zero steady-state statevector allocations even with
-  /// keep_states on. Fields not requested by `opts` are cleared. Runs
-  /// check_batch first.
-  void evaluate_into(std::span<const QaoaParams> schedules,
-                     const BatchOptions& opts, BatchResult& out) const;
+  /// Evaluate every schedule; results are indexed like `schedules`. Runs
+  /// check_batch first, so a refused batch fills no slot.
+  std::vector<EvalResult> evaluate(std::span<const QaoaParams> schedules,
+                                   const EvalRequest& request = {}) const;
 
   /// Expectations only (the optimizer-population fast path).
   std::vector<double> expectations(std::span<const QaoaParams> schedules)
@@ -141,6 +152,7 @@ class BatchEvaluator {
 
  private:
   const QaoaFastSimulatorBase* sim_;
+  std::uint64_t sample_seed_;
   mutable std::vector<StateVector> scratch_;  ///< the pool (see pool_size)
 };
 

@@ -4,9 +4,11 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -173,6 +175,21 @@ std::uint64_t CostDiagonal::ground_state_count(double tol) const {
   for (double v : values_)
     if (v <= lo + tol) ++count;
   return count;
+}
+
+void check_phase_angles(const CostDiagonal& diag,
+                        std::span<const double> gammas) {
+  if (gammas.empty()) return;
+  const double largest =
+      std::max(std::abs(diag.min_value()), std::abs(diag.max_value()));
+  for (std::size_t l = 0; l < gammas.size(); ++l) {
+    if (std::isfinite(std::abs(gammas[l]) * largest)) continue;
+    char text[96];
+    std::snprintf(text, sizeof text, "gamma %g times the largest |cost| %g",
+                  gammas[l], largest);
+    throw std::invalid_argument("phase angle at layer " + std::to_string(l) +
+                                " is not finite: " + text);
+  }
 }
 
 }  // namespace qokit

@@ -94,4 +94,12 @@ class CostDiagonal {
   mutable std::shared_ptr<Cache> cache_;
 };
 
+/// Refuses phase angles that overflow: throws std::invalid_argument naming
+/// the first layer l at which |gammas[l]| * max_x |c_x| is not finite (a
+/// non-finite gamma included). Every simulator runs it before its first
+/// layer, so such a schedule never evolves into a NaN state. max_x |c_x|
+/// comes from the cached extrema: the diagonal is scanned once.
+void check_phase_angles(const CostDiagonal& diag,
+                        std::span<const double> gammas);
+
 }  // namespace qokit

@@ -80,13 +80,6 @@ DiagonalU16 DiagonalU16::encode(const CostDiagonal& d, Exec exec) {
   return out;
 }
 
-aligned_vector<std::complex<double>> DiagonalU16::phase_table(
-    double gamma) const {
-  aligned_vector<std::complex<double>> lut;
-  phase_table_into(gamma, lut);
-  return lut;
-}
-
 void DiagonalU16::phase_table_into(
     double gamma, aligned_vector<std::complex<double>>& lut) const {
   lut.resize(65536);

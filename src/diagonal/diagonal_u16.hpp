@@ -60,15 +60,13 @@ class DiagonalU16 {
     return size() * sizeof(std::uint16_t);
   }
 
-  /// Phase-factor lookup table for angle gamma: lut[c] = e^{-i gamma
-  /// decode(c)}. Size 65536; rebuild per distinct gamma.
-  aligned_vector<std::complex<double>> phase_table(double gamma) const;
-
-  /// Fill a caller-owned table instead of allocating one (resize reuses
+  /// Phase-factor lookup table for angle gamma, lut[c] = e^{-i gamma
+  /// decode(c)}, in a caller-owned table of 65536 entries (resize reuses
   /// capacity), so the per-layer phase application can run with zero
-  /// steady-state allocations like every other hot path. The complex64
-  /// overload computes each factor in double and narrows once — the
-  /// mixed-precision path's table build (512 KiB instead of 1 MiB).
+  /// steady-state allocations like every other hot path. Rebuild per
+  /// distinct gamma. The complex64 overload computes each factor in
+  /// double and narrows once — the mixed-precision path's table build
+  /// (512 KiB instead of 1 MiB).
   void phase_table_into(double gamma,
                         aligned_vector<std::complex<double>>& lut) const;
   void phase_table_into(double gamma,

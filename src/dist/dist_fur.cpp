@@ -100,6 +100,7 @@ StateVector DistributedFurSimulator::simulate_qaoa_from(
     throw std::invalid_argument("simulate_qaoa: gammas/betas length mismatch");
   if (state.num_qubits() != num_qubits())
     throw std::invalid_argument("simulate_qaoa: state size mismatch");
+  check_phase_angles(diag_, gammas);
   obs::Span span("simulate");
   span.attr("n", num_qubits());
   span.attr("p", static_cast<std::int64_t>(gammas.size()));

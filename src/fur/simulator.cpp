@@ -155,6 +155,7 @@ void FurQaoaSimulator::evolve(StateVector& state,
     throw std::invalid_argument("simulate_qaoa: gammas/betas length mismatch");
   if (state.num_qubits() != num_qubits())
     throw std::invalid_argument("simulate_qaoa: state size mismatch");
+  check_phase_angles(diag_, gammas);
   if (!plan_.active()) {
     // Algorithm 3, unfused, for the xy mixers (ordered two-qubit products
     // that no tile can fuse): per layer, one elementwise phase multiply
@@ -265,6 +266,7 @@ StateVector simulate_ma_qaoa(const FurQaoaSimulator& sim,
     throw std::invalid_argument("simulate_ma_qaoa: X mixer only");
   if (betas.size() != gammas.size() * static_cast<std::size_t>(n))
     throw std::invalid_argument("simulate_ma_qaoa: need p*n mixer angles");
+  check_phase_angles(sim.get_cost_diagonal(), gammas);
   StateVector state = sim.initial_state();
   const Exec exec = sim.config().exec;
   for (std::size_t l = 0; l < gammas.size(); ++l) {

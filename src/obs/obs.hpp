@@ -122,8 +122,6 @@ class Histogram {
 
  private:
   friend Histogram histogram(std::string_view);
-  friend Histogram histogram(std::string_view,
-                             std::vector<std::uint64_t>);
   Histogram(int cell, const std::uint64_t* bounds, int n_bounds)
       : cell_(cell), bounds_(bounds), n_bounds_(n_bounds) {}
   int cell_ = -1;
@@ -138,14 +136,9 @@ Counter counter(std::string_view name);
 /// Register (or look up) a gauge by name.
 Gauge gauge(std::string_view name);
 
-/// Register (or look up) a histogram with the default nanosecond latency
-/// bounds (powers of four from 256ns to ~1s).
+/// Register (or look up) a histogram with the nanosecond latency bounds
+/// every library histogram shares (powers of four from 256ns to ~1s).
 Histogram histogram(std::string_view name);
-
-/// Register (or look up) a histogram with explicit ascending bounds. A
-/// name registered twice keeps its first bounds.
-Histogram histogram(std::string_view name,
-                    std::vector<std::uint64_t> bounds);
 
 /// Maximum attributes one span can carry; further attrs are dropped.
 inline constexpr int kMaxSpanAttrs = 6;

@@ -220,15 +220,9 @@ Gauge gauge(std::string_view name) {
   return Gauge(g.metrics[static_cast<std::size_t>(id)].gauge_slot);
 }
 
-Histogram histogram(std::string_view name,
-                    std::vector<std::uint64_t> bounds) {
+Histogram histogram(std::string_view name) {
   using namespace detail;
-  if (bounds.empty())
-    throw std::invalid_argument("obs::histogram: bounds must be nonempty");
-  for (std::size_t i = 1; i < bounds.size(); ++i)
-    if (bounds[i] <= bounds[i - 1])
-      throw std::invalid_argument(
-          "obs::histogram: bounds must be strictly ascending");
+  std::vector<std::uint64_t> bounds = default_latency_bounds();
   const int cells = static_cast<int>(bounds.size()) + 2;  // +overflow +sum
   const int id =
       register_metric(name, MetricKind::Histogram, cells, std::move(bounds));
@@ -239,10 +233,6 @@ Histogram histogram(std::string_view name,
   // moves preserve it), so the handle can point straight into it.
   return Histogram(def.cell, def.bounds.data(),
                    static_cast<int>(def.bounds.size()));
-}
-
-Histogram histogram(std::string_view name) {
-  return histogram(name, detail::default_latency_bounds());
 }
 
 void reset() {

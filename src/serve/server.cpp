@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "batch/batch_eval.hpp"
+#include "common/timer.hpp"
 #include "obs/obs.hpp"
 #include "statevector/state.hpp"
 
@@ -19,12 +20,6 @@ namespace qokit::serve {
 namespace {
 
 using steady = std::chrono::steady_clock;
-
-std::uint64_t elapsed_ns(steady::time_point since, steady::time_point now) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - since)
-          .count());
-}
 
 /// Full-buffer read; false on EOF or error (the connection is done either
 /// way). Retries EINTR.
@@ -197,31 +192,27 @@ Response ScheduleServer::handle(Request& request,
   try {
     if (request.terms.num_qubits() < 1)
       throw std::invalid_argument("serve: request carries no problem terms");
+    const EvalRequest eval{.expectation = request.expectation,
+                           .overlap = request.overlap,
+                           .overlap_weight = request.overlap_weight};
     // Before the checkout, so a bad schedule, an out-of-range overlap
     // weight or an oversized problem never pays a miss's precompute or
     // allocation.
-    check_batch(request.schedules,
-                BatchOptions{.compute_overlap = request.overlap,
-                             .overlap_weight = request.overlap_weight},
-                request.terms.num_qubits());
+    check_batch(request.schedules, eval, request.terms.num_qubits());
     check_fits(request.terms, request.spec.prec, config_.cache_bytes);
     SessionLease lease = cache_.checkout(request.terms, request.spec);
     response.cache_hit = lease.hit();
     span.attr("cache_hit", static_cast<std::int64_t>(lease.hit() ? 1 : 0));
-    api::EvalRequest eval;
-    eval.expectation = request.expectation;
-    eval.overlap = request.overlap;
-    eval.overlap_weight = request.overlap_weight;
-    const std::vector<api::EvalResult> results =
+    const std::vector<EvalResult> results =
         lease->evaluate_batch(request.schedules, eval);
     if (request.expectation) {
       response.expectations.reserve(results.size());
-      for (const api::EvalResult& r : results)
+      for (const EvalResult& r : results)
         response.expectations.push_back(r.expectation.value());
     }
     if (request.overlap) {
       response.overlaps.reserve(results.size());
-      for (const api::EvalResult& r : results)
+      for (const EvalResult& r : results)
         response.overlaps.push_back(r.overlap.value());
     }
     response.status = Status::Ok;

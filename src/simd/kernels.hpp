@@ -31,8 +31,8 @@
 // every dispatch level, at either precision.
 //
 // The whole-state operations call these entry points directly:
-// diagonal/ops.cpp (phase, expectation, overlap), fur/su2.cpp and
-// fur/mixers.cpp (RX), statevector/state.cpp (norm). The layer executor
+// diagonal/ops.cpp (phase, expectation, overlap), fur/mixers.cpp (RX),
+// statevector/state.cpp (norm). The layer executor
 // calls the family tables per unit, and the dist:K ranks run it on their
 // slices (pipeline::run_layer), so no caller keeps a forwarder of its own.
 //

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "api/qokit.hpp"
-#include "fur/su2.hpp"
 #include "support/reference.hpp"
+#include "support/su2_oracle.hpp"
 
 namespace qokit {
 namespace {
+
+using testing::apply_su2;
+using testing::Su2;
 
 TEST(Algebra, TermListEvaluationIsLinearInWeights) {
   Rng rng(1);

@@ -51,40 +51,36 @@ std::vector<QaoaParams> random_batch(std::uint64_t seed, int count) {
 }
 
 /// Assert the batch engine reproduces the sequential per-schedule loop
-/// exactly: same expectation bits, same overlap bits, same state bits,
-/// and, when `shots` > 0, the same samples. Runs at four threads and at
-/// one; a batch that can spread (`spreads`: two or more schedules on a
-/// layer of one unit) then runs Outer and Inner, any other batch Inner
-/// both times.
+/// exactly: same expectation bits, same overlap bits and, when `shots`
+/// > 0, the same samples (three reductions of each evolved state). Runs
+/// at four threads and at one; a batch that can spread (`spreads`: two or
+/// more schedules on a layer of one unit) then runs Outer and Inner, any
+/// other batch Inner both times.
 void expect_bit_identical(const QaoaFastSimulatorBase& sim,
                           std::span<const QaoaParams> batch, bool spreads,
                           const char* label, int shots = 0) {
-  BatchOptions opts;
-  opts.compute_overlap = true;
-  opts.keep_states = true;
-  opts.sample_shots = shots;
-  opts.sample_seed = 17;
+  constexpr std::uint64_t kSeed = 17;
+  const EvalRequest request{.overlap = true, .shots = shots};
   for (const int threads : {4, 1}) {
-    BatchResult r;
+    std::vector<EvalResult> r;
     testing::with_threads(threads, [&] {
-      r = BatchEvaluator(sim).evaluate(batch, opts);
-      EXPECT_EQ(r.used, spreads ? testing::spread_mode()
-                                : BatchParallelism::Inner)
+      const BatchEvaluator evaluator(sim, kSeed);
+      EXPECT_EQ(evaluator.resolve_parallelism(batch.size()),
+                spreads ? testing::spread_mode() : BatchParallelism::Inner)
           << label << " threads=" << threads;
+      r = evaluator.evaluate(batch, request);
     });
-    ASSERT_EQ(r.expectations.size(), batch.size()) << label;
+    ASSERT_EQ(r.size(), batch.size()) << label;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const StateVector ref =
           sim.simulate_qaoa(batch[i].gammas, batch[i].betas);
-      EXPECT_EQ(r.expectations[i], sim.get_expectation(ref))
+      EXPECT_EQ(r[i].expectation, sim.get_expectation(ref))
           << label << " schedule " << i << " threads=" << threads;
-      EXPECT_EQ(r.overlaps[i], sim.get_overlap(ref))
-          << label << " schedule " << i << " threads=" << threads;
-      EXPECT_EQ(r.states[i].max_abs_diff(ref), 0.0)
+      EXPECT_EQ(r[i].overlap, sim.get_overlap(ref))
           << label << " schedule " << i << " threads=" << threads;
       if (shots > 0) {
-        Rng rng(opts.sample_seed + i);
-        EXPECT_EQ(r.samples[i], sample_states(ref, shots, rng))
+        Rng rng(kSeed + i);
+        EXPECT_EQ(r[i].samples, sample_states(ref, shots, rng))
             << label << " schedule " << i << " threads=" << threads;
       }
     }
@@ -175,20 +171,17 @@ TEST(BatchCrossValidation, SamplesMatchPerScheduleSamplingContract) {
   const TermList terms = labs_terms(8);
   const FurQaoaSimulator sim(terms, {});
   const std::vector<QaoaParams> batch = random_batch(7, 5);
-  BatchOptions opts;
-  opts.sample_shots = 64;
-  opts.sample_seed = 99;
-  const BatchResult r = BatchEvaluator(sim).evaluate(batch, opts);
-  ASSERT_EQ(r.samples.size(), batch.size());
+  const std::uint64_t seed = 99;
+  const std::vector<EvalResult> r =
+      BatchEvaluator(sim, seed).evaluate(batch, {.shots = 64});
+  ASSERT_EQ(r.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     // The documented contract: schedule i samples with seed sample_seed+i,
     // independent of evaluation order and parallelism mode.
     const StateVector ref =
         sim.simulate_qaoa(batch[i].gammas, batch[i].betas);
-    Rng rng(opts.sample_seed + i);
-    EXPECT_EQ(r.samples[i],
-              sample_states(ref, opts.sample_shots, rng))
-        << "schedule " << i;
+    Rng rng(seed + i);
+    EXPECT_EQ(r[i].samples, sample_states(ref, 64, rng)) << "schedule " << i;
   }
 }
 
@@ -197,9 +190,9 @@ TEST(BatchCrossValidation, HeterogeneousDepthsIncludingZero) {
   const FurQaoaSimulator sim(terms, {.exec = Exec::Serial});
   std::vector<QaoaParams> batch = random_batch(13, 3);
   batch.insert(batch.begin() + 1, QaoaParams{});  // p = 0: initial state
-  const BatchResult r = BatchEvaluator(sim).evaluate(batch);
+  const std::vector<EvalResult> r = BatchEvaluator(sim).evaluate(batch);
   const StateVector init = sim.initial_state();
-  EXPECT_EQ(r.expectations[1], sim.get_expectation(init));
+  EXPECT_EQ(r[1].expectation, sim.get_expectation(init));
 }
 
 TEST(BatchCrossValidation, MismatchedScheduleLengthsThrow) {

@@ -1,6 +1,6 @@
 // Scratch-pool and consume-in-place regression tests: the batch engine
 // reuses statevector buffers across evaluations; these tests pin that
-// (a) reuse never aliases results across schedules, (b) repeated batches
+// (a) reuse never mixes results across schedules, (b) repeated batches
 // are bitwise deterministic, (c) the steady-state evaluation loops
 // perform zero statevector allocations (via the instrumented
 // AlignedAllocator counter), (d) a slot refilled in place holds exactly
@@ -42,26 +42,31 @@ std::vector<QaoaParams> two_distinct_schedules() {
   return {a, b};
 }
 
-TEST(BatchScratch, DifferentSchedulesNeverShareOutputState) {
+TEST(BatchScratch, DifferentSchedulesNeverShareResults) {
+  // Two schedules through one reused slot (Inner) or two slots (Outer):
+  // each result is its own schedule's, not one slot's reported twice.
   const TermList terms = labs_terms(8);
   const FurQaoaSimulator sim(terms, {});
   const std::vector<QaoaParams> batch = two_distinct_schedules();
-  BatchOptions opts;
-  opts.keep_states = true;
+  const EvalRequest request{.overlap = true, .shots = 16};
   for (const int threads : kModeThreads) {
     SCOPED_TRACE(threads);
     with_threads(threads, [&] {
-      const BatchResult r = BatchEvaluator(sim).evaluate(batch, opts);
-      EXPECT_EQ(r.used, spread_mode());
-      ASSERT_EQ(r.states.size(), 2u);
-      // The two outputs must be the two distinct per-schedule states, not
-      // one scratch buffer reported twice.
-      EXPECT_GT(r.states[0].max_abs_diff(r.states[1]), 1e-3);
-      EXPECT_NE(r.states[0].data(), r.states[1].data());
+      const BatchEvaluator evaluator(sim);
+      EXPECT_EQ(evaluator.resolve_parallelism(batch.size()), spread_mode());
+      const std::vector<EvalResult> r = evaluator.evaluate(batch, request);
+      ASSERT_EQ(r.size(), 2u);
+      EXPECT_NE(r[0].expectation, r[1].expectation);
+      EXPECT_NE(r[0].samples, r[1].samples);
+      // Each equals its own schedule's sequential reference, drawn from
+      // Rng(1 + i).
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const StateVector ref =
             sim.simulate_qaoa(batch[i].gammas, batch[i].betas);
-        EXPECT_EQ(r.states[i].max_abs_diff(ref), 0.0) << "schedule " << i;
+        EXPECT_EQ(r[i].expectation, sim.get_expectation(ref)) << i;
+        EXPECT_EQ(r[i].overlap, sim.get_overlap(ref)) << i;
+        Rng rng(1 + i);
+        EXPECT_EQ(r[i].samples, sample_states(ref, 16, rng)) << i;
       }
     });
   }
@@ -71,19 +76,17 @@ TEST(BatchScratch, RepeatedBatchCallsAreBitwiseDeterministic) {
   const TermList terms = maxcut_terms(Graph::random_regular(8, 3, 7));
   const FurQaoaSimulator sim(terms, {});
   const std::vector<QaoaParams> batch = two_distinct_schedules();
-  BatchOptions opts;
-  opts.compute_overlap = true;
-  opts.keep_states = true;
-  opts.sample_shots = 32;
+  const EvalRequest request{.overlap = true, .shots = 32};
   const BatchEvaluator evaluator(sim);
-  const BatchResult first = evaluator.evaluate(batch, opts);
+  const std::vector<EvalResult> first = evaluator.evaluate(batch, request);
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const BatchResult again = evaluator.evaluate(batch, opts);
-    EXPECT_EQ(again.expectations, first.expectations);
-    EXPECT_EQ(again.overlaps, first.overlaps);
-    EXPECT_EQ(again.samples, first.samples);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      EXPECT_EQ(again.states[i].max_abs_diff(first.states[i]), 0.0);
+    const std::vector<EvalResult> again = evaluator.evaluate(batch, request);
+    ASSERT_EQ(again.size(), first.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(again[i].expectation, first[i].expectation);
+      EXPECT_EQ(again[i].overlap, first[i].overlap);
+      EXPECT_EQ(again[i].samples, first[i].samples);
+    }
   }
 }
 
@@ -171,47 +174,39 @@ TEST(BatchScratch, BatchSteadyStateAllocatesNoStatevectors) {
   EXPECT_EQ(aligned_allocation_count(), baseline);
 }
 
-TEST(BatchScratch, EvaluateIntoReusesResultBuffersAcrossCalls) {
-  // evaluate_into must reuse the caller's BatchResult: after the first
-  // call, repeated same-shape calls perform zero aligned allocations even
-  // with keep_states on (the per-schedule state slots are refilled by
-  // copy-assign, which reuses their buffers).
+TEST(BatchScratch, ScoredBatchesAllocateNoStatevectors) {
+  // Overlaps and samples are scored on the pool slot in place: after the
+  // first call, repeated batches allocate no aligned memory and return the
+  // same bits. Fields a request leaves off stay empty.
   const TermList terms = labs_terms(9);
   const FurQaoaSimulator sim(terms, {});
   const BatchEvaluator evaluator(sim);
   const std::vector<QaoaParams> batch = two_distinct_schedules();
-  BatchOptions opts;
-  opts.compute_overlap = true;
-  opts.keep_states = true;
-  opts.sample_shots = 8;
-
-  const BatchResult fresh = evaluator.evaluate(batch, opts);
-  BatchResult reused;
-  evaluator.evaluate_into(batch, opts, reused);
+  const EvalRequest request{.overlap = true, .shots = 8};
+  const std::vector<EvalResult> first = evaluator.evaluate(batch, request);
   const std::uint64_t baseline = aligned_allocation_count();
   for (int repeat = 0; repeat < 3; ++repeat) {
-    evaluator.evaluate_into(batch, opts, reused);
-    EXPECT_EQ(reused.expectations, fresh.expectations);
-    EXPECT_EQ(reused.overlaps, fresh.overlaps);
-    EXPECT_EQ(reused.samples, fresh.samples);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      EXPECT_EQ(reused.states[i].max_abs_diff(fresh.states[i]), 0.0);
+    const std::vector<EvalResult> again = evaluator.evaluate(batch, request);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(again[i].expectation, first[i].expectation);
+      EXPECT_EQ(again[i].overlap, first[i].overlap);
+      EXPECT_EQ(again[i].samples, first[i].samples);
+    }
   }
   EXPECT_EQ(aligned_allocation_count(), baseline);
 
-  // Dropping a request clears the stale field instead of leaving it.
-  opts.keep_states = false;
-  opts.sample_shots = 0;
-  evaluator.evaluate_into(batch, opts, reused);
-  EXPECT_TRUE(reused.states.empty());
-  EXPECT_TRUE(reused.samples.empty());
-  EXPECT_EQ(reused.expectations, fresh.expectations);
+  const std::vector<EvalResult> plain = evaluator.evaluate(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(plain[i].expectation, first[i].expectation);
+    EXPECT_FALSE(plain[i].overlap.has_value());
+    EXPECT_FALSE(plain[i].samples.has_value());
+  }
 }
 
 TEST(BatchScratch, SessionBatchSteadyStateAllocatesNoStatevectors) {
   // The session wrapper behind qaoa_batch_evaluate reserves once via its
-  // scratch pool and reused BatchResult: repeated evaluate_batch calls
-  // (expectations + overlaps + samples) allocate no aligned memory.
+  // scratch pool: repeated evaluate_batch calls (expectations + overlaps
+  // + samples) allocate no aligned memory.
   for (const char* name : {"auto", "auto:prec=f32"}) {
     SCOPED_TRACE(name);
     const api::ProblemSession session =
@@ -334,48 +329,41 @@ TEST(BatchScratch, HeuristicRespectsThreadCountAndSimulatorPreference) {
   with_threads(4, [&] {
     EXPECT_EQ(narrow->pool_size(), 1u);
     EXPECT_EQ(narrow->resolve_parallelism(16), BatchParallelism::Inner);
-    const BatchResult r = narrow->evaluate(two_distinct_schedules());
-    EXPECT_EQ(r.used, BatchParallelism::Inner);
+    EXPECT_EQ(narrow->evaluate(two_distinct_schedules()).size(), 2u);
   });
 }
 
 TEST(BatchScratch, TimingsAreTakenOnTheEvolvingThreadInBothModes) {
   // simulate_ns covers the fill, the evolution and the fused expectation;
-  // reduce_ns the overlap, the sampling and the kept-state copy. Both
-  // are filled for every schedule whichever mode runs it.
+  // reduce_ns the overlap and the sampling. Every result carries both,
+  // whichever mode runs it.
   const TermList terms = labs_terms(12);
   const FurQaoaSimulator sim(terms, {});
   const std::vector<QaoaParams> batch = two_distinct_schedules();
-  BatchOptions opts;
-  opts.compute_overlap = true;
-  opts.keep_states = true;
-  opts.sample_shots = 16;
-  opts.record_timings = true;
-  api::EvalRequest request;
-  request.overlap = true;
-  request.shots = 16;
-  request.timings = true;
+  const EvalRequest request{.overlap = true, .shots = 16};
   for (const int threads : kModeThreads) {
     SCOPED_TRACE(threads);
     with_threads(threads, [&] {
-      const BatchResult r = BatchEvaluator(sim).evaluate(batch, opts);
-      EXPECT_EQ(r.used, spread_mode());
-      ASSERT_EQ(r.simulate_ns.size(), batch.size());
-      ASSERT_EQ(r.reduce_ns.size(), batch.size());
+      const BatchEvaluator evaluator(sim);
+      EXPECT_EQ(evaluator.resolve_parallelism(batch.size()), spread_mode());
+      const std::vector<EvalResult> r = evaluator.evaluate(batch, request);
+      ASSERT_EQ(r.size(), batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_GT(r.simulate_ns[i], 0u) << "schedule " << i;
-        EXPECT_GT(r.reduce_ns[i], 0u) << "schedule " << i;
+        EXPECT_GT(r[i].timings.simulate_ns, 0u) << "schedule " << i;
+        EXPECT_GT(r[i].timings.reduce_ns, 0u) << "schedule " << i;
+        // A bare engine has no precompute or enclosing submission.
+        EXPECT_EQ(r[i].timings.precompute_ns, 0u) << "schedule " << i;
+        EXPECT_EQ(r[i].timings.batch_ns, 0u) << "schedule " << i;
       }
-      // The session surface reports the same per-item fields.
+      // The session surface stamps its precompute and the whole call.
       const api::ProblemSession session = api::ProblemSession::labs(12);
       ASSERT_EQ(session.batch().resolve_parallelism(batch.size()),
                 spread_mode());
-      for (const api::EvalResult& item :
-           session.evaluate_batch(batch, request)) {
-        ASSERT_TRUE(item.timings.has_value());
-        EXPECT_GT(item.timings->simulate_ns, 0u);
-        EXPECT_GT(item.timings->reduce_ns, 0u);
-        EXPECT_GE(item.timings->batch_ns, item.timings->simulate_ns);
+      for (const EvalResult& item : session.evaluate_batch(batch, request)) {
+        EXPECT_GT(item.timings.simulate_ns, 0u);
+        EXPECT_GT(item.timings.reduce_ns, 0u);
+        EXPECT_EQ(item.timings.precompute_ns, session.precompute_ns());
+        EXPECT_GE(item.timings.batch_ns, item.timings.simulate_ns);
       }
     });
   }
@@ -383,29 +371,27 @@ TEST(BatchScratch, TimingsAreTakenOnTheEvolvingThreadInBothModes) {
 
 TEST(BatchScratch, AFailingScheduleThrowsAfterTheTeamJoins) {
   // A finite gamma so large that gamma * C overflows passes the engine's
-  // schedule check but evolves into a NaN state, which the sampler
-  // refuses. In Outer mode that throw happens on a worker thread: it must
-  // surface after the join as the caller's exception (not
-  // std::terminate), as the sequential loop throws it, and leave the
-  // evaluator usable.
+  // schedule check, and the simulator refuses it before its first layer,
+  // on the thread that runs the schedule. In Outer mode that is a worker
+  // thread: the throw must surface after the join as the caller's
+  // exception (not std::terminate), as the sequential loop throws it, and
+  // leave the evaluator usable.
   const TermList terms = labs_terms(8);
   const FurQaoaSimulator sim(terms, {});
   std::vector<QaoaParams> batch(6, two_distinct_schedules().front());
   batch[3].gammas[1] = std::numeric_limits<double>::max();
-  BatchOptions opts;
-  opts.sample_shots = 4;
+  const EvalRequest request{.shots = 4};
   for (const int threads : kModeThreads) {
     SCOPED_TRACE(threads);
     with_threads(threads, [&] {
       const BatchEvaluator evaluator(sim);
       ASSERT_EQ(evaluator.resolve_parallelism(batch.size()), spread_mode());
-      EXPECT_THROW((void)evaluator.evaluate(batch, opts),
+      EXPECT_THROW((void)evaluator.evaluate(batch, request),
                    std::invalid_argument);
       const std::vector<QaoaParams> good = two_distinct_schedules();
-      const BatchResult r = evaluator.evaluate(good, opts);
-      EXPECT_EQ(r.used, spread_mode());
+      const std::vector<EvalResult> r = evaluator.evaluate(good, request);
       for (std::size_t i = 0; i < good.size(); ++i)
-        EXPECT_EQ(r.expectations[i],
+        EXPECT_EQ(r[i].expectation,
                   sim.get_expectation(
                       sim.simulate_qaoa(good[i].gammas, good[i].betas)));
     });

@@ -134,12 +134,12 @@ TEST(AlignedBuffers, MappedBlocksGoBackToTheOs) {
     const std::uint64_t with_sim = aligned_live_bytes();
     {
       const BatchEvaluator evaluator(sim);
-      BatchOptions opts;
-      opts.sample_shots = 16;
-      const BatchResult r = evaluator.evaluate(
-          schedules(static_cast<int>(evaluator.pool_size()), 4), opts);
-      EXPECT_EQ(r.used, evaluator.pool_size() > 1 ? BatchParallelism::Outer
-                                                  : BatchParallelism::Inner);
+      const std::vector<QaoaParams> batch =
+          schedules(static_cast<int>(evaluator.pool_size()), 4);
+      EXPECT_EQ(evaluator.resolve_parallelism(batch.size()),
+                evaluator.pool_size() > 1 ? BatchParallelism::Outer
+                                          : BatchParallelism::Inner);
+      (void)evaluator.evaluate(batch, {.shots = 16});
       EXPECT_GT(aligned_live_bytes(), with_sim);
     }
     EXPECT_EQ(aligned_live_bytes(), with_sim) << "batch evaluator";

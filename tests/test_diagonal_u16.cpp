@@ -56,7 +56,8 @@ TEST(DiagonalU16, PhaseTableMatchesDirectExponentials) {
   const CostDiagonal d = CostDiagonal::precompute(labs_terms(8));
   const DiagonalU16 u = DiagonalU16::encode(d);
   const double gamma = 0.413;
-  const auto lut = u.phase_table(gamma);
+  aligned_vector<std::complex<double>> lut;
+  u.phase_table_into(gamma, lut);
   ASSERT_EQ(lut.size(), 65536u);
   for (std::uint32_t c = 0; c < 300; ++c) {
     const double ang = -gamma * (u.offset() + u.scale() * c);

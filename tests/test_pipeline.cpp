@@ -331,7 +331,7 @@ TEST(PipelineFallback, RunLayerRejectsMisuse) {
 // ------------------------------------------------- fused expectation
 
 TEST(PipelineFusedExpectation, SessionMatchesTheTwoPassOracle) {
-  // Every session evaluate, timed or not, takes the fused simulate+reduce
+  // Every session evaluate takes the fused simulate+reduce
   // route where the plan allows it: at n = 11 (the final pass covers a
   // whole kReduceBlock), not at n = 8, where the simulator silently runs
   // the two-pass default. The oracle is the simulator's own two passes,
@@ -362,14 +362,9 @@ TEST(PipelineFusedExpectation, SessionMatchesTheTwoPassOracle) {
             fur->simulate_qaoa(sched.gammas, sched.betas);
         api::EvalRequest request;
         request.overlap = true;  // expectation defaults to true
-        for (const bool timed : {false, true}) {
-          request.timings = timed;
-          const api::EvalResult fused = session.evaluate(sched, request);
-          EXPECT_EQ(fused.expectation, fur->get_expectation(two_pass))
-              << label << " timed=" << timed;
-          EXPECT_EQ(fused.overlap, fur->get_overlap(two_pass))
-              << label << " timed=" << timed;
-        }
+        const api::EvalResult fused = session.evaluate(sched, request);
+        EXPECT_EQ(fused.expectation, fur->get_expectation(two_pass)) << label;
+        EXPECT_EQ(fused.overlap, fur->get_overlap(two_pass)) << label;
       }
     }
   }

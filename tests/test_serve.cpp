@@ -812,6 +812,32 @@ TEST(ScheduleServer, NonFiniteAnglesAreBadRequestsBeforeTheCache) {
   server.shutdown();
 }
 
+TEST(ScheduleServer, OverflowingPhasesAreBadRequests) {
+  // A finite gamma whose product with the largest |cost| overflows passes
+  // the schedule check and reaches the session, whose simulator refuses
+  // it before the first layer: BadRequest naming the layer, not an Ok
+  // carrying a NaN energy.
+  ServerConfig config;
+  config.workers = 1;
+  ScheduleServer server(config);
+  Request request;
+  request.terms = labs_terms(10);
+  request.schedules = random_schedules(2, 2, 41);
+  request.schedules[1].gammas = {0.2, 1e308};
+  const Response r = server.submit_blocking(request);
+  EXPECT_EQ(r.status, Status::BadRequest);
+  EXPECT_NE(r.error.find("layer 1"), std::string::npos) << r.error;
+  EXPECT_TRUE(r.expectations.empty());
+  // The checked-in session still serves the good schedule.
+  request.schedules.pop_back();
+  const Response ok = server.submit_blocking(request);
+  ASSERT_EQ(ok.status, Status::Ok) << ok.error;
+  ASSERT_EQ(ok.expectations.size(), 1u);
+  EXPECT_TRUE(std::isfinite(ok.expectations[0]));
+  EXPECT_TRUE(ok.cache_hit);
+  server.shutdown();
+}
+
 TEST(ScheduleServer, MalformedSocketBytesGetErrorReplyAndClose) {
   ServerConfig config;
   config.workers = 1;

@@ -507,22 +507,19 @@ TEST(ProblemSession, RefusesAnOutOfRangeOverlapWeightBeforeAllocating) {
                                       SimulatorSpec::parse(name));
     api::EvalRequest request;
     request.overlap = true;
-    BatchOptions opts;
-    opts.compute_overlap = true;
     for (const int weight : {11, -2}) {
       request.overlap_weight = weight;
-      opts.overlap_weight = weight;
       const std::uint64_t before = aligned_allocation_count();
       EXPECT_THROW((void)session.evaluate(batch[0], request),
                    std::invalid_argument);
       EXPECT_THROW((void)session.evaluate_batch(batch, request),
                    std::invalid_argument);
-      EXPECT_THROW((void)session.batch().evaluate(batch, opts),
+      EXPECT_THROW((void)session.batch().evaluate(batch, request),
                    std::invalid_argument);
       // The one-line wrapper refuses before it builds its own session.
-      EXPECT_THROW(
-          (void)api::qaoa_batch_evaluate(session.terms(), batch, opts, name),
-          std::invalid_argument);
+      EXPECT_THROW((void)api::qaoa_batch_evaluate(session.terms(), batch,
+                                                  request, name),
+                   std::invalid_argument);
       EXPECT_EQ(aligned_allocation_count(), before) << name << weight;
     }
     for (const int weight : {-1, 0, 10}) {  // both ends are sectors
@@ -546,15 +543,14 @@ TEST(ProblemSession, EvaluateBatchMatchesScalarEvaluateAndLegacyBatch) {
         session.evaluate_batch(schedules, request);
     ASSERT_EQ(batch.size(), schedules.size());
 
-    const BatchOptions legacy_opts{.compute_overlap = true,
-                                   .sample_shots = 16};
-    const BatchResult legacy =
-        api::qaoa_batch_evaluate(terms, schedules, legacy_opts, name);
+    const std::vector<api::EvalResult> legacy =
+        api::qaoa_batch_evaluate(terms, schedules, request, name);
+    ASSERT_EQ(legacy.size(), schedules.size());
 
     for (std::size_t i = 0; i < schedules.size(); ++i) {
-      EXPECT_EQ(*batch[i].expectation, legacy.expectations[i]) << i;
-      EXPECT_EQ(*batch[i].overlap, legacy.overlaps[i]) << i;
-      EXPECT_EQ(*batch[i].samples, legacy.samples[i]) << i;
+      EXPECT_EQ(*batch[i].expectation, *legacy[i].expectation) << i;
+      EXPECT_EQ(*batch[i].overlap, *legacy[i].overlap) << i;
+      EXPECT_EQ(*batch[i].samples, *legacy[i].samples) << i;
       // Scalar path agrees bit for bit (same seed: batch index 0 and the
       // scalar call both draw from Rng(sample_seed + 0)).
       const api::EvalResult scalar = session.evaluate(schedules[i], request);
@@ -574,22 +570,24 @@ TEST(ProblemSession, RequestFlagsControlResultFields) {
   EXPECT_TRUE(plain.expectation.has_value());
   EXPECT_FALSE(plain.overlap.has_value());
   EXPECT_FALSE(plain.samples.has_value());
-  EXPECT_FALSE(plain.timings.has_value());
   EXPECT_FALSE(plain.params.has_value());
+  // Timings are always filled; a scalar evaluate rides no enclosing batch.
+  EXPECT_EQ(plain.timings.precompute_ns, session.precompute_ns());
+  EXPECT_GT(plain.timings.simulate_ns, 0u);
+  EXPECT_EQ(plain.timings.batch_ns, 0u);
 
   api::EvalRequest request;
   request.expectation = false;
   request.overlap = true;
   request.shots = 8;
-  request.timings = true;
   const api::EvalResult full = session.evaluate(params, request);
   EXPECT_FALSE(full.expectation.has_value());
   EXPECT_TRUE(full.overlap.has_value());
   ASSERT_TRUE(full.samples.has_value());
   EXPECT_EQ(full.samples->size(), 8u);
-  ASSERT_TRUE(full.timings.has_value());
-  EXPECT_EQ(full.timings->precompute_ns, session.precompute_ns());
-  EXPECT_GT(full.timings->simulate_ns, 0u);
+  EXPECT_EQ(full.timings.precompute_ns, session.precompute_ns());
+  EXPECT_GT(full.timings.simulate_ns, 0u);
+  EXPECT_GT(full.timings.reduce_ns, 0u);
 
   // Negative shot counts throw on every path, as they always have.
   api::EvalRequest negative;
@@ -600,10 +598,9 @@ TEST(ProblemSession, RequestFlagsControlResultFields) {
   EXPECT_THROW((void)session.evaluate_batch(batch, negative),
                std::invalid_argument);
   EXPECT_THROW((void)session.sample(params, -1), std::invalid_argument);
-  BatchOptions bad;
-  bad.sample_shots = -1;
-  EXPECT_THROW((void)api::qaoa_batch_evaluate(session.terms(), batch, bad),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)api::qaoa_batch_evaluate(session.terms(), batch, negative),
+      std::invalid_argument);
 }
 
 TEST(ProblemSession, OptimizeMatchesLegacyOneLineOptimizer) {
@@ -687,6 +684,95 @@ TEST(ProblemSession, NonFiniteOrRaggedSchedulesAreRejectedNamingTheLayer) {
                   "3 gammas but 2 betas");
   // Nothing ran: the session still evaluates bit-identically.
   EXPECT_EQ(*session.evaluate(good).expectation, before);
+}
+
+TEST(ProblemSession, RefusesAPhaseThatOverflowsNamingTheLayer) {
+  // A finite gamma passes QaoaParams::check(), but one whose product with
+  // the largest |cost| overflows would evolve a NaN state. Every simulator
+  // refuses it before its first layer runs, naming the layer, and the
+  // session stays usable.
+  QaoaParams huge;
+  huge.gammas = {0.2, 1e308};
+  huge.betas = {0.3, -0.4};
+  QaoaParams negative = huge;
+  negative.gammas[1] = -1e308;
+  const QaoaParams good = random_schedules(1, 2, 37).front();
+  const auto expect_refused = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "evolved a phase that overflows";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("layer 1"), std::string::npos)
+          << e.what();
+    }
+  };
+  // With observability on, the pipeline's pass counter shows that not
+  // even layer 0 ran.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter passes =
+      obs::counter("qokit_pipeline_tile_passes_total");
+  for (const char* name : {"auto", "serial", "u16", "dist:2", "auto:prec=f32",
+                           "auto:mixer=xyring"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session(labs_terms(10),
+                                      SimulatorSpec::parse(name));
+    const double before = *session.evaluate(good).expectation;
+    const std::uint64_t ran = passes.value();
+    expect_refused([&] { (void)session.evaluate(huge); });
+    expect_refused([&] { (void)session.evaluate(negative); });
+    expect_refused([&] { (void)session.simulate(huge); });
+    expect_refused([&] { (void)session.sample(huge, 4); });
+    api::OptimizerSpec optimizer;
+    optimizer.p = 2;
+    optimizer.initial = huge;
+    expect_refused([&] { (void)session.optimize(optimizer); });
+    EXPECT_EQ(passes.value(), ran);
+    // In a batch, the schedules before it are evaluated; the call throws.
+    const std::vector<QaoaParams> batch = {good, huge};
+    expect_refused([&] { (void)session.evaluate_batch(batch); });
+    expect_refused([&] { (void)session.expectations(batch); });
+    EXPECT_EQ(*session.evaluate(good).expectation, before);
+  }
+  EXPECT_GT(passes.value(), 0u);
+  obs::set_enabled(was_enabled);
+
+  // The multi-angle path checks the same bound.
+  const FurQaoaSimulator sim(labs_terms(10), {});
+  const std::vector<double> betas(2 * 10, 0.1);
+  expect_refused([&] { (void)simulate_ma_qaoa(sim, huge.gammas, betas); });
+  // A large gamma whose phases stay finite still evolves.
+  QaoaParams large = huge;
+  large.gammas[1] = 1e300;
+  EXPECT_TRUE(std::isfinite(
+      *api::ProblemSession::labs(10).evaluate(large).expectation));
+}
+
+TEST(ProblemSession, OneLineBatchEvaluateSamplesWithTheSpecsSeed) {
+  // The spec's seed= is the one sampling seed: the one-line batch wrapper
+  // draws what a session built from the same spec draws, bit for bit.
+  const TermList terms = labs_terms(10);
+  const std::vector<QaoaParams> s = random_schedules(3, 2, 31);
+  for (const char* name : {"auto:seed=7", "auto:prec=f32:seed=7"}) {
+    SCOPED_TRACE(name);
+    const std::vector<api::EvalResult> one_line =
+        api::qaoa_batch_evaluate(terms, s, {.shots = 5}, name);
+    const std::vector<api::EvalResult> session =
+        api::ProblemSession(terms, SimulatorSpec::parse(name))
+            .evaluate_batch(s, {.shots = 5});
+    ASSERT_EQ(one_line.size(), s.size());
+    ASSERT_EQ(session.size(), s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      ASSERT_TRUE(one_line[i].samples.has_value()) << i;
+      EXPECT_EQ(one_line[i].samples, session[i].samples) << i;
+    }
+  }
+  // "auto" draws with seed 1, so seed 7 must (with overwhelming
+  // probability) draw a different stream.
+  EXPECT_NE(api::qaoa_batch_evaluate(terms, s, {.shots = 64}, "auto")[0]
+                .samples,
+            api::qaoa_batch_evaluate(terms, s, {.shots = 64}, "auto:seed=7")[0]
+                .samples);
 }
 
 TEST(ProblemSession, EqualSpecsProduceIdenticalSampleStreamsAcrossExec) {

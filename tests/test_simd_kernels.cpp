@@ -20,7 +20,6 @@
 #include "diagonal/diagonal_u16.hpp"
 #include "diagonal/ops.hpp"
 #include "fur/simulator.hpp"
-#include "fur/su2.hpp"
 #include "problems/labs.hpp"
 #include "simd/kernels.hpp"
 #include "statevector/sampling.hpp"

@@ -1,16 +1,21 @@
-#include "fur/su2.hpp"
-
+// Algorithm 1/2 (tests/support/su2_oracle.hpp) against a dense 2x2
+// reference, and the production RX butterfly against Algorithm 1.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "support/reference.hpp"
+#include "support/su2_oracle.hpp"
 
 namespace qokit {
 namespace {
 
+using testing::apply_rx;
+using testing::apply_su2;
+using testing::apply_su2_product;
 using testing::max_diff;
+using testing::Su2;
 using testing::to_vec;
 
 StateVector random_state(int n, std::uint64_t seed) {
