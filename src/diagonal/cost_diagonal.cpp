@@ -86,8 +86,19 @@ void precompute_costs(const TermList& terms, std::uint64_t begin,
   }
 }
 
+double checked_cost_bound(const TermList& terms, const char* who) {
+  double bound = 0.0;
+  for (const Term& t : terms) bound += std::abs(t.weight);
+  if (!std::isfinite(bound))
+    throw std::invalid_argument(std::string(who) +
+                                ": the terms' sum of |weight| is " +
+                                std::to_string(bound) + ", not finite");
+  return bound;
+}
+
 CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
   check_qubit_limit(terms.num_qubits(), "CostDiagonal::precompute");
+  checked_cost_bound(terms, "CostDiagonal::precompute");
   static const obs::Counter precomputes =
       obs::counter("qokit_precomputes_total");
   static const obs::Histogram precompute_hist =
@@ -177,19 +188,24 @@ std::uint64_t CostDiagonal::ground_state_count(double tol) const {
   return count;
 }
 
-void check_phase_angles(const CostDiagonal& diag,
+void check_phase_angles(double largest, const char* what,
                         std::span<const double> gammas) {
-  if (gammas.empty()) return;
-  const double largest =
-      std::max(std::abs(diag.min_value()), std::abs(diag.max_value()));
   for (std::size_t l = 0; l < gammas.size(); ++l) {
     if (std::isfinite(std::abs(gammas[l]) * largest)) continue;
-    char text[96];
-    std::snprintf(text, sizeof text, "gamma %g times the largest |cost| %g",
-                  gammas[l], largest);
+    char text[128];
+    std::snprintf(text, sizeof text, "gamma %g times %s %g", gammas[l], what,
+                  largest);
     throw std::invalid_argument("phase angle at layer " + std::to_string(l) +
                                 " is not finite: " + text);
   }
+}
+
+void check_phase_angles(const CostDiagonal& diag,
+                        std::span<const double> gammas) {
+  if (gammas.empty()) return;
+  check_phase_angles(
+      std::max(std::abs(diag.min_value()), std::abs(diag.max_value())),
+      "the largest |cost|", gammas);
 }
 
 }  // namespace qokit

@@ -28,6 +28,14 @@ namespace qokit {
 void precompute_costs(const TermList& terms, std::uint64_t begin,
                       std::span<double> out);
 
+/// sum_t |w_t| over every term, constant ones included, summed in list
+/// order: a bound on every |c_x| precompute_costs forms (each of its
+/// partial sums is bounded by the matching partial sum here, rounding
+/// included). Throws std::invalid_argument naming `who` when the bound is
+/// not finite (a NaN or infinite weight, or magnitudes whose sum
+/// overflows), so such terms are refused before any 2^n allocation.
+double checked_cost_bound(const TermList& terms, const char* who);
+
 /// The 2^n cost vector c_x = f(x).
 class CostDiagonal {
  public:
@@ -40,8 +48,8 @@ class CostDiagonal {
   /// Precompute from polynomial terms (Eq. 1): precompute_costs over the
   /// whole index range, in chunks spread over threads under
   /// Exec::Parallel. c_x equals terms.evaluate(x) bit for bit under
-  /// either Exec. Throws std::invalid_argument past kMaxQubits, before
-  /// allocating.
+  /// either Exec. Throws std::invalid_argument past kMaxQubits or when
+  /// checked_cost_bound refuses the terms, before allocating.
   static CostDiagonal precompute(const TermList& terms,
                                  Exec exec = Exec::Parallel);
 
@@ -95,10 +103,17 @@ class CostDiagonal {
 };
 
 /// Refuses phase angles that overflow: throws std::invalid_argument naming
-/// the first layer l at which |gammas[l]| * max_x |c_x| is not finite (a
-/// non-finite gamma included). Every simulator runs it before its first
-/// layer, so such a schedule never evolves into a NaN state. max_x |c_x|
-/// comes from the cached extrema: the diagonal is scanned once.
+/// the first layer l at which |gammas[l]| * largest is not finite (a
+/// non-finite gamma included). `largest` bounds every |c_x|; `what` names
+/// it in the message. The server passes checked_cost_bound, so it refuses
+/// from the terms alone, before a cache checkout.
+void check_phase_angles(double largest, const char* what,
+                        std::span<const double> gammas);
+
+/// check_phase_angles with largest = max_x |c_x|. Every simulator runs it
+/// before its first layer, so such a schedule never evolves into a NaN
+/// state. max_x |c_x| comes from the cached extrema: the diagonal is
+/// scanned once.
 void check_phase_angles(const CostDiagonal& diag,
                         std::span<const double> gammas);
 

@@ -80,23 +80,20 @@ DiagonalU16 DiagonalU16::encode(const CostDiagonal& d, Exec exec) {
   return out;
 }
 
+template <class T>
 void DiagonalU16::phase_table_into(
-    double gamma, aligned_vector<std::complex<double>>& lut) const {
+    double gamma, aligned_vector<std::complex<T>>& lut) const {
   lut.resize(65536);
   for (std::uint32_t c = 0; c < 65536; ++c) {
     const double ang = -gamma * (offset_ + scale_ * c);
-    lut[c] = std::complex<double>(std::cos(ang), std::sin(ang));
+    lut[c] = std::complex<T>(static_cast<T>(std::cos(ang)),
+                             static_cast<T>(std::sin(ang)));
   }
 }
 
-void DiagonalU16::phase_table_into(
-    double gamma, aligned_vector<std::complex<float>>& lut) const {
-  lut.resize(65536);
-  for (std::uint32_t c = 0; c < 65536; ++c) {
-    const double ang = -gamma * (offset_ + scale_ * c);
-    lut[c] = std::complex<float>(static_cast<float>(std::cos(ang)),
-                                 static_cast<float>(std::sin(ang)));
-  }
-}
+template void DiagonalU16::phase_table_into(
+    double, aligned_vector<std::complex<double>>&) const;
+template void DiagonalU16::phase_table_into(
+    double, aligned_vector<std::complex<float>>&) const;
 
 }  // namespace qokit

@@ -64,13 +64,12 @@ class DiagonalU16 {
   /// decode(c)}, in a caller-owned table of 65536 entries (resize reuses
   /// capacity), so the per-layer phase application can run with zero
   /// steady-state allocations like every other hot path. Rebuild per
-  /// distinct gamma. The complex64 overload computes each factor in
-  /// double and narrows once — the mixed-precision path's table build
-  /// (512 KiB instead of 1 MiB).
+  /// distinct gamma. Instantiated for double and float: a complex64
+  /// table computes each factor in double and narrows once — the
+  /// mixed-precision path's table build (512 KiB instead of 1 MiB).
+  template <class T>
   void phase_table_into(double gamma,
-                        aligned_vector<std::complex<double>>& lut) const;
-  void phase_table_into(double gamma,
-                        aligned_vector<std::complex<float>>& lut) const;
+                        aligned_vector<std::complex<T>>& lut) const;
 
  private:
   int n_ = 0;

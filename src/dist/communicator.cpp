@@ -46,6 +46,8 @@ const AlltoallMetrics& alltoall_metrics() {
   return metrics;
 }
 
+}  // namespace
+
 /// Pairwise exchange (the cuStateVec-style GPU p2p model): K-1 XOR-
 /// scheduled rounds of direct block swaps. In round s the pair (r, r^s)
 /// swaps r's block r^s with (r^s)'s block r; the lower rank performs the
@@ -53,8 +55,10 @@ const AlltoallMetrics& alltoall_metrics() {
 /// touched in exactly one round, so the rounds compose into the full
 /// transpose with a single copy per element and no scratch memory. The
 /// exchanged bytes are charged at the element width.
-template <class C>
-void alltoall_pairwise(WorldState& st, int rank, C* buf, std::uint64_t block) {
+template <class T>
+void Communicator::alltoall(std::complex<T>* buf, std::uint64_t block) {
+  using C = std::complex<T>;
+  WorldState& st = *state_;
   const int k = st.size;
   if (k == 1) return;  // self-exchange is the identity
   const bool observed = obs::enabled();
@@ -73,18 +77,18 @@ void alltoall_pairwise(WorldState& st, int rank, C* buf, std::uint64_t block) {
     span.attr("ranks", k);
     wait_ns = &wait_acc;
   }
-  st.windows[rank] = buf;
+  st.windows[rank_] = buf;
   barrier_wait(st, wait_ns);
   for (int s = 1; s < k; ++s) {
     // A peer that threw never (re)published its window; abandon the
     // exchange rather than swap through a stale or null pointer. run()
     // re-throws the peer's exception once the team joins.
     if (st.failed.load(std::memory_order_acquire)) break;
-    const int peer = rank ^ s;
-    if (rank < peer) {
+    const int peer = rank_ ^ s;
+    if (rank_ < peer) {
       C* mine = buf + static_cast<std::uint64_t>(peer) * block;
       C* theirs = static_cast<C*>(st.windows[peer]) +
-                  static_cast<std::uint64_t>(rank) * block;
+                  static_cast<std::uint64_t>(rank_) * block;
       std::swap_ranges(mine, mine + block, theirs);
     }
     barrier_wait(st, wait_ns);
@@ -92,15 +96,8 @@ void alltoall_pairwise(WorldState& st, int rank, C* buf, std::uint64_t block) {
   if (observed) m->wait_ns.record(wait_acc);
 }
 
-}  // namespace
-
-void Communicator::alltoall(cdouble* buf, std::uint64_t block) {
-  alltoall_pairwise(*state_, rank_, buf, block);
-}
-
-void Communicator::alltoall(cfloat* buf, std::uint64_t block) {
-  alltoall_pairwise(*state_, rank_, buf, block);
-}
+template void Communicator::alltoall(cdouble*, std::uint64_t);
+template void Communicator::alltoall(cfloat*, std::uint64_t);
 
 VirtualRankWorld::VirtualRankWorld(int size) : size_(size) {
   if (size < 1 || !std::has_single_bit(static_cast<unsigned>(size)))

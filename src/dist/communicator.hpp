@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <complex>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -67,13 +68,13 @@ class Communicator {
   /// `block` complex amplitudes. Afterwards block b holds what rank b held
   /// in block rank(): the transpose that implements the paper's
   /// global<->local qubit reordering. All ranks must call collectively
-  /// with the same `block` and the same element type (the f32 overload
-  /// moves half the bytes — the distributed path's share of the
-  /// mixed-precision bandwidth win). The transport is pairwise: K - 1
-  /// XOR-scheduled rounds of direct block swaps between the live
-  /// buffers, one copy per element and no staging memory.
-  void alltoall(cdouble* buf, std::uint64_t block);
-  void alltoall(cfloat* buf, std::uint64_t block);
+  /// with the same `block` and the same element type (complex64 moves
+  /// half the bytes — the distributed path's share of the mixed-precision
+  /// bandwidth win; instantiated for double and float). The transport is
+  /// pairwise: K - 1 XOR-scheduled rounds of direct block swaps between
+  /// the live buffers, one copy per element and no staging memory.
+  template <class T>
+  void alltoall(std::complex<T>* buf, std::uint64_t block);
 
  private:
   friend class VirtualRankWorld;

@@ -21,6 +21,7 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
       world_(cfg.ranks) {
   const int n = terms.num_qubits();
   check_qubit_limit(n, "DistributedFurSimulator");
+  checked_cost_bound(terms, "DistributedFurSimulator");
   if (2 * log2_ranks_ > n)
     throw std::invalid_argument(
         "DistributedFurSimulator: " + std::to_string(cfg.ranks) +
@@ -108,12 +109,10 @@ StateVector DistributedFurSimulator::simulate_qaoa_from(
   const std::uint64_t local = state.size() >> log2_ranks_;
   const double* costs = diag_.data();
   const int g = log2_ranks_;
-  if (state.precision() == Precision::F32)
-    dist_schedule(world_, local_plan_, global_sweep_plan_, state.data_f32(),
-                  local, costs, g, gammas, betas);
-  else
-    dist_schedule(world_, local_plan_, global_sweep_plan_, state.data(),
-                  local, costs, g, gammas, betas);
+  state.visit([&](auto* amp) {
+    dist_schedule(world_, local_plan_, global_sweep_plan_, amp, local, costs,
+                  g, gammas, betas);
+  });
   // The slices live in one contiguous buffer and the exchange is undone
   // every layer, so the "gather" is free.
   return state;

@@ -11,13 +11,10 @@ namespace qokit {
 void apply_mixer_x(StateVector& sv, double beta, Exec exec) {
   const double c = std::cos(beta);
   const double s = std::sin(beta);
-  if (sv.precision() == Precision::F32) {
+  sv.visit([&](auto* amp) {
     for (int q = 0; q < sv.num_qubits(); ++q)
-      simd::rx(sv.data_f32(), sv.size(), q, c, s, exec);
-    return;
-  }
-  for (int q = 0; q < sv.num_qubits(); ++q)
-    simd::rx(sv.data(), sv.size(), q, c, s, exec);
+      simd::rx(amp, sv.size(), q, c, s, exec);
+  });
 }
 
 void apply_mixer_x_multiangle(StateVector& sv, std::span<const double> betas,

@@ -185,12 +185,10 @@ void FurQaoaSimulator::evolve(StateVector& state,
     red.costs = diag_.data();
   }
   const pipeline::ExpectationCtx* reduce = partials ? &red : nullptr;
-  if (state.precision() == Precision::F32)
-    fused_schedule(plan_, state.data_f32(), state.size(), cfg_.use_u16, diag_,
-                   diag16_, gammas, betas, cfg_.exec, reduce, partials);
-  else
-    fused_schedule(plan_, state.data(), state.size(), cfg_.use_u16, diag_,
-                   diag16_, gammas, betas, cfg_.exec, reduce, partials);
+  state.visit([&](auto* amp) {
+    fused_schedule(plan_, amp, state.size(), cfg_.use_u16, diag_, diag16_,
+                   gammas, betas, cfg_.exec, reduce, partials);
+  });
 }
 
 StateVector FurQaoaSimulator::simulate_qaoa_from(

@@ -65,19 +65,6 @@ const obs::Histogram& layer_histogram() {
   return h;
 }
 
-/// Select the active kernel family for the amplitude scalar. Both share
-/// one dispatch level, so a mixed-precision run never mixes families.
-template <class T>
-const simd::detail::KernelsT<T>& active_family();
-template <>
-const simd::detail::KernelsT<double>& active_family<double>() {
-  return simd::detail::active_kernels();
-}
-template <>
-const simd::detail::KernelsT<float>& active_family<float>() {
-  return simd::detail::active_kernels_f32();
-}
-
 /// How many triples a unit's `levels` remaining RX levels split into when
 /// the family has rx3 kernels: as many as leave the rest in pairs, so no
 /// level runs alone unless levels == 1 (4 -> 2+2, 7 -> 3+2+2,
@@ -252,10 +239,10 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
 /// When `red` is set the FINAL pass also reduces each unit into `partials`
 /// (see the header's determinism argument).
 template <class T>
-void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
-                    std::uint64_t n_amps, const PhaseCtxT<T>& phase,
-                    double gamma, double beta, Exec exec,
-                    const ExpectationCtx* red, double* partials) {
+void run_passes(const LayerPlan& plan, std::complex<T>* amp,
+                std::uint64_t n_amps, const PhaseCtxT<T>& phase, double gamma,
+                double beta, Exec exec, const ExpectationCtx* red,
+                double* partials) {
   if (red) {
     if (!can_fuse_expectation(plan, n_amps))
       throw std::logic_error(
@@ -275,7 +262,7 @@ void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
   if (!phase.costs && !(phase.codes && phase.table))
     throw std::invalid_argument(
         "pipeline::run_layer: PhaseCtx needs costs or codes+table");
-  const simd::detail::KernelsT<T>& k = active_family<T>();
+  const simd::detail::KernelsT<T>& k = simd::detail::active<T>();
   const double c = std::cos(beta);
   const double s = std::sin(beta);
   obs::Span span("layer");
@@ -301,43 +288,13 @@ void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
   }
 }
 
-/// Shared body of run_sweep: butterfly-only passes, no phase source.
-template <class T>
-void run_sweep_impl(const LayerPlan& plan, std::complex<T>* amp,
-                    std::uint64_t n_amps, double c, double s, Exec exec) {
-  if (!plan.active())
-    throw std::logic_error("pipeline::run_sweep: plan is not active: " +
-                           plan.fallback_reason());
-  if (n_amps != (1ull << plan.num_qubits()))
-    throw std::invalid_argument("pipeline::run_sweep: array size mismatch");
-  const simd::detail::KernelsT<T>& k = active_family<T>();
-  const PhaseCtxT<T> no_phase;
-  obs::Span span("pipeline_sweep");
-  span.attr("n", plan.num_qubits());
-  for (const LayerPass& p : plan.passes()) {
-    if (p.strided) {
-      strided_pass_counter().add();
-      run_strided_pass<T>(k, p, amp, n_amps, c, s, exec);
-    } else {
-      tile_pass_counter().add();
-      run_tile_pass<T>(k, p, amp, n_amps, no_phase, 0.0, c, s, exec);
-    }
-  }
-}
-
 }  // namespace
 
-void run_layer(const LayerPlan& plan, cdouble* amp, std::uint64_t n_amps,
-               const PhaseCtx& phase, double gamma, double beta, Exec exec) {
-  run_layer_impl(plan, amp, n_amps, phase, gamma, beta, exec, nullptr,
-                 nullptr);
-}
-
-void run_layer(const LayerPlan& plan, cfloat* amp, std::uint64_t n_amps,
-               const PhaseCtxF32& phase, double gamma, double beta,
-               Exec exec) {
-  run_layer_impl(plan, amp, n_amps, phase, gamma, beta, exec, nullptr,
-                 nullptr);
+template <class T>
+void run_layer(const LayerPlan& plan, std::complex<T>* amp,
+               std::uint64_t n_amps, const PhaseCtxT<T>& phase, double gamma,
+               double beta, Exec exec) {
+  run_passes(plan, amp, n_amps, phase, gamma, beta, exec, nullptr, nullptr);
 }
 
 std::int64_t fewest_threaded_units(const LayerPlan& plan, Exec exec) {
@@ -360,30 +317,49 @@ bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps) {
          static_cast<std::uint64_t>(kReduceBlock);
 }
 
-void run_layer_expectation(const LayerPlan& plan, cdouble* amp,
-                           std::uint64_t n_amps, const PhaseCtx& phase,
+template <class T>
+void run_layer_expectation(const LayerPlan& plan, std::complex<T>* amp,
+                           std::uint64_t n_amps, const PhaseCtxT<T>& phase,
                            double gamma, double beta, Exec exec,
                            const ExpectationCtx& reduce, double* partials) {
-  run_layer_impl(plan, amp, n_amps, phase, gamma, beta, exec, &reduce,
-                 partials);
+  run_passes(plan, amp, n_amps, phase, gamma, beta, exec, &reduce, partials);
 }
 
-void run_layer_expectation(const LayerPlan& plan, cfloat* amp,
-                           std::uint64_t n_amps, const PhaseCtxF32& phase,
-                           double gamma, double beta, Exec exec,
-                           const ExpectationCtx& reduce, double* partials) {
-  run_layer_impl(plan, amp, n_amps, phase, gamma, beta, exec, &reduce,
-                 partials);
+/// Butterfly-only passes, no phase source.
+template <class T>
+void run_sweep(const LayerPlan& plan, std::complex<T>* amp,
+               std::uint64_t n_amps, double c, double s, Exec exec) {
+  if (!plan.active())
+    throw std::logic_error("pipeline::run_sweep: plan is not active: " +
+                           plan.fallback_reason());
+  if (n_amps != (1ull << plan.num_qubits()))
+    throw std::invalid_argument("pipeline::run_sweep: array size mismatch");
+  const simd::detail::KernelsT<T>& k = simd::detail::active<T>();
+  const PhaseCtxT<T> no_phase;
+  obs::Span span("pipeline_sweep");
+  span.attr("n", plan.num_qubits());
+  for (const LayerPass& p : plan.passes()) {
+    if (p.strided) {
+      strided_pass_counter().add();
+      run_strided_pass<T>(k, p, amp, n_amps, c, s, exec);
+    } else {
+      tile_pass_counter().add();
+      run_tile_pass<T>(k, p, amp, n_amps, no_phase, 0.0, c, s, exec);
+    }
+  }
 }
 
-void run_sweep(const LayerPlan& plan, cdouble* amp, std::uint64_t n_amps,
-               double c, double s, Exec exec) {
-  run_sweep_impl(plan, amp, n_amps, c, s, exec);
-}
-
-void run_sweep(const LayerPlan& plan, cfloat* amp, std::uint64_t n_amps,
-               double c, double s, Exec exec) {
-  run_sweep_impl(plan, amp, n_amps, c, s, exec);
-}
+#define QOKIT_PIPELINE_INSTANTIATE(T)                                       \
+  template void run_layer(const LayerPlan&, std::complex<T>*,               \
+                          std::uint64_t, const PhaseCtxT<T>&, double,       \
+                          double, Exec);                                    \
+  template void run_layer_expectation(                                      \
+      const LayerPlan&, std::complex<T>*, std::uint64_t, const PhaseCtxT<T>&, \
+      double, double, Exec, const ExpectationCtx&, double*);                \
+  template void run_sweep(const LayerPlan&, std::complex<T>*, std::uint64_t, \
+                          double, double, Exec);
+QOKIT_PIPELINE_INSTANTIATE(double)
+QOKIT_PIPELINE_INSTANTIATE(float)
+#undef QOKIT_PIPELINE_INSTANTIATE
 
 }  // namespace qokit::pipeline

@@ -12,6 +12,7 @@
 // argument that makes this exact, not approximate).
 #pragma once
 
+#include <complex>
 #include <cstdint>
 
 #include "pipeline/layer_plan.hpp"
@@ -33,22 +34,22 @@ struct PhaseCtxT {
   const std::complex<T>* table = nullptr;
 };
 using PhaseCtx = PhaseCtxT<double>;
-using PhaseCtxF32 = PhaseCtxT<float>;
 
 /// Run one fused QAOA layer (phase by `gamma`, X mixer by `beta`) over
 /// `amp[0, n_amps)`. n_amps must equal 2^plan.num_qubits(); the plan must
 /// be active. `amp` may be a full state or one rank's slice (the
 /// distributed simulator passes its local slice with a plan built for the
 /// local qubit count). Deterministic for any Exec/thread count — at both
-/// precisions: the f32 overload drives the f32 kernel family over the
-/// identical pass/tile decomposition, so the bit-identity argument above
-/// carries over unchanged (same amplitudes, same groups of 4-or-8, same
-/// per-amplitude arithmetic).
-void run_layer(const LayerPlan& plan, cdouble* amp, std::uint64_t n_amps,
-               const PhaseCtx& phase, double gamma, double beta, Exec exec);
-void run_layer(const LayerPlan& plan, cfloat* amp, std::uint64_t n_amps,
-               const PhaseCtxF32& phase, double gamma, double beta,
-               Exec exec);
+/// precisions: at T = float the f32 kernel family runs over the identical
+/// pass/tile decomposition, so the bit-identity argument above carries
+/// over unchanged (same amplitudes, same groups of 4-or-8, same
+/// per-amplitude arithmetic). Like every executor entry point, one
+/// template over the amplitude scalar, instantiated for double and float
+/// in layer_exec.cpp.
+template <class T>
+void run_layer(const LayerPlan& plan, std::complex<T>* amp,
+               std::uint64_t n_amps, const PhaseCtxT<T>& phase, double gamma,
+               double beta, Exec exec);
 
 /// How many threads one layer of `plan` can keep busy under `exec`: the
 /// fewest units any of its passes hands to threads (threaded_units, so 1
@@ -86,12 +87,9 @@ bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps);
 /// can_fuse_expectation(plan, n_amps).
 /// `partials` is double at both precisions (reductions never accumulate
 /// at float width — see DESIGN.md "Mixed precision").
-void run_layer_expectation(const LayerPlan& plan, cdouble* amp,
-                           std::uint64_t n_amps, const PhaseCtx& phase,
-                           double gamma, double beta, Exec exec,
-                           const ExpectationCtx& reduce, double* partials);
-void run_layer_expectation(const LayerPlan& plan, cfloat* amp,
-                           std::uint64_t n_amps, const PhaseCtxF32& phase,
+template <class T>
+void run_layer_expectation(const LayerPlan& plan, std::complex<T>* amp,
+                           std::uint64_t n_amps, const PhaseCtxT<T>& phase,
                            double gamma, double beta, Exec exec,
                            const ExpectationCtx& reduce, double* partials);
 
@@ -101,9 +99,8 @@ void run_layer_expectation(const LayerPlan& plan, cfloat* amp,
 /// to mix the former-global qubits with the same tiling as the local
 /// ones. Plans with phase work belong to run_layer; sweep passes carry
 /// none by construction.
-void run_sweep(const LayerPlan& plan, cdouble* amp, std::uint64_t n_amps,
-               double c, double s, Exec exec);
-void run_sweep(const LayerPlan& plan, cfloat* amp, std::uint64_t n_amps,
-               double c, double s, Exec exec);
+template <class T>
+void run_sweep(const LayerPlan& plan, std::complex<T>* amp,
+               std::uint64_t n_amps, double c, double s, Exec exec);
 
 }  // namespace qokit::pipeline

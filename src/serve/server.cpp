@@ -13,6 +13,7 @@
 
 #include "batch/batch_eval.hpp"
 #include "common/timer.hpp"
+#include "diagonal/cost_diagonal.hpp"
 #include "obs/obs.hpp"
 #include "statevector/state.hpp"
 
@@ -196,10 +197,16 @@ Response ScheduleServer::handle(Request& request,
                            .overlap = request.overlap,
                            .overlap_weight = request.overlap_weight};
     // Before the checkout, so a bad schedule, an out-of-range overlap
-    // weight or an oversized problem never pays a miss's precompute or
-    // allocation.
+    // weight, an oversized problem, non-finite costs or an overflowing
+    // phase never pays a miss's precompute or allocation. The phase check
+    // reads sum_t |w_t| >= max_x |c_x| from the terms alone, so it also
+    // refuses gammas a built session would still evolve (DESIGN.md).
     check_batch(request.schedules, eval, request.terms.num_qubits());
     check_fits(request.terms, request.spec.prec, config_.cache_bytes);
+    const double bound = checked_cost_bound(request.terms, "serve");
+    for (const QaoaParams& schedule : request.schedules)
+      check_phase_angles(bound, "the terms' sum of |weight|",
+                         schedule.gammas);
     SessionLease lease = cache_.checkout(request.terms, request.spec);
     response.cache_hit = lease.hit();
     span.attr("cache_hit", static_cast<std::int64_t>(lease.hit() ? 1 : 0));

@@ -5,11 +5,14 @@
 // single place where Exec policy, OpenMP, and the dispatch level meet — the
 // kernel families themselves are branch-free straight-line loops.
 //
-// Both amplitude precisions share one set of templated drivers: the block
+// Each entry point is one template over the amplitude scalar, explicitly
+// instantiated for double and float at the end of this file: the block
 // grid is the same element count at either width, so the deterministic
 // decomposition (and the Serial==Parallel bit-identity it buys) holds per
 // precision by the same argument.
 #include "simd/kernels.hpp"
+
+#include <type_traits>
 
 #include "obs/obs.hpp"
 
@@ -18,23 +21,21 @@ namespace simd {
 
 namespace detail {
 
-const Kernels& active_kernels() noexcept {
+template <class T>
+const KernelsT<T>& active() noexcept {
 #if QOKIT_SIMD_X86
-  switch (active_simd_level()) {
-    case SimdLevel::Avx512: return avx512_kernels;
-    case SimdLevel::Avx2: return avx2_kernels;
-    case SimdLevel::Scalar: break;
+  if constexpr (std::is_same_v<T, float>) {
+    // f32 has no AVX-512 table yet: the AVX-512 level runs the AVX2 one.
+    if (active_simd_level() != SimdLevel::Scalar) return avx2_kernels_f32;
+  } else {
+    switch (active_simd_level()) {
+      case SimdLevel::Avx512: return avx512_kernels;
+      case SimdLevel::Avx2: return avx2_kernels;
+      case SimdLevel::Scalar: break;
+    }
   }
 #endif
-  return scalar_kernels;
-}
-
-const KernelsF32& active_kernels_f32() noexcept {
-#if QOKIT_SIMD_X86
-  // f32 has no AVX-512 table yet: the AVX-512 level runs the AVX2 one.
-  if (active_simd_level() != SimdLevel::Scalar) return avx2_kernels_f32;
-#endif
-  return scalar_kernels_f32;
+  return scalar<T>();
 }
 
 }  // namespace detail
@@ -58,25 +59,13 @@ void count_kernel_call() {
   level.set(static_cast<double>(active));
 }
 
-/// Family selection by amplitude scalar.
-template <class T>
-const detail::KernelsT<T>& active() noexcept;
-template <>
-const detail::KernelsT<double>& active<double>() noexcept {
-  return detail::active_kernels();
-}
-template <>
-const detail::KernelsT<float>& active<float>() noexcept {
-  return detail::active_kernels_f32();
-}
-
-// --------------------------------------------------- templated drivers
+}  // namespace
 
 template <class T>
-void phase_impl(std::complex<T>* amp, const double* costs,
-                std::uint64_t count, double gamma, Exec exec) {
+void apply_phase_slice(std::complex<T>* amp, const double* costs,
+                       std::uint64_t count, double gamma, Exec exec) {
   count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
+  const detail::KernelsT<T>& k = detail::active<T>();
   parallel_for_blocks(exec, static_cast<std::int64_t>(count), kSimdBlock,
                       [&](std::int64_t b, std::int64_t e) {
                         k.phase(amp + b, costs + b,
@@ -85,11 +74,11 @@ void phase_impl(std::complex<T>* amp, const double* costs,
 }
 
 template <class T>
-void phase_table_impl(std::complex<T>* amp, const std::uint16_t* codes,
-                      const std::complex<T>* table, std::uint64_t count,
-                      Exec exec) {
+void apply_phase_table(std::complex<T>* amp, const std::uint16_t* codes,
+                       const std::complex<T>* table, std::uint64_t count,
+                       Exec exec) {
   count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
+  const detail::KernelsT<T>& k = detail::active<T>();
   parallel_for_blocks(exec, static_cast<std::int64_t>(count), kSimdBlock,
                       [&](std::int64_t b, std::int64_t e) {
                         k.phase_table(amp + b, codes + b, table,
@@ -98,10 +87,10 @@ void phase_table_impl(std::complex<T>* amp, const std::uint16_t* codes,
 }
 
 template <class T>
-void rx_impl(std::complex<T>* x, std::uint64_t n_amps, int qubit, double c,
-             double s, Exec exec) {
+void rx(std::complex<T>* x, std::uint64_t n_amps, int qubit, double c,
+        double s, Exec exec) {
   count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
+  const detail::KernelsT<T>& k = detail::active<T>();
   parallel_for_blocks(exec, static_cast<std::int64_t>(n_amps >> 1),
                       kSimdBlock, [&](std::int64_t b, std::int64_t e) {
                         k.rx_pairs(x, qubit, static_cast<std::uint64_t>(b),
@@ -110,10 +99,10 @@ void rx_impl(std::complex<T>* x, std::uint64_t n_amps, int qubit, double c,
 }
 
 template <class T>
-double expectation_slice_impl(const std::complex<T>* amp, const double* costs,
-                              std::uint64_t count, Exec exec) {
+double expectation_slice(const std::complex<T>* amp, const double* costs,
+                         std::uint64_t count, Exec exec) {
   count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
+  const detail::KernelsT<T>& k = detail::active<T>();
   // kReduceBlock (not kSimdBlock): the same decomposition the pipeline's
   // fused final-pass reduction reproduces — see parallel.hpp.
   return parallel_reduce_blocks(
@@ -125,11 +114,11 @@ double expectation_slice_impl(const std::complex<T>* amp, const double* costs,
 }
 
 template <class T>
-double expectation_u16_impl(const std::complex<T>* amp,
-                            const std::uint16_t* codes, double offset,
-                            double scale, std::uint64_t count, Exec exec) {
+double expectation_u16(const std::complex<T>* amp, const std::uint16_t* codes,
+                       double offset, double scale, std::uint64_t count,
+                       Exec exec) {
   count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
+  const detail::KernelsT<T>& k = detail::active<T>();
   return parallel_reduce_blocks(
       exec, static_cast<std::int64_t>(count), kReduceBlock,
       [&](std::int64_t b, std::int64_t e) {
@@ -139,10 +128,10 @@ double expectation_u16_impl(const std::complex<T>* amp,
 }
 
 template <class T>
-double norm_squared_impl(const std::complex<T>* amp, std::uint64_t count,
-                         Exec exec) {
+double norm_squared(const std::complex<T>* amp, std::uint64_t count,
+                    Exec exec) {
   count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
+  const detail::KernelsT<T>& k = detail::active<T>();
   return parallel_reduce_blocks(
       exec, static_cast<std::int64_t>(count), kSimdBlock,
       [&](std::int64_t b, std::int64_t e) {
@@ -151,10 +140,10 @@ double norm_squared_impl(const std::complex<T>* amp, std::uint64_t count,
 }
 
 template <class T>
-double overlap_ground_impl(const std::complex<T>* amp, const double* costs,
-                           double threshold, std::uint64_t count, Exec exec) {
+double overlap_ground(const std::complex<T>* amp, const double* costs,
+                      double threshold, std::uint64_t count, Exec exec) {
   count_kernel_call();
-  const detail::KernelsT<T>& k = active<T>();
+  const detail::KernelsT<T>& k = detail::active<T>();
   return parallel_reduce_blocks(
       exec, static_cast<std::int64_t>(count), kSimdBlock,
       [&](std::int64_t b, std::int64_t e) {
@@ -163,70 +152,26 @@ double overlap_ground_impl(const std::complex<T>* amp, const double* costs,
       });
 }
 
-}  // namespace
-
-void apply_phase_slice(cdouble* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec) {
-  phase_impl(amp, costs, count, gamma, exec);
-}
-void apply_phase_slice(cfloat* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec) {
-  phase_impl(amp, costs, count, gamma, exec);
-}
-
-void apply_phase_table(cdouble* amp, const std::uint16_t* codes,
-                       const cdouble* table, std::uint64_t count, Exec exec) {
-  phase_table_impl(amp, codes, table, count, exec);
-}
-void apply_phase_table(cfloat* amp, const std::uint16_t* codes,
-                       const cfloat* table, std::uint64_t count, Exec exec) {
-  phase_table_impl(amp, codes, table, count, exec);
-}
-
-void rx(cdouble* x, std::uint64_t n_amps, int qubit, double c, double s,
-        Exec exec) {
-  rx_impl(x, n_amps, qubit, c, s, exec);
-}
-void rx(cfloat* x, std::uint64_t n_amps, int qubit, double c, double s,
-        Exec exec) {
-  rx_impl(x, n_amps, qubit, c, s, exec);
-}
-
-double expectation_slice(const cdouble* amp, const double* costs,
-                         std::uint64_t count, Exec exec) {
-  return expectation_slice_impl(amp, costs, count, exec);
-}
-double expectation_slice(const cfloat* amp, const double* costs,
-                         std::uint64_t count, Exec exec) {
-  return expectation_slice_impl(amp, costs, count, exec);
-}
-
-double expectation_u16(const cdouble* amp, const std::uint16_t* codes,
-                       double offset, double scale, std::uint64_t count,
-                       Exec exec) {
-  return expectation_u16_impl(amp, codes, offset, scale, count, exec);
-}
-double expectation_u16(const cfloat* amp, const std::uint16_t* codes,
-                       double offset, double scale, std::uint64_t count,
-                       Exec exec) {
-  return expectation_u16_impl(amp, codes, offset, scale, count, exec);
-}
-
-double norm_squared(const cdouble* amp, std::uint64_t count, Exec exec) {
-  return norm_squared_impl(amp, count, exec);
-}
-double norm_squared(const cfloat* amp, std::uint64_t count, Exec exec) {
-  return norm_squared_impl(amp, count, exec);
-}
-
-double overlap_ground(const cdouble* amp, const double* costs,
-                      double threshold, std::uint64_t count, Exec exec) {
-  return overlap_ground_impl(amp, costs, threshold, count, exec);
-}
-double overlap_ground(const cfloat* amp, const double* costs,
-                      double threshold, std::uint64_t count, Exec exec) {
-  return overlap_ground_impl(amp, costs, threshold, count, exec);
-}
+#define QOKIT_SIMD_INSTANTIATE(T)                                           \
+  template const detail::KernelsT<T>& detail::active<T>() noexcept;         \
+  template void apply_phase_slice(std::complex<T>*, const double*,          \
+                                  std::uint64_t, double, Exec);             \
+  template void apply_phase_table(std::complex<T>*, const std::uint16_t*,   \
+                                  const std::complex<T>*, std::uint64_t,    \
+                                  Exec);                                    \
+  template void rx(std::complex<T>*, std::uint64_t, int, double, double,    \
+                   Exec);                                                   \
+  template double expectation_slice(const std::complex<T>*, const double*,  \
+                                    std::uint64_t, Exec);                   \
+  template double expectation_u16(const std::complex<T>*,                   \
+                                  const std::uint16_t*, double, double,     \
+                                  std::uint64_t, Exec);                     \
+  template double norm_squared(const std::complex<T>*, std::uint64_t, Exec); \
+  template double overlap_ground(const std::complex<T>*, const double*,     \
+                                 double, std::uint64_t, Exec);
+QOKIT_SIMD_INSTANTIATE(double)
+QOKIT_SIMD_INSTANTIATE(float)
+#undef QOKIT_SIMD_INSTANTIATE
 
 }  // namespace simd
 }  // namespace qokit

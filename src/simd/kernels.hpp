@@ -15,12 +15,16 @@
 //
 // Precision: every kernel exists for both amplitude widths — cdouble (the
 // default and oracle) and cfloat (the bandwidth-halving mixed-precision
-// path, 8 f32 lanes per AVX2 register instead of 4). Costs, angles, phase
-// tables feeding the trig, and EVERY reduction accumulator stay double
-// regardless of the amplitude type: only the amplitude load/store and the
-// complex multiply narrow (the error-containment contract of DESIGN.md
-// "Mixed precision", machine-enforced by qokit_lint's f32-accumulator
-// rule).
+// path, 8 f32 lanes per AVX2 register instead of 4). The width is a
+// template parameter from here down: each entry point below is one
+// template, the family table is KernelsT<T>, detail::active<T>() picks the
+// table, and the AVX2 family writes each kernel once over its register
+// wrappers (simd/vec_kernels.hpp). StateVector::visit is where a state's
+// runtime Precision tag becomes T. Costs, angles, phase tables feeding the
+// trig, and EVERY reduction accumulator stay double regardless of the
+// amplitude type: only the amplitude load/store and the complex multiply
+// narrow (the error-containment contract of DESIGN.md "Mixed precision",
+// machine-enforced by qokit_lint's f32-accumulator rule).
 //
 // Parallelism and determinism: the dispatcher decomposes work into fixed
 // kSimdBlock-element blocks (common/parallel.hpp) and hands each block to
@@ -32,8 +36,8 @@
 //
 // The whole-state operations call these entry points directly:
 // diagonal/ops.cpp (phase, expectation, overlap), fur/mixers.cpp (RX),
-// statevector/state.cpp (norm). The layer executor
-// calls the family tables per unit, and the dist:K ranks run it on their
+// statevector/state.cpp (norm). The layer executor calls the family
+// tables per unit, and the dist:K ranks run it on their
 // slices (pipeline::run_layer), so no caller keeps a forwarder of its own.
 //
 // Two drivers decompose work over these families: the flat kSimdBlock
@@ -44,7 +48,9 @@
 // sub-ranges each driver guarantees.
 #pragma once
 
+#include <complex>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
@@ -53,48 +59,47 @@
 namespace qokit {
 namespace simd {
 
+// Every entry point is one function template over the amplitude scalar T
+// (double or float), declared here and explicitly instantiated for both in
+// dispatch.cpp; a call deduces T from its amplitude pointer.
+
 /// amp[i] *= e^{-i gamma costs[i]}: batched angle computation with a
 /// vectorized sin/cos under AVX2, libm per element in the scalar family.
-void apply_phase_slice(cdouble* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec);
-void apply_phase_slice(cfloat* amp, const double* costs, std::uint64_t count,
-                       double gamma, Exec exec);
+template <class T>
+void apply_phase_slice(std::complex<T>* amp, const double* costs,
+                       std::uint64_t count, double gamma, Exec exec);
 
 /// amp[i] *= table[codes[i]]: the u16 diagonal's table-driven phase pass.
 /// `table` must hold one phase factor per possible code (built per gamma).
-void apply_phase_table(cdouble* amp, const std::uint16_t* codes,
-                       const cdouble* table, std::uint64_t count, Exec exec);
-void apply_phase_table(cfloat* amp, const std::uint16_t* codes,
-                       const cfloat* table, std::uint64_t count, Exec exec);
+template <class T>
+void apply_phase_table(std::complex<T>* amp, const std::uint16_t* codes,
+                       const std::complex<T>* table, std::uint64_t count,
+                       Exec exec);
 
 /// In-place e^{-i beta X_qubit} butterfly with c = cos(beta), s = sin(beta).
-void rx(cdouble* x, std::uint64_t n_amps, int qubit, double c, double s,
-        Exec exec);
-void rx(cfloat* x, std::uint64_t n_amps, int qubit, double c, double s,
-        Exec exec);
+template <class T>
+void rx(std::complex<T>* x, std::uint64_t n_amps, int qubit, double c,
+        double s, Exec exec);
 
 /// sum_i |amp[i]|^2 costs[i] (double accumulation at either precision).
-double expectation_slice(const cdouble* amp, const double* costs,
-                         std::uint64_t count, Exec exec);
-double expectation_slice(const cfloat* amp, const double* costs,
+template <class T>
+double expectation_slice(const std::complex<T>* amp, const double* costs,
                          std::uint64_t count, Exec exec);
 
 /// sum_i |amp[i]|^2 (offset + scale * codes[i]).
-double expectation_u16(const cdouble* amp, const std::uint16_t* codes,
-                       double offset, double scale, std::uint64_t count,
-                       Exec exec);
-double expectation_u16(const cfloat* amp, const std::uint16_t* codes,
+template <class T>
+double expectation_u16(const std::complex<T>* amp, const std::uint16_t* codes,
                        double offset, double scale, std::uint64_t count,
                        Exec exec);
 
 /// sum_i |amp[i]|^2.
-double norm_squared(const cdouble* amp, std::uint64_t count, Exec exec);
-double norm_squared(const cfloat* amp, std::uint64_t count, Exec exec);
+template <class T>
+double norm_squared(const std::complex<T>* amp, std::uint64_t count,
+                    Exec exec);
 
 /// sum of |amp[i]|^2 over elements with costs[i] <= threshold.
-double overlap_ground(const cdouble* amp, const double* costs,
-                      double threshold, std::uint64_t count, Exec exec);
-double overlap_ground(const cfloat* amp, const double* costs,
+template <class T>
+double overlap_ground(const std::complex<T>* amp, const double* costs,
                       double threshold, std::uint64_t count, Exec exec);
 
 namespace detail {
@@ -156,20 +161,32 @@ struct KernelsT {
 };
 
 using Kernels = KernelsT<double>;
-using KernelsF32 = KernelsT<float>;
 
-extern const Kernels scalar_kernels;
-extern const KernelsF32 scalar_kernels_f32;
+extern const KernelsT<double> scalar_kernels;
+extern const KernelsT<float> scalar_kernels_f32;
 #if QOKIT_SIMD_X86
-extern const Kernels avx2_kernels;
-extern const KernelsF32 avx2_kernels_f32;
+extern const KernelsT<double> avx2_kernels;
+extern const KernelsT<float> avx2_kernels_f32;
 /// The AVX-512 level's f64 table; its f32 table is avx2_kernels_f32.
-extern const Kernels avx512_kernels;
+extern const KernelsT<double> avx512_kernels;
 #endif
 
-/// Family for the current active_simd_level().
-const Kernels& active_kernels() noexcept;
-const KernelsF32& active_kernels_f32() noexcept;
+/// The family active_simd_level() runs at amplitude scalar T. Both widths
+/// share one level, so a mixed-precision run never mixes families.
+template <class T>
+const KernelsT<T>& active() noexcept;
+
+/// The scalar family at T: the vector families hand their tails to it, so
+/// a tail rounds as the scalar level does. Inline, so a kernel finds its
+/// tail's table without a call; it only names a table, which compiles to
+/// the same code under any -m flags.
+template <class T>
+inline const KernelsT<T>& scalar() noexcept {
+  if constexpr (std::is_same_v<T, float>)
+    return scalar_kernels_f32;
+  else
+    return scalar_kernels;
+}
 
 }  // namespace detail
 }  // namespace simd

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <type_traits>
 
 #include "common/bitops.hpp"
 #include "simd/kernels.hpp"
@@ -144,16 +143,14 @@ void rx3_tile_scalar(std::complex<T>* x, int q, std::uint64_t count,
     rx3_rows_scalar(x + b, stride, stride, c, s);
 }
 
-/// |amp[i]|^2 widened to double before the squares — the one sanctioned
-/// pattern for touching f32 amplitudes in a reduction.
+/// |amp[i]|^2 widened to double before the squares (at f64, std::norm's
+/// own expression) — the one sanctioned pattern for touching f32
+/// amplitudes in a reduction. This unit's own copy of norm_widened
+/// (statevector/state.hpp): kernel units keep theirs.
 template <class T>
-inline double norm_widened(const std::complex<T>& a) {
-  if constexpr (std::is_same_v<T, double>) {
-    return std::norm(a);
-  } else {
-    const double re = a.real(), im = a.imag();
-    return re * re + im * im;
-  }
+inline double norm_in_double(const std::complex<T>& a) {
+  const double re = a.real(), im = a.imag();
+  return re * re + im * im;
 }
 
 template <class T>
@@ -161,7 +158,7 @@ double expectation_scalar(const std::complex<T>* amp, const double* costs,
                           std::uint64_t count) {
   double acc = 0.0;
   for (std::uint64_t i = 0; i < count; ++i)
-    acc += norm_widened(amp[i]) * costs[i];
+    acc += norm_in_double(amp[i]) * costs[i];
   return acc;
 }
 
@@ -171,14 +168,14 @@ double expectation_u16_scalar(const std::complex<T>* amp,
                               double scale, std::uint64_t count) {
   double acc = 0.0;
   for (std::uint64_t i = 0; i < count; ++i)
-    acc += norm_widened(amp[i]) * (offset + scale * codes[i]);
+    acc += norm_in_double(amp[i]) * (offset + scale * codes[i]);
   return acc;
 }
 
 template <class T>
 double norm_squared_scalar(const std::complex<T>* amp, std::uint64_t count) {
   double acc = 0.0;
-  for (std::uint64_t i = 0; i < count; ++i) acc += norm_widened(amp[i]);
+  for (std::uint64_t i = 0; i < count; ++i) acc += norm_in_double(amp[i]);
   return acc;
 }
 
@@ -187,7 +184,7 @@ double overlap_scalar(const std::complex<T>* amp, const double* costs,
                       double threshold, std::uint64_t count) {
   double acc = 0.0;
   for (std::uint64_t i = 0; i < count; ++i)
-    if (costs[i] <= threshold) acc += norm_widened(amp[i]);
+    if (costs[i] <= threshold) acc += norm_in_double(amp[i]);
   return acc;
 }
 
@@ -195,7 +192,7 @@ double overlap_scalar(const std::complex<T>* amp, const double* costs,
 
 namespace detail {
 
-const Kernels scalar_kernels = {
+const KernelsT<double> scalar_kernels = {
     .phase = phase_scalar<double>,
     .phase_table = phase_table_scalar<double>,
     .phase_rx = phase_rx_scalar<double>,
@@ -210,7 +207,7 @@ const Kernels scalar_kernels = {
     .overlap = overlap_scalar<double>,
 };
 
-const KernelsF32 scalar_kernels_f32 = {
+const KernelsT<float> scalar_kernels_f32 = {
     .phase = phase_scalar<float>,
     .phase_table = phase_table_scalar<float>,
     .phase_rx = phase_rx_scalar<float>,

@@ -10,6 +10,12 @@
 // same mul + FMA sequence in every lane whatever the width, so the AVX-512
 // kernels built from it equal the AVX2 ones bit for bit.
 //
+// The two AVX2 wrappers also carry the register-layout primitives that let
+// kernels_avx2.cpp write each kernel once for both amplitude widths: a Quad
+// of four complexes (two registers at f64, one at f32), norms4, the
+// multiply by four phase factors, qubit-0 RX on one register and qubits
+// 0-1 on a Quad. Everything else in an AVX2 kernel is width-blind.
+//
 // Internal to those two translation units. Everything here sits in an
 // unnamed namespace: each unit compiles its own copy under its own -m
 // flags. A shared inline function with external linkage would be an ODR
@@ -25,6 +31,30 @@
 
 namespace qokit::simd {
 namespace {
+
+// ------------------------------------------------------ RX butterflies
+// e^{-i beta X} on a pair: y0 = c x0 - i s x1, y1 = -i s x0 + c x1. In
+// interleaved lanes -i s x1 = [s im1, -s re1]: the partner with re and im
+// swapped, times the pre-signed multiplier [s, -s, ...]. Folding the sign
+// into the multiplier instead of xor-ing it onto the partner is exact,
+// since (-x)*s and x*(-s) round identically.
+
+/// One RX output register, c*a + vsp*partner_sw in one FMA rounding, where
+/// partner_sw holds each lane's partner complex as [im, re].
+template <class W>
+inline typename W::Reg rx_out(typename W::Reg vc, typename W::Reg vsp,
+                              typename W::Reg a, typename W::Reg partner_sw) {
+  return W::fmadd(vc, a, W::mul(vsp, partner_sw));
+}
+
+/// RX between two registers whose complexes pair lane for lane.
+template <class W>
+inline void rx_rows(typename W::Reg& a, typename W::Reg& b,
+                    typename W::Reg vc, typename W::Reg vsp) {
+  const typename W::Reg na = rx_out<W>(vc, vsp, a, W::swap_re_im(b));
+  b = rx_out<W>(vc, vsp, b, W::swap_re_im(a));
+  a = na;
+}
 
 // --------------------------------------------------------- wrappers
 
@@ -48,6 +78,46 @@ struct Pd256 {
   }
   /// Each complex as [im, re].
   static Reg swap_re_im(Reg v) { return _mm256_permute_pd(v, 0x5); }
+  /// a * f for per-complex broadcast halves f_re = [c0, c0, c1, c1] and
+  /// f_im = [s0, s0, s1, s1]: fmaddsub gives re = ar c - ai s and
+  /// im = ai c + ar s.
+  static Reg cmul_bcast(Reg a, Reg f_re, Reg f_im) {
+    return _mm256_fmaddsub_pd(a, f_re, mul(swap_re_im(a), f_im));
+  }
+
+  /// Four complexes: [x0, x1] and [x2, x3].
+  struct Quad {
+    Reg lo, hi;
+  };
+  static Quad load4(const Real* p) { return {load(p), load(p + 4)}; }
+  static void store4(Real* p, Quad q) {
+    store(p, q.lo);
+    store(p + 4, q.hi);
+  }
+  /// |x_m|^2 in lanes [n0, n2, n1, n3]: squares, then a pair-add.
+  static __m256d norms4(Quad q) {
+    return _mm256_hadd_pd(mul(q.lo, q.lo), mul(q.hi, q.hi));
+  }
+  /// x_m (cos4[m] + i sin4[m]): each factor spread over its complex.
+  static Quad cmul4(Quad q, __m256d cos4, __m256d sin4) {
+    return {cmul_bcast(q.lo, _mm256_permute4x64_pd(cos4, 0x50),
+                       _mm256_permute4x64_pd(sin4, 0x50)),
+            cmul_bcast(q.hi, _mm256_permute4x64_pd(cos4, 0xFA),
+                       _mm256_permute4x64_pd(sin4, 0xFA))};
+  }
+  /// Qubit-0 RX on one register [x0, x1]: the partners are each other, so
+  /// partner_sw is the full lane reversal.
+  static Reg rx_q0(Reg a, Reg vc, Reg vsp) {
+    return rx_out<Pd256>(vc, vsp, a, _mm256_permute4x64_pd(a, 0x1B));
+  }
+  /// Qubits 0 then 1 on a Quad: qubit 0 inside each register, qubit 1
+  /// across the two.
+  static Quad rx01(Quad q, Reg vc, Reg vsp) {
+    q.lo = rx_q0(q.lo, vc, vsp);
+    q.hi = rx_q0(q.hi, vc, vsp);
+    rx_rows<Pd256>(q.lo, q.hi, vc, vsp);
+    return q;
+  }
 };
 
 /// Four f32 complexes per register: [re0, im0, ..., re3, im3]. The
@@ -66,6 +136,61 @@ struct Ps256 {
   static Reg mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
   static Reg fmadd(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
   static Reg swap_re_im(Reg v) { return _mm256_permute_ps(v, 0xB1); }
+  static Reg cmul_bcast(Reg a, Reg f_re, Reg f_im) {
+    return _mm256_fmaddsub_ps(a, f_re, mul(swap_re_im(a), f_im));
+  }
+
+  /// Four complexes in one register: [x0, x1 | x2, x3].
+  using Quad = Reg;
+  static Quad load4(const Real* p) { return load(p); }
+  static void store4(Real* p, Quad q) { store(p, q); }
+  /// |x_m|^2 in lanes [n0, n2, n1, n3], as Pd256's: each 128-bit half
+  /// widened to double first, so nothing squares or sums at float.
+  static __m256d norms4(Quad q) {
+    const __m256d a01 = _mm256_cvtps_pd(_mm256_castps256_ps128(q));
+    const __m256d a23 = _mm256_cvtps_pd(_mm256_extractf128_ps(q, 1));
+    return _mm256_hadd_pd(_mm256_mul_pd(a01, a01), _mm256_mul_pd(a23, a23));
+  }
+  /// x_m (cos4[m] + i sin4[m]): the factors narrow once to float.
+  static Quad cmul4(Quad q, __m256d cos4, __m256d sin4) {
+    return cmul_bcast(q, spread4(cos4), spread4(sin4));
+  }
+  /// Qubit-0 RX on one register: each pair is one 128-bit lane and its
+  /// partner_sw the within-lane reversal.
+  static Reg rx_q0(Reg a, Reg vc, Reg vsp) {
+    return rx_out<Ps256>(vc, vsp, a, _mm256_permute_ps(a, 0x1B));
+  }
+  /// Qubit-1 RX on one register: each partner sits in the other 128-bit
+  /// lane. Scalar-family rounding (rx_out_scalar), since rx_pairs runs
+  /// every f32 qubit-1 pair through its scalar tail: a qubit-1 run is two
+  /// complexes, half a register.
+  static Reg rx_q1(Reg a, Reg vc, Reg vsp) {
+    const Reg partner = _mm256_permute2f128_ps(a, a, 0x01);
+    return rx_out_scalar(vc, vsp, a, swap_re_im(partner));
+  }
+  /// Qubits 0 then 1 on a Quad, both inside the one register.
+  static Quad rx01(Quad q, Reg vc, Reg vsp) {
+    return rx_q1(rx_q0(q, vc, vsp), vc, vsp);
+  }
+  /// Four double factors [f0, f1, f2, f3] narrowed to float and spread
+  /// over their complexes: [f0, f0, f1, f1, f2, f2, f3, f3].
+  static Reg spread4(__m256d v) {
+    const __m128 v4 = _mm256_cvtpd_ps(v);
+    const __m256i idx = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+    return _mm256_permutevar8x32_ps(_mm256_set_m128(v4, v4), idx);
+  }
+  /// rx_out with the scalar family's rounding: both products rounded,
+  /// then added.
+  static Reg rx_out_scalar(Reg vc, Reg vsp, Reg a, Reg partner_sw) {
+    return _mm256_add_ps(opaque(mul(vc, a)), opaque(mul(vsp, partner_sw)));
+  }
+  /// Hides a value from the optimizer. GCC's default -ffp-contract=fast
+  /// fuses a multiply into a following add even across intrinsics; a
+  /// product routed through here stays separately rounded.
+  static Reg opaque(Reg v) {
+    __asm__("" : "+x"(v));
+    return v;
+  }
 };
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
@@ -145,30 +270,6 @@ inline void sincos_reduced(typename W::Reg x, typename W::Reg* k,
   *sin_r = W::fmadd(W::mul(poly6<W>(z, kSinCof), z), r, r);
   *cos_r = W::fmadd(poly6<W>(z, kCosCof), W::mul(z, z),
                     W::fnmadd(W::set1(0.5), z, W::set1(1.0)));
-}
-
-// ------------------------------------------------------ RX butterflies
-// e^{-i beta X} on a pair: y0 = c x0 - i s x1, y1 = -i s x0 + c x1. In
-// interleaved lanes -i s x1 = [s im1, -s re1]: the partner with re and im
-// swapped, times the pre-signed multiplier [s, -s, ...]. Folding the sign
-// into the multiplier instead of xor-ing it onto the partner is exact,
-// since (-x)*s and x*(-s) round identically.
-
-/// One RX output register, c*a + vsp*partner_sw in one FMA rounding, where
-/// partner_sw holds each lane's partner complex as [im, re].
-template <class W>
-inline typename W::Reg rx_out(typename W::Reg vc, typename W::Reg vsp,
-                              typename W::Reg a, typename W::Reg partner_sw) {
-  return W::fmadd(vc, a, W::mul(vsp, partner_sw));
-}
-
-/// RX between two registers whose complexes pair lane for lane.
-template <class W>
-inline void rx_rows(typename W::Reg& a, typename W::Reg& b,
-                    typename W::Reg vc, typename W::Reg vsp) {
-  const typename W::Reg na = rx_out<W>(vc, vsp, a, W::swap_re_im(b));
-  b = rx_out<W>(vc, vsp, b, W::swap_re_im(a));
-  a = na;
 }
 
 /// Radix-4 row body: rows at p + m w for m = 0..3 (w in reals), levels

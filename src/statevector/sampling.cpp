@@ -15,35 +15,24 @@ const obs::Counter& draw_counter() {
   return c;
 }
 
-/// |a|^2 in double. The CDF accumulates in double regardless of the
-/// amplitude width: an f32 amplitude's re/im are widened first, so the
-/// running sum never loses mass to float cancellation and the inverse-CDF
-/// clamp semantics are identical at both precisions.
-double mass(const cdouble& a) { return std::norm(a); }
-double mass(const cfloat& a) {
-  const double re = a.real(), im = a.imag();
-  return re * re + im * im;
-}
-
-/// Calls visit(x, p, cdf) for x = 0, 1, ... with p = |a_x|^2 and cdf the
-/// running sum through x, until visit returns false: the one summation
+/// Calls step(x, p, cdf) for x = 0, 1, ... with p = |a_x|^2 and cdf the
+/// running sum through x, until step returns false: the one summation
 /// behind both passes of sample_from_uniforms, so both see the same
-/// doubles.
-template <class Visit>
-void sweep_cdf(const StateVector& sv, Visit&& visit) {
+/// doubles. The CDF accumulates in double regardless of the amplitude
+/// width: an f32 amplitude's re/im are widened first (norm_widened), so
+/// the running sum never loses mass to float cancellation and the
+/// inverse-CDF clamp semantics are identical at both precisions.
+template <class Step>
+void sweep_cdf(const StateVector& sv, Step&& step) {
   const std::uint64_t dim = sv.size();
-  const auto run = [&](const auto* amp) {
+  sv.visit([&](const auto* amp) {
     double acc = 0.0;
     for (std::uint64_t x = 0; x < dim; ++x) {
-      const double p = mass(amp[x]);
+      const double p = norm_widened(amp[x]);
       acc += p;
-      if (!visit(x, p, acc)) return;
+      if (!step(x, p, acc)) return;
     }
-  };
-  if (sv.precision() == Precision::F32)
-    run(sv.data_f32());
-  else
-    run(sv.data());
+  });
 }
 
 }  // namespace

@@ -29,12 +29,12 @@ StateVector::StateVector(int num_qubits, Precision prec) {
 
 StateVector StateVector::basis_state(int num_qubits, std::uint64_t x,
                                      Precision prec) {
+  // Both refusals come before the 2^n buffer is allocated.
+  check_qubit_limit(num_qubits, "StateVector");
+  if (x >= dim_of(num_qubits))
+    throw std::out_of_range("basis_state: index too large");
   StateVector sv(num_qubits, prec);
-  if (x >= sv.size()) throw std::out_of_range("basis_state: index too large");
-  if (prec == Precision::F32)
-    sv.amps<cfloat>()[x] = cfloat(1.0f, 0.0f);
-  else
-    sv.amps<cdouble>()[x] = cdouble(1.0, 0.0);
+  sv.visit([x](auto* amp) { amp[x] = 1; });
   return sv;
 }
 
@@ -70,17 +70,10 @@ namespace {
 template <class F>
 void fill_real(StateVector& sv, Exec exec, F amplitude) {
   const auto count = static_cast<std::int64_t>(sv.size());
-  if (sv.precision() == Precision::F32) {
-    cfloat* amp = sv.data_f32();
+  sv.visit([&]<class T>(std::complex<T>* amp) {
     parallel_for(exec, 0, count, [amp, amplitude](std::int64_t i) {
-      const double a = amplitude(static_cast<std::uint64_t>(i));
-      amp[i] = cfloat(static_cast<float>(a), 0.0f);
+      amp[i] = static_cast<T>(amplitude(static_cast<std::uint64_t>(i)));
     });
-    return;
-  }
-  cdouble* amp = sv.data();
-  parallel_for(exec, 0, count, [amp, amplitude](std::int64_t i) {
-    amp[i] = cdouble(amplitude(static_cast<std::uint64_t>(i)), 0.0);
   });
 }
 
@@ -129,23 +122,18 @@ StateVector StateVector::to_precision(Precision prec) const {
 }
 
 double StateVector::norm_squared(Exec exec) const {
-  if (prec_ == Precision::F32)
-    return simd::norm_squared(data_f32(), size(), exec);
-  return simd::norm_squared(data(), size(), exec);
+  return visit(
+      [&](const auto* amp) { return simd::norm_squared(amp, size(), exec); });
 }
 
 void StateVector::normalize() {
   const double n2 = norm_squared();
   if (n2 <= 0.0) throw std::runtime_error("normalize: zero vector");
   const double inv = 1.0 / std::sqrt(n2);
-  if (prec_ == Precision::F32) {
-    const float invf = static_cast<float>(inv);
-    cfloat* a = data_f32();
-    for (std::uint64_t i = 0; i < size(); ++i) a[i] *= invf;
-  } else {
-    cdouble* a = data();
-    for (std::uint64_t i = 0; i < size(); ++i) a[i] *= inv;
-  }
+  visit([&]<class T>(std::complex<T>* a) {
+    const T scale = static_cast<T>(inv);
+    for (std::uint64_t i = 0; i < size(); ++i) a[i] *= scale;
+  });
 }
 
 cdouble StateVector::inner(const StateVector& other) const {
@@ -154,32 +142,21 @@ cdouble StateVector::inner(const StateVector& other) const {
   if (other.prec_ != prec_)
     throw std::invalid_argument("inner: precision mismatch (widen first)");
   cdouble acc(0.0, 0.0);
-  if (prec_ == Precision::F32) {
-    const cfloat* a = data_f32();
-    const cfloat* b = other.data_f32();
+  visit([&]<class T>(const std::complex<T>* a) {
+    const std::complex<T>* b = other.amps<std::complex<T>>();
     for (std::uint64_t i = 0; i < size(); ++i)
       acc += std::conj(cdouble(a[i])) * cdouble(b[i]);
-  } else {
-    const cdouble* a = data();
-    const cdouble* b = other.data();
-    for (std::uint64_t i = 0; i < size(); ++i) acc += std::conj(a[i]) * b[i];
-  }
+  });
   return acc;
 }
 
 void StateVector::probabilities_in_place(Exec exec) {
-  if (prec_ == Precision::F32) {
-    cfloat* a = data_f32();
+  visit([&]<class T>(std::complex<T>* a) {
     parallel_for(exec, 0, static_cast<std::int64_t>(size()),
                  [a](std::int64_t i) {
-                   const cdouble w(a[i]);
-                   a[i] = cfloat(static_cast<float>(std::norm(w)), 0.0f);
+                   a[i] = static_cast<T>(norm_widened(a[i]));
                  });
-    return;
-  }
-  cdouble* a = data();
-  parallel_for(exec, 0, static_cast<std::int64_t>(size()),
-               [a](std::int64_t i) { a[i] = cdouble(std::norm(a[i]), 0.0); });
+  });
 }
 
 std::vector<double> StateVector::probabilities() const {

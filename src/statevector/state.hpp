@@ -9,7 +9,10 @@
 // Precision is a runtime tag, not a template parameter, so the virtual
 // simulator API, the batch scratch pool, and the serving stack move
 // StateVector values around without caring which width is inside: one
-// untyped buffer holds the amplitudes at either width. The initial states
+// untyped buffer holds the amplitudes at either width. visit() is the one
+// place the tag becomes a type: it hands a cdouble* or a cfloat* to a
+// generic callable, and everything below it (simd/, pipeline/, dist/,
+// DiagonalU16) is a template over the amplitude scalar. The initial states
 // are in-place fills (assign_plus / assign_dicke) that reuse a buffer of
 // the right size and allocate any other unwritten, so a scratch state is
 // refilled without a cached copy to read from and the fill is the first
@@ -51,6 +54,16 @@ inline constexpr std::uint64_t amplitude_bytes(Precision p) noexcept {
 /// Largest supported qubit count for an in-memory state vector (2^34
 /// amplitudes = 256 GiB) or cost diagonal.
 inline constexpr int kMaxQubits = 34;
+
+/// |a|^2 in double, an f32 amplitude's components widened before the
+/// squares (at f64, std::norm's own expression): the one per-amplitude
+/// term behind every reduction outside the kernel families, which keep
+/// their own copies (see simd/vec_kernels.hpp on linkage).
+template <class T>
+inline double norm_widened(const std::complex<T>& a) {
+  const double re = a.real(), im = a.imag();
+  return re * re + im * im;
+}
 
 /// Refuses a 2^n buffer before it is allocated: throws
 /// std::invalid_argument ("<who>: <n> qubits exceed the 34-qubit limit")
@@ -102,10 +115,9 @@ class StateVector {
   /// Amplitude storage footprint (size() * width of one amplitude).
   std::uint64_t bytes() const noexcept { return amp_.size(); }
 
-  /// F64 amplitude access (data() is null on an F32 state). The legacy
-  /// (and default) surface: every caller predating the mixed-precision
-  /// path reads through these; callers on the f32 path use data_f32().
-  /// operator[] is only valid on an F64 state.
+  /// F64 amplitude access (data() is null on an F32 state); data_f32()
+  /// is its F32 twin. Code that serves both widths goes through visit()
+  /// instead. operator[] is only valid on an F64 state.
   cdouble* data() noexcept {
     return prec_ == Precision::F64 ? amps<cdouble>() : nullptr;
   }
@@ -123,6 +135,21 @@ class StateVector {
   }
   const cfloat* data_f32() const noexcept {
     return prec_ == Precision::F32 ? amps<cfloat>() : nullptr;
+  }
+
+  /// f(amps) with amps the state's cdouble* or cfloat*, whichever its
+  /// precision() stores: the one branch on the amplitude width, so a
+  /// generic callable (auto* amp) runs once per width below it. Returns
+  /// what f returns, which must not depend on the width.
+  template <class F>
+  decltype(auto) visit(F&& f) {
+    if (prec_ == Precision::F32) return f(amps<cfloat>());
+    return f(amps<cdouble>());
+  }
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    if (prec_ == Precision::F32) return f(amps<cfloat>());
+    return f(amps<cdouble>());
   }
 
   /// Amplitude x widened to double regardless of storage precision.

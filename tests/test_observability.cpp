@@ -9,10 +9,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "api/qokit.hpp"
 #include "obs/obs.hpp"
+#include "obs/obs_internal.hpp"
 #include "simd/kernels.hpp"
 #include "support/simd_levels.hpp"
 
@@ -491,6 +493,24 @@ TEST_F(ObsTest, KernelCallsCountAgainstTheActiveSimdLevel) {
               static_cast<double>(level))
         << simd_level_name(level);
   }
+}
+
+TEST_F(ObsTest, TraceRetentionCapDropsAndCountsTheOverflow) {
+  // A thread keeps at most kMaxShardEvents spans; the rest are dropped
+  // and counted, so a runaway obs-on loop stays memory-bounded. A
+  // finished thread's events are retired whole, under the global cap.
+  obs::set_enabled(true);
+  obs::reset();
+  std::thread([] {
+    for (int i = 0; i < obs::detail::kMaxShardEvents + 5; ++i)
+      obs::Span span("retention_probe");
+  }).join();
+  EXPECT_EQ(obs::trace_event_count(),
+            static_cast<std::uint64_t>(obs::detail::kMaxShardEvents));
+  EXPECT_EQ(obs::dropped_event_count(), 5u);
+  obs::reset();
+  EXPECT_EQ(obs::dropped_event_count(), 0u);
+  EXPECT_EQ(obs::trace_event_count(), 0u);
 }
 
 TEST_F(ObsTest, GaugeAndResetSemantics) {

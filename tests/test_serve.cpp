@@ -813,10 +813,10 @@ TEST(ScheduleServer, NonFiniteAnglesAreBadRequestsBeforeTheCache) {
 }
 
 TEST(ScheduleServer, OverflowingPhasesAreBadRequests) {
-  // A finite gamma whose product with the largest |cost| overflows passes
-  // the schedule check and reaches the session, whose simulator refuses
-  // it before the first layer: BadRequest naming the layer, not an Ok
-  // carrying a NaN energy.
+  // A finite gamma whose product with the terms' sum of |weight| (a bound
+  // on every |cost|) overflows is refused before the cache checkout:
+  // BadRequest naming the layer, with no miss paid and no session left
+  // resident.
   ServerConfig config;
   config.workers = 1;
   ScheduleServer server(config);
@@ -828,13 +828,39 @@ TEST(ScheduleServer, OverflowingPhasesAreBadRequests) {
   EXPECT_EQ(r.status, Status::BadRequest);
   EXPECT_NE(r.error.find("layer 1"), std::string::npos) << r.error;
   EXPECT_TRUE(r.expectations.empty());
-  // The checked-in session still serves the good schedule.
+  EXPECT_EQ(server.cache_stats().misses, 0u);
+  // Nothing was checked out, so the good schedule's request is the miss.
   request.schedules.pop_back();
   const Response ok = server.submit_blocking(request);
   ASSERT_EQ(ok.status, Status::Ok) << ok.error;
   ASSERT_EQ(ok.expectations.size(), 1u);
   EXPECT_TRUE(std::isfinite(ok.expectations[0]));
-  EXPECT_TRUE(ok.cache_hit);
+  EXPECT_FALSE(ok.cache_hit);
+  EXPECT_EQ(server.cache_stats().misses, 1u);
+  server.shutdown();
+}
+
+TEST(ScheduleServer, NonFiniteWeightsAreBadRequestsBeforeTheCache) {
+  // LABS-6 plus one term of weight NaN or +inf has no finite diagonal.
+  // Even an empty schedule, which runs no layer, is refused before the
+  // checkout instead of answered Ok with a NaN energy.
+  ServerConfig config;
+  config.workers = 1;
+  ScheduleServer server(config);
+  for (const double w :
+       {std::nan(""), std::numeric_limits<double>::infinity()})
+    for (const int p : {0, 1}) {
+      Request request;
+      request.terms = labs_terms(6);
+      request.terms.add(w, {0, 1});
+      request.schedules = random_schedules(1, p, 43);
+      const Response r = server.submit_blocking(std::move(request));
+      EXPECT_EQ(r.status, Status::BadRequest) << w << " p=" << p;
+      EXPECT_NE(r.error.find("sum of |weight|"), std::string::npos)
+          << r.error;
+    }
+  EXPECT_EQ(server.cache_stats().misses, 0u);
+  EXPECT_EQ(server.cache_stats().sessions, 0u);
   server.shutdown();
 }
 

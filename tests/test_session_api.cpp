@@ -495,6 +495,33 @@ TEST(ProblemSession, RefusesOversizedProblemsBeforeAllocating) {
       api::ProblemSession(two, SimulatorSpec::parse("auto:mixer=xycomplete")));
 }
 
+TEST(ProblemSession, RefusesNonFiniteWeightsBeforeAllocating) {
+  // A NaN or infinite weight, or finite weights whose magnitudes sum past
+  // DBL_MAX, leaves no finite bound on the costs. The precompute, and each
+  // dist rank's, refuses such terms before the diagonal allocates.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double big = std::numeric_limits<double>::max();
+  std::vector<TermList> bad;
+  for (const double w : {std::nan(""), inf, -inf}) {
+    bad.push_back(labs_terms(6));
+    bad.back().add(w, {0, 1});
+  }
+  bad.push_back(TermList(6, {{big, 0b1}, {-big, 0b10}}));
+  const std::uint64_t before = aligned_allocation_count();
+  for (const TermList& terms : bad)
+    for (const char* name : {"auto", "u16", "dist:2", "auto:prec=f32"}) {
+      try {
+        const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+        ADD_FAILURE() << name << " built a session";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("sum of |weight|"),
+                  std::string::npos)
+            << name << ": " << e.what();
+      }
+    }
+  EXPECT_EQ(aligned_allocation_count(), before);
+}
+
 TEST(ProblemSession, RefusesAnOutOfRangeOverlapWeightBeforeAllocating) {
   // The overlap's Hamming-weight sector must exist: -1 (the full space)
   // through n. Anything else is refused before a pool slot is filled, on

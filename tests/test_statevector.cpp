@@ -24,10 +24,18 @@ TEST(StateVector, BasisStateIsOneHot) {
   const StateVector sv = StateVector::basis_state(4, 9);
   for (std::uint64_t x = 0; x < 16; ++x)
     EXPECT_DOUBLE_EQ(std::norm(sv[x]), x == 9 ? 1.0 : 0.0);
+  const StateVector f32 = StateVector::basis_state(4, 9, Precision::F32);
+  for (std::uint64_t x = 0; x < 16; ++x)
+    EXPECT_EQ(f32.at(x), cdouble(x == 9 ? 1.0 : 0.0, 0.0));
 }
 
 TEST(StateVector, BasisStateRejectsOutOfRange) {
+  // The index is checked against 2^n before the state is allocated.
+  const std::uint64_t before = aligned_allocation_count();
   EXPECT_THROW(StateVector::basis_state(3, 8), std::out_of_range);
+  EXPECT_THROW(StateVector::basis_state(20, 1ull << 20, Precision::F32),
+               std::out_of_range);
+  EXPECT_EQ(aligned_allocation_count(), before);
 }
 
 class DickeStateTest : public ::testing::TestWithParam<std::pair<int, int>> {};
